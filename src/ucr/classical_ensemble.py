@@ -145,46 +145,50 @@ def _turning_point(model: PotentialModel, energy: float) -> float:
     return energy / (variant.m * variant.g)
 
 
+Weights = Union[float, tuple[float, ...]]
+
+
 def _density_integrals(
-    ens: ClassicalEnsemble, weight: Callable[[float], float], spec: QuadratureSpec
+    ens: ClassicalEnsemble, weight: Callable[[float, float], Weights], spec: QuadratureSpec
 ) -> IntegralResult:
-    """Integral of weight(x)/sqrt(E - V(x)) over the classical region, with
-    endpoint-offset integrand forms so the turning-point singularities are
-    resolved to full precision."""
+    """Integral of weight(x, sqrt(E - V(x))) over the classical region, where
+    weight divides by its second argument.  Endpoint-offset forms of that
+    root resolve the turning-point singularities to full precision.  A tuple
+    weight gives one pass with one integral per component."""
     a, b = ens.region
     emv = _energy_minus_potential(ens.model, ens.energy, ens.turning_point)
     variant = ens.model.variant
 
-    def f(x: float) -> float:
-        return weight(x) / math.sqrt(emv(x))
+    def f(x: float) -> Weights:
+        return weight(x, math.sqrt(emv(x)))
 
     if isinstance(variant, HarmonicOscillator):
         half_mw2 = 0.5 * variant.m * variant.omega ** 2
         A = ens.turning_point
 
-        def from_left(s: float) -> float:
-            return weight(a + s) / math.sqrt(half_mw2 * s * (2.0 * A - s))
+        def from_left(s: float) -> Weights:
+            return weight(a + s, math.sqrt(half_mw2 * s * (2.0 * A - s)))
 
-        def from_right(s: float) -> float:
-            return weight(b - s) / math.sqrt(half_mw2 * s * (2.0 * A - s))
+        def from_right(s: float) -> Weights:
+            return weight(b - s, math.sqrt(half_mw2 * s * (2.0 * A - s)))
 
     elif isinstance(variant, BouncingBall):
         mg = variant.m * variant.g
 
-        def from_left(s: float) -> float:
-            return weight(s) / math.sqrt(mg * (ens.turning_point - s))
+        def from_left(s: float) -> Weights:
+            return weight(s, math.sqrt(mg * (ens.turning_point - s)))
 
-        def from_right(s: float) -> float:
-            return weight(b - s) / math.sqrt(mg * s)
+        def from_right(s: float) -> Weights:
+            return weight(b - s, math.sqrt(mg * s))
 
     else:
-        inv_sqrt_e = 1.0 / math.sqrt(ens.energy)
+        sqrt_e = math.sqrt(ens.energy)
 
-        def from_left(s: float) -> float:
-            return weight(a + s) * inv_sqrt_e
+        def from_left(s: float) -> Weights:
+            return weight(a + s, sqrt_e)
 
-        def from_right(s: float) -> float:
-            return weight(b - s) * inv_sqrt_e
+        def from_right(s: float) -> Weights:
+            return weight(b - s, sqrt_e)
 
     return integrate_singular_endpoints(f, a, b, spec, from_left=from_left, from_right=from_right)
 
@@ -197,7 +201,7 @@ def build_ensemble(model: PotentialModel, energy: float = 1.0, spec: QuadratureS
         raise ValueError(f"energy must be strictly positive and finite, got {energy}")
     turning = _turning_point(model, energy)
     provisional = ClassicalEnsemble(model, energy, turning, math.nan, IntegralResult(math.nan, math.nan, 0, False))
-    raw = _density_integrals(provisional, lambda x: 1.0, spec)
+    raw = _density_integrals(provisional, lambda x, root: 1.0 / root, spec)
     return ClassicalEnsemble(model, energy, turning, 1.0 / raw.value, raw)
 
 
@@ -219,23 +223,17 @@ def classical_moments_quadrature(ens: ClassicalEnsemble, spec: QuadratureSpec = 
     A = ens.turning_point
     energy = ens.energy
     emv = _energy_minus_potential(ens.model, ens.energy, A)
-    norm = _density_integrals(ens, lambda x: 1.0, spec)
-    mean_x = _density_integrals(ens, lambda x: x / A, spec)
-    mean_x2 = _density_integrals(ens, lambda x: (x / A) ** 2, spec)
+
     # P at the two branches is +/- sqrt(2m(E-V))/sqrt(2mE); the branch average
     # of P vanishes identically, that of P^2 is (E-V)/E.
-    mean_p2 = _density_integrals(ens, lambda x: emv(x) / energy, spec)
-    for result in (norm, mean_x, mean_x2, mean_p2):
-        if not result.converged:
-            raise RuntimeError(f"classical moment quadrature failed to converge: {result}")
-    return ScaledMoments(
-        mean_x=mean_x.value / norm.value,
-        mean_x2=mean_x2.value / norm.value,
-        mean_p=0.0,
-        mean_p2=mean_p2.value / norm.value,
-        realm="classical",
-        method="quadrature",
-    )
+    def weights(x: float, root: float) -> tuple[float, float, float, float]:
+        return 1.0 / root, x / A / root, (x / A) ** 2 / root, emv(x) / energy / root
+
+    result = _density_integrals(ens, weights, spec)
+    if not result.converged:
+        raise RuntimeError(f"classical moment quadrature failed to converge: {result}")
+    norm, mean_x, mean_x2, mean_p2 = result.value
+    return ScaledMoments(mean_x / norm, mean_x2 / norm, 0.0, mean_p2 / norm, "classical", "quadrature")
 
 
 def classical_moments_closed_form(model: PotentialModel) -> ScaledMoments:

@@ -199,10 +199,9 @@ def render_density(config: RunConfig) -> str:
         raise UsageError("density needs exactly one quantum number")
     model = _model(config.system)
     try:
-        level = eigen_level(model, config.n_list[0])
-    except ValueError as exc:
+        rows = density_grid(eigen_level(model, config.n_list[0]), config.points)
+    except ValueError as exc:  # a bad level, or too few points to clip a singular endpoint
         raise UsageError(str(exc)) from exc
-    rows = density_grid(level, config.points)
     if config.fmt == "json":
         return json.dumps(
             [
@@ -337,6 +336,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"unknown system {config.system!r}")
     if config.fmt not in ("csv", "json"):
         raise UsageError(f"unknown format {config.fmt!r}")
+    for name, count in (("points", config.points), ("samples", config.samples)):
+        if count < 2:
+            raise UsageError(f"{name} must be >= 2, got {count}")
+    if config.tol is not None and not (math.isfinite(config.tol) and config.tol >= 0.0):
+        raise UsageError(f"tol must be finite and non-negative, got {config.tol}")
+    if not (math.isfinite(config.quad_tol) and config.quad_tol > 0.0):
+        raise UsageError(f"quad-tol must be finite and positive, got {config.quad_tol}")
     return config
 
 

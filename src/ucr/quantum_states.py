@@ -84,24 +84,20 @@ def eigen_level(model: PotentialModel, n: int) -> EigenLevel:
     return EigenLevel(model, n, energy, grav_length * scaled_energy, scaled_energy, grav_length)
 
 
-def _ho_log_norm(n: int) -> float:
-    # log of pi^(-1/4) 2^(-n/2) (n!)^(-1/2): the y-space normalization of the
-    # Hermite-Gaussian state, combined in log form so large n cannot overflow.
-    return -0.25 * math.log(math.pi) - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1))
+def _ho_coefficients(n: int) -> list[tuple[float, float]]:
+    # (sqrt(2/(k+1)), sqrt(k/(k+1))) for k < n: the normalized Hermite-function
+    # recurrence phi_{k+1} = sqrt(2/(k+1)) y phi_k - sqrt(k/(k+1)) phi_{k-1}.
+    return [(math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))) for k in range(n)]
 
 
-def _ho_state_y(n: int, y: float) -> float:
-    # Orthonormal oscillator state in the dimensionless y = x*sqrt(m w/hbar).
-    return specfun.hermite(n, y) * math.exp(_ho_log_norm(n) - 0.5 * y * y)
-
-
-def _ho_state_y_second_derivative(n: int, y: float) -> float:
-    # psi'' from the Hermite derivative recurrence applied twice:
-    # H_n'' = 4n(n-1) H_{n-2}, H_n' = 2n H_{n-1}.
-    h = specfun.hermite(n, y)
-    hp = specfun.hermite_prime(n, y)
-    hpp = 4.0 * n * (n - 1) * specfun.hermite(n - 2, y) if n >= 2 else 0.0
-    return (hpp - 2.0 * y * hp + (y * y - 1.0) * h) * math.exp(_ho_log_norm(n) - 0.5 * y * y)
+def _ho_functions(coefficients: list[tuple[float, float]], y: float) -> tuple[float, float, float]:
+    # (phi_{n-2}, phi_{n-1}, phi_n), the orthonormal oscillator states in the
+    # dimensionless y = x*sqrt(m w/hbar), with phi_{-1} = phi_{-2} = 0.  The
+    # recurrence never forms H_n, which overflows doubles from n ~ 200 on.
+    older, old, phi = 0.0, 0.0, math.pi ** -0.25 * math.exp(-0.5 * y * y)
+    for a, b in coefficients:
+        older, old, phi = old, phi, a * y * phi - b * old
+    return older, old, phi
 
 
 def _well_state_u(n: int, u: float) -> float:
@@ -126,8 +122,7 @@ def bouncer_state(level: EigenLevel, spec: QuadratureSpec = DEFAULT_SPEC) -> Bou
         raise ValueError("bouncer_state requires a bouncer level")
     spec = _oscillation_budget(spec, level.n)
     raw = integrate_semi_infinite(lambda z: specfun.airy_ai(z).ai ** 2, -level.scaled_energy, spec)
-    if not raw.converged:
-        raise RuntimeError(f"bouncer normalization integral failed to converge: {raw}")
+    _require_converged("bouncer normalization integral", raw)
     return BouncerState(level, 1.0 / math.sqrt(raw.value))
 
 
@@ -137,7 +132,7 @@ def wavefunction(level: EigenLevel, x: float) -> float:
     hbar = level.model.hbar
     if isinstance(variant, HarmonicOscillator):
         scale = math.sqrt(variant.m * variant.omega / hbar)
-        return math.sqrt(scale) * _ho_state_y(level.n, scale * x)
+        return math.sqrt(scale) * _ho_functions(_ho_coefficients(level.n), scale * x)[2]
     if isinstance(variant, InfiniteWell):
         half = variant.L / 2.0
         if abs(x) > half:
@@ -150,6 +145,12 @@ def wavefunction(level: EigenLevel, x: float) -> float:
     return state.normalization / math.sqrt(lg) * specfun.airy_ai(x / lg - level.scaled_energy).ai
 
 
+def _require_converged(what: str, *results: IntegralResult) -> None:
+    for result in results:
+        if not result.converged:
+            raise RuntimeError(f"{what} failed to converge: {result}")
+
+
 def _check_mean_p(raw: float) -> None:
     # The raw integral of psi*psi' equals the boundary term psi^2/2 and must
     # vanish; anything bigger signals a broken integrand.
@@ -160,44 +161,27 @@ def _check_mean_p(raw: float) -> None:
 def _ho_moments(level: EigenLevel, spec: QuadratureSpec) -> ScaledMoments:
     n = level.n
     spec = _oscillation_budget(spec, n)
-    scale = 1.0 / (2.0 * n + 1.0)
+    coefficients = _ho_coefficients(n)
+    c1, c2 = math.sqrt(2.0 * n), 2.0 * math.sqrt(n * (n - 1.0))
 
-    def density(y: float) -> float:
-        return _ho_state_y(n, y) ** 2
+    def integrands(y: float) -> tuple[float, float, float]:
+        # psi' and psi'' from the Hermite derivative recurrences
+        # H_n' = 2n H_{n-1} and H_n'' = 4n(n-1) H_{n-2}, not from the
+        # eigen-equation, so <P^2> is not routed through <X^2>.
+        older, old, psi = _ho_functions(coefficients, y)
+        psi_prime = c1 * old - y * psi
+        psi_second = c2 * older - 2.0 * y * c1 * old + (y * y - 1.0) * psi
+        return y * y * psi * psi, -psi * psi_second, psi * psi_prime
 
-    def x2_integrand(y: float) -> float:
-        return y * y * density(y)
-
-    def p2_integrand(y: float) -> float:
-        return -_ho_state_y(n, y) * _ho_state_y_second_derivative(n, y)
-
-    def p_integrand(y: float) -> float:
-        psi = _ho_state_y(n, y)
-        psi_prime = (specfun.hermite_prime(n, y) - y * specfun.hermite(n, y)) * math.exp(
-            _ho_log_norm(n) - 0.5 * y * y
-        )
-        return psi * psi_prime
-
-    # Even integrands: integrate the positive half and double.  The raw
-    # momentum integrand is odd, so both halves are summed explicitly.
-    results = {
-        "x2": integrate_semi_infinite(x2_integrand, 0.0, spec),
-        "p2": integrate_semi_infinite(p2_integrand, 0.0, spec),
-        "p_pos": integrate_semi_infinite(p_integrand, 0.0, spec),
-        "p_neg": integrate_semi_infinite(lambda y: p_integrand(-y), 0.0, spec),
-    }
-    for result in results.values():
-        if not result.converged:
-            raise RuntimeError(f"oscillator moment quadrature failed to converge: {result}")
-    _check_mean_p(results["p_pos"].value + results["p_neg"].value)
-    return ScaledMoments(
-        mean_x=0.0,
-        mean_x2=2.0 * results["x2"].value * scale,
-        mean_p=0.0,
-        mean_p2=2.0 * results["p2"].value * scale,
-        realm="quantum",
-        method="quadrature",
-    )
+    # Even integrands (x^2, p^2): integrate the positive half and double.
+    # The raw momentum integrand is odd, so both halves are summed explicitly.
+    positive = integrate_semi_infinite(integrands, 0.0, spec)
+    negative = integrate_semi_infinite(lambda y: integrands(-y)[2], 0.0, spec)
+    _require_converged("oscillator moment quadrature", positive, negative)
+    x2, p2, p_positive = positive.value
+    _check_mean_p(p_positive + negative.value)
+    scale = 2.0 / (2.0 * n + 1.0)  # both halves, over the scaled A_n^2 and 2mE_n
+    return ScaledMoments(0.0, x2 * scale, 0.0, p2 * scale, "quantum", "quadrature")
 
 
 def _oscillation_budget(spec: QuadratureSpec, n: int) -> QuadratureSpec:
@@ -210,63 +194,47 @@ def _well_moments(level: EigenLevel, spec: QuadratureSpec) -> ScaledMoments:
     n = level.n
     spec = _oscillation_budget(spec, n)
 
-    def density(u: float) -> float:
-        return _well_state_u(n, u) ** 2
+    # One pass per parity: the odd integrands vanish and converge on the
+    # first symmetric panel, which a pass shared with the even ones would
+    # forfeit by holding them to abs_tol over every panel.
+    def even(u: float) -> tuple[float, float]:
+        density = _well_state_u(n, u) ** 2
+        return density, u * u * density
 
-    mean_x = integrate_finite(lambda u: u * density(u), -1.0, 1.0, spec)
-    mean_x2 = integrate_finite(lambda u: u * u * density(u), -1.0, 1.0, spec)
+    def odd(u: float) -> tuple[float, float]:
+        psi = _well_state_u(n, u)
+        return u * psi * psi, psi * _well_state_u_prime(n, u)
+
+    even_result = integrate_finite(even, -1.0, 1.0, spec)
+    odd_result = integrate_finite(odd, -1.0, 1.0, spec)
+    _require_converged("well moment quadrature", even_result, odd_result)
     # psi'' = -k^2 psi, and the scaled momentum carries 1/k, so <P^2> is just
     # the norm integral evaluated by quadrature.
-    mean_p2 = integrate_finite(density, -1.0, 1.0, spec)
-    raw_p = integrate_finite(lambda u: _well_state_u(n, u) * _well_state_u_prime(n, u), -1.0, 1.0, spec)
-    for result in (mean_x, mean_x2, mean_p2, raw_p):
-        if not result.converged:
-            raise RuntimeError(f"well moment quadrature failed to converge: {result}")
-    _check_mean_p(raw_p.value)
-    return ScaledMoments(
-        mean_x=mean_x.value,
-        mean_x2=mean_x2.value,
-        mean_p=0.0,
-        mean_p2=mean_p2.value,
-        realm="quantum",
-        method="quadrature",
-    )
+    mean_p2, mean_x2 = even_result.value
+    mean_x, raw_p = odd_result.value
+    _check_mean_p(raw_p)
+    return ScaledMoments(mean_x, mean_x2, 0.0, mean_p2, "quantum", "quadrature")
 
 
 def _bouncer_moments(level: EigenLevel, spec: QuadratureSpec) -> ScaledMoments:
     # All integrals live in the shifted dimensionless coordinate on
     # (-E'_n, inf); the gravitational length cancels throughout.
     e = level.scaled_energy
-    a = -e
     spec = _oscillation_budget(spec, level.n)
 
-    def ai_sq(z: float) -> float:
-        return specfun.airy_ai(z).ai ** 2
-
-    norm = integrate_semi_infinite(ai_sq, a, spec)
-    first = integrate_semi_infinite(lambda z: (z + e) * ai_sq(z), a, spec)
-    second = integrate_semi_infinite(lambda z: (z + e) ** 2 * ai_sq(z), a, spec)
-
-    def ai_ai_prime(z: float) -> float:
+    def integrands(z: float) -> tuple[float, float, float, float]:
         v = specfun.airy_ai(z)
-        return v.ai * v.ai_prime
+        ai_sq = v.ai ** 2
+        return ai_sq, (z + e) * ai_sq, (z + e) ** 2 * ai_sq, v.ai * v.ai_prime
 
-    raw_p = integrate_semi_infinite(ai_ai_prime, a, spec)
-    for result in (norm, first, second, raw_p):
-        if not result.converged:
-            raise RuntimeError(f"bouncer moment quadrature failed to converge: {result}")
-    _check_mean_p(raw_p.value / norm.value)
+    result = integrate_semi_infinite(integrands, -e, spec)
+    _require_converged("bouncer moment quadrature", result)
+    norm, first, second, raw_p = result.value
+    _check_mean_p(raw_p / norm)
     # psi'' = z*psi by the Airy equation, so <P^2> = -(1/E') <z> in the
     # shifted coordinate.
-    mean_z_shifted = first.value / norm.value - e
-    return ScaledMoments(
-        mean_x=first.value / (e * norm.value),
-        mean_x2=second.value / (e * e * norm.value),
-        mean_p=0.0,
-        mean_p2=-mean_z_shifted / e,
-        realm="quantum",
-        method="quadrature",
-    )
+    mean_z_shifted = first / norm - e
+    return ScaledMoments(first / (e * norm), second / (e * e * norm), 0.0, -mean_z_shifted / e, "quantum", "quadrature")
 
 
 def quantum_moments_quadrature(level: EigenLevel, spec: QuadratureSpec = DEFAULT_SPEC) -> ScaledMoments:
@@ -338,7 +306,12 @@ def density_grid(level: EigenLevel, points: int) -> list[tuple[float, float, flo
     clipped: list[tuple[float, float, float, bool]] = []
     for i, (x_scaled, p_qm, p_cl, is_singular) in enumerate(rows):
         if is_singular:
-            neighbor = rows[i - 1] if i > 0 and math.isfinite(rows[i - 1][2]) else rows[i + 1]
-            p_cl = neighbor[2]
+            finite = [row[2] for row in rows[max(i - 1, 0):i + 2] if math.isfinite(row[2])]
+            if not finite:
+                raise ValueError(
+                    f"no finite interior neighbour to clip the singular endpoint x={x_scaled} to; "
+                    f"{points} grid points are too few"
+                )
+            p_cl = finite[0]
         clipped.append((x_scaled, p_qm, p_cl, is_singular))
     return clipped

@@ -230,8 +230,9 @@ def _taylor_step(z0: float, ai: float, aip: float, h: float, terms: int = 32) ->
 
 @functools.lru_cache(maxsize=1 << 18)
 def airy_ai(z: float) -> AiryValue:
-    """Evaluate Ai(z) and Ai'(z).  Results are memoized: the moment
-    quadratures revisit the same abscissas across integrands."""
+    """Evaluate Ai(z) and Ai'(z).  Results are memoized for reuse across
+    calls: a session that revisits a level (moments, density grid,
+    wavefunction points) meets the same abscissas again."""
     if not math.isfinite(z):
         raise ValueError(f"Airy argument must be finite, got {z}")
     if _SERIES_LO <= z <= _SERIES_HI:

@@ -240,3 +240,43 @@ class TestUsageSurface:
 
     def test_unknown_format(self, capsys):
         assert run(capsys, "compare", "--format", "xml")[0] == EXIT_USAGE
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("density", "--system", "well", "--n", "2", "--points", "1"),
+            ("verify", "--system", "well", "--samples", "1"),
+            ("compare", "--system", "ho", "--n", "0", "--tol", "nan"),
+            ("compare", "--system", "ho", "--n", "0", "--tol=-1e-6"),
+            ("compare", "--system", "ho", "--n", "0", "--tol", "inf"),
+            ("compare", "--system", "ho", "--n", "0", "--quad-tol", "0"),
+            ("compare", "--system", "ho", "--n", "0", "--quad-tol=-1e-12"),
+            ("compare", "--system", "ho", "--n", "0", "--quad-tol", "nan"),
+            ("compare", "--system", "ho", "--n", "0", "--quad-tol", "inf"),
+            # both oscillator grid points are singular turning points
+            ("density", "--system", "ho", "--n", "1", "--points", "2"),
+        ],
+    )
+    def test_bad_values_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize(
+        "line", ["points=1", "samples=0", "tol=nan", "tol=-1", "quad-tol=0", "quad-tol=inf"]
+    )
+    def test_bad_config_values_are_usage_errors(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"system=well\nn=2\n{line}\n")
+        code, _, err = run(capsys, "compare", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error:")
+
+    def test_boundary_values_accepted(self, capsys):
+        assert run(capsys, "density", "--system", "well", "--n", "1", "--points", "2")[0] == EXIT_OK
+        assert run(capsys, "density", "--system", "bouncer", "--n", "1", "--points", "2")[0] == EXIT_OK
+        # a zero parity tolerance is valid input that no computed row meets
+        assert run(capsys, "compare", "--system", "well", "--n", "1", "--tol", "0")[0] == EXIT_PARITY

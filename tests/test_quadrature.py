@@ -1,8 +1,11 @@
 import math
 import random
 
+import mpmath as mp
+import numpy as np
 import pytest
 
+from ucr import quadrature
 from ucr.quadrature import (
     IntegralResult,
     QuadratureError,
@@ -19,7 +22,6 @@ TIGHT = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
 class TestSpec:
     def test_defaults(self):
         spec = QuadratureSpec()
-        assert spec.method == "adaptive-subdivision"
         assert spec.abs_tol == 1e-12
         assert spec.rel_tol == 1e-10
         assert spec.max_subdivisions == 60
@@ -229,3 +231,123 @@ class TestSemiInfinite:
     def test_non_finite_integrand_raises(self):
         with pytest.raises(QuadratureError):
             integrate_semi_infinite(lambda x: float("nan"), 0.0)
+
+
+class TestKronrodConstants:
+    """The typed G7-K15 digits, checked with mpmath alone: a 15-point rule
+    that embeds the 7-point Gauss rule and integrates x^k exactly for
+    k <= 22 is unique, so a mistyped digit fails here."""
+
+    @staticmethod
+    def _full_rule():
+        xs, ws = quadrature._XGK, quadrature._WGK
+        nodes = [-x for x in xs[:-1]] + list(xs[::-1])
+        weights = list(ws[:-1]) + list(ws[::-1])
+        return [mp.mpf(x) for x in nodes], [mp.mpf(w) for w in weights]
+
+    def test_kronrod_rule_exact_through_degree_22(self):
+        mp.mp.dps = 30
+        nodes, weights = self._full_rule()
+        assert len(nodes) == 15 and len(set(nodes)) == 15
+        for k in range(23):
+            got = mp.fsum(w * x ** k for x, w in zip(nodes, weights))
+            exact = mp.mpf(2) / (k + 1) if k % 2 == 0 else mp.mpf(0)
+            assert abs(got - exact) < 1e-15, k
+
+    def test_embedded_gauss_rule_is_gauss_legendre_7(self):
+        mp.mp.dps = 30
+        gauss_nodes = quadrature._XGK[1::2]  # 0.949.., 0.741.., 0.405.., 0.0
+        for x, w in zip(gauss_nodes, quadrature._WG):
+            root = mp.findroot(lambda t: mp.legendre(7, t), mp.mpf(x))
+            assert abs(root - x) < 1e-15
+            weight = 2 / ((1 - root ** 2) * mp.diff(lambda t: mp.legendre(7, t), root) ** 2)
+            assert abs(weight - w) < 1e-15
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(7)
+        assert np.allclose(sorted(-x for x in gauss_nodes[:-1]) + sorted(gauss_nodes), ref_nodes,
+                           rtol=0, atol=1e-15)
+        assert np.allclose(quadrature._WG + quadrature._WG[-2::-1], ref_weights, rtol=0, atol=1e-15)
+
+
+def _agrees(vector, scalars):
+    # each component of a tuple integral equals the scalar integral of that
+    # component within the sum of their error estimates (plus a few ulps)
+    assert vector.converged and all(s.converged for s in scalars)
+    assert isinstance(vector.value, tuple) and isinstance(vector.error_estimate, tuple)
+    assert len(vector.value) == len(scalars)
+    for v, e, s in zip(vector.value, vector.error_estimate, scalars):
+        assert type(v) is float and type(e) is float
+        assert abs(v - s.value) <= e + s.error_estimate + 4e-16 * max(abs(v), abs(s.value))
+
+
+class TestVectorIntegrands:
+    def test_finite_smooth(self):
+        components = (
+            lambda x: math.exp(-x * x),
+            lambda x: math.sin(7.0 * x),
+            lambda x: 1.0 / (1.0 + x * x),
+            lambda x: x * math.exp(-x * x),  # odd: vanishes on the symmetric range
+        )
+        vector = integrate_finite(lambda x: tuple(c(x) for c in components), -3.0, 3.0, TIGHT)
+        _agrees(vector, [integrate_finite(c, -3.0, 3.0, TIGHT) for c in components])
+        assert isinstance(vector.evaluations, int) and type(vector.converged) is bool
+
+    def test_semi_infinite_decaying(self):
+        a1 = airy_zero(1).value
+        components = (
+            lambda z: airy_ai(z).ai ** 2,
+            lambda z: (z - a1) * airy_ai(z).ai ** 2,
+            lambda z: airy_ai(z).ai * airy_ai(z).ai_prime,  # integrates to ~0
+        )
+        vector = integrate_semi_infinite(lambda z: tuple(c(z) for c in components), a1, TIGHT)
+        _agrees(vector, [integrate_semi_infinite(c, a1, TIGHT) for c in components])
+        assert vector.value[0] == pytest.approx(airy_ai(a1).ai_prime ** 2, rel=1e-11)
+
+    def test_semi_infinite_truncates_only_when_every_component_decayed(self):
+        # the first component is below the tail cutoff long before the second
+        vector = integrate_semi_infinite(lambda x: (math.exp(-10.0 * x), math.exp(-x)), 0.0, TIGHT)
+        assert vector.value == pytest.approx((0.1, 1.0), abs=1e-13)
+
+    def test_singular_endpoints(self):
+        components = (
+            lambda x: 1.0 / math.sqrt(1.0 - x * x),
+            lambda x: x / math.sqrt(1.0 - x * x),
+            lambda x: x * x / math.sqrt(1.0 - x * x),
+        )
+        edges = (
+            lambda s: 1.0 / math.sqrt(s * (2.0 - s)),
+            lambda s: (s - 1.0) / math.sqrt(s * (2.0 - s)),
+            lambda s: (s - 1.0) ** 2 / math.sqrt(s * (2.0 - s)),
+        )
+        right = (edges[0], lambda s: (1.0 - s) / math.sqrt(s * (2.0 - s)), edges[2])
+        vector = integrate_singular_endpoints(
+            lambda x: tuple(c(x) for c in components), -1.0, 1.0, TIGHT,
+            from_left=lambda s: tuple(e(s) for e in edges),
+            from_right=lambda s: tuple(r(s) for r in right),
+        )
+        scalars = [
+            integrate_singular_endpoints(c, -1.0, 1.0, TIGHT, from_left=e, from_right=r)
+            for c, e, r in zip(components, edges, right)
+        ]
+        _agrees(vector, scalars)
+        assert vector.value == pytest.approx((math.pi, 0.0, math.pi / 2.0), abs=1e-13)
+
+    def test_singular_endpoints_without_hooks(self):
+        # the unsampled endpoint slices are charged per component
+        components = (lambda x: 1.0 / math.sqrt(x), math.exp)
+        vector = integrate_singular_endpoints(lambda x: tuple(c(x) for c in components), 0.0, 1.0, TIGHT)
+        scalars = [integrate_singular_endpoints(c, 0.0, 1.0, TIGHT) for c in components]
+        _agrees(vector, scalars)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_component_raises(self, bad):
+        def f(x):
+            return (math.exp(-x), bad if x > 0.3 else 0.0)
+
+        with pytest.raises(QuadratureError):
+            integrate_finite(f, 0.0, 1.0)
+        with pytest.raises(QuadratureError):
+            integrate_semi_infinite(f, 0.0)
+        with pytest.raises(QuadratureError):
+            integrate_singular_endpoints(f, 0.0, 1.0)
+        with pytest.raises(QuadratureError):
+            integrate_singular_endpoints(f, 0.0, 1.0, from_left=f, from_right=f)

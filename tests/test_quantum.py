@@ -139,6 +139,15 @@ class TestMoments:
             assert abs(got.mean_p2 - 0.5) < 1e-9
             assert abs(got.product - 0.25) < 1e-9
 
+    def test_oscillator_high_levels(self):
+        # H_n overflows doubles from n ~ 200 on; the normalized Hermite-function
+        # recurrence must carry the moments through.
+        for n in (200, 250):
+            got = quantum_moments_quadrature(eigen_level(HO, n), SPEC)
+            assert abs(got.mean_x2 - 0.5) < 1e-9
+            assert abs(got.mean_p2 - 0.5) < 1e-9
+            assert abs(got.product - 0.25) < 1e-9
+
     def test_well_second_moment_formula(self):
         for n in range(1, 51):
             got = quantum_moments_quadrature(eigen_level(WELL, n), SPEC)
@@ -266,3 +275,14 @@ class TestDensityGrid:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             density_grid(eigen_level(WELL, 1), 1)
+
+    def test_two_points_without_finite_neighbour_rejected(self):
+        # both oscillator grid points are singular turning points
+        with pytest.raises(ValueError, match="neighbour"):
+            density_grid(eigen_level(HO, 1), 2)
+
+    def test_two_points_accepted_with_a_finite_endpoint(self):
+        for model in (WELL, BALL):
+            rows = density_grid(eigen_level(model, 1), 2)
+            assert len(rows) == 2
+            assert all(math.isfinite(r[2]) for r in rows)
