@@ -61,6 +61,18 @@ class TestGoldenOutputs:
         assert code == EXIT_OK
         assert out == (GOLDEN / "compare_bouncer_n1.json").read_text()
 
+    def test_compare_well(self, capsys):
+        code, out, _ = run(capsys, "compare", "--system", "well", "--n", "1,2,100")
+        assert code == EXIT_OK
+        assert out == (GOLDEN / "compare_well_n1_2_100.csv").read_text()
+
+    def test_verify_bouncer(self, capsys):
+        # the classical bouncer's endpoint-offset forms reach the 5e-13
+        # mean_x2 deviation
+        code, out, _ = run(capsys, "verify", "--system", "bouncer", "--samples", "1000")
+        assert code == EXIT_OK
+        assert out == (GOLDEN / "verify_bouncer_s1000.csv").read_text()
+
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "compare", "--system", "well", "--n", "1..3")
         _, second, _ = run(capsys, "compare", "--system", "well", "--n", "1..3")

@@ -171,16 +171,19 @@ class TestMoments:
             assert abs(got.product - 4.0 / 135.0) < 1e-6
 
     def test_bouncer_parameter_invariance(self):
+        # the scaled moments of a level cannot depend on (m, omega/L/g, hbar),
+        # for the bouncer and the other two systems alike
         rng = random.Random(5)
-        base = quantum_moments_quadrature(eigen_level(BALL, 2), SPEC)
-        for _ in range(5):
-            model = PotentialModel(
-                BouncingBall(m=rng.uniform(0.2, 5.0), g=rng.uniform(0.2, 20.0)),
-                hbar=rng.uniform(0.2, 3.0),
-            )
-            got = quantum_moments_quadrature(eigen_level(model, 2), SPEC)
-            for g, b in zip(got.fields(), base.fields()):
-                assert abs(g - b) < 1e-9
+        for variant, n in ((BouncingBall, 2), (HarmonicOscillator, 3), (InfiniteWell, 4)):
+            base = quantum_moments_quadrature(eigen_level(PotentialModel(variant(1.0, 1.0)), n), SPEC)
+            for _ in range(5):
+                model = PotentialModel(
+                    variant(rng.uniform(0.2, 5.0), rng.uniform(0.2, 20.0)),
+                    hbar=rng.uniform(0.2, 3.0),
+                )
+                got = quantum_moments_quadrature(eigen_level(model, n), SPEC)
+                for g, b in zip(got.fields(), base.fields()):
+                    assert abs(g - b) < 1e-9
 
     def test_closed_forms(self):
         ho = quantum_moments_closed_form(eigen_level(HO, 7))
