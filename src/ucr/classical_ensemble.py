@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 from .quadrature import DEFAULT_SPEC, IntegralResult, QuadratureSpec, integrate_singular_endpoints
+from .systems import BouncingBall, HarmonicOscillator, InfiniteWell, PotentialModel
 
 __all__ = [
     "BouncingBall",
@@ -23,58 +24,6 @@ __all__ = [
     "classical_moments_closed_form",
     "classical_moments_quadrature",
 ]
-
-
-def _require_positive(**params: float) -> None:
-    for name, value in params.items():
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be strictly positive and finite, got {value}")
-
-
-@dataclass(frozen=True)
-class HarmonicOscillator:
-    m: float
-    omega: float
-
-    def __post_init__(self):
-        _require_positive(m=self.m, omega=self.omega)
-
-
-@dataclass(frozen=True)
-class InfiniteWell:
-    m: float
-    L: float
-
-    def __post_init__(self):
-        _require_positive(m=self.m, L=self.L)
-
-
-@dataclass(frozen=True)
-class BouncingBall:
-    m: float
-    g: float
-
-    def __post_init__(self):
-        _require_positive(m=self.m, g=self.g)
-
-
-Variant = Union[HarmonicOscillator, InfiniteWell, BouncingBall]
-
-
-@dataclass(frozen=True)
-class PotentialModel:
-    """One of the three systems plus hbar (hbar only matters quantum-side,
-    but a single model object drives both realms)."""
-
-    variant: Variant
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        _require_positive(hbar=self.hbar)
-
-    @property
-    def mass(self) -> float:
-        return self.variant.m
 
 
 @dataclass(frozen=True)
@@ -115,34 +64,8 @@ class ClassicalEnsemble:
 
     @property
     def region(self) -> tuple[float, float]:
-        variant = self.model.variant
-        if isinstance(variant, HarmonicOscillator):
-            return (-self.turning_point, self.turning_point)
-        if isinstance(variant, InfiniteWell):
-            return (-variant.L / 2.0, variant.L / 2.0)
-        return (0.0, self.turning_point)
-
-
-def _energy_minus_potential(model: PotentialModel, energy: float, turning: float) -> Callable[[float], float]:
-    variant = model.variant
-    if isinstance(variant, HarmonicOscillator):
-        # E - V = (1/2) m w^2 (A - x)(A + x); the factored form stays exact
-        # near the turning points where E - V would cancel.
-        half_mw2 = 0.5 * variant.m * variant.omega ** 2
-        return lambda x: half_mw2 * (turning - x) * (turning + x)
-    if isinstance(variant, InfiniteWell):
-        return lambda x: energy
-    mg = variant.m * variant.g
-    return lambda x: mg * (turning - x)
-
-
-def _turning_point(model: PotentialModel, energy: float) -> float:
-    variant = model.variant
-    if isinstance(variant, HarmonicOscillator):
-        return math.sqrt(2.0 * energy / (variant.m * variant.omega ** 2))
-    if isinstance(variant, InfiniteWell):
-        return variant.L / 2.0
-    return energy / (variant.m * variant.g)
+        lo, hi = self.model.variant.scaled_region
+        return (lo * self.turning_point, hi * self.turning_point)
 
 
 Weights = Union[float, tuple[float, ...]]
@@ -156,41 +79,12 @@ def _density_integrals(
     root resolve the turning-point singularities to full precision.  A tuple
     weight gives one pass with one integral per component."""
     a, b = ens.region
-    emv = _energy_minus_potential(ens.model, ens.energy, ens.turning_point)
-    variant = ens.model.variant
-
-    def f(x: float) -> Weights:
-        return weight(x, math.sqrt(emv(x)))
-
-    if isinstance(variant, HarmonicOscillator):
-        half_mw2 = 0.5 * variant.m * variant.omega ** 2
-        A = ens.turning_point
-
-        def from_left(s: float) -> Weights:
-            return weight(a + s, math.sqrt(half_mw2 * s * (2.0 * A - s)))
-
-        def from_right(s: float) -> Weights:
-            return weight(b - s, math.sqrt(half_mw2 * s * (2.0 * A - s)))
-
-    elif isinstance(variant, BouncingBall):
-        mg = variant.m * variant.g
-
-        def from_left(s: float) -> Weights:
-            return weight(s, math.sqrt(mg * (ens.turning_point - s)))
-
-        def from_right(s: float) -> Weights:
-            return weight(b - s, math.sqrt(mg * s))
-
-    else:
-        sqrt_e = math.sqrt(ens.energy)
-
-        def from_left(s: float) -> Weights:
-            return weight(a + s, sqrt_e)
-
-        def from_right(s: float) -> Weights:
-            return weight(b - s, sqrt_e)
-
-    return integrate_singular_endpoints(f, a, b, spec, from_left=from_left, from_right=from_right)
+    emv, from_left, from_right = ens.model.variant.kinetic(ens.energy, ens.turning_point)
+    return integrate_singular_endpoints(
+        lambda x: weight(x, math.sqrt(emv(x))), a, b, spec,
+        from_left=lambda s: weight(a + s, math.sqrt(from_left(s))),
+        from_right=lambda s: weight(b - s, math.sqrt(from_right(s))),
+    )
 
 
 def build_ensemble(model: PotentialModel, energy: float = 1.0, spec: QuadratureSpec = DEFAULT_SPEC) -> ClassicalEnsemble:
@@ -199,7 +93,7 @@ def build_ensemble(model: PotentialModel, energy: float = 1.0, spec: QuadratureS
     check)."""
     if not (energy > 0 and math.isfinite(energy)):
         raise ValueError(f"energy must be strictly positive and finite, got {energy}")
-    turning = _turning_point(model, energy)
+    turning = model.variant.turning_point(energy)
     provisional = ClassicalEnsemble(model, energy, turning, math.nan, IntegralResult(math.nan, math.nan, 0, False))
     raw = _density_integrals(provisional, lambda x, root: 1.0 / root, spec)
     return ClassicalEnsemble(model, energy, turning, 1.0 / raw.value, raw)
@@ -211,7 +105,7 @@ def classical_density(ens: ClassicalEnsemble, x: float) -> float:
     a, b = ens.region
     if x < a or x > b:
         return 0.0
-    emv = _energy_minus_potential(ens.model, ens.energy, ens.turning_point)(x)
+    emv = ens.model.variant.kinetic(ens.energy, ens.turning_point)[0](x)
     if emv <= 0.0:
         return math.inf
     return ens.normalization / math.sqrt(emv)
@@ -222,7 +116,7 @@ def classical_moments_quadrature(ens: ClassicalEnsemble, spec: QuadratureSpec = 
     reduction of the phase-space average."""
     A = ens.turning_point
     energy = ens.energy
-    emv = _energy_minus_potential(ens.model, ens.energy, A)
+    emv = ens.model.variant.kinetic(energy, A)[0]
 
     # P at the two branches is +/- sqrt(2m(E-V))/sqrt(2mE); the branch average
     # of P vanishes identically, that of P^2 is (E-V)/E.
@@ -238,9 +132,5 @@ def classical_moments_quadrature(ens: ClassicalEnsemble, spec: QuadratureSpec = 
 
 def classical_moments_closed_form(model: PotentialModel) -> ScaledMoments:
     """Exact scaled moments; energy-independent by the scaling."""
-    variant = model.variant
-    if isinstance(variant, HarmonicOscillator):
-        return ScaledMoments(0.0, 0.5, 0.0, 0.5, "classical", "closed-form")
-    if isinstance(variant, InfiniteWell):
-        return ScaledMoments(0.0, 1.0 / 3.0, 0.0, 1.0, "classical", "closed-form")
-    return ScaledMoments(2.0 / 3.0, 8.0 / 15.0, 0.0, 1.0 / 3.0, "classical", "closed-form")
+    mean_x, mean_x2, mean_p2 = model.variant.closed_form
+    return ScaledMoments(mean_x, mean_x2, 0.0, mean_p2, "classical", "closed-form")

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .classical_ensemble import (
@@ -48,7 +48,12 @@ COMPARE_HEADER = (
     "system,n,realm,method,mean_x,mean_x2,mean_p,mean_p2,var_x,var_p,product,bound,parity_ok"
 )
 
-_SYSTEMS = ("ho", "well", "bouncer")
+_MODELS = {
+    "ho": PotentialModel(HarmonicOscillator(m=1.0, omega=1.0)),
+    "well": PotentialModel(InfiniteWell(m=1.0, L=1.0)),
+    "bouncer": PotentialModel(BouncingBall(m=1.0, g=1.0)),
+}
+_SYSTEMS = tuple(_MODELS)
 _MOMENT_FIELDS = ("mean_x", "mean_x2", "mean_p", "mean_p2", "var_x", "var_p")
 
 
@@ -77,7 +82,6 @@ class RunConfig:
     quad_tol: float = 1e-12
     fmt: str = "csv"
     out: Optional[str] = None
-    oracle: str = "trajectory"
 
     def quad_spec(self) -> QuadratureSpec:
         return QuadratureSpec(abs_tol=self.quad_tol, rel_tol=100.0 * self.quad_tol)
@@ -85,16 +89,6 @@ class RunConfig:
 
 def _fmt(value: float) -> str:
     return f"{value:.11e}"  # 12 significant digits, lowercase exponent
-
-
-def _model(system: str) -> PotentialModel:
-    if system == "ho":
-        return PotentialModel(HarmonicOscillator(m=1.0, omega=1.0))
-    if system == "well":
-        return PotentialModel(InfiniteWell(m=1.0, L=1.0))
-    if system == "bouncer":
-        return PotentialModel(BouncingBall(m=1.0, g=1.0))
-    raise UsageError(f"unknown system {system!r}; expected one of {_SYSTEMS}")
 
 
 def parse_n_list(text: str) -> list[int]:
@@ -115,21 +109,8 @@ def parse_n_list(text: str) -> list[int]:
     return values
 
 
-def _well_parity_ok(quantum: ScaledMoments, n: int, tol: float) -> bool:
-    # Finite-n criterion: the well's <X^2> carries a documented 2/(n^2 pi^2)
-    # deviation from the classical 1/3, so parity is judged against the
-    # finite-n formula rather than raw classical equality.
-    expected_x2 = 1.0 / 3.0 - 2.0 / (n * n * math.pi ** 2)
-    return (
-        abs(quantum.mean_x2 - expected_x2) < tol
-        and abs(quantum.mean_x) < tol
-        and abs(quantum.mean_p) < tol
-        and abs(quantum.mean_p2 - 1.0) < tol
-    )
-
-
 def compare_rows(config: RunConfig) -> list[ComparisonRow]:
-    model = _model(config.system)
+    model = _MODELS[config.system]
     spec = config.quad_spec()
     rows = []
     for n in config.n_list:
@@ -140,118 +121,70 @@ def compare_rows(config: RunConfig) -> list[ComparisonRow]:
         classical = classical_moments_quadrature(build_ensemble(model, level.energy, spec), spec)
         quantum = quantum_moments_quadrature(level, spec)
         bound = commutator_bound(level)
-        max_abs_dev = max(
-            abs(c - q) for c, q in zip(classical.fields(), quantum.fields())
-        )
-        if config.system == "well":
-            parity_ok = _well_parity_ok(quantum, n, config.tol)
-        else:
-            parity_ok = max_abs_dev < config.tol
-        rows.append(ComparisonRow(config.system, n, classical, quantum, bound, max_abs_dev, parity_ok))
+        # Parity allows for the documented finite-n deviation of the quantum
+        # <X^2> (the well's 2/(n^2 pi^2)); the other moments must agree.
+        expected = replace(classical, mean_x2=classical.mean_x2 - model.variant.x2_offset(n))
+        max_abs_dev = max(abs(c - q) for c, q in zip(expected.fields(), quantum.fields()))
+        rows.append(ComparisonRow(config.system, n, classical, quantum, bound, max_abs_dev, max_abs_dev < config.tol))
     return rows
 
 
-def _moment_record(row: ComparisonRow, moments: ScaledMoments) -> dict:
-    return {
-        "system": row.system,
-        "n": row.n,
-        "realm": moments.realm,
-        "method": moments.method,
-        "mean_x": moments.mean_x,
-        "mean_x2": moments.mean_x2,
-        "mean_p": moments.mean_p,
-        "mean_p2": moments.mean_p2,
-        "var_x": moments.var_x,
-        "var_p": moments.var_p,
-        "product": moments.product,
-        "bound": row.bound,
-        "parity_ok": row.parity_ok,
-    }
+def _render(header: Sequence[str], rows: Sequence[Sequence], fmt: str) -> str:
+    """CSV with a header line, or a JSON list of records.  Floats arrive
+    formatted; ints and bools print as they are (bools as true/false)."""
+    if fmt == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(("true" if v else "false") if isinstance(v, bool) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def render_compare(rows: Sequence[ComparisonRow], fmt: str) -> str:
-    records = []
-    for row in rows:
-        records.append(_moment_record(row, row.classical))
-        records.append(_moment_record(row, row.quantum))
-    if fmt == "json":
-        return json.dumps(
-            [
-                {k: (_fmt(v) if isinstance(v, float) else v) for k, v in record.items()}
-                for record in records
-            ],
-            indent=2,
-        ) + "\n"
-    lines = [COMPARE_HEADER]
-    for record in records:
-        lines.append(
-            ",".join(
-                _fmt(value) if isinstance(value, float) else
-                ("true" if value is True else "false" if value is False else str(value))
-                for value in record.values()
-            )
-        )
-    return "\n".join(lines) + "\n"
+    cells = [
+        (row.system, row.n, moments.realm, moments.method)
+        + tuple(_fmt(v) for v in moments.fields() + (moments.product, row.bound))
+        + (row.parity_ok,)
+        for row in rows
+        for moments in (row.classical, row.quantum)
+    ]
+    return _render(COMPARE_HEADER.split(","), cells, fmt)
 
 
 def render_density(config: RunConfig) -> str:
     if len(config.n_list) != 1:
         raise UsageError("density needs exactly one quantum number")
-    model = _model(config.system)
+    model = _MODELS[config.system]
     try:
         rows = density_grid(eigen_level(model, config.n_list[0]), config.points)
     except ValueError as exc:  # a bad level, or too few points to clip a singular endpoint
         raise UsageError(str(exc)) from exc
-    if config.fmt == "json":
-        return json.dumps(
-            [
-                {
-                    "x_scaled": _fmt(x),
-                    "p_qm": _fmt(qm),
-                    "p_cl": _fmt(cl),
-                    "clipped_flag": int(clipped),
-                }
-                for x, qm, cl, clipped in rows
-            ],
-            indent=2,
-        ) + "\n"
-    lines = ["x_scaled,p_qm,p_cl,clipped_flag"]
-    for x, qm, cl, clipped in rows:
-        lines.append(f"{_fmt(x)},{_fmt(qm)},{_fmt(cl)},{int(clipped)}")
-    return "\n".join(lines) + "\n"
+    cells = [(_fmt(x), _fmt(qm), _fmt(cl), int(clipped)) for x, qm, cl, clipped in rows]
+    return _render(("x_scaled", "p_qm", "p_cl", "clipped_flag"), cells, config.fmt)
 
 
 def render_airy_zeros(count: int, fmt: str) -> str:
     if count < 1:
         raise UsageError(f"count must be >= 1, got {count}")
     zeros = [airy_zero(n) for n in range(1, count + 1)]
-    if fmt == "json":
-        return json.dumps(
-            [{"n": z.index, "scaled_energy": f"{z.scaled_energy:.9e}"} for z in zeros],
-            indent=2,
-        ) + "\n"
-    lines = ["n,scaled_energy"]
-    for z in zeros:
-        lines.append(f"{z.index},{z.scaled_energy:.9e}")  # 10 significant digits
-    return "\n".join(lines) + "\n"
+    # 10 significant digits
+    return _render(("n", "scaled_energy"), [(z.index, f"{z.scaled_energy:.9e}") for z in zeros], fmt)
 
 
 def run_verify(config: RunConfig) -> tuple[str, bool]:
-    if config.oracle != "trajectory":
-        raise UsageError(f"unknown oracle {config.oracle!r}")
-    model = _model(config.system)
+    model = _MODELS[config.system]
     spec = config.quad_spec()
     reference = classical_moments_quadrature(build_ensemble(model, 1.0, spec), spec)
     oracle = trajectory_moments(build_trajectory(model, 1.0), config.samples, "midpoint")
-    lines = ["field,quadrature,trajectory,abs_dev"]
+    rows = []
     ok = True
     for name in _MOMENT_FIELDS:
         ref = getattr(reference, name)
         got = getattr(oracle, name)
         dev = abs(ref - got)
         ok = ok and dev < config.tol
-        lines.append(f"{name},{_fmt(ref)},{_fmt(got)},{_fmt(dev)}")
-    return "\n".join(lines) + "\n", ok
+        rows.append((name, _fmt(ref), _fmt(got), _fmt(dev)))
+    return _render(("field", "quadrature", "trajectory", "abs_dev"), rows, config.fmt), ok
 
 
 # --- argument and config handling ------------------------------------------
@@ -299,9 +232,7 @@ def _build_parser() -> _Parser:
     zeros = sub.add_parser("airy-zeros", help="table of scaled bouncer eigenvalues")
     zeros.add_argument("--count", type=int, default=5)
     add_common(zeros)
-    verify = sub.add_parser("verify", help="trajectory-oracle check of the classical moments")
-    verify.add_argument("--oracle", default="trajectory")
-    add_common(verify)
+    add_common(sub.add_parser("verify", help="trajectory-oracle check of the classical moments"))
     return parser
 
 
@@ -311,11 +242,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     file_values = _read_config_file(path) if path else {}
 
     def pick(flag_value, file_key: str, convert, default):
+        text = file_values.pop(file_key, None)  # what is left over is unknown
         if flag_value is not None:
             return flag_value
-        if file_key in file_values:
+        if text is not None:
             try:
-                return convert(file_values[file_key])
+                return convert(text)
             except (ValueError, UsageError) as exc:
                 raise UsageError(f"bad config value for {file_key}: {exc}") from exc
         return default
@@ -331,7 +263,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config.quad_tol = pick(getattr(args, "quad_tol", None), "quad-tol", float, config.quad_tol)
     config.fmt = pick(getattr(args, "fmt", None), "format", str, config.fmt)
     config.out = pick(getattr(args, "out", None), "out", str, config.out)
-    config.oracle = pick(getattr(args, "oracle", None), "oracle", str, config.oracle)
+    if file_values:
+        raise UsageError(f"unknown config key {sorted(file_values)[0]!r}")
     if config.system not in _SYSTEMS:
         raise UsageError(f"unknown system {config.system!r}")
     if config.fmt not in ("csv", "json"):

@@ -228,11 +228,13 @@ def _taylor_step(z0: float, ai: float, aip: float, h: float, terms: int = 32) ->
     return value, deriv
 
 
-@functools.lru_cache(maxsize=1 << 18)
+@functools.lru_cache(maxsize=20_000)
 def airy_ai(z: float) -> AiryValue:
     """Evaluate Ai(z) and Ai'(z).  Results are memoized for reuse across
-    calls: a session that revisits a level (moments, density grid,
-    wavefunction points) meets the same abscissas again."""
+    calls: a session that revisits a level (moments, density grid) meets the
+    same abscissas again.  Fifteen revisited bouncer levels use about 16,400
+    abscissas; the bound keeps those while one-off wavefunction points cycle
+    through the rest instead of growing memory for the life of the process."""
     if not math.isfinite(z):
         raise ValueError(f"Airy argument must be finite, got {z}")
     if _SERIES_LO <= z <= _SERIES_HI:

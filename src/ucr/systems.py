@@ -1,0 +1,348 @@
+"""The three bound systems, each described once: the classical side (turning
+point, region, factored E - V, closed-form moments), the quantum side
+(eigenlevels, wavefunction, moment integrands in the natural coordinate,
+Robertson bound) and the exact trajectory.
+
+Every system supplies the same members, and the engines in
+`classical_ensemble`, `quantum_states` and `trajectory_oracle` use nothing
+else, so a new system is one more class here.  The closed forms, the
+Robertson bounds and the trajectories compute their values from the
+parameters alone, never through the E - V, wavefunction or moment code they
+check.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from dataclasses import dataclass, fields
+from typing import Union
+
+import numpy as np
+
+from . import specfun
+
+__all__ = ["BouncingBall", "HarmonicOscillator", "InfiniteWell", "PotentialModel"]
+
+
+def _require_positive(**params: float) -> None:
+    for name, value in params.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be strictly positive and finite, got {value}")
+
+
+class _System:
+    """What each system supplies.
+
+    Classical side, at energy E with turning point A:
+      ``turning_point(E)``; ``scaled_region``, the classical region in X = x/A;
+      ``kinetic(E, A)``, E - V(x) as a function of x and of the exact distance
+      s from the left and from the right end of the region (the endpoint
+      forms that keep tanh-sinh accurate at the turning points);
+      ``closed_form``, the exact classical (<X>, <X^2>, <P^2>).
+    Quantum side, for level n at hbar:
+      ``name`` and ``n_min``; ``level(n, hbar)``, (E_n, A_n) plus the
+      bouncer's scaled energy and gravitational length; ``psi(level, x)``;
+      ``moment_passes(level)``, the integrals in the natural coordinate and
+      how their values become (<X>, <X^2>, <P^2>, raw momentum integral);
+      ``x2_offset(n)``, how far the exact quantum <X^2> sits below the
+      classical one; ``robertson_bound(level)``.
+    Trajectory: ``trajectory(E)``, the period, amplitude, x(t) and p(t).
+    """
+
+    def __post_init__(self):
+        _require_positive(**{f.name: getattr(self, f.name) for f in fields(self)})
+
+    def x2_offset(self, n: int) -> float:
+        return 0.0
+
+
+# --- oscillator ---------------------------------------------------------------
+
+_LN2 = math.log(2.0)
+_RESCALE = 600  # the scaled recurrence is renormalized past 2^600
+_RESCALE_AT = 2.0 ** _RESCALE
+
+
+def _ho_coefficients(n: int) -> list[tuple[float, float]]:
+    # (sqrt(2/(k+1)), sqrt(k/(k+1))) for k < n: the normalized Hermite-function
+    # recurrence phi_{k+1} = sqrt(2/(k+1)) y phi_k - sqrt(k/(k+1)) phi_{k-1}.
+    return [(math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))) for k in range(n)]
+
+
+def _ho_functions(coefficients: list[tuple[float, float]], y: float) -> tuple[float, float, float]:
+    # (phi_{n-2}, phi_{n-1}, phi_n), the orthonormal oscillator states in the
+    # dimensionless y = x*sqrt(m w/hbar), with phi_{-1} = phi_{-2} = 0.  The
+    # recurrence never forms H_n, which overflows doubles from n ~ 200 on.
+    older, old, phi = 0.0, 0.0, math.pi ** -0.25 * math.exp(-0.5 * y * y)
+    if phi >= sys.float_info.min:
+        for a, b in coefficients:
+            older, old, phi = old, phi, a * y * phi - b * old
+        return older, old, phi
+    # Past y ~ 37.7 the start e^(-y^2/2) is subnormal or zero: carry it as
+    # phi * 2^-shift and renormalize as the recurrence grows it.
+    half_y2 = 0.5 * y * y
+    if half_y2 > 1e15:  # no reachable level is representable out here
+        return 0.0, 0.0, 0.0
+    shift = math.ceil(half_y2 / _LN2)
+    phi = math.pi ** -0.25 * math.exp(shift * _LN2 - half_y2)
+    for a, b in coefficients:
+        older, old, phi = old, phi, a * y * phi - b * old
+        if abs(phi) > _RESCALE_AT:
+            older, old, phi = (math.ldexp(v, -_RESCALE) for v in (older, old, phi))
+            shift -= _RESCALE
+    return math.ldexp(older, -shift), math.ldexp(old, -shift), math.ldexp(phi, -shift)
+
+
+@dataclass(frozen=True)
+class HarmonicOscillator(_System):
+    m: float
+    omega: float
+
+    name = "oscillator"
+    n_min = 0
+    scaled_region = (-1.0, 1.0)
+    closed_form = (0.0, 0.5, 0.5)
+
+    def turning_point(self, energy: float) -> float:
+        return math.sqrt(2.0 * energy / (self.m * self.omega ** 2))
+
+    def kinetic(self, energy: float, turning: float):
+        # E - V = (1/2) m w^2 (A - x)(A + x); the factored form stays exact
+        # near the turning points where E - V would cancel.
+        half_mw2 = 0.5 * self.m * self.omega ** 2
+
+        def from_end(s: float) -> float:
+            return half_mw2 * s * (2.0 * turning - s)
+
+        return lambda x: half_mw2 * (turning - x) * (turning + x), from_end, from_end
+
+    def level(self, n: int, hbar: float) -> tuple[float, float]:
+        return (n + 0.5) * hbar * self.omega, math.sqrt((2 * n + 1) * hbar / (self.m * self.omega))
+
+    def psi(self, level, x: float) -> float:
+        scale = math.sqrt(self.m * self.omega / level.model.hbar)
+        return math.sqrt(scale) * _ho_functions(_ho_coefficients(level.n), scale * x)[2]
+
+    def moment_passes(self, level):
+        n = level.n
+        coefficients = _ho_coefficients(n)
+        c1, c2 = math.sqrt(2.0 * n), 2.0 * math.sqrt(n * (n - 1.0))
+
+        def integrands(y: float) -> tuple[float, float, float]:
+            # psi' and psi'' from the Hermite derivative recurrences
+            # H_n' = 2n H_{n-1} and H_n'' = 4n(n-1) H_{n-2}, not from the
+            # eigen-equation, so <P^2> is not routed through <X^2>.
+            older, old, psi = _ho_functions(coefficients, y)
+            psi_prime = c1 * old - y * psi
+            psi_second = c2 * older - 2.0 * y * c1 * old + (y * y - 1.0) * psi
+            return y * y * psi * psi, -psi * psi_second, psi * psi_prime
+
+        def moments(positive, negative):
+            # Even integrands (x^2, p^2): the positive half, doubled.  The raw
+            # momentum integrand is odd, so both halves are summed explicitly.
+            x2, p2, p_positive = positive
+            scale = 2.0 / (2.0 * n + 1.0)  # both halves, over the scaled A_n^2 and 2mE_n
+            return 0.0, x2 * scale, p2 * scale, p_positive + negative
+
+        return [(integrands, 0.0, math.inf), (lambda y: integrands(-y)[2], 0.0, math.inf)], moments
+
+    def robertson_bound(self, level) -> float:
+        return 1.0 / (4.0 * (2.0 * level.n + 1.0) ** 2)
+
+    def trajectory(self, energy: float):
+        m, omega = self.m, self.omega
+        amplitude = math.sqrt(2.0 * energy / (m * omega ** 2))
+
+        def position(t: np.ndarray) -> np.ndarray:
+            return amplitude * np.sin(omega * np.asarray(t))
+
+        def momentum(t: np.ndarray) -> np.ndarray:
+            return m * omega * amplitude * np.cos(omega * np.asarray(t))
+
+        return 2.0 * math.pi / omega, amplitude, position, momentum
+
+
+# --- infinite well ------------------------------------------------------------
+
+
+def _well_state_u(n: int, u: float) -> float:
+    # Unit-normalized well state in u = x/(L/2) on [-1, 1]; odd n are the
+    # even-parity cosines, even n the odd-parity sines.
+    if n % 2 == 1:
+        return math.cos(n * math.pi * u / 2.0)
+    return math.sin(n * math.pi * u / 2.0)
+
+
+def _well_state_u_prime(n: int, u: float) -> float:
+    k = n * math.pi / 2.0
+    if n % 2 == 1:
+        return -k * math.sin(k * u)
+    return k * math.cos(k * u)
+
+
+@dataclass(frozen=True)
+class InfiniteWell(_System):
+    m: float
+    L: float
+
+    name = "well"
+    n_min = 1
+    scaled_region = (-1.0, 1.0)
+    closed_form = (0.0, 1.0 / 3.0, 1.0)
+
+    def turning_point(self, energy: float) -> float:
+        return self.L / 2.0
+
+    def kinetic(self, energy: float, turning: float):
+        def flat(x: float) -> float:
+            return energy
+
+        return flat, flat, flat
+
+    def level(self, n: int, hbar: float) -> tuple[float, float]:
+        return n * n * math.pi ** 2 * hbar ** 2 / (2.0 * self.m * self.L ** 2), self.L / 2.0
+
+    def psi(self, level, x: float) -> float:
+        half = self.L / 2.0
+        if abs(x) > half:
+            return 0.0
+        return math.sqrt(2.0 / self.L) * _well_state_u(level.n, x / half)
+
+    def moment_passes(self, level):
+        n = level.n
+
+        # One pass per parity on u in [-1, 1]: the odd integrands vanish and
+        # converge on the first symmetric panel, which a pass shared with the
+        # even ones would forfeit by holding them to abs_tol over every panel.
+        def even(u: float) -> tuple[float, float]:
+            density = _well_state_u(n, u) ** 2
+            return density, u * u * density
+
+        def odd(u: float) -> tuple[float, float]:
+            psi = _well_state_u(n, u)
+            return u * psi * psi, psi * _well_state_u_prime(n, u)
+
+        def moments(even_values, odd_values):
+            # psi'' = -k^2 psi, and the scaled momentum carries 1/k, so <P^2>
+            # is just the norm integral evaluated by quadrature.
+            mean_p2, mean_x2 = even_values
+            mean_x, raw_p = odd_values
+            return mean_x, mean_x2, mean_p2, raw_p
+
+        return [(even, -1.0, 1.0), (odd, -1.0, 1.0)], moments
+
+    def x2_offset(self, n: int) -> float:
+        return 2.0 / (n * n * math.pi ** 2)
+
+    def robertson_bound(self, level) -> float:
+        return 1.0 / (level.n ** 2 * math.pi ** 2)
+
+    def trajectory(self, energy: float):
+        m, L = self.m, self.L
+        speed = math.sqrt(2.0 * energy / m)
+        period = 2.0 * L / speed
+
+        def position(t: np.ndarray) -> np.ndarray:
+            # triangle wave: 0 -> L/2 -> -L/2 -> 0 over one period
+            phase = np.mod(np.asarray(t), period) / period  # in [0, 1)
+            return (L / 2.0) * (4.0 * np.abs(np.mod(phase + 0.75, 1.0) - 0.5) - 1.0)
+
+        def momentum(t: np.ndarray) -> np.ndarray:
+            phase = np.mod(np.asarray(t), period) / period
+            return m * speed * np.where((phase < 0.25) | (phase >= 0.75), 1.0, -1.0)
+
+        return period, L / 2.0, position, momentum
+
+
+# --- bouncer ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BouncingBall(_System):
+    m: float
+    g: float
+
+    name = "bouncer"
+    n_min = 1
+    scaled_region = (0.0, 1.0)
+    closed_form = (2.0 / 3.0, 8.0 / 15.0, 1.0 / 3.0)
+
+    def turning_point(self, energy: float) -> float:
+        return energy / (self.m * self.g)
+
+    def kinetic(self, energy: float, turning: float):
+        mg = self.m * self.g
+        return (lambda x: mg * (turning - x)), (lambda s: mg * (turning - s)), (lambda s: mg * s)
+
+    def level(self, n: int, hbar: float) -> tuple[float, float, float, float]:
+        grav_length = (hbar ** 2 / (2.0 * self.m ** 2 * self.g)) ** (1.0 / 3.0)
+        scaled_energy = specfun.airy_zero(n).scaled_energy
+        energy = self.m * self.g * grav_length * scaled_energy
+        return energy, grav_length * scaled_energy, scaled_energy, grav_length
+
+    def psi(self, level, x: float) -> float:
+        if x < 0.0:
+            return 0.0
+        # N_n = 1/|Ai'(a_n)| normalizes Ai over (a_n, inf); `bouncer_state`
+        # checks that identity by quadrature.
+        normalization = 1.0 / abs(specfun.airy_ai(-level.scaled_energy).ai_prime)
+        lg = level.grav_length
+        return normalization / math.sqrt(lg) * specfun.airy_ai(x / lg - level.scaled_energy).ai
+
+    def moment_passes(self, level):
+        # All integrals live in the shifted dimensionless coordinate on
+        # (-E'_n, inf); the gravitational length cancels throughout.
+        e = level.scaled_energy
+
+        def integrands(z: float) -> tuple[float, float, float, float]:
+            v = specfun.airy_ai(z)
+            ai_sq = v.ai ** 2
+            return ai_sq, (z + e) * ai_sq, (z + e) ** 2 * ai_sq, v.ai * v.ai_prime
+
+        def moments(values):
+            norm, first, second, raw_p = values
+            # psi'' = z*psi by the Airy equation, so <P^2> = -(1/E') <z> in the
+            # shifted coordinate.
+            mean_z_shifted = first / norm - e
+            return first / (e * norm), second / (e * e * norm), -mean_z_shifted / e, raw_p / norm
+
+        return [(integrands, -e, math.inf)], moments
+
+    def robertson_bound(self, level) -> float:
+        return 1.0 / (4.0 * level.scaled_energy ** 3)
+
+    def trajectory(self, energy: float):
+        # launched from the floor at t = 0
+        m, g = self.m, self.g
+        v0 = math.sqrt(2.0 * energy / m)
+        period = 2.0 * v0 / g
+
+        def position(t: np.ndarray) -> np.ndarray:
+            tt = np.mod(np.asarray(t), period)
+            return v0 * tt - 0.5 * g * tt ** 2
+
+        def momentum(t: np.ndarray) -> np.ndarray:
+            tt = np.mod(np.asarray(t), period)
+            return m * (v0 - g * tt)
+
+        return period, energy / (m * g), position, momentum
+
+
+Variant = Union[HarmonicOscillator, InfiniteWell, BouncingBall]
+
+
+@dataclass(frozen=True)
+class PotentialModel:
+    """One of the three systems plus hbar (hbar only matters quantum-side,
+    but a single model object drives both realms)."""
+
+    variant: Variant
+    hbar: float = 1.0
+
+    def __post_init__(self):
+        _require_positive(hbar=self.hbar)
+
+    @property
+    def mass(self) -> float:
+        return self.variant.m

@@ -14,13 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .classical_ensemble import (
-    BouncingBall,
-    HarmonicOscillator,
-    InfiniteWell,
-    PotentialModel,
-    ScaledMoments,
-)
+from .classical_ensemble import PotentialModel, ScaledMoments
 
 __all__ = ["Trajectory", "build_trajectory", "trajectory_moments"]
 
@@ -41,51 +35,7 @@ def build_trajectory(model: PotentialModel, energy: float) -> Trajectory:
     from the floor)."""
     if not energy > 0:
         raise ValueError(f"energy must be positive, got {energy}")
-    variant = model.variant
-
-    if isinstance(variant, HarmonicOscillator):
-        m, omega = variant.m, variant.omega
-        amplitude = math.sqrt(2.0 * energy / (m * omega ** 2))
-        period = 2.0 * math.pi / omega
-
-        def position(t: np.ndarray) -> np.ndarray:
-            return amplitude * np.sin(omega * np.asarray(t))
-
-        def momentum(t: np.ndarray) -> np.ndarray:
-            return m * omega * amplitude * np.cos(omega * np.asarray(t))
-
-        return Trajectory(model, energy, period, amplitude, position, momentum)
-
-    if isinstance(variant, InfiniteWell):
-        m, L = variant.m, variant.L
-        speed = math.sqrt(2.0 * energy / m)
-        period = 2.0 * L / speed
-
-        def position(t: np.ndarray) -> np.ndarray:
-            # triangle wave: 0 -> L/2 -> -L/2 -> 0 over one period
-            phase = np.mod(np.asarray(t), period) / period  # in [0, 1)
-            return (L / 2.0) * (4.0 * np.abs(np.mod(phase + 0.75, 1.0) - 0.5) - 1.0)
-
-        def momentum(t: np.ndarray) -> np.ndarray:
-            phase = np.mod(np.asarray(t), period) / period
-            return m * speed * np.where((phase < 0.25) | (phase >= 0.75), 1.0, -1.0)
-
-        return Trajectory(model, energy, period, L / 2.0, position, momentum)
-
-    m, g = variant.m, variant.g
-    v0 = math.sqrt(2.0 * energy / m)
-    period = 2.0 * v0 / g
-    apex = energy / (m * g)
-
-    def position(t: np.ndarray) -> np.ndarray:
-        tt = np.mod(np.asarray(t), period)
-        return v0 * tt - 0.5 * g * tt ** 2
-
-    def momentum(t: np.ndarray) -> np.ndarray:
-        tt = np.mod(np.asarray(t), period)
-        return m * (v0 - g * tt)
-
-    return Trajectory(model, energy, period, apex, position, momentum)
+    return Trajectory(model, energy, *model.variant.trajectory(energy))
 
 
 def trajectory_moments(traj: Trajectory, samples: int, rule: str = "midpoint") -> ScaledMoments:

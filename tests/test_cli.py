@@ -198,6 +198,15 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "--system", "well", "--samples", "100", "--tol", "1e-2")
         assert code == EXIT_OK
 
+    def test_json_format(self, capsys):
+        _, csv_out, _ = run(capsys, "verify", "--system", "bouncer", "--samples", "1000")
+        code, json_out, _ = run(capsys, "verify", "--system", "bouncer", "--samples", "1000", "--format", "json")
+        assert code == EXIT_OK
+        header, *rows = [line.split(",") for line in csv_out.strip().split("\n")]
+        records = json.loads(json_out)
+        assert [list(record) for record in records] == [header] * len(rows)
+        assert [list(record.values()) for record in records] == rows
+
     def test_unknown_oracle_rejected(self, capsys):
         code, _, _ = run(capsys, "verify", "--system", "ho", "--oracle", "odesolve")
         assert code == EXIT_USAGE
@@ -235,6 +244,15 @@ class TestConfigHandling:
         cfg.write_text("system well\n")
         code, _, _ = run(capsys, "compare", "--config", str(cfg))
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("line", ["sytem=well", "oracle=odesolve"])
+    def test_unknown_config_key_is_usage_error(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n=1\n{line}\n")
+        code, out, err = run(capsys, "verify", "--samples", "1000", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert line.split("=")[0] in err
 
     def test_bad_config_value(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

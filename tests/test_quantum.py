@@ -141,8 +141,10 @@ class TestMoments:
 
     def test_oscillator_high_levels(self):
         # H_n overflows doubles from n ~ 200 on; the normalized Hermite-function
-        # recurrence must carry the moments through.
-        for n in (200, 250):
+        # recurrence must carry the moments through.  From n ~ 700 on the
+        # outer lobe reaches past y ~ 37.7, where the recurrence's start
+        # e^(-y^2/2) underflows.
+        for n in (200, 250, 700, 750, 900):
             got = quantum_moments_quadrature(eigen_level(HO, n), SPEC)
             assert abs(got.mean_x2 - 0.5) < 1e-9
             assert abs(got.mean_p2 - 0.5) < 1e-9
