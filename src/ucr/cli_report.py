@@ -15,8 +15,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 from .classical_ensemble import (
     BouncingBall,
@@ -37,7 +37,7 @@ from .quantum_states import (
 from .specfun import airy_zero
 from .trajectory_oracle import build_trajectory, trajectory_moments
 
-__all__ = ["ComparisonRow", "RunConfig", "main"]
+__all__ = ["ComparisonRow", "main"]
 
 EXIT_OK = 0
 EXIT_COMPUTATION = 1
@@ -53,7 +53,6 @@ _MODELS = {
     "well": PotentialModel(InfiniteWell(m=1.0, L=1.0)),
     "bouncer": PotentialModel(BouncingBall(m=1.0, g=1.0)),
 }
-_SYSTEMS = tuple(_MODELS)
 _MOMENT_FIELDS = ("mean_x", "mean_x2", "mean_p", "mean_p2", "var_x", "var_p")
 
 
@@ -70,21 +69,6 @@ class ComparisonRow:
     bound: float
     max_abs_dev: float
     parity_ok: bool
-
-
-@dataclass
-class RunConfig:
-    system: str = "ho"
-    n_list: list[int] = field(default_factory=lambda: [1])
-    points: int = 101
-    samples: int = 1_000_000
-    tol: Optional[float] = None  # parity/verify tolerance; per-command default
-    quad_tol: float = 1e-12
-    fmt: str = "csv"
-    out: Optional[str] = None
-
-    def quad_spec(self) -> QuadratureSpec:
-        return QuadratureSpec(abs_tol=self.quad_tol, rel_tol=100.0 * self.quad_tol)
 
 
 def _fmt(value: float) -> str:
@@ -109,23 +93,30 @@ def parse_n_list(text: str) -> list[int]:
     return values
 
 
-def compare_rows(config: RunConfig) -> list[ComparisonRow]:
-    model = _MODELS[config.system]
-    spec = config.quad_spec()
+def _quad_spec(quad_tol: float) -> QuadratureSpec:
+    return QuadratureSpec(abs_tol=quad_tol, rel_tol=100.0 * quad_tol)
+
+
+def compare_rows(system: str, n_list: Sequence[int], tol: float, quad_tol: float) -> list[ComparisonRow]:
+    model = _MODELS[system]
+    spec = _quad_spec(quad_tol)
     rows = []
-    for n in config.n_list:
+    for n in n_list:
         try:
             level = eigen_level(model, n)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        classical = classical_moments_quadrature(build_ensemble(model, level.energy, spec), spec)
-        quantum = quantum_moments_quadrature(level, spec)
-        bound = commutator_bound(level)
+        try:
+            classical = classical_moments_quadrature(build_ensemble(model, level.energy, spec), spec)
+            quantum = quantum_moments_quadrature(level, spec)
+            bound = commutator_bound(level)
+        except RuntimeError as exc:
+            raise RuntimeError(f"{system} n={n}: {exc}") from exc
         # Parity allows for the documented finite-n deviation of the quantum
         # <X^2> (the well's 2/(n^2 pi^2)); the other moments must agree.
         expected = replace(classical, mean_x2=classical.mean_x2 - model.variant.x2_offset(n))
         max_abs_dev = max(abs(c - q) for c, q in zip(expected.fields(), quantum.fields()))
-        rows.append(ComparisonRow(config.system, n, classical, quantum, bound, max_abs_dev, max_abs_dev < config.tol))
+        rows.append(ComparisonRow(system, n, classical, quantum, bound, max_abs_dev, max_abs_dev < tol))
     return rows
 
 
@@ -151,43 +142,97 @@ def render_compare(rows: Sequence[ComparisonRow], fmt: str) -> str:
     return _render(COMPARE_HEADER.split(","), cells, fmt)
 
 
-def render_density(config: RunConfig) -> str:
-    if len(config.n_list) != 1:
+# --- the commands: each takes its merged options and returns (output, ok) ---
+
+
+def run_compare(options: dict) -> tuple[str, bool]:
+    """classical vs quantum parity table"""
+    rows = compare_rows(options["system"], options["n"], options["tol"], options["quad-tol"])
+    return render_compare(rows, options["format"]), all(row.parity_ok for row in rows)
+
+
+def run_density(options: dict) -> tuple[str, bool]:
+    """quantum and classical density grid"""
+    if len(options["n"]) != 1:
         raise UsageError("density needs exactly one quantum number")
-    model = _MODELS[config.system]
+    model = _MODELS[options["system"]]
     try:
-        rows = density_grid(eigen_level(model, config.n_list[0]), config.points)
+        rows = density_grid(eigen_level(model, options["n"][0]), options["points"])
     except ValueError as exc:  # a bad level, or too few points to clip a singular endpoint
         raise UsageError(str(exc)) from exc
     cells = [(_fmt(x), _fmt(qm), _fmt(cl), int(clipped)) for x, qm, cl, clipped in rows]
-    return _render(("x_scaled", "p_qm", "p_cl", "clipped_flag"), cells, config.fmt)
+    return _render(("x_scaled", "p_qm", "p_cl", "clipped_flag"), cells, options["format"]), True
 
 
-def render_airy_zeros(count: int, fmt: str) -> str:
-    if count < 1:
-        raise UsageError(f"count must be >= 1, got {count}")
-    zeros = [airy_zero(n) for n in range(1, count + 1)]
+def run_airy_zeros(options: dict) -> tuple[str, bool]:
+    """table of scaled bouncer eigenvalues"""
+    zeros = [airy_zero(n) for n in range(1, options["count"] + 1)]
     # 10 significant digits
-    return _render(("n", "scaled_energy"), [(z.index, f"{z.scaled_energy:.9e}") for z in zeros], fmt)
+    cells = [(z.index, f"{z.scaled_energy:.9e}") for z in zeros]
+    return _render(("n", "scaled_energy"), cells, options["format"]), True
 
 
-def run_verify(config: RunConfig) -> tuple[str, bool]:
-    model = _MODELS[config.system]
-    spec = config.quad_spec()
+def run_verify(options: dict) -> tuple[str, bool]:
+    """trajectory-oracle check of the classical moments"""
+    model = _MODELS[options["system"]]
+    spec = _quad_spec(options["quad-tol"])
     reference = classical_moments_quadrature(build_ensemble(model, 1.0, spec), spec)
-    oracle = trajectory_moments(build_trajectory(model, 1.0), config.samples, "midpoint")
+    oracle = trajectory_moments(build_trajectory(model, 1.0), options["samples"], "midpoint")
     rows = []
     ok = True
     for name in _MOMENT_FIELDS:
         ref = getattr(reference, name)
         got = getattr(oracle, name)
         dev = abs(ref - got)
-        ok = ok and dev < config.tol
+        ok = ok and dev < options["tol"]
         rows.append((name, _fmt(ref), _fmt(got), _fmt(dev)))
-    return _render(("field", "quadrature", "trajectory", "abs_dev"), rows, config.fmt), ok
+    return _render(("field", "quadrature", "trajectory", "abs_dev"), rows, options["format"]), ok
 
 
-# --- argument and config handling ------------------------------------------
+# --- options: one table, one merge -----------------------------------------
+
+
+def _checked(parse: Callable[[str], object], ok=lambda value: True, need: str = "") -> Callable[[str], object]:
+    """A converter that parses the text and checks the value."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except (ValueError, UsageError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+
+    return convert
+
+
+def _writable(path: str) -> bool:
+    return not os.path.isdir(path) and os.path.isdir(os.path.dirname(path) or ".")
+
+
+# Every option by its config key; its flag is --<key>.  argparse's type= and
+# the config-file reader call the same converter, so both are checked alike.
+_OPTIONS: dict[str, Callable[[str], object]] = {
+    "system": _checked(str, _MODELS.__contains__, "ho, well or bouncer"),
+    "n": _checked(parse_n_list),
+    "points": _checked(int, lambda v: v >= 2, ">= 2"),
+    "samples": _checked(int, lambda v: v >= 2, ">= 2"),
+    "tol": _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
+    "quad-tol": _checked(float, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0"),
+    "format": _checked(str, ("csv", "json").__contains__, "csv or json"),
+    "out": _checked(str, _writable, "a file path in an existing directory"),
+}
+
+# command -> (runner, the options it reads with their defaults); every
+# command also reads the _COMMON options and --config.
+_COMMANDS = {
+    "compare": (run_compare, {"system": "ho", "n": (1,), "tol": 1e-6, "quad-tol": 1e-12}),
+    "density": (run_density, {"system": "ho", "n": (1,), "points": 101}),
+    "airy-zeros": (run_airy_zeros, {}),
+    "verify": (run_verify, {"system": "ho", "samples": 1_000_000, "tol": 1e-4, "quad-tol": 1e-12}),
+}
+_COMMON = {"format": "csv", "out": None}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,88 +240,52 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"bad config line (expected key=value): {line!r}")
-                key, value = line.split("=", 1)
-                values[key.strip()] = value.strip()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ucr", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--system", choices=_SYSTEMS)
-        p.add_argument("--n", dest="n_selector")
-        p.add_argument("--points", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--quad-tol", type=float, dest="quad_tol")
-        p.add_argument("--format", choices=("csv", "json"), dest="fmt")
-        p.add_argument("--out")
+    for command, (run, defaults) in _COMMANDS.items():
+        # a flag left off the command line stays out of the namespace
+        p = sub.add_parser(command, help=run.__doc__, argument_default=argparse.SUPPRESS)
+        for key in {**defaults, **_COMMON}:
+            p.add_argument(f"--{key}", dest=key, type=_OPTIONS[key])
         p.add_argument("--config")
-
-    add_common(sub.add_parser("compare", help="classical vs quantum parity table"))
-    add_common(sub.add_parser("density", help="quantum and classical density grid"))
-    zeros = sub.add_parser("airy-zeros", help="table of scaled bouncer eigenvalues")
-    zeros.add_argument("--count", type=int, default=5)
-    add_common(zeros)
-    add_common(sub.add_parser("verify", help="trajectory-oracle check of the classical moments"))
+    # a flag only, not a config key
+    sub.choices["airy-zeros"].add_argument("--count", type=_checked(int, lambda v: v >= 1, ">= 1"), default=5)
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    path = args.config or os.environ.get("UCR_CONFIG")
-    file_values = _read_config_file(path) if path else {}
+def _read_config_file(path: str) -> dict[str, object]:
+    """Every key=value line, converted and checked whichever command runs."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    values = {}
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, text = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise UsageError(f"bad config line (expected key=value): {line!r}")
+        if key not in _OPTIONS:
+            raise UsageError(f"unknown config key {key!r}")
+        try:
+            values[key] = _OPTIONS[key](text.strip())
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"bad config value for {key}: {exc}") from exc
+    return values
 
-    def pick(flag_value, file_key: str, convert, default):
-        text = file_values.pop(file_key, None)  # what is left over is unknown
-        if flag_value is not None:
-            return flag_value
-        if text is not None:
-            try:
-                return convert(text)
-            except (ValueError, UsageError) as exc:
-                raise UsageError(f"bad config value for {file_key}: {exc}") from exc
-        return default
 
-    config.system = pick(getattr(args, "system", None), "system", str, config.system)
-    config.n_list = pick(
-        parse_n_list(args.n_selector) if getattr(args, "n_selector", None) else None,
-        "n", parse_n_list, config.n_list,
-    )
-    config.points = pick(getattr(args, "points", None), "points", int, config.points)
-    config.samples = pick(getattr(args, "samples", None), "samples", int, config.samples)
-    config.tol = pick(getattr(args, "tol", None), "tol", float, config.tol)
-    config.quad_tol = pick(getattr(args, "quad_tol", None), "quad-tol", float, config.quad_tol)
-    config.fmt = pick(getattr(args, "fmt", None), "format", str, config.fmt)
-    config.out = pick(getattr(args, "out", None), "out", str, config.out)
-    if file_values:
-        raise UsageError(f"unknown config key {sorted(file_values)[0]!r}")
-    if config.system not in _SYSTEMS:
-        raise UsageError(f"unknown system {config.system!r}")
-    if config.fmt not in ("csv", "json"):
-        raise UsageError(f"unknown format {config.fmt!r}")
-    for name, count in (("points", config.points), ("samples", config.samples)):
-        if count < 2:
-            raise UsageError(f"{name} must be >= 2, got {count}")
-    if config.tol is not None and not (math.isfinite(config.tol) and config.tol >= 0.0):
-        raise UsageError(f"tol must be finite and non-negative, got {config.tol}")
-    if not (math.isfinite(config.quad_tol) and config.quad_tol > 0.0):
-        raise UsageError(f"quad-tol must be finite and positive, got {config.quad_tol}")
-    return config
+def _options(args: argparse.Namespace) -> dict:
+    """The command's options: flags over config-file values over defaults."""
+    flags = dict(vars(args))
+    defaults = {**_COMMANDS[flags.pop("command")][1], **_COMMON}
+    path = flags.pop("config", None) or os.environ.get("UCR_CONFIG")
+    from_file = _read_config_file(path) if path else {}
+    return {**defaults, **{key: value for key, value in from_file.items() if key in defaults}, **flags}
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -287,29 +296,15 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _resolve_config(args)
-        if args.command == "compare":
-            if config.tol is None:
-                config.tol = 1e-6
-            rows = compare_rows(config)
-            _emit(render_compare(rows, config.fmt), config.out)
-            return EXIT_OK if all(row.parity_ok for row in rows) else EXIT_PARITY
-        if args.command == "density":
-            _emit(render_density(config), config.out)
-            return EXIT_OK
-        if args.command == "airy-zeros":
-            count = getattr(args, "count", 5)
-            _emit(render_airy_zeros(count, config.fmt), config.out)
-            return EXIT_OK
-        # verify
-        if config.tol is None:
-            config.tol = 1e-4
-        report, ok = run_verify(config)
-        _emit(report, config.out)
+        args = _PARSER.parse_args(argv)
+        options = _options(args)
+        text, ok = _COMMANDS[args.command][0](options)
+        _emit(text, options["out"])
         return EXIT_OK if ok else EXIT_PARITY
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -42,7 +42,6 @@ class QuadratureSpec:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 60
-    tail_cutoff: float = 1e-16
 
     def __post_init__(self):
         if self.abs_tol < 0 or self.rel_tol < 0 or self.abs_tol + self.rel_tol <= 0:
@@ -244,6 +243,9 @@ def integrate_singular_endpoints(
     return _result(value, err, n_eval, spec)
 
 
+_TAIL_CUTOFF = 1e-16  # the semi-infinite tail is truncated below this
+
+
 def integrate_semi_infinite(f: Integrand, a: float, spec: QuadratureSpec = DEFAULT_SPEC) -> IntegralResult:
     """Integrate f on [a, inf) for integrands decaying faster than any
     polynomial: truncate where every component of f is below the tail
@@ -252,7 +254,7 @@ def integrate_semi_infinite(f: Integrand, a: float, spec: QuadratureSpec = DEFAU
     n_probe = 0
     while True:
         n_probe += 1
-        if np.abs(_values(f, [a + offset])).max() < spec.tail_cutoff:
+        if np.abs(_values(f, [a + offset])).max() < _TAIL_CUTOFF:
             break
         offset *= 2.0
         if offset > 1e4:

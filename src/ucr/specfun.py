@@ -272,7 +272,9 @@ def airy_zero(n: int) -> AiryZero:
         v = airy_ai(a)
         step = v.ai / v.ai_prime
         a -= step
-        if abs(v.ai) < 1e-13 and abs(step) < 1e-13:
+        # From |a| = 512 on one ulp of a exceeds 1e-13, so even the float
+        # nearest the zero can take a larger step; two ulps also end it.
+        if (abs(v.ai) < 1e-13 and abs(step) < 1e-13) or abs(step) <= 2.0 * math.ulp(a):
             return AiryZero(index=n, value=a)
     raise ConvergenceError(
         f"Newton iteration for Airy zero {n} did not converge in "

@@ -136,6 +136,20 @@ class TestCompareCommand:
         assert code == EXIT_COMPUTATION
         assert "error" in err
 
+    def test_computation_error_names_system_and_level(self, capsys):
+        code, _, err = run(capsys, "compare", "--system", "ho", "--n", "0", "--quad-tol", "1e-300")
+        assert code == EXIT_COMPUTATION
+        assert err.startswith("error: ho n=0: ")
+
+    @pytest.mark.parametrize("target", [".", "missing/table.csv"])
+    def test_unwritable_out_path_is_usage_error(self, capsys, tmp_path, target):
+        # a directory, or a file in a missing directory: refused before computing
+        path = str(tmp_path / target)
+        code, out, err = run(capsys, "compare", "--system", "ho", "--n", "0", "--out", path)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error:") and path in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
         code, out, _ = run(capsys, "compare", "--system", "ho", "--n", "0", "--out", str(target))
@@ -239,6 +253,22 @@ class TestConfigHandling:
         code, _, _ = run(capsys, "compare", "--config", "/nonexistent/path.cfg")
         assert code == EXIT_USAGE
 
+    def test_non_utf8_config_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"system=well\nn=\xff\n")
+        code, _, err = run(capsys, "compare", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert str(cfg) in err
+
+    def test_config_does_not_leak_into_a_later_call(self, capsys, tmp_path):
+        # every main() call in a process shares one parser
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("system=well\nn=2\n")
+        assert run(capsys, "compare", "--config", str(cfg))[0] == EXIT_OK
+        code, out, _ = run(capsys, "compare", "--n", "0")
+        assert code == EXIT_OK
+        assert out.strip().split("\n")[1].startswith("ho,0,")
+
     def test_malformed_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("system well\n")
@@ -270,6 +300,30 @@ class TestUsageSurface:
 
     def test_unknown_format(self, capsys):
         assert run(capsys, "compare", "--format", "xml")[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("compare", "--points", "5"),
+            ("compare", "--samples", "1000"),
+            ("density", "--samples", "1000"),
+            ("density", "--tol", "1e-3"),
+            ("density", "--quad-tol", "1e-10"),
+            ("airy-zeros", "--system", "well"),
+            ("airy-zeros", "--n", "5"),
+            ("airy-zeros", "--points", "5"),
+            ("airy-zeros", "--samples", "1000"),
+            ("airy-zeros", "--tol", "1e-3"),
+            ("airy-zeros", "--quad-tol", "1e-10"),
+            ("verify", "--n", "3"),
+            ("verify", "--points", "5"),
+        ],
+    )
+    def test_flag_the_command_does_not_read(self, capsys, command, flag, value):
+        code, out, err = run(capsys, command, flag, value)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert flag in err
 
 
 class TestInputValidation:

@@ -25,7 +25,6 @@ class TestSpec:
         assert spec.abs_tol == 1e-12
         assert spec.rel_tol == 1e-10
         assert spec.max_subdivisions == 60
-        assert spec.tail_cutoff == 1e-16
 
     def test_tolerance_combines_abs_and_rel(self):
         spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)

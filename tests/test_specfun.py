@@ -166,6 +166,14 @@ class TestAiryZero:
                 rounded = round(float(-mp.airyaizero(n)), 4)
                 assert typed == rounded, f"table has {typed} for n={n}; -a_{n} rounds to {rounded}"
 
+    @pytest.mark.parametrize("n", [2460, 2465, 10000])
+    def test_zeros_past_512_match_mpmath(self, n):
+        # from |a_n| = 512 on, one ulp of a_n exceeds the absolute 1e-13 step
+        # test of the Newton iteration
+        with mp.workdps(30):
+            reference = float(mp.airyaizero(n))
+        assert abs(airy_zero(n).value - reference) <= 2.0 * math.ulp(reference)
+
     def test_residual_small(self):
         for n in range(1, 51):
             assert abs(airy_ai(airy_zero(n).value).ai) < 1e-12
