@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
+
+import numpy as np
 
 from .quadrature import DEFAULT_SPEC, IntegralResult, QuadratureSpec, integrate_singular_endpoints
 from .systems import BouncingBall, HarmonicOscillator, InfiniteWell, PotentialModel
@@ -68,22 +70,19 @@ class ClassicalEnsemble:
         return (lo * self.turning_point, hi * self.turning_point)
 
 
-Weights = Union[float, tuple[float, ...]]
-
-
 def _density_integrals(
-    ens: ClassicalEnsemble, weight: Callable[[float, float], Weights], spec: QuadratureSpec
+    ens: ClassicalEnsemble, weight: Callable[[np.ndarray, np.ndarray], np.ndarray], spec: QuadratureSpec
 ) -> IntegralResult:
     """Integral of weight(x, sqrt(E - V(x))) over the classical region, where
     weight divides by its second argument.  Endpoint-offset forms of that
-    root resolve the turning-point singularities to full precision.  A tuple
-    weight gives one pass with one integral per component."""
+    root resolve the turning-point singularities to full precision.  An
+    (m, k) weight, like an integrand, gives one pass with m integrals."""
     a, b = ens.region
     emv, from_left, from_right = ens.model.variant.kinetic(ens.energy, ens.turning_point)
     return integrate_singular_endpoints(
-        lambda x: weight(x, math.sqrt(emv(x))), a, b, spec,
-        from_left=lambda s: weight(a + s, math.sqrt(from_left(s))),
-        from_right=lambda s: weight(b - s, math.sqrt(from_right(s))),
+        lambda x: weight(x, np.sqrt(emv(x))), a, b, spec,
+        from_left=lambda s: weight(a + s, np.sqrt(from_left(s))),
+        from_right=lambda s: weight(b - s, np.sqrt(from_right(s))),
     )
 
 
@@ -120,8 +119,8 @@ def classical_moments_quadrature(ens: ClassicalEnsemble, spec: QuadratureSpec = 
 
     # P at the two branches is +/- sqrt(2m(E-V))/sqrt(2mE); the branch average
     # of P vanishes identically, that of P^2 is (E-V)/E.
-    def weights(x: float, root: float) -> tuple[float, float, float, float]:
-        return 1.0 / root, x / A / root, (x / A) ** 2 / root, emv(x) / energy / root
+    def weights(x: np.ndarray, root: np.ndarray) -> np.ndarray:
+        return np.array([1.0 / root, x / A / root, (x / A) ** 2 / root, emv(x) / energy / root])
 
     result = _density_integrals(ens, weights, spec)
     if not result.converged:

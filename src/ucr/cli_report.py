@@ -176,7 +176,10 @@ def run_verify(options: dict) -> tuple[str, bool]:
     """trajectory-oracle check of the classical moments"""
     model = _MODELS[options["system"]]
     spec = _quad_spec(options["quad-tol"])
-    reference = classical_moments_quadrature(build_ensemble(model, 1.0, spec), spec)
+    try:
+        reference = classical_moments_quadrature(build_ensemble(model, 1.0, spec), spec)
+    except RuntimeError as exc:
+        raise RuntimeError(f"{options['system']}: {exc}") from exc
     oracle = trajectory_moments(build_trajectory(model, 1.0), options["samples"], "midpoint")
     rows = []
     ok = True

@@ -2,11 +2,12 @@
 computations need: smooth finite intervals, inverse-square-root endpoint
 singularities, and semi-infinite integrands with fast-decaying tails.
 
-An integrand returns either a float or a tuple of floats.  A tuple integrand
-is integrated in one pass: every component shares the abscissas (and, for
-the adaptive rules, the subdivision), and the pass converges only when each
-component meets ``spec.tolerance`` of its own value.  The result then holds
-one value and one error estimate per component.
+An integrand takes a 1-D float array of k abscissas and returns shape (k,),
+or (m, k) for m components; each rule calls it once per batch of nodes.  An
+m-component integrand is integrated in one pass: every component shares the
+abscissas (and, for the adaptive rules, the subdivision), and the pass
+converges only when each component meets ``spec.tolerance`` of its own value.
+The result then holds one value and one error estimate per component.
 
 All routines are pure; integrands must themselves be safe to call from
 concurrent contexts.
@@ -14,10 +15,9 @@ concurrent contexts.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -30,7 +30,7 @@ __all__ = [
     "integrate_singular_endpoints",
 ]
 
-Integrand = Callable[[float], Union[float, tuple[float, ...]]]
+Integrand = Callable[[np.ndarray], np.ndarray]
 
 
 class QuadratureError(RuntimeError):
@@ -56,7 +56,7 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    value: Union[float, tuple[float, ...]]  # a tuple for a tuple integrand
+    value: Union[float, tuple[float, ...]]  # a tuple for an m-component integrand
     error_estimate: Union[float, tuple[float, ...]]
     evaluations: int
     converged: bool
@@ -70,15 +70,17 @@ def _result(value: np.ndarray, err: np.ndarray, evaluations: int, spec: Quadratu
     return IntegralResult(plain(value), plain(err), evaluations, bool((err <= spec.tolerance(value)).all()))
 
 
-def _values(f: Integrand, xs: Sequence[float], where: str = "x") -> np.ndarray:
-    """f at each abscissa: shape (len(xs),) for a float integrand, (len(xs), m)
-    for an m-component one."""
-    values = np.array([f(x) for x in xs], dtype=float)
+def _values(f: Integrand, xs: np.ndarray, where: str = "x") -> np.ndarray:
+    """f over the abscissas in one call, abscissas first: shape (k,) for a
+    one-component integrand, a C-contiguous (k, m) for an m-component one."""
+    values = np.asarray(f(xs), dtype=float)
+    if values.ndim not in (1, 2) or values.shape[-1] != len(xs):
+        raise ValueError(f"integrand returned shape {values.shape} for {len(xs)} abscissas")
     finite = np.isfinite(values)
     if not finite.all():
-        row = int(np.argmin(finite.reshape(len(xs), -1).all(axis=1)))
-        raise QuadratureError(f"integrand returned non-finite value at {where}={xs[row]!r}")
-    return values
+        bad = int(np.argmin(finite.reshape(-1, len(xs)).all(axis=0)))
+        raise QuadratureError(f"integrand returned non-finite value at {where}={xs[bad].item()!r}")
+    return np.ascontiguousarray(values.T)
 
 
 # Embedded Gauss-Kronrod pair G7-K15 (QUADPACK qk15): the 15-point Kronrod
@@ -101,46 +103,51 @@ _WG = (
 )
 # Full 15-node layout on [-1, 1]; row 0 of the weight matrix gives the K15
 # value, row 1 the K15 - G7 difference (the Gauss nodes are the odd indices).
-_K15_NODES = tuple(-x for x in _XGK[:-1]) + _XGK[::-1]
+_K15_NODES = np.array(tuple(-x for x in _XGK[:-1]) + _XGK[::-1])
 _K15_G7_WEIGHTS = np.array([_WGK[:-1] + _WGK[::-1], _WGK[:-1] + _WGK[::-1]])
 _K15_G7_WEIGHTS[1, 1::2] -= _WG[:-1] + _WG[::-1]
 
 
-def _panel(f: Integrand, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    k15, diff = half * (_K15_G7_WEIGHTS @ _values(f, [mid + half * x for x in _K15_NODES]))
-    return k15, np.abs(diff)
+def _panels(f: Integrand, edges: np.ndarray) -> np.ndarray:
+    """K15 values and |K15 - G7| errors, shape (2, P) or (2, m, P), of the P
+    panels edges = (lo, hi) from one integrand call; each panel is its own
+    (2 x 15) @ (15 x m) product, so its sums do not depend on the batch."""
+    lo, hi = edges
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    values = _values(f, (mid[:, None] + half[:, None] * _K15_NODES).ravel())
+    panels = half * np.moveaxis(_K15_G7_WEIGHTS @ values.reshape(len(lo), 15, -1), 0, -1)
+    panels[1] = np.abs(panels[1])
+    return panels.reshape((2,) + values.shape[1:] + (len(lo),))
 
 
 def integrate_finite(f: Integrand, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC) -> IntegralResult:
-    """Adaptive subdivision with an embedded-rule error estimate; a tuple
-    integrand shares the subdivision across its components."""
+    """QUADPACK's globally adaptive subdivision, a generation of panels at a
+    time; an m-component integrand shares the subdivision."""
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
-    value, err = _panel(f, a, b)
-    # Worst-first heap keyed on the panel's largest error relative to the
-    # current tolerance; (a, b) break ties.
-    heap = [(0.0, a, b, value, err)]
-    # Running totals only decide when to look; the verdict and the returned
-    # value come from one sum over the final panels.
-    total, total_err = value, err
+    edges = np.array([[a], [b]])
+    panels = _panels(f, edges)
     splits = 0
     while True:
-        tol = spec.tolerance(total)
-        exhausted = splits == spec.max_subdivisions
-        if exhausted or (total_err <= tol).all():
-            value, err = sum(item[3] for item in heap), sum(item[4] for item in heap)
-            if exhausted or (err <= spec.tolerance(value)).all():
-                break
-        _, pa, pb, pv, pe = heapq.heappop(heap)
-        pm = 0.5 * (pa + pb)
-        left, right = _panel(f, pa, pm), _panel(f, pm, pb)
-        total = total + (left[0] + right[0] - pv)
-        total_err = total_err + (left[1] + right[1] - pe)
-        scale = 1.0 / np.maximum(tol, 1e-300)  # tol is 0 where abs_tol = 0 meets a zero total
-        for (lo, hi), (v, e) in (((pa, pm), left), ((pm, pb), right)):
-            heapq.heappush(heap, (-float((e * scale).max()), lo, hi, v, e))
-        splits += 1
+        value, err = panels.sum(axis=-1)
+        tol = spec.tolerance(value)
+        budget = spec.max_subdivisions - splits
+        if budget == 0 or (err <= tol).all():
+            break
+        # Worst first by the largest error relative to the tolerance (tol is 0
+        # where abs_tol = 0 meets a zero value); split the fewest worst panels
+        # whose removal leaves every component's error sum within tolerance.
+        errors, tol_column = panels[1].reshape(-1, edges.shape[1]), np.reshape(tol, (-1, 1))
+        order = np.argsort(-(errors / np.maximum(tol_column, 1e-300)).max(axis=0), kind="stable")
+        left = np.cumsum(errors[:, order[::-1]], axis=1)[:, ::-1]  # column j: after splitting order[:j]
+        count = min(int(np.argmax(np.append((left[:, 1:] <= tol_column).all(axis=0), True))) + 1, budget)
+        lo, hi = edges[:, order[:count]]
+        mid = 0.5 * (lo + hi)
+        halves = np.array([np.concatenate((lo, mid)), np.concatenate((mid, hi))])
+        keep = np.sort(order[count:])
+        edges = np.concatenate((edges[:, keep], halves), axis=1)
+        panels = np.concatenate((panels[..., keep], _panels(f, halves)), axis=-1)
+        splits += count
     return _result(value, err, 15 + 30 * splits, spec)
 
 
@@ -203,15 +210,15 @@ def integrate_singular_endpoints(
     # 2 f(s_last) s_last) and charged to the error estimate.
     walls = [0.0, 0.0]
     last_good = [(0.0, 0.0), (0.0, 0.0)]  # (value, distance) closest to each end
-    f_mid = _values(f, [mid])[0] if from_left is None else _values(from_left, [mid - a], "s")[0]
+    f_mid = _values(f, np.array([mid]))[0] if from_left is None else _values(from_left, np.array([mid - a]), "s")[0]
     n_eval = 1
 
-    def side(hook: Optional[Integrand], end: float, sign: float, dists: list[float], i: int) -> np.ndarray:
+    def side(hook: Optional[Integrand], end: float, sign: float, dists: np.ndarray, i: int) -> np.ndarray:
         # integrand values at distances from one end, given in decreasing order
         if hook is not None:
             return _values(hook, dists, "s")
-        xs = [end + sign * s for s in dists]
-        n_good = sum(1 for x in xs if x != end)  # rounding onto the end is a suffix
+        xs = end + sign * dists
+        n_good = int(np.count_nonzero(xs != end))  # rounding onto the end is a suffix
         values = np.zeros((len(xs),) + np.shape(f_mid))
         if n_good:
             values[:n_good] = _values(f, xs[:n_good])
@@ -226,7 +233,7 @@ def integrate_singular_endpoints(
         nonlocal n_eval
         weights, fractions = _ts_nodes(h, only_odd)
         n_eval += 2 * len(weights)
-        dists = [length * frac for frac in fractions]
+        dists = length * np.asarray(fractions)
         return np.asarray(weights) @ (side(from_left, a, 1.0, dists, 0) + side(from_right, b, -1.0, dists, 1))
 
     h = _TS_H0
@@ -254,7 +261,7 @@ def integrate_semi_infinite(f: Integrand, a: float, spec: QuadratureSpec = DEFAU
     n_probe = 0
     while True:
         n_probe += 1
-        if np.abs(_values(f, [a + offset])).max() < _TAIL_CUTOFF:
+        if np.abs(_values(f, np.array([a + offset]))).max() < _TAIL_CUTOFF:
             break
         offset *= 2.0
         if offset > 1e4:

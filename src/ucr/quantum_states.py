@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Union
 
-from . import specfun
+import numpy as np
+
 from .classical_ensemble import PotentialModel, ScaledMoments, build_ensemble, classical_density
 from .quadrature import (
     DEFAULT_SPEC,
@@ -24,6 +25,7 @@ from .quadrature import (
     integrate_finite,
     integrate_semi_infinite,
 )
+from .systems import _airy
 
 __all__ = [
     "BouncerState",
@@ -69,14 +71,15 @@ def bouncer_state(level: EigenLevel, spec: QuadratureSpec = DEFAULT_SPEC) -> Bou
     if level.scaled_energy is None:
         raise ValueError("bouncer_state requires a bouncer level")
     spec = _oscillation_budget(spec, level.n)
-    raw = integrate_semi_infinite(lambda z: specfun.airy_ai(z).ai ** 2, -level.scaled_energy, spec)
+    raw = integrate_semi_infinite(lambda z: _airy(z)[0] ** 2, -level.scaled_energy, spec)
     _require_converged("bouncer normalization integral", raw)
     return BouncerState(level, 1.0 / math.sqrt(raw.value))
 
 
-def wavefunction(level: EigenLevel, x: float) -> float:
-    """Real-valued normalized stationary wavefunction at physical position x."""
-    return level.model.variant.psi(level, x)
+def wavefunction(level: EigenLevel, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+    """Normalized stationary wavefunction at x: a float or a 1-D array."""
+    psi = level.model.variant.psi(level, np.atleast_1d(np.asarray(x, dtype=float)))
+    return float(psi[0]) if np.ndim(x) == 0 else psi
 
 
 def _require_converged(what: str, *results: IntegralResult) -> None:
@@ -85,11 +88,11 @@ def _require_converged(what: str, *results: IntegralResult) -> None:
             raise RuntimeError(f"{what} failed to converge: {result}")
 
 
-def _check_mean_p(raw: float) -> None:
-    # The raw integral of psi*psi' equals the boundary term psi^2/2 and must
+def _check_mean_p(mean_p: float) -> None:
+    # <P> is the boundary term psi^2/2 over the momentum scale and must
     # vanish; anything bigger signals a broken integrand.
-    if abs(raw) > _MEAN_P_TOL:
-        raise RuntimeError(f"raw momentum integral should vanish, got {raw}")
+    if abs(mean_p) > _MEAN_P_TOL:
+        raise RuntimeError(f"scaled momentum <P> should vanish, got {mean_p}")
 
 
 def _oscillation_budget(spec: QuadratureSpec, n: int) -> QuadratureSpec:
@@ -110,8 +113,8 @@ def quantum_moments_quadrature(level: EigenLevel, spec: QuadratureSpec = DEFAULT
         for f, a, b in passes
     ]
     _require_converged(f"{variant.name} moment quadrature", *results)
-    mean_x, mean_x2, mean_p2, raw_p = moments(*(result.value for result in results))
-    _check_mean_p(raw_p)
+    mean_x, mean_x2, mean_p2, mean_p = moments(*(result.value for result in results))
+    _check_mean_p(mean_p)
     return ScaledMoments(mean_x, mean_x2, 0.0, mean_p2, "quantum", "quadrature")
 
 
@@ -138,24 +141,20 @@ def density_grid(level: EigenLevel, points: int) -> list[tuple[float, float, flo
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
     lo, hi = level.model.variant.scaled_region
-    xs = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
-
+    xs = lo + (hi - lo) * np.arange(points) / (points - 1)
     ens = build_ensemble(level.model, level.energy)
     A = level.turning_point
-    rows: list[tuple[float, float, float, bool]] = []
-    for x_scaled in xs:
-        p_cl = A * classical_density(ens, A * x_scaled)
-        rows.append((x_scaled, A * wavefunction(level, A * x_scaled) ** 2, p_cl, not math.isfinite(p_cl)))
-    # clip singular endpoints to the nearest interior classical value
-    clipped: list[tuple[float, float, float, bool]] = []
-    for i, (x_scaled, p_qm, p_cl, is_singular) in enumerate(rows):
-        if is_singular:
-            finite = [row[2] for row in rows[max(i - 1, 0):i + 2] if math.isfinite(row[2])]
-            if not finite:
-                raise ValueError(
-                    f"no finite interior neighbour to clip the singular endpoint x={x_scaled} to; "
-                    f"{points} grid points are too few"
-                )
-            p_cl = finite[0]
-        clipped.append((x_scaled, p_qm, p_cl, is_singular))
-    return clipped
+    p_qm = A * wavefunction(level, A * xs) ** 2
+    p_cl = np.array([A * classical_density(ens, A * x) for x in xs.tolist()])
+    # clip singular endpoints to the nearest finite neighbour, the left one first
+    singular = ~np.isfinite(p_cl)
+    padded = np.concatenate(([math.nan], p_cl, [math.nan]))
+    neighbour = np.where(np.isfinite(padded[:-2]), padded[:-2], padded[2:])
+    stranded = singular & ~np.isfinite(neighbour)
+    if stranded.any():
+        raise ValueError(
+            f"no finite interior neighbour to clip the singular endpoint x={xs[stranded][0]} to; "
+            f"{points} grid points are too few"
+        )
+    p_cl = np.where(singular, neighbour, p_cl)
+    return list(zip(xs.tolist(), p_qm.tolist(), p_cl.tolist(), singular.tolist()))

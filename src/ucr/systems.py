@@ -44,10 +44,11 @@ class _System:
       ``name`` and ``n_min``; ``level(n, hbar)``, (E_n, A_n) plus the
       bouncer's scaled energy and gravitational length; ``psi(level, x)``;
       ``moment_passes(level)``, the integrals in the natural coordinate and
-      how their values become (<X>, <X^2>, <P^2>, raw momentum integral);
+      how their values become (<X>, <X^2>, <P^2>, <P>);
       ``x2_offset(n)``, how far the exact quantum <X^2> sits below the
       classical one; ``robertson_bound(level)``.
     Trajectory: ``trajectory(E)``, the period, amplitude, x(t) and p(t).
+    Functions of x (E - V, psi, the integrands) take and return 1-D arrays.
     """
 
     def __post_init__(self):
@@ -70,28 +71,26 @@ def _ho_coefficients(n: int) -> list[tuple[float, float]]:
     return [(math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))) for k in range(n)]
 
 
-def _ho_functions(coefficients: list[tuple[float, float]], y: float) -> tuple[float, float, float]:
-    # (phi_{n-2}, phi_{n-1}, phi_n), the orthonormal oscillator states in the
-    # dimensionless y = x*sqrt(m w/hbar), with phi_{-1} = phi_{-2} = 0.  The
-    # recurrence never forms H_n, which overflows doubles from n ~ 200 on.
-    older, old, phi = 0.0, 0.0, math.pi ** -0.25 * math.exp(-0.5 * y * y)
-    if phi >= sys.float_info.min:
-        for a, b in coefficients:
-            older, old, phi = old, phi, a * y * phi - b * old
-        return older, old, phi
-    # Past y ~ 37.7 the start e^(-y^2/2) is subnormal or zero: carry it as
-    # phi * 2^-shift and renormalize as the recurrence grows it.
+def _ho_functions(coefficients: list[tuple[float, float]], y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (phi_{n-2}, phi_{n-1}, phi_n) at each y, the orthonormal oscillator
+    # states in the dimensionless y = x*sqrt(m w/hbar), with phi_{-1} =
+    # phi_{-2} = 0.  The recurrence never forms H_n, which overflows doubles
+    # from n ~ 200 on.
     half_y2 = 0.5 * y * y
-    if half_y2 > 1e15:  # no reachable level is representable out here
-        return 0.0, 0.0, 0.0
-    shift = math.ceil(half_y2 / _LN2)
-    phi = math.pi ** -0.25 * math.exp(shift * _LN2 - half_y2)
+    phi = math.pi ** -0.25 * np.exp(-half_y2)
+    # Past y ~ 37.7 the start e^(-y^2/2) is subnormal or zero: such an element
+    # carries phi * 2^-shift (capped where no level is representable anyway)
+    # and is renormalized as the recurrence grows it.
+    shift = np.where(phi < sys.float_info.min, np.ceil(np.minimum(half_y2, 1e15) / _LN2), 0.0).astype(np.int64)
+    phi = np.where(shift > 0, math.pi ** -0.25 * np.exp(shift * _LN2 - half_y2), phi)
+    scaled = shift.any()
+    older = old = np.zeros_like(y)
     for a, b in coefficients:
         older, old, phi = old, phi, a * y * phi - b * old
-        if abs(phi) > _RESCALE_AT:
-            older, old, phi = (math.ldexp(v, -_RESCALE) for v in (older, old, phi))
-            shift -= _RESCALE
-    return math.ldexp(older, -shift), math.ldexp(old, -shift), math.ldexp(phi, -shift)
+        if scaled and (big := np.abs(phi) > _RESCALE_AT).any():
+            older, old, phi = (np.ldexp(v, -_RESCALE * big) for v in (older, old, phi))
+            shift -= _RESCALE * big
+    return np.ldexp(older, -shift), np.ldexp(old, -shift), np.ldexp(phi, -shift)
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ class HarmonicOscillator(_System):
         # near the turning points where E - V would cancel.
         half_mw2 = 0.5 * self.m * self.omega ** 2
 
-        def from_end(s: float) -> float:
+        def from_end(s: np.ndarray) -> np.ndarray:
             return half_mw2 * s * (2.0 * turning - s)
 
         return lambda x: half_mw2 * (turning - x) * (turning + x), from_end, from_end
@@ -120,7 +119,7 @@ class HarmonicOscillator(_System):
     def level(self, n: int, hbar: float) -> tuple[float, float]:
         return (n + 0.5) * hbar * self.omega, math.sqrt((2 * n + 1) * hbar / (self.m * self.omega))
 
-    def psi(self, level, x: float) -> float:
+    def psi(self, level, x: np.ndarray) -> np.ndarray:
         scale = math.sqrt(self.m * self.omega / level.model.hbar)
         return math.sqrt(scale) * _ho_functions(_ho_coefficients(level.n), scale * x)[2]
 
@@ -129,21 +128,22 @@ class HarmonicOscillator(_System):
         coefficients = _ho_coefficients(n)
         c1, c2 = math.sqrt(2.0 * n), 2.0 * math.sqrt(n * (n - 1.0))
 
-        def integrands(y: float) -> tuple[float, float, float]:
+        def integrands(y: np.ndarray) -> np.ndarray:
             # psi' and psi'' from the Hermite derivative recurrences
             # H_n' = 2n H_{n-1} and H_n'' = 4n(n-1) H_{n-2}, not from the
             # eigen-equation, so <P^2> is not routed through <X^2>.
             older, old, psi = _ho_functions(coefficients, y)
             psi_prime = c1 * old - y * psi
             psi_second = c2 * older - 2.0 * y * c1 * old + (y * y - 1.0) * psi
-            return y * y * psi * psi, -psi * psi_second, psi * psi_prime
+            return np.array([y * y * psi * psi, -psi * psi_second, psi * psi_prime])
 
         def moments(positive, negative):
-            # Even integrands (x^2, p^2): the positive half, doubled.  The raw
-            # momentum integrand is odd, so both halves are summed explicitly.
+            # Even integrands (x^2, p^2): the positive half, doubled.  The
+            # momentum integrand is odd, so both halves are summed explicitly;
+            # <P> is that integral over sqrt(2mE_n) in these units.
             x2, p2, p_positive = positive
             scale = 2.0 / (2.0 * n + 1.0)  # both halves, over the scaled A_n^2 and 2mE_n
-            return 0.0, x2 * scale, p2 * scale, p_positive + negative
+            return 0.0, x2 * scale, p2 * scale, (p_positive + negative) / math.sqrt(2.0 * n + 1.0)
 
         return [(integrands, 0.0, math.inf), (lambda y: integrands(-y)[2], 0.0, math.inf)], moments
 
@@ -166,19 +166,12 @@ class HarmonicOscillator(_System):
 # --- infinite well ------------------------------------------------------------
 
 
-def _well_state_u(n: int, u: float) -> float:
+def _well_state_u(n: int, u: np.ndarray) -> np.ndarray:
     # Unit-normalized well state in u = x/(L/2) on [-1, 1]; odd n are the
     # even-parity cosines, even n the odd-parity sines.
     if n % 2 == 1:
-        return math.cos(n * math.pi * u / 2.0)
-    return math.sin(n * math.pi * u / 2.0)
-
-
-def _well_state_u_prime(n: int, u: float) -> float:
-    k = n * math.pi / 2.0
-    if n % 2 == 1:
-        return -k * math.sin(k * u)
-    return k * math.cos(k * u)
+        return np.cos(n * math.pi * u / 2.0)
+    return np.sin(n * math.pi * u / 2.0)
 
 
 @dataclass(frozen=True)
@@ -195,40 +188,42 @@ class InfiniteWell(_System):
         return self.L / 2.0
 
     def kinetic(self, energy: float, turning: float):
-        def flat(x: float) -> float:
-            return energy
+        def flat(x: np.ndarray) -> np.ndarray:
+            return np.full_like(x, energy)
 
         return flat, flat, flat
 
     def level(self, n: int, hbar: float) -> tuple[float, float]:
         return n * n * math.pi ** 2 * hbar ** 2 / (2.0 * self.m * self.L ** 2), self.L / 2.0
 
-    def psi(self, level, x: float) -> float:
+    def psi(self, level, x: np.ndarray) -> np.ndarray:
         half = self.L / 2.0
-        if abs(x) > half:
-            return 0.0
-        return math.sqrt(2.0 / self.L) * _well_state_u(level.n, x / half)
+        return np.where(np.abs(x) > half, 0.0, math.sqrt(2.0 / self.L) * _well_state_u(level.n, x / half))
 
     def moment_passes(self, level):
         n = level.n
+        k = n * math.pi / 2.0
 
         # One pass per parity on u in [-1, 1]: the odd integrands vanish and
         # converge on the first symmetric panel, which a pass shared with the
         # even ones would forfeit by holding them to abs_tol over every panel.
-        def even(u: float) -> tuple[float, float]:
+        # The scaled momentum carries 1/k, so the odd pass integrates
+        # psi psi'/k, which is <P> and of order 1 at every level.
+        def even(u: np.ndarray) -> np.ndarray:
             density = _well_state_u(n, u) ** 2
-            return density, u * u * density
+            return np.array([density, u * u * density])
 
-        def odd(u: float) -> tuple[float, float]:
+        def odd(u: np.ndarray) -> np.ndarray:
             psi = _well_state_u(n, u)
-            return u * psi * psi, psi * _well_state_u_prime(n, u)
+            slope = -np.sin(k * u) if n % 2 == 1 else np.cos(k * u)  # psi'/k
+            return np.array([u * psi * psi, psi * slope])
 
         def moments(even_values, odd_values):
-            # psi'' = -k^2 psi, and the scaled momentum carries 1/k, so <P^2>
-            # is just the norm integral evaluated by quadrature.
+            # psi'' = -k^2 psi, so <P^2> is just the norm integral evaluated
+            # by quadrature.
             mean_p2, mean_x2 = even_values
-            mean_x, raw_p = odd_values
-            return mean_x, mean_x2, mean_p2, raw_p
+            mean_x, mean_p = odd_values
+            return mean_x, mean_x2, mean_p2, mean_p
 
         return [(even, -1.0, 1.0), (odd, -1.0, 1.0)], moments
 
@@ -258,6 +253,12 @@ class InfiniteWell(_System):
 # --- bouncer ------------------------------------------------------------------
 
 
+def _airy(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Ai and Ai' per element from the cached kernel, looked up in `specfun` so wrappers there see each call
+    values = [specfun.airy_ai(v) for v in z.tolist()]
+    return np.array([v.ai for v in values]), np.array([v.ai_prime for v in values])
+
+
 @dataclass(frozen=True)
 class BouncingBall(_System):
     m: float
@@ -281,31 +282,30 @@ class BouncingBall(_System):
         energy = self.m * self.g * grav_length * scaled_energy
         return energy, grav_length * scaled_energy, scaled_energy, grav_length
 
-    def psi(self, level, x: float) -> float:
-        if x < 0.0:
-            return 0.0
+    def psi(self, level, x: np.ndarray) -> np.ndarray:
         # N_n = 1/|Ai'(a_n)| normalizes Ai over (a_n, inf); `bouncer_state`
         # checks that identity by quadrature.
         normalization = 1.0 / abs(specfun.airy_ai(-level.scaled_energy).ai_prime)
         lg = level.grav_length
-        return normalization / math.sqrt(lg) * specfun.airy_ai(x / lg - level.scaled_energy).ai
+        z = np.maximum(x, 0.0) / lg - level.scaled_energy  # x < 0 takes the floor's z, then psi = 0
+        return np.where(x < 0.0, 0.0, normalization / math.sqrt(lg) * _airy(z)[0])
 
     def moment_passes(self, level):
         # All integrals live in the shifted dimensionless coordinate on
         # (-E'_n, inf); the gravitational length cancels throughout.
         e = level.scaled_energy
 
-        def integrands(z: float) -> tuple[float, float, float, float]:
-            v = specfun.airy_ai(z)
-            ai_sq = v.ai ** 2
-            return ai_sq, (z + e) * ai_sq, (z + e) ** 2 * ai_sq, v.ai * v.ai_prime
+        def integrands(z: np.ndarray) -> np.ndarray:
+            ai, ai_prime = _airy(z)
+            ai_sq = ai ** 2
+            return np.array([ai_sq, (z + e) * ai_sq, (z + e) ** 2 * ai_sq, ai * ai_prime])
 
         def moments(values):
             norm, first, second, raw_p = values
             # psi'' = z*psi by the Airy equation, so <P^2> = -(1/E') <z> in the
-            # shifted coordinate.
+            # shifted coordinate; <P> is the raw integral over sqrt(E').
             mean_z_shifted = first / norm - e
-            return first / (e * norm), second / (e * e * norm), -mean_z_shifted / e, raw_p / norm
+            return first / (e * norm), second / (e * e * norm), -mean_z_shifted / e, raw_p / (norm * math.sqrt(e))
 
         return [(integrands, -e, math.inf)], moments
 

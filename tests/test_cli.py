@@ -225,6 +225,11 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "--system", "ho", "--oracle", "odesolve")
         assert code == EXIT_USAGE
 
+    def test_computation_error_names_system(self, capsys):
+        code, _, err = run(capsys, "verify", "--system", "ho", "--samples", "1000", "--quad-tol", "1e-300")
+        assert code == EXIT_COMPUTATION
+        assert err.startswith("error: ho: ")
+
 
 class TestConfigHandling:
     def test_config_file(self, capsys, tmp_path):

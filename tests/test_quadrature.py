@@ -53,14 +53,14 @@ class TestFinite:
         assert r.evaluations > 0
 
     def test_cosine_squared(self):
-        r = integrate_finite(lambda x: math.cos(math.pi * x) ** 2, -0.5, 0.5, TIGHT)
+        r = integrate_finite(lambda x: np.cos(np.pi * x) ** 2, -0.5, 0.5, TIGHT)
         assert r.value == pytest.approx(0.5, abs=1e-13)
 
     def test_ground_state_second_moment_profile(self):
         # integral of x^2 (2/L) cos^2(pi x / L) over [-L/2, L/2]
         # = L^2 (1/12 - 1/(2 pi^2)); checked at L = 1
         expected = 1.0 / 12.0 - 1.0 / (2.0 * math.pi ** 2)
-        r = integrate_finite(lambda x: x * x * 2.0 * math.cos(math.pi * x) ** 2, -0.5, 0.5, TIGHT)
+        r = integrate_finite(lambda x: x * x * 2.0 * np.cos(np.pi * x) ** 2, -0.5, 0.5, TIGHT)
         assert r.value == pytest.approx(expected, abs=1e-13)
         assert r.value == pytest.approx(0.032672, abs=1e-6)
 
@@ -83,8 +83,8 @@ class TestFinite:
     def test_error_estimate_honest_when_converged(self):
         eps = 2.3e-16
         cases = [
-            (lambda x: math.exp(-x * x), -3.0, 3.0, math.sqrt(math.pi) * math.erf(3.0)),
-            (lambda x: math.sin(7.0 * x), 0.0, 2.0, (1.0 - math.cos(14.0)) / 7.0),
+            (lambda x: np.exp(-x * x), -3.0, 3.0, math.sqrt(math.pi) * math.erf(3.0)),
+            (lambda x: np.sin(7.0 * x), 0.0, 2.0, (1.0 - math.cos(14.0)) / 7.0),
             (lambda x: 1.0 / (1.0 + x * x), -4.0, 4.0, 2.0 * math.atan(4.0)),
             (lambda x: x ** 5 - 3.0 * x, -1.0, 2.5, (2.5 ** 6 - 1.0) / 6.0 - 1.5 * (2.5 ** 2 - 1.0)),
         ]
@@ -96,7 +96,7 @@ class TestFinite:
 
     def test_tightening_tolerance_never_hurts(self):
         def f(x):
-            return math.cos(10.0 * x) * math.exp(x)
+            return np.cos(10.0 * x) * np.exp(x)
 
         exact = (math.e ** 2.0 * (math.cos(20.0) + 10.0 * math.sin(20.0)) - 1.0) / 101.0
         errors = []
@@ -111,7 +111,7 @@ class TestFinite:
 
     def test_budget_exhaustion_reported(self):
         spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1)
-        r = integrate_finite(lambda x: math.cos(40.0 * x) ** 2, 0.0, 10.0, spec)
+        r = integrate_finite(lambda x: np.cos(40.0 * x) ** 2, 0.0, 10.0, spec)
         assert not r.converged
         assert r.error_estimate > 0.0
 
@@ -123,7 +123,7 @@ class TestFinite:
 
     def test_non_finite_integrand_raises(self):
         with pytest.raises(QuadratureError):
-            integrate_finite(lambda x: float("nan"), 0.0, 1.0)
+            integrate_finite(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
 
     def test_result_types_are_plain(self):
         r = integrate_finite(lambda x: x * x, 0.0, 1.0)
@@ -136,48 +136,48 @@ class TestFinite:
 class TestSingularEndpoints:
     def test_arcsine_density(self):
         # 1/(pi sqrt(1 - x^2)) integrates to 1; the raw version to pi
-        r = integrate_singular_endpoints(lambda x: 1.0 / math.sqrt(1.0 - x * x), -1.0, 1.0, TIGHT)
+        r = integrate_singular_endpoints(lambda x: 1.0 / np.sqrt(1.0 - x * x), -1.0, 1.0, TIGHT)
         assert abs(r.value - math.pi) <= 1e-7  # endpoint-representability wall
         assert abs(r.value - math.pi) <= max(r.error_estimate * 10.0, 1e-14)
 
     def test_arcsine_with_offset_hooks(self):
         def from_edge(s):
-            return 1.0 / math.sqrt(s * (2.0 - s))
+            return 1.0 / np.sqrt(s * (2.0 - s))
 
         r = integrate_singular_endpoints(
-            lambda x: 1.0 / math.sqrt(1.0 - x * x), -1.0, 1.0, TIGHT,
+            lambda x: 1.0 / np.sqrt(1.0 - x * x), -1.0, 1.0, TIGHT,
             from_left=from_edge, from_right=from_edge,
         )
         assert r.converged
         assert r.value == pytest.approx(math.pi, abs=1e-13)
 
     def test_inverse_sqrt_left(self):
-        r = integrate_singular_endpoints(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, TIGHT)
+        r = integrate_singular_endpoints(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, TIGHT)
         assert r.converged
         assert r.value == pytest.approx(2.0, abs=1e-10)
 
     def test_inverse_sqrt_right(self):
-        r = integrate_singular_endpoints(lambda z: 1.0 / math.sqrt(1.0 - z), 0.0, 1.0, TIGHT)
+        r = integrate_singular_endpoints(lambda z: 1.0 / np.sqrt(1.0 - z), 0.0, 1.0, TIGHT)
         assert abs(r.value - 2.0) <= 1e-7
         r_hooked = integrate_singular_endpoints(
-            lambda z: 1.0 / math.sqrt(1.0 - z), 0.0, 1.0, TIGHT,
-            from_left=lambda s: 1.0 / math.sqrt(1.0 - s),
-            from_right=lambda s: 1.0 / math.sqrt(s),
+            lambda z: 1.0 / np.sqrt(1.0 - z), 0.0, 1.0, TIGHT,
+            from_left=lambda s: 1.0 / np.sqrt(1.0 - s),
+            from_right=lambda s: 1.0 / np.sqrt(s),
         )
         assert r_hooked.converged
         assert r_hooked.value == pytest.approx(2.0, abs=1e-13)
 
     def test_second_moment_with_arcsine_weight(self):
         r = integrate_singular_endpoints(
-            lambda x: x * x / math.sqrt(1.0 - x * x), -1.0, 1.0, TIGHT,
-            from_left=lambda s: (s - 1.0) ** 2 / math.sqrt(s * (2.0 - s)),
-            from_right=lambda s: (1.0 - s) ** 2 / math.sqrt(s * (2.0 - s)),
+            lambda x: x * x / np.sqrt(1.0 - x * x), -1.0, 1.0, TIGHT,
+            from_left=lambda s: (s - 1.0) ** 2 / np.sqrt(s * (2.0 - s)),
+            from_right=lambda s: (1.0 - s) ** 2 / np.sqrt(s * (2.0 - s)),
         )
         assert r.converged
         assert r.value == pytest.approx(math.pi / 2.0, abs=1e-13)
 
     def test_smooth_integrand_full_precision(self):
-        r = integrate_singular_endpoints(math.exp, 0.0, 1.0, TIGHT)
+        r = integrate_singular_endpoints(np.exp, 0.0, 1.0, TIGHT)
         assert r.converged
         assert r.value == pytest.approx(math.e - 1.0, abs=1e-13)
 
@@ -185,8 +185,8 @@ class TestSingularEndpoints:
         seen = []
 
         def f(x):
-            seen.append(x)
-            return 1.0 / math.sqrt(x)
+            seen.extend(x.tolist())
+            return 1.0 / np.sqrt(x)
 
         integrate_singular_endpoints(f, 0.0, 1.0, TIGHT)
         assert all(0.0 < x < 1.0 for x in seen)
@@ -197,39 +197,39 @@ class TestSingularEndpoints:
 
     def test_non_finite_integrand_raises(self):
         with pytest.raises(QuadratureError):
-            integrate_singular_endpoints(lambda x: float("inf"), 0.0, 1.0)
+            integrate_singular_endpoints(lambda x: np.full_like(x, np.inf), 0.0, 1.0)
 
 
 class TestSemiInfinite:
     def test_exponential_tail(self):
-        r = integrate_semi_infinite(lambda x: math.exp(-x), 0.0, TIGHT)
+        r = integrate_semi_infinite(lambda x: np.exp(-x), 0.0, TIGHT)
         assert r.converged
         assert r.value == pytest.approx(1.0, abs=1e-13)
 
     def test_gaussian_moment(self):
         # integral of x^2 e^(-x^2) over [0, inf) = sqrt(pi)/4
-        r = integrate_semi_infinite(lambda x: x * x * math.exp(-x * x), 0.0, TIGHT)
+        r = integrate_semi_infinite(lambda x: x * x * np.exp(-x * x), 0.0, TIGHT)
         assert r.value == pytest.approx(math.sqrt(math.pi) / 4.0, abs=1e-13)
 
     def test_airy_squared_norm_identity(self):
         # integral of Ai^2 from the first zero a_1 equals Ai'(a_1)^2
         a1 = airy_zero(1).value
         expected = airy_ai(a1).ai_prime ** 2
-        r = integrate_semi_infinite(lambda z: airy_ai(z).ai ** 2, a1, TIGHT)
+        r = integrate_semi_infinite(lambda z: np.array([airy_ai(v).ai for v in z]) ** 2, a1, TIGHT)
         assert r.converged
         assert r.value == pytest.approx(expected, rel=1e-11)
 
     def test_shifted_origin(self):
-        r = integrate_semi_infinite(lambda x: math.exp(-(x - 3.0)), 3.0, TIGHT)
+        r = integrate_semi_infinite(lambda x: np.exp(-(x - 3.0)), 3.0, TIGHT)
         assert r.value == pytest.approx(1.0, abs=1e-13)
 
     def test_slow_decay_rejected(self):
         with pytest.raises(QuadratureError):
-            integrate_semi_infinite(lambda x: 1e-10, 0.0)
+            integrate_semi_infinite(lambda x: np.full_like(x, 1e-10), 0.0)
 
     def test_non_finite_integrand_raises(self):
         with pytest.raises(QuadratureError):
-            integrate_semi_infinite(lambda x: float("nan"), 0.0)
+            integrate_semi_infinite(lambda x: np.full_like(x, np.nan), 0.0)
 
 
 class TestKronrodConstants:
@@ -281,47 +281,47 @@ def _agrees(vector, scalars):
 class TestVectorIntegrands:
     def test_finite_smooth(self):
         components = (
-            lambda x: math.exp(-x * x),
-            lambda x: math.sin(7.0 * x),
+            lambda x: np.exp(-x * x),
+            lambda x: np.sin(7.0 * x),
             lambda x: 1.0 / (1.0 + x * x),
-            lambda x: x * math.exp(-x * x),  # odd: vanishes on the symmetric range
+            lambda x: x * np.exp(-x * x),  # odd: vanishes on the symmetric range
         )
-        vector = integrate_finite(lambda x: tuple(c(x) for c in components), -3.0, 3.0, TIGHT)
+        vector = integrate_finite(lambda x: np.array([c(x) for c in components]), -3.0, 3.0, TIGHT)
         _agrees(vector, [integrate_finite(c, -3.0, 3.0, TIGHT) for c in components])
         assert isinstance(vector.evaluations, int) and type(vector.converged) is bool
 
     def test_semi_infinite_decaying(self):
         a1 = airy_zero(1).value
         components = (
-            lambda z: airy_ai(z).ai ** 2,
-            lambda z: (z - a1) * airy_ai(z).ai ** 2,
-            lambda z: airy_ai(z).ai * airy_ai(z).ai_prime,  # integrates to ~0
+            lambda z: np.array([airy_ai(v).ai for v in z]) ** 2,
+            lambda z: (z - a1) * np.array([airy_ai(v).ai for v in z]) ** 2,
+            lambda z: np.array([airy_ai(v).ai * airy_ai(v).ai_prime for v in z]),  # integrates to ~0
         )
-        vector = integrate_semi_infinite(lambda z: tuple(c(z) for c in components), a1, TIGHT)
+        vector = integrate_semi_infinite(lambda z: np.array([c(z) for c in components]), a1, TIGHT)
         _agrees(vector, [integrate_semi_infinite(c, a1, TIGHT) for c in components])
         assert vector.value[0] == pytest.approx(airy_ai(a1).ai_prime ** 2, rel=1e-11)
 
     def test_semi_infinite_truncates_only_when_every_component_decayed(self):
         # the first component is below the tail cutoff long before the second
-        vector = integrate_semi_infinite(lambda x: (math.exp(-10.0 * x), math.exp(-x)), 0.0, TIGHT)
+        vector = integrate_semi_infinite(lambda x: np.array([np.exp(-10.0 * x), np.exp(-x)]), 0.0, TIGHT)
         assert vector.value == pytest.approx((0.1, 1.0), abs=1e-13)
 
     def test_singular_endpoints(self):
         components = (
-            lambda x: 1.0 / math.sqrt(1.0 - x * x),
-            lambda x: x / math.sqrt(1.0 - x * x),
-            lambda x: x * x / math.sqrt(1.0 - x * x),
+            lambda x: 1.0 / np.sqrt(1.0 - x * x),
+            lambda x: x / np.sqrt(1.0 - x * x),
+            lambda x: x * x / np.sqrt(1.0 - x * x),
         )
         edges = (
-            lambda s: 1.0 / math.sqrt(s * (2.0 - s)),
-            lambda s: (s - 1.0) / math.sqrt(s * (2.0 - s)),
-            lambda s: (s - 1.0) ** 2 / math.sqrt(s * (2.0 - s)),
+            lambda s: 1.0 / np.sqrt(s * (2.0 - s)),
+            lambda s: (s - 1.0) / np.sqrt(s * (2.0 - s)),
+            lambda s: (s - 1.0) ** 2 / np.sqrt(s * (2.0 - s)),
         )
-        right = (edges[0], lambda s: (1.0 - s) / math.sqrt(s * (2.0 - s)), edges[2])
+        right = (edges[0], lambda s: (1.0 - s) / np.sqrt(s * (2.0 - s)), edges[2])
         vector = integrate_singular_endpoints(
-            lambda x: tuple(c(x) for c in components), -1.0, 1.0, TIGHT,
-            from_left=lambda s: tuple(e(s) for e in edges),
-            from_right=lambda s: tuple(r(s) for r in right),
+            lambda x: np.array([c(x) for c in components]), -1.0, 1.0, TIGHT,
+            from_left=lambda s: np.array([e(s) for e in edges]),
+            from_right=lambda s: np.array([r(s) for r in right]),
         )
         scalars = [
             integrate_singular_endpoints(c, -1.0, 1.0, TIGHT, from_left=e, from_right=r)
@@ -332,15 +332,15 @@ class TestVectorIntegrands:
 
     def test_singular_endpoints_without_hooks(self):
         # the unsampled endpoint slices are charged per component
-        components = (lambda x: 1.0 / math.sqrt(x), math.exp)
-        vector = integrate_singular_endpoints(lambda x: tuple(c(x) for c in components), 0.0, 1.0, TIGHT)
+        components = (lambda x: 1.0 / np.sqrt(x), np.exp)
+        vector = integrate_singular_endpoints(lambda x: np.array([c(x) for c in components]), 0.0, 1.0, TIGHT)
         scalars = [integrate_singular_endpoints(c, 0.0, 1.0, TIGHT) for c in components]
         _agrees(vector, scalars)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_component_raises(self, bad):
         def f(x):
-            return (math.exp(-x), bad if x > 0.3 else 0.0)
+            return np.array([np.exp(-x), np.where(x > 0.3, bad, 0.0)])
 
         with pytest.raises(QuadratureError):
             integrate_finite(f, 0.0, 1.0)
@@ -350,3 +350,60 @@ class TestVectorIntegrands:
             integrate_singular_endpoints(f, 0.0, 1.0)
         with pytest.raises(QuadratureError):
             integrate_singular_endpoints(f, 0.0, 1.0, from_left=f, from_right=f)
+
+
+class TestArrayContract:
+    """Every integrand call gets one 1-D float array of abscissas; the finite
+    rule evaluates the first panel in one call and at most one call per
+    generation of split panels after it."""
+
+    SPEC = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13, max_subdivisions=1000)
+
+    @staticmethod
+    def _recording(f):
+        calls = []
+
+        def recorded(x):
+            calls.append(x)
+            return f(x)
+
+        return recorded, calls
+
+    @staticmethod
+    def _all_1d_float_arrays(calls):
+        return calls and all(isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == float for x in calls)
+
+    def test_finite_batches_each_generation(self):
+        f, calls = self._recording(lambda x: np.array([np.cos(40.0 * x) ** 2, x * np.sin(25.0 * x)]))
+        r = integrate_finite(f, 0.0, 10.0, self.SPEC)
+        assert r.converged
+        assert self._all_1d_float_arrays(calls)
+        assert len(calls[0]) == 15
+        assert all(len(x) > 0 and len(x) % 30 == 0 for x in calls[1:])
+        assert sum(len(x) for x in calls) == r.evaluations
+        splits = (r.evaluations - 15) // 30
+        assert len(calls) - 1 < splits / 4  # many panels per generation, not one
+
+    def test_singular_endpoints_batches_each_level(self):
+        f, calls = self._recording(lambda x: np.cos(30.0 * x) / np.sqrt(1.0 - x * x))
+        left, left_calls = self._recording(lambda s: np.cos(30.0 * (s - 1.0)) / np.sqrt(s * (2.0 - s)))
+        right, right_calls = self._recording(lambda s: np.cos(30.0 * (1.0 - s)) / np.sqrt(s * (2.0 - s)))
+        r = integrate_singular_endpoints(f, -1.0, 1.0, self.SPEC, from_left=left, from_right=right)
+        assert r.converged
+        assert not calls  # the hooks carry every node, the middle one too
+        assert self._all_1d_float_arrays(left_calls) and self._all_1d_float_arrays(right_calls)
+        assert len(left_calls) <= 1 + 1 + quadrature._TS_MAX_LEVELS
+        assert sum(len(s) for s in left_calls + right_calls) == r.evaluations
+        integrate_singular_endpoints(f, -1.0, 1.0, self.SPEC)
+        assert self._all_1d_float_arrays(calls)
+        assert len(calls) <= 1 + 2 * (1 + quadrature._TS_MAX_LEVELS)
+
+    def test_semi_infinite_probes_then_batches(self):
+        f, calls = self._recording(lambda x: np.exp(-x) * np.cos(9.0 * x) ** 2)
+        r = integrate_semi_infinite(f, 0.0, self.SPEC)
+        assert r.converged
+        assert self._all_1d_float_arrays(calls)
+        probes = [x for x in calls if len(x) == 1]
+        assert len(probes) >= 1 and calls[:len(probes)] == probes
+        assert sum(len(x) for x in calls) == r.evaluations
+        assert len(calls) - len(probes) < (r.evaluations - len(probes)) // 15

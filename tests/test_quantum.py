@@ -2,6 +2,7 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from ucr.classical_ensemble import (
@@ -21,6 +22,7 @@ from ucr.quantum_states import (
     wavefunction,
 )
 from ucr.specfun import airy_ai
+from ucr.systems import _ho_coefficients, _ho_functions
 
 HO = PotentialModel(HarmonicOscillator(m=1.0, omega=1.0))
 WELL = PotentialModel(InfiniteWell(m=1.0, L=1.0))
@@ -115,6 +117,44 @@ class TestWavefunction:
         assert 2.0 * r.value == pytest.approx(1.0, abs=1e-9)
 
 
+    def test_array_equals_pointwise_floats(self):
+        # one call over an array gives exactly the per-point float calls,
+        # including points outside the well and below the bouncer's floor
+        cases = [
+            (eigen_level(HO, 3), (-2.5, -0.3, 0.0, 0.7, 3.1)),
+            (eigen_level(HO, 800), (-41.0, -1.2, 0.0, 38.5, 40.2)),
+            (eigen_level(WELL, 4), (-0.6, -0.5, -0.13, 0.0, 0.31, 0.5, 0.7)),
+            (eigen_level(BALL, 3), (-0.2, 0.0, 1.3, 4.4, 9.0)),
+        ]
+        for level, points in cases:
+            xs = np.array(points)
+            got = wavefunction(level, xs)
+            assert isinstance(got, np.ndarray) and got.shape == xs.shape
+            floats = [wavefunction(level, x) for x in points]
+            assert all(type(v) is float for v in floats)
+            assert got.tolist() == floats
+
+
+class TestHermiteFunctions:
+    def test_recurrence_against_mpmath_at_n600(self):
+        # both starts occur: e^(-y^2/2) is normal up to y = 37 and subnormal
+        # or zero from y = 38 on, where the recurrence carries a shift
+        mp.mp.dps = 50
+        n = 600
+        ys = np.array([0.0, 10.0, 37.0, 38.0, 39.0, 45.0])
+        got = _ho_functions(_ho_coefficients(n), ys)
+        for row, k in zip(got, (n - 2, n - 1, n)):
+            for value, y in zip(row.tolist(), ys.tolist()):
+                y_mp = mp.mpf(y)
+                want = mp.hermite(k, y_mp) * mp.exp(-y_mp ** 2 / 2) / mp.sqrt(
+                    mp.mpf(2) ** k * mp.factorial(k) * mp.sqrt(mp.pi)
+                )
+                if want == 0:  # odd k at y = 0, by parity
+                    assert value == 0.0
+                else:
+                    assert abs(value - want) <= 1e-13 * abs(want), (k, y)
+
+
 class TestBouncerState:
     def test_normalization_identity(self):
         # N_n * |Ai'(-E'_n)| = 1
@@ -157,6 +197,16 @@ class TestMoments:
             assert abs(got.mean_x2 - expected) < 1e-10
             assert abs(got.mean_p2 - 1.0) < 1e-10
             assert abs(got.mean_x) < 1e-10
+
+    @pytest.mark.parametrize("n", [30_000, 100_000])
+    def test_well_past_ten_thousand(self, n):
+        # psi psi' scales with k = n pi / 2; the odd pass integrates it over k,
+        # so the <P> check and the tolerance meet values of order 1
+        level = eigen_level(WELL, n)
+        got = quantum_moments_quadrature(level)
+        want = quantum_moments_closed_form(level)
+        for g, w in zip(got.fields(), want.fields()):
+            assert abs(g - w) < 1e-12
 
     def test_well_product_approaches_classical_from_below(self):
         products = [quantum_moments_quadrature(eigen_level(WELL, n), SPEC).product for n in range(1, 11)]
