@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Union
 
 import numpy as np
 
@@ -71,14 +71,15 @@ class ClassicalEnsemble:
 
 
 def _density_integrals(
-    ens: ClassicalEnsemble, weight: Callable[[np.ndarray, np.ndarray], np.ndarray], spec: QuadratureSpec
+    model: PotentialModel, energy: float, turning: float, weight: Callable[..., np.ndarray], spec: QuadratureSpec
 ) -> IntegralResult:
     """Integral of weight(x, sqrt(E - V(x))) over the classical region, where
     weight divides by its second argument.  Endpoint-offset forms of that
     root resolve the turning-point singularities to full precision.  An
     (m, k) weight, like an integrand, gives one pass with m integrals."""
-    a, b = ens.region
-    emv, from_left, from_right = ens.model.variant.kinetic(ens.energy, ens.turning_point)
+    lo, hi = model.variant.scaled_region
+    a, b = lo * turning, hi * turning
+    emv, from_left, from_right = model.variant.kinetic(energy, turning)
     return integrate_singular_endpoints(
         lambda x: weight(x, np.sqrt(emv(x))), a, b, spec,
         from_left=lambda s: weight(a + s, np.sqrt(from_left(s))),
@@ -93,21 +94,21 @@ def build_ensemble(model: PotentialModel, energy: float = 1.0, spec: QuadratureS
     if not (energy > 0 and math.isfinite(energy)):
         raise ValueError(f"energy must be strictly positive and finite, got {energy}")
     turning = model.variant.turning_point(energy)
-    provisional = ClassicalEnsemble(model, energy, turning, math.nan, IntegralResult(math.nan, math.nan, 0, False))
-    raw = _density_integrals(provisional, lambda x, root: 1.0 / root, spec)
+    raw = _density_integrals(model, energy, turning, lambda x, root: 1.0 / root, spec)
     return ClassicalEnsemble(model, energy, turning, 1.0 / raw.value, raw)
 
 
-def classical_density(ens: ClassicalEnsemble, x: float) -> float:
-    """P_CL(x): normalization / sqrt(E - V(x)) inside the classical region,
-    zero outside, +inf exactly at a turning point (integrable divergence)."""
+def classical_density(ens: ClassicalEnsemble, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+    """P_CL(x) at a float or a 1-D array: normalization / sqrt(E - V(x))
+    inside the classical region, zero outside, +inf exactly at a turning
+    point (integrable divergence)."""
     a, b = ens.region
-    if x < a or x > b:
-        return 0.0
-    emv = ens.model.variant.kinetic(ens.energy, ens.turning_point)[0](x)
-    if emv <= 0.0:
-        return math.inf
-    return ens.normalization / math.sqrt(emv)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    emv = ens.model.variant.kinetic(ens.energy, ens.turning_point)[0](xs)
+    with np.errstate(divide="ignore", invalid="ignore"):  # E - V <= 0 at a turning point and outside
+        inside = np.where(emv <= 0.0, math.inf, ens.normalization / np.sqrt(emv))
+    density = np.where((xs < a) | (xs > b), 0.0, inside)
+    return float(density[0]) if np.ndim(x) == 0 else density
 
 
 def classical_moments_quadrature(ens: ClassicalEnsemble, spec: QuadratureSpec = DEFAULT_SPEC) -> ScaledMoments:
@@ -122,7 +123,7 @@ def classical_moments_quadrature(ens: ClassicalEnsemble, spec: QuadratureSpec = 
     def weights(x: np.ndarray, root: np.ndarray) -> np.ndarray:
         return np.array([1.0 / root, x / A / root, (x / A) ** 2 / root, emv(x) / energy / root])
 
-    result = _density_integrals(ens, weights, spec)
+    result = _density_integrals(ens.model, energy, A, weights, spec)
     if not result.converged:
         raise RuntimeError(f"classical moment quadrature failed to converge: {result}")
     norm, mean_x, mean_x2, mean_p2 = result.value

@@ -67,7 +67,6 @@ class ComparisonRow:
     classical: ScaledMoments
     quantum: ScaledMoments
     bound: float
-    max_abs_dev: float
     parity_ok: bool
 
 
@@ -115,8 +114,8 @@ def compare_rows(system: str, n_list: Sequence[int], tol: float, quad_tol: float
         # Parity allows for the documented finite-n deviation of the quantum
         # <X^2> (the well's 2/(n^2 pi^2)); the other moments must agree.
         expected = replace(classical, mean_x2=classical.mean_x2 - model.variant.x2_offset(n))
-        max_abs_dev = max(abs(c - q) for c, q in zip(expected.fields(), quantum.fields()))
-        rows.append(ComparisonRow(system, n, classical, quantum, bound, max_abs_dev, max_abs_dev < tol))
+        parity_ok = max(abs(c - q) for c, q in zip(expected.fields(), quantum.fields())) < tol
+        rows.append(ComparisonRow(system, n, classical, quantum, bound, parity_ok))
     return rows
 
 

@@ -9,12 +9,13 @@ abscissas (and, for the adaptive rules, the subdivision), and the pass
 converges only when each component meets ``spec.tolerance`` of its own value.
 The result then holds one value and one error estimate per component.
 
-All routines are pure; integrands must themselves be safe to call from
-concurrent contexts.
+The tanh-sinh node tables are built once per level and kept for the life of
+the process; nothing else outlives a call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
@@ -155,29 +156,26 @@ def integrate_finite(f: Integrand, a: float, b: float, spec: QuadratureSpec = DE
 
 _TS_T_MAX = 4.6  # exp(-pi*sinh(4.6)) ~ 1e-68: far past double-precision needs
 _TS_H0 = 0.5
-_TS_MAX_LEVELS = 10
+_TS_MAX_LEVELS = 10  # refinements after level 0
 
 
-def _ts_nodes(h: float, only_odd: bool) -> tuple[list[float], list[float]]:
-    # Weights and offset fractions from the near end for t = k*h > 0, in
-    # increasing t (so decreasing offset); the k = 0 node is handled by the
-    # caller.  offset_fraction is (1 - tanh((pi/2) sinh t)) / 2 computed
-    # without cancellation.
+@functools.cache
+def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and near-end offset fractions (1 - tanh((pi/2) sinh t)) / 2,
+    without cancellation, of the nodes t = k*h > 0 a level adds, h = _TS_H0 /
+    2^level: every k at level 0, odd k after it; increasing t, so decreasing
+    offset.  Built once per level: the table depends on nothing else."""
+    # h is a power of two, so k*h is exact; t <= _TS_T_MAX keeps c <= 78.2, so
+    # cosh(c)^2 cannot overflow
+    h = _TS_H0 / 2 ** level
     weights, fractions = [], []
-    k = 1
-    step = 2 if only_odd else 1
-    while k * h <= _TS_T_MAX:
+    for k in range(1, int(_TS_T_MAX / h) + 1, 2 if level else 1):
         t = k * h
         c = 0.5 * math.pi * math.sinh(t)
-        # w = (pi/2) cosh(t) / cosh(c)^2, guarded against overflow
-        log_w = math.log(0.5 * math.pi * math.cosh(t)) + math.log(4.0) - 2.0 * c
-        if log_w < -745.0:
-            break
-        weights.append(0.5 * math.pi * math.cosh(t) / math.cosh(c) ** 2 if c < 300.0 else math.exp(log_w))
+        weights.append(0.5 * math.pi * math.cosh(t) / math.cosh(c) ** 2)
         es = math.exp(-2.0 * c)
         fractions.append(es / (1.0 + es))
-        k += step
-    return weights, fractions
+    return np.array(weights), np.array(fractions)
 
 
 def integrate_singular_endpoints(
@@ -229,24 +227,17 @@ def integrate_singular_endpoints(
             walls[i] = np.maximum(walls[i], 2.0 * np.abs(v) * sv)
         return values
 
-    def level_sum(h: float, only_odd: bool) -> np.ndarray:
-        nonlocal n_eval
-        weights, fractions = _ts_nodes(h, only_odd)
+    acc, value = 0.5 * math.pi * f_mid, None  # the t = 0 node has weight pi/2
+    for level in range(_TS_MAX_LEVELS + 1):
+        weights, fractions = _ts_level(level)
         n_eval += 2 * len(weights)
-        dists = length * np.asarray(fractions)
-        return np.asarray(weights) @ (side(from_left, a, 1.0, dists, 0) + side(from_right, b, -1.0, dists, 1))
-
-    h = _TS_H0
-    acc = 0.5 * math.pi * f_mid + level_sum(h, only_odd=False)  # k = 0 node: weight pi/2
-    value = acc * h * 0.5 * length
-    for _ in range(_TS_MAX_LEVELS):
-        h *= 0.5
-        acc = acc + level_sum(h, only_odd=True)
-        new_value = acc * h * 0.5 * length
-        err = np.abs(new_value - value) + walls[0] + walls[1]
-        value = new_value
-        if (err <= spec.tolerance(value)).all():
-            break
+        dists = length * fractions
+        acc = acc + weights @ (side(from_left, a, 1.0, dists, 0) + side(from_right, b, -1.0, dists, 1))
+        previous, value = value, acc * (_TS_H0 / 2 ** level) * 0.5 * length
+        if level:
+            err = np.abs(value - previous) + walls[0] + walls[1]
+            if (err <= spec.tolerance(value)).all():
+                break
     return _result(value, err, n_eval, spec)
 
 

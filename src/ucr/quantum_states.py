@@ -145,7 +145,7 @@ def density_grid(level: EigenLevel, points: int) -> list[tuple[float, float, flo
     ens = build_ensemble(level.model, level.energy)
     A = level.turning_point
     p_qm = A * wavefunction(level, A * xs) ** 2
-    p_cl = np.array([A * classical_density(ens, A * x) for x in xs.tolist()])
+    p_cl = A * classical_density(ens, A * xs)
     # clip singular endpoints to the nearest finite neighbour, the left one first
     singular = ~np.isfinite(p_cl)
     padded = np.concatenate(([math.nan], p_cl, [math.nan]))

@@ -1,8 +1,9 @@
 """Special-function kernel: physicists' Hermite polynomials, the Airy
 function Ai with its derivative, and the negative zeros of Ai.
 
-Everything here is pure scalar arithmetic with no global state, so all
-functions are safe to call concurrently.
+Everything here is scalar arithmetic.  `airy_ai` and `airy_zero` memoize
+their results, and the Airy mid-range anchors are computed once, on first
+use; nothing else is kept between calls.
 """
 
 from __future__ import annotations
@@ -34,12 +35,10 @@ _PI_OVER_4_RESIDUAL = 3.061616997868383e-17
 # once the partial sums dwarf the result (badly on the positive side where
 # Ai decays), so the series window is asymmetric.  Between the series window
 # and the asymptotic region, Taylor recentering of the ODE w'' = z*w carries
-# (Ai, Ai') over in steps; stepping toward smaller z keeps Ai the growing
-# solution on the positive axis, so the propagation is stable.
+# (Ai, Ai') from anchors one unit apart (`_anchor`).
 _SERIES_LO = -4.5
 _SERIES_HI = 2.0
 _ASYMP_CUT = 9.0
-_STEP = 1.0
 
 _NEWTON_MAX_ITER = 50
 
@@ -228,6 +227,18 @@ def _taylor_step(z0: float, ai: float, aip: float, h: float, terms: int = 32) ->
     return value, deriv
 
 
+@functools.cache
+def _anchor(z0: float) -> tuple[float, float]:
+    # (Ai, Ai') at a mid-range anchor: the trusted value at either end, else
+    # one unit Taylor step down from the anchor above (toward smaller z Ai is
+    # the growing solution on the positive axis, so the propagation is stable).
+    if z0 == _ASYMP_CUT:
+        return _asymptotic_positive(z0)
+    if z0 == _SERIES_LO:
+        return _maclaurin(z0)
+    return _taylor_step(z0 + 1.0, *_anchor(z0 + 1.0), -1.0)
+
+
 @functools.lru_cache(maxsize=20_000)
 def airy_ai(z: float) -> AiryValue:
     """Evaluate Ai(z) and Ai'(z).  Results are memoized for reuse across
@@ -246,18 +257,12 @@ def airy_ai(z: float) -> AiryValue:
     if z <= -_ASYMP_CUT:
         ai, aip = _asymptotic_negative(z)
         return AiryValue(z, ai, aip, "negative-z-asymptotic")
-    # Mid-range: march from the nearest trusted anchor in steps small enough
-    # for rapid Taylor convergence.
-    if z > 0:
-        z0 = _ASYMP_CUT
-        ai, aip = _asymptotic_positive(z0)
-    else:
-        z0 = _SERIES_LO
-        ai, aip = _maclaurin(z0)
-    while z0 != z:
-        h = max(z - z0, -_STEP)
-        ai, aip = _taylor_step(z0, ai, aip, h)
-        z0 += h
+    # Mid-range: one Taylor step from the unit-spaced anchor at or above z (on
+    # the positive side 9 - floor(9 - z) can round onto the anchor below z).
+    z0 = float(math.ceil(z)) if z > 0 else _SERIES_LO - math.floor(_SERIES_LO - z)
+    ai, aip = _anchor(z0)
+    if z0 != z:
+        ai, aip = _taylor_step(z0, ai, aip, z - z0)
     return AiryValue(z, ai, aip, "power-series")
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ucr.classical_ensemble import (
@@ -118,6 +119,23 @@ class TestDensity:
         assert classical_density(ho, ho.turning_point) == math.inf
         ball = build_ensemble(PotentialModel(BouncingBall(1.0, 1.0)), 2.0)
         assert classical_density(ball, ball.turning_point) == math.inf
+
+    @pytest.mark.parametrize(
+        "variant", [HarmonicOscillator(1.3, 0.7), InfiniteWell(0.8, 2.5), BouncingBall(1.1, 0.9)], ids=lambda v: v.name
+    )
+    def test_array_equals_pointwise_floats(self, variant):
+        ens = build_ensemble(PotentialModel(variant), 1.7)
+        a, b = ens.region
+        xs = np.concatenate(([a - 1.0, np.nextafter(a, -np.inf), a, b, np.nextafter(b, np.inf), b + 1.0],
+                             np.linspace(a, b, 17)[1:-1]))
+        density = classical_density(ens, xs)
+        assert isinstance(density, np.ndarray) and density.shape == xs.shape
+        pointwise = [classical_density(ens, x) for x in xs.tolist()]
+        assert all(type(value) is float for value in pointwise)
+        assert density.tolist() == pointwise
+        assert pointwise[:6].count(0.0) == 4  # outside the region on both sides
+        # at the ends: turning points diverge, the well's walls and the floor do not
+        assert pointwise[2:4].count(math.inf) == {"oscillator": 2, "well": 0, "bouncer": 1}[variant.name]
 
     def test_symmetric_in_x_for_symmetric_systems(self):
         ho = build_ensemble(PotentialModel(HarmonicOscillator(1.3, 0.7)), 2.0)

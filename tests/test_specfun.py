@@ -98,6 +98,10 @@ class TestAiryAi:
         mp.mp.dps = 30
         rng = random.Random(20260823)
         zs = [rng.uniform(-60.0, 30.0) for _ in range(500)] + [rng.uniform(-9.5, 9.5) for _ in range(300)]
+        # the Taylor-stepped mid-range's unit-spaced anchors (3..9, -4.5..-8.5)
+        # and its windows' outer edges 2 and -9, each with its float neighbours
+        seams = [float(k) for k in range(2, 10)] + [-4.5 - j for j in range(5)] + [-9.0]
+        zs += [z for k in seams for z in (math.nextafter(k, -math.inf), k, math.nextafter(k, math.inf))]
         for z in zs:
             ref_ai = float(mp.airyai(mp.mpf(z)))
             ref_aip = float(mp.airyai(mp.mpf(z), derivative=1))

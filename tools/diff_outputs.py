@@ -1,0 +1,72 @@
+"""Run the same `ucr` command list against two source trees and report every
+stdout line or exit code that differs.
+
+    python3 tools/diff_outputs.py PARENT_SRC CHANGE_SRC
+
+Each argument is a directory that holds the `ucr` package (a checkout's
+`src/`); it goes first on PYTHONPATH for that tree's runs.  The commands
+cover `compare` on every system (CSV and JSON), `verify` on every system at
+two sample counts, bouncer `density` grids over levels 1..9 and 51..101
+points, the well's and the oscillator's small density grids, and an
+`airy-zeros` table.  Exits 0 when the two trees agree on all of them, 1
+otherwise.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import itertools
+import os
+import subprocess
+import sys
+
+_WELL_LEVELS = "1,2,3,6,10,18,32,56,100,178,316,422,562,750,1000"
+
+
+def commands() -> list[tuple[str, ...]]:
+    cmds: list[tuple[str, ...]] = []
+    for system, n in (("bouncer", "1..36"), ("ho", "0..40"), ("well", _WELL_LEVELS)):
+        for fmt in ("csv", "json"):
+            cmds.append(("compare", "--system", system, "--n", n, "--format", fmt))
+    for system in ("ho", "well", "bouncer"):
+        for samples in ("100000", "1000"):
+            cmds.append(("verify", "--system", system, "--samples", samples))
+    for n in range(1, 10):
+        for points in range(51, 102, 10):
+            cmds.append(("density", "--system", "bouncer", "--n", str(n), "--points", str(points)))
+    cmds.append(("density", "--system", "well", "--n", "2", "--points", "5"))
+    cmds.append(("density", "--system", "ho", "--n", "0", "--points", "5"))
+    cmds.append(("airy-zeros", "--count", "30"))
+    return cmds
+
+
+def run(src: str, argv: tuple[str, ...]) -> tuple[int, list[str]]:
+    path = os.pathsep.join(filter(None, (os.path.abspath(src), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("UCR_CONFIG", None)  # the commands run on their defaults, not on a config file
+    done = subprocess.run([sys.executable, "-m", "ucr.cli_report", *argv], env=env, capture_output=True, text=True)
+    return done.returncode, done.stdout.splitlines()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or not all(os.path.isdir(os.path.join(src, "ucr")) for src in argv):
+        print("usage: diff_outputs.py PARENT_SRC CHANGE_SRC, each a directory holding ucr/", file=sys.stderr)
+        return 64
+    parent, change = argv
+    cmds = commands()
+    differing = 0
+    for command in cmds:
+        (code_a, out_a), (code_b, out_b) = run(parent, command), run(change, command)
+        diffs = [] if code_a == code_b else [f"  exit code: {code_a} != {code_b}"]
+        for i, (line_a, line_b) in enumerate(itertools.zip_longest(out_a, out_b, fillvalue="(no line)"), start=1):
+            if line_a != line_b:
+                diffs.append(f"  line {i}:\n    - {line_a}\n    + {line_b}")
+        if diffs:
+            differing += 1
+            print("ucr " + " ".join(command))
+            print("\n".join(diffs))
+    print(f"{differing} of {len(cmds)} commands differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
