@@ -179,7 +179,7 @@ def run_verify(options: dict) -> tuple[str, bool]:
         reference = classical_moments_quadrature(build_ensemble(model, 1.0, spec), spec)
     except RuntimeError as exc:
         raise RuntimeError(f"{options['system']}: {exc}") from exc
-    oracle = trajectory_moments(build_trajectory(model, 1.0), options["samples"], "midpoint")
+    oracle = trajectory_moments(build_trajectory(model, 1.0), options["samples"])
     rows = []
     ok = True
     for name in _MOMENT_FIELDS:

@@ -2,8 +2,8 @@
 function Ai with its derivative, and the negative zeros of Ai.
 
 Everything here is scalar arithmetic.  `airy_ai` and `airy_zero` memoize
-their results, and the Airy mid-range anchors are computed once, on first
-use; nothing else is kept between calls.
+their results, and the Taylor coefficients of Ai at the integer anchors
+-8..9 are computed once, on first use; nothing else is kept between calls.
 """
 
 from __future__ import annotations
@@ -22,22 +22,14 @@ __all__ = [
     "hermite_prime",
 ]
 
-# Ai(0) = 3^(-2/3)/Gamma(2/3), Ai'(0) = -3^(-1/3)/Gamma(1/3)
-_AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
-_AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
-
 # Residuals of the double-rounded constants 2*pi and pi/4 against the true
 # values; needed to keep the oscillatory phase accurate at large |z|.
 _TWO_PI_RESIDUAL = 2.4492935982947064e-16
 _PI_OVER_4_RESIDUAL = 3.061616997868383e-17
 
-# Regime switch points.  The Maclaurin series loses digits to cancellation
-# once the partial sums dwarf the result (badly on the positive side where
-# Ai decays), so the series window is asymmetric.  Between the series window
-# and the asymptotic region, Taylor recentering of the ODE w'' = z*w carries
-# (Ai, Ai') from anchors one unit apart (`_anchor`).
-_SERIES_LO = -4.5
-_SERIES_HI = 2.0
+# Regime switch point.  For |z| >= 9 the asymptotic expansions are used;
+# between -9 and 9 a Taylor expansion of the ODE w'' = z*w about the integer
+# anchor at or above z (`_anchor`).
 _ASYMP_CUT = 9.0
 
 _NEWTON_MAX_ITER = 50
@@ -108,25 +100,6 @@ def _asymptotic_coefficients(count: int) -> tuple[list[float], list[float]]:
 _US, _VS = _asymptotic_coefficients(60)
 
 
-def _maclaurin(z: float) -> tuple[float, float]:
-    # Ai = Ai(0)*f + Ai'(0)*g with f, g the two ascending series in z^3.
-    f, g = 1.0, z
-    fp, gp = 0.0, 1.0
-    tf, tg = 1.0, z
-    z3 = z * z * z
-    for k in range(80):
-        tf = tf * z3 / ((3 * k + 2) * (3 * k + 3))
-        tg = tg * z3 / ((3 * k + 3) * (3 * k + 4))
-        f += tf
-        g += tg
-        if z != 0.0:
-            fp += tf * (3 * k + 3) / z
-            gp += tg * (3 * k + 4) / z
-        if abs(tf) < 1e-19 * abs(f):
-            break
-    return _AI0 * f + _AIP0 * g, _AI0 * fp + _AIP0 * gp
-
-
 def _two_sum(a: float, b: float) -> tuple[float, float]:
     s = a + b
     bb = s - a
@@ -169,7 +142,10 @@ def _phase_sin_cos(zeta_hi: float, zeta_lo: float) -> tuple[float, float]:
 
 
 def _asymptotic_positive(z: float) -> tuple[float, float]:
-    zeta = (2.0 / 3.0) * z ** 1.5
+    try:
+        zeta = (2.0 / 3.0) * z ** 1.5
+    except OverflowError:  # z > 3e205, far past where exp(-zeta) underflows
+        return 0.0, 0.0
     if zeta > 740.0:  # exp underflows; Ai is a true zero in doubles
         return 0.0, 0.0
     su, sv = 1.0, 1.0
@@ -191,18 +167,24 @@ def _asymptotic_positive(z: float) -> tuple[float, float]:
 def _asymptotic_negative(z: float) -> tuple[float, float]:
     x = -z
     zeta_hi, zeta_lo = _zeta_double_double(x)
+    if not math.isfinite(zeta_hi + zeta_lo):
+        raise ValueError(f"Airy argument {z} is too negative: its phase (2/3)|z|^(3/2) is out of range")
     sn, cs = _phase_sin_cos(zeta_hi, zeta_lo)
     p = q = r = s = 0.0
     sign = 1.0
     prev = math.inf
     for k in range(len(_US) // 2):
-        t_even = _US[2 * k] / zeta_hi ** (2 * k)
+        try:
+            even, odd = zeta_hi ** (2 * k), zeta_hi ** (2 * k + 1)
+        except OverflowError:  # the terms left are below 1e-248 of the first
+            break
+        t_even = _US[2 * k] / even
         if t_even > prev:
             break
         p += sign * t_even
-        q += sign * _US[2 * k + 1] / zeta_hi ** (2 * k + 1)
-        r += sign * _VS[2 * k] / zeta_hi ** (2 * k)
-        s += sign * _VS[2 * k + 1] / zeta_hi ** (2 * k + 1)
+        q += sign * _US[2 * k + 1] / odd
+        r += sign * _VS[2 * k] / even
+        s += sign * _VS[2 * k + 1] / odd
         prev = t_even
         sign = -sign
     sqrt_pi = math.sqrt(math.pi)
@@ -211,13 +193,18 @@ def _asymptotic_negative(z: float) -> tuple[float, float]:
     return ai, ai_prime
 
 
-def _taylor_step(z0: float, ai: float, aip: float, h: float, terms: int = 32) -> tuple[float, float]:
+def _taylor_coefficients(z0: float, ai: float, aip: float, terms: int = 32) -> tuple[float, ...]:
     # Recentred Taylor coefficients of w'' = z*w:
     # c_{k+2} = (z0*c_k + c_{k-1}) / ((k+1)(k+2))
     c = [ai, aip]
     for k in range(terms):
         c_km1 = c[k - 1] if k >= 1 else 0.0
         c.append((z0 * c[k] + c_km1) / ((k + 1) * (k + 2)))
+    return tuple(c)
+
+
+def _horner(c: tuple[float, ...], h: float) -> tuple[float, float]:
+    # The Taylor polynomial with coefficients c and its derivative at offset h.
     value = 0.0
     for k in range(len(c) - 1, -1, -1):
         value = value * h + c[k]
@@ -228,15 +215,16 @@ def _taylor_step(z0: float, ai: float, aip: float, h: float, terms: int = 32) ->
 
 
 @functools.cache
-def _anchor(z0: float) -> tuple[float, float]:
-    # (Ai, Ai') at a mid-range anchor: the trusted value at either end, else
-    # one unit Taylor step down from the anchor above (toward smaller z Ai is
-    # the growing solution on the positive axis, so the propagation is stable).
+def _anchor(z0: int) -> tuple[float, ...]:
+    # Taylor coefficients of Ai about the integer z0 in -8..9: the asymptotic
+    # value at 9, else one unit step down from the anchor above.  Toward
+    # smaller z Ai is the growing solution on the positive axis and neither
+    # solution grows on the negative axis, so the propagation is stable.
     if z0 == _ASYMP_CUT:
-        return _asymptotic_positive(z0)
-    if z0 == _SERIES_LO:
-        return _maclaurin(z0)
-    return _taylor_step(z0 + 1.0, *_anchor(z0 + 1.0), -1.0)
+        ai, aip = _asymptotic_positive(_ASYMP_CUT)
+    else:
+        ai, aip = _horner(_anchor(z0 + 1), -1.0)
+    return _taylor_coefficients(float(z0), ai, aip)
 
 
 @functools.lru_cache(maxsize=20_000)
@@ -248,21 +236,14 @@ def airy_ai(z: float) -> AiryValue:
     through the rest instead of growing memory for the life of the process."""
     if not math.isfinite(z):
         raise ValueError(f"Airy argument must be finite, got {z}")
-    if _SERIES_LO <= z <= _SERIES_HI:
-        ai, aip = _maclaurin(z)
-        return AiryValue(z, ai, aip, "power-series")
     if z >= _ASYMP_CUT:
         ai, aip = _asymptotic_positive(z)
         return AiryValue(z, ai, aip, "positive-z-asymptotic")
     if z <= -_ASYMP_CUT:
         ai, aip = _asymptotic_negative(z)
         return AiryValue(z, ai, aip, "negative-z-asymptotic")
-    # Mid-range: one Taylor step from the unit-spaced anchor at or above z (on
-    # the positive side 9 - floor(9 - z) can round onto the anchor below z).
-    z0 = float(math.ceil(z)) if z > 0 else _SERIES_LO - math.floor(_SERIES_LO - z)
-    ai, aip = _anchor(z0)
-    if z0 != z:
-        ai, aip = _taylor_step(z0, ai, aip, z - z0)
+    z0 = math.ceil(z)  # one Taylor step from the integer anchor at or above z
+    ai, aip = _horner(_anchor(z0), z - z0)
     return AiryValue(z, ai, aip, "power-series")
 
 

@@ -38,18 +38,13 @@ def build_trajectory(model: PotentialModel, energy: float) -> Trajectory:
     return Trajectory(model, energy, *model.variant.trajectory(energy))
 
 
-def trajectory_moments(traj: Trajectory, samples: int, rule: str = "midpoint") -> ScaledMoments:
+def trajectory_moments(traj: Trajectory, samples: int) -> ScaledMoments:
     """Scaled moments as time averages over one period at uniformly spaced
-    sample times; "midpoint" offsets the samples by half a step, which keeps
-    the well's square-wave momentum away from the wall discontinuities."""
+    sample times, offset by half a step (the midpoint rule), which keeps the
+    well's square-wave momentum away from the wall discontinuities."""
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    if rule == "midpoint":
-        t = (np.arange(samples) + 0.5) * (traj.period / samples)
-    elif rule == "uniform-time":
-        t = np.arange(samples) * (traj.period / samples)
-    else:
-        raise ValueError(f"unknown sampling rule: {rule!r}")
+    t = (np.arange(samples) + 0.5) * (traj.period / samples)
     x = traj.position_of_time(t) / traj.turning_point
     p = traj.momentum_of_time(t) / math.sqrt(2.0 * traj.model.mass * traj.energy)
     return ScaledMoments(

@@ -191,7 +191,7 @@ def test_criterion_10_robertson_bounds():
 def test_criterion_11_trajectory_oracle_equivalence():
     failures = []
     for name, model in (("ho", HO), ("well", WELL), ("bouncer", BALL)):
-        oracle = trajectory_moments(build_trajectory(model, 1.0), 1_000_000, "midpoint")
+        oracle = trajectory_moments(build_trajectory(model, 1.0), 1_000_000)
         ens = classical_moments_quadrature(build_ensemble(model, 1.0, SPEC), SPEC)
         dev = max(abs(o - e) for o, e in zip(oracle.fields(), ens.fields()))
         if dev > 1e-4:

@@ -52,8 +52,8 @@ class TestGoldenOutputs:
         assert out == (GOLDEN / "density_well_n2_p5.csv").read_text()
 
     def test_density_bouncer(self, capsys):
-        # z runs over [-12.8, 0]: the negative asymptotic, Taylor-stepped and
-        # series branches of Ai, and a clipped turning point
+        # z runs over [-12.8, 0]: the negative asymptotic and Taylor-stepped
+        # branches of Ai, and a clipped turning point
         code, out, _ = run(capsys, "density", "--system", "bouncer", "--n", "9", "--points", "41")
         assert code == EXIT_OK
         assert out == (GOLDEN / "density_bouncer_n9_p41.csv").read_text()

@@ -73,8 +73,9 @@ class TestAiryAi:
         assert v.branch == "positive-z-asymptotic"
 
     def test_branch_tags(self):
+        # the Taylor-stepped mid-range (-9, 9) keeps the tag "power-series"
         assert airy_ai(0.5).branch == "power-series"
-        assert airy_ai(6.0).branch == "power-series"  # Taylor-stepped mid-range
+        assert airy_ai(6.0).branch == "power-series"
         assert airy_ai(20.0).branch == "positive-z-asymptotic"
         assert airy_ai(-20.0).branch == "negative-z-asymptotic"
 
@@ -98,16 +99,53 @@ class TestAiryAi:
         mp.mp.dps = 30
         rng = random.Random(20260823)
         zs = [rng.uniform(-60.0, 30.0) for _ in range(500)] + [rng.uniform(-9.5, 9.5) for _ in range(300)]
-        # the Taylor-stepped mid-range's unit-spaced anchors (3..9, -4.5..-8.5)
-        # and its windows' outer edges 2 and -9, each with its float neighbours
-        seams = [float(k) for k in range(2, 10)] + [-4.5 - j for j in range(5)] + [-9.0]
+        # the mid-range's integer anchors -8..9 and its lower edge -9 (9 is
+        # also the upper edge), each with its float neighbours
+        seams = [float(k) for k in range(-9, 10)]
         zs += [z for k in seams for z in (math.nextafter(k, -math.inf), k, math.nextafter(k, math.inf))]
+        # far enough out that the powers of zeta in the negative-z expansion
+        # overflow a double
+        zs += [-4000.0, -5000.0, -1e4, -1e6]
         for z in zs:
             ref_ai = float(mp.airyai(mp.mpf(z)))
             ref_aip = float(mp.airyai(mp.mpf(z), derivative=1))
             v = airy_ai(z)
             assert abs(v.ai - ref_ai) <= max(1e-12 * abs(ref_ai), 1e-14)
             assert abs(v.ai_prime - ref_aip) <= max(1e-12 * abs(ref_aip), 1e-14)
+
+    def test_mid_range_accuracy(self):
+        # Ai and Ai' from DLMF 9.4.1-2 in 0F1 form, summed by mpmath at 40
+        # digits: at z = 9 the series cancel about 16 digits, which leaves
+        # the reference over 20 correct digits
+        rng = random.Random(20261018)
+        zs = [rng.uniform(-9.0, 9.0) for _ in range(20_000)]
+        with mp.workdps(40):
+            ai0 = 1 / (mp.cbrt(9) * mp.gamma(mp.mpf(2) / 3))
+            aip0 = -1 / (mp.cbrt(3) * mp.gamma(mp.mpf(1) / 3))
+            b13, b23, b43, b53 = (mp.mp.mpq(k, 3) for k in (1, 2, 4, 5))
+            worst_abs_ai = worst_abs_aip = worst_rel = 0.0
+            for z in zs:
+                x = mp.mpf(z)
+                w = x ** 3 / 9
+                ref_ai = float(ai0 * mp.hyp0f1(b23, w) + aip0 * x * mp.hyp0f1(b43, w))
+                ref_aip = float(ai0 * x * x / 2 * mp.hyp0f1(b53, w) + aip0 * mp.hyp0f1(b13, w))
+                v = airy_ai(z)
+                worst_abs_ai = max(worst_abs_ai, abs(v.ai - ref_ai))
+                worst_abs_aip = max(worst_abs_aip, abs(v.ai_prime - ref_aip))
+                if z > 0.0:
+                    worst_rel = max(worst_rel, abs(v.ai / ref_ai - 1.0), abs(v.ai_prime / ref_aip - 1.0))
+        assert worst_abs_ai <= 1e-15
+        assert worst_abs_aip <= 3e-15
+        assert worst_rel <= 2e-15
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_finite_or_value_error(self, z):
+        try:
+            v = airy_ai(z)
+        except ValueError:
+            return
+        assert math.isfinite(v.ai) and math.isfinite(v.ai_prime)
 
     def test_ode_residual_central_difference(self):
         # |Ai'' - z Ai| with Ai'' reconstructed by the 3-point stencil; the
@@ -170,10 +208,11 @@ class TestAiryZero:
                 rounded = round(float(-mp.airyaizero(n)), 4)
                 assert typed == rounded, f"table has {typed} for n={n}; -a_{n} rounds to {rounded}"
 
-    @pytest.mark.parametrize("n", [2460, 2465, 10000])
+    @pytest.mark.parametrize("n", [2460, 2465, 10000, 70000])
     def test_zeros_past_512_match_mpmath(self, n):
         # from |a_n| = 512 on, one ulp of a_n exceeds the absolute 1e-13 step
-        # test of the Newton iteration
+        # test of the Newton iteration; from n ~ 53,000 on (|a_n| > 3,986) the
+        # powers of zeta in the negative-z expansion overflow a double
         with mp.workdps(30):
             reference = float(mp.airyaizero(n))
         assert abs(airy_zero(n).value - reference) <= 2.0 * math.ulp(reference)

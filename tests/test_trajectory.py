@@ -93,7 +93,7 @@ class TestBuildTrajectory:
 class TestTrajectoryMoments:
     def test_well_midpoint_momentum_moment_exact(self):
         traj = build_trajectory(PotentialModel(InfiniteWell(1.0, 1.0)), 1.0)
-        got = trajectory_moments(traj, 1000, "midpoint")
+        got = trajectory_moments(traj, 1000)
         assert got.mean_p2 == 1.0
         assert got.mean_p == pytest.approx(0.0, abs=1e-15)
         assert got.method == "trajectory"
@@ -102,7 +102,7 @@ class TestTrajectoryMoments:
     def test_matches_ensemble_moments(self):
         for model in _all_models():
             traj = build_trajectory(model, 1.0)
-            oracle = trajectory_moments(traj, 1_000_000, "midpoint")
+            oracle = trajectory_moments(traj, 1_000_000)
             ens = classical_moments_quadrature(build_ensemble(model, 1.0, SPEC), SPEC)
             for o, e in zip(oracle.fields(), ens.fields()):
                 assert abs(o - e) < 1e-4
@@ -112,21 +112,13 @@ class TestTrajectoryMoments:
         traj = build_trajectory(PotentialModel(BouncingBall(1.0, 1.0)), 1.0)
         errors = []
         for samples in (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6):
-            got = trajectory_moments(traj, samples, "midpoint")
+            got = trajectory_moments(traj, samples)
             errors.append(abs(got.mean_x - 2.0 / 3.0))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= max(coarse, 1e-12)
         assert errors[-1] < 1e-7
 
-    def test_uniform_time_rule(self):
-        traj = build_trajectory(PotentialModel(HarmonicOscillator(1.0, 1.0)), 0.5)
-        got = trajectory_moments(traj, 100_000, "uniform-time")
-        assert got.mean_x2 == pytest.approx(0.5, abs=1e-9)
-        assert got.mean_p2 == pytest.approx(0.5, abs=1e-9)
-
     def test_bad_inputs_rejected(self):
         traj = build_trajectory(PotentialModel(HarmonicOscillator(1.0, 1.0)), 0.5)
         with pytest.raises(ValueError):
             trajectory_moments(traj, 1)
-        with pytest.raises(ValueError):
-            trajectory_moments(traj, 100, "random")
