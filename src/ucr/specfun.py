@@ -193,11 +193,11 @@ def _asymptotic_negative(z: float) -> tuple[float, float]:
     return ai, ai_prime
 
 
-def _taylor_coefficients(z0: float, ai: float, aip: float, terms: int = 32) -> tuple[float, ...]:
-    # Recentred Taylor coefficients of w'' = z*w:
+def _taylor_coefficients(z0: float, ai: float, aip: float) -> tuple[float, ...]:
+    # The 34 recentred Taylor coefficients of w'' = z*w:
     # c_{k+2} = (z0*c_k + c_{k-1}) / ((k+1)(k+2))
     c = [ai, aip]
-    for k in range(terms):
+    for k in range(32):
         c_km1 = c[k - 1] if k >= 1 else 0.0
         c.append((z0 * c[k] + c_km1) / ((k + 1) * (k + 2)))
     return tuple(c)
