@@ -88,10 +88,10 @@ def _require_converged(what: str, *results: IntegralResult) -> None:
             raise RuntimeError(f"{what} failed to converge: {result}")
 
 
-def _check_mean_p(mean_p: float) -> None:
-    # <P> is the boundary term psi^2/2 over the momentum scale and must
-    # vanish; anything bigger signals a broken integrand.
-    if abs(mean_p) > _MEAN_P_TOL:
+def _check_mean_p(mean_p: float, spec: QuadratureSpec) -> None:
+    # <P> is the boundary term psi^2/2 over the momentum scale and must vanish
+    # to the accuracy asked of the quadrature; more signals a broken integrand.
+    if abs(mean_p) > max(_MEAN_P_TOL, spec.abs_tol):
         raise RuntimeError(f"scaled momentum <P> should vanish, got {mean_p}")
 
 
@@ -114,7 +114,7 @@ def quantum_moments_quadrature(level: EigenLevel, spec: QuadratureSpec = DEFAULT
     ]
     _require_converged(f"{variant.name} moment quadrature", *results)
     mean_x, mean_x2, mean_p2, mean_p = moments(*(result.value for result in results))
-    _check_mean_p(mean_p)
+    _check_mean_p(mean_p, spec)
     return ScaledMoments(mean_x, mean_x2, 0.0, mean_p2, "quantum", "quadrature")
 
 

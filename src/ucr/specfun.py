@@ -45,7 +45,6 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class AiryValue:
-    z: float
     ai: float
     ai_prime: float
     branch: str  # "power-series" | "negative-z-asymptotic" | "positive-z-asymptotic"
@@ -165,10 +164,10 @@ def _asymptotic_positive(z: float) -> tuple[float, float]:
 
 
 def _asymptotic_negative(z: float) -> tuple[float, float]:
+    if z < -1e12:  # the phase's error grows with it: past here it costs over 1e-13 of the envelope
+        raise ValueError(f"Airy argument {z} is below the limit -1e+12, past which Ai is not computed accurately")
     x = -z
     zeta_hi, zeta_lo = _zeta_double_double(x)
-    if not math.isfinite(zeta_hi + zeta_lo):
-        raise ValueError(f"Airy argument {z} is too negative: its phase (2/3)|z|^(3/2) is out of range")
     sn, cs = _phase_sin_cos(zeta_hi, zeta_lo)
     p = q = r = s = 0.0
     sign = 1.0
@@ -238,13 +237,13 @@ def airy_ai(z: float) -> AiryValue:
         raise ValueError(f"Airy argument must be finite, got {z}")
     if z >= _ASYMP_CUT:
         ai, aip = _asymptotic_positive(z)
-        return AiryValue(z, ai, aip, "positive-z-asymptotic")
+        return AiryValue(ai, aip, "positive-z-asymptotic")
     if z <= -_ASYMP_CUT:
         ai, aip = _asymptotic_negative(z)
-        return AiryValue(z, ai, aip, "negative-z-asymptotic")
+        return AiryValue(ai, aip, "negative-z-asymptotic")
     z0 = math.ceil(z)  # one Taylor step from the integer anchor at or above z
     ai, aip = _horner(_anchor(z0), z - z0)
-    return AiryValue(z, ai, aip, "power-series")
+    return AiryValue(ai, aip, "power-series")
 
 
 @functools.lru_cache(maxsize=4096)

@@ -137,15 +137,15 @@ class HarmonicOscillator(_System):
             psi_second = c2 * older - 2.0 * y * c1 * old + (y * y - 1.0) * psi
             return np.array([y * y * psi * psi, -psi * psi_second, psi * psi_prime])
 
-        def moments(positive, negative):
-            # Even integrands (x^2, p^2): the positive half, doubled.  The
-            # momentum integrand is odd, so both halves are summed explicitly;
-            # <P> is that integral over sqrt(2mE_n) in these units.
-            x2, p2, p_positive = positive
+        def moments(values):
+            # Even integrands (x^2, p^2): the positive half, doubled.  The odd
+            # psi psi' = (psi^2/2)' has half-line integral -psi(0)^2/2; the rest is <P>.
+            x2, p2, p_half = values
+            psi_0 = _ho_functions(coefficients, np.zeros(1))[2][0]
             scale = 2.0 / (2.0 * n + 1.0)  # both halves, over the scaled A_n^2 and 2mE_n
-            return 0.0, x2 * scale, p2 * scale, (p_positive + negative) / math.sqrt(2.0 * n + 1.0)
+            return 0.0, x2 * scale, p2 * scale, (p_half + 0.5 * psi_0 * psi_0) / math.sqrt(2.0 * n + 1.0)
 
-        return [(integrands, 0.0, math.inf), (lambda y: integrands(-y)[2], 0.0, math.inf)], moments
+        return [(integrands, 0.0, math.inf)], moments
 
     def robertson_bound(self, level) -> float:
         return 1.0 / (4.0 * (2.0 * level.n + 1.0) ** 2)

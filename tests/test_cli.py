@@ -148,6 +148,21 @@ class TestCompareCommand:
         assert code == EXIT_COMPUTATION
         assert err.startswith("error: ho n=0: ")
 
+    @pytest.mark.parametrize(
+        "system, n, quad_tol",
+        [("bouncer", "5", "1e-6"), ("ho", "0", "1e-4")],
+    )
+    def test_loose_quad_tol_is_no_mean_p_alarm(self, capsys, system, n, quad_tol):
+        # <P> is held to the requested integral tolerance, not to 1e-12 alone
+        code, _, err = run(capsys, "compare", "--system", system, "--n", n, "--quad-tol", quad_tol)
+        assert code == EXIT_OK, err
+
+    def test_bouncer_level_past_airy_limit_is_usage_error(self, capsys):
+        # a_n for n ~ 1e18 lies below -1e12, where airy_ai refuses to compute
+        code, _, err = run(capsys, "compare", "--system", "bouncer", "--n", "1000000000000000000")
+        assert code == EXIT_USAGE
+        assert "-1e+12" in err
+
     @pytest.mark.parametrize("target", [".", "missing/table.csv"])
     def test_unwritable_out_path_is_usage_error(self, capsys, tmp_path, target):
         # a directory, or a file in a missing directory: refused before computing

@@ -11,7 +11,8 @@ from ucr.classical_ensemble import (
     InfiniteWell,
     PotentialModel,
 )
-from ucr.quadrature import QuadratureSpec, integrate_finite, integrate_semi_infinite
+from ucr import quantum_states
+from ucr.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_finite, integrate_semi_infinite
 from ucr.quantum_states import (
     bouncer_state,
     commutator_bound,
@@ -189,6 +190,52 @@ class TestMoments:
             assert abs(got.mean_x2 - 0.5) < 1e-9
             assert abs(got.mean_p2 - 0.5) < 1e-9
             assert abs(got.product - 0.25) < 1e-9
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 31, 32])
+    def test_oscillator_one_half_line_pass(self, monkeypatch, n):
+        # <P> is the half-line integral of psi psi' against its exact value
+        # -psi(0)^2/2, so the negative half-line is never integrated.  The
+        # returned moments carry <P> = 0, so the checked value is caught on
+        # its way to the check.
+        passes, _ = HO.variant.moment_passes(eigen_level(HO, n))
+        assert [(a, b) for _, a, b in passes] == [(0.0, math.inf)]
+        seen = []
+        check = quantum_states._check_mean_p
+        monkeypatch.setattr(quantum_states, "_check_mean_p", lambda p, spec: check(p, spec) or seen.append(p))
+        for spec in (DEFAULT_SPEC, SPEC):
+            quantum_moments_quadrature(eigen_level(HO, n), spec)
+        assert len(seen) == 2 and max(map(abs, seen)) < 1e-15
+
+    @pytest.mark.parametrize(
+        "spec, shift, fires",
+        [
+            (DEFAULT_SPEC, 2e-12, True),
+            (SPEC, 2e-12, True),
+            (DEFAULT_SPEC, 5e-13, False),
+            (QuadratureSpec(abs_tol=1e-8, rel_tol=1e-6), 2e-12, False),
+        ],
+    )
+    def test_mean_p_bound_follows_abs_tol(self, monkeypatch, spec, shift, fires):
+        # |<P>| is held to max(1e-12, abs_tol): 1e-12 at the default and the
+        # tighter specs, looser only where the caller asked for a looser integral
+        moment_passes = HarmonicOscillator.moment_passes
+
+        def shifted(self, level):
+            passes, moments = moment_passes(self, level)
+
+            def shifted_moments(values):
+                mean_x, mean_x2, mean_p2, mean_p = moments(values)
+                return mean_x, mean_x2, mean_p2, mean_p + shift
+
+            return passes, shifted_moments
+
+        monkeypatch.setattr(HarmonicOscillator, "moment_passes", shifted)
+        level = eigen_level(HO, 3)
+        if fires:
+            with pytest.raises(RuntimeError, match="<P>"):
+                quantum_moments_quadrature(level, spec)
+        else:
+            assert quantum_moments_quadrature(level, spec).mean_p2 == pytest.approx(0.5, abs=1e-6)
 
     def test_well_second_moment_formula(self):
         for n in range(1, 51):

@@ -104,8 +104,8 @@ class TestAiryAi:
         seams = [float(k) for k in range(-9, 10)]
         zs += [z for k in seams for z in (math.nextafter(k, -math.inf), k, math.nextafter(k, math.inf))]
         # far enough out that the powers of zeta in the negative-z expansion
-        # overflow a double
-        zs += [-4000.0, -5000.0, -1e4, -1e6]
+        # overflow a double, up to the lower limit -1e12
+        zs += [-4000.0, -5000.0, -1e4, -1e6, -1e10, -1e12]
         for z in zs:
             ref_ai = float(mp.airyai(mp.mpf(z)))
             ref_aip = float(mp.airyai(mp.mpf(z), derivative=1))
@@ -137,6 +137,12 @@ class TestAiryAi:
         assert worst_abs_ai <= 1e-15
         assert worst_abs_aip <= 3e-15
         assert worst_rel <= 2e-15
+
+    @pytest.mark.parametrize("z", [math.nextafter(-1e12, -math.inf), -1e13, -1e16])
+    def test_below_negative_limit_rejected(self, z):
+        # the phase (2/3)|z|^(3/2) is too coarse there for the accuracy contract
+        with pytest.raises(ValueError, match="-1e\\+12"):
+            airy_ai(z)
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False))

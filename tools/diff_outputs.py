@@ -5,7 +5,9 @@ stdout line or exit code that differs.
 
 Each argument is a directory that holds the `ucr` package (a checkout's
 `src/`); it goes first on PYTHONPATH for that tree's runs.  The commands
-cover `compare` on every system (CSV and JSON), `verify` on every system at
+cover `compare` on every system (CSV and JSON, and at the loose integral
+tolerances `--quad-tol 1e-6` and, for the oscillator's n = 0, `1e-4`, where
+the <P> = 0 check meets real quadrature error), `verify` on every system at
 two sample counts, bouncer `density` grids over levels 1..9 and 51..101
 points, the well's and the oscillator's small density grids, and an
 `airy-zeros` table.  Exits 0 when the two trees agree on all of them, 1
@@ -27,6 +29,8 @@ def commands() -> list[tuple[str, ...]]:
     for system, n in (("bouncer", "1..36"), ("ho", "0..40"), ("well", _WELL_LEVELS)):
         for fmt in ("csv", "json"):
             cmds.append(("compare", "--system", system, "--n", n, "--format", fmt))
+        cmds.append(("compare", "--system", system, "--n", n, "--quad-tol", "1e-6"))
+    cmds.append(("compare", "--system", "ho", "--n", "0", "--quad-tol", "1e-4"))
     for system in ("ho", "well", "bouncer"):
         for samples in ("100000", "1000"):
             cmds.append(("verify", "--system", system, "--samples", samples))
