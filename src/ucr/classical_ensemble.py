@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -62,7 +62,8 @@ class ClassicalEnsemble:
     energy: float
     turning_point: float
     normalization: float
-    normalization_result: IntegralResult = field(repr=False, compare=False)
+    moments: ScaledMoments
+    result: IntegralResult = field(repr=False, compare=False)  # the pass behind the two above
 
     @property
     def region(self) -> tuple[float, float]:
@@ -70,32 +71,33 @@ class ClassicalEnsemble:
         return (lo * self.turning_point, hi * self.turning_point)
 
 
-def _density_integrals(
-    model: PotentialModel, energy: float, turning: float, weight: Callable[..., np.ndarray], spec: QuadratureSpec
-) -> IntegralResult:
-    """Integral of weight(x, sqrt(E - V(x))) over the classical region, where
-    weight divides by its second argument.  Endpoint-offset forms of that
-    root resolve the turning-point singularities to full precision.  An
-    (m, k) weight, like an integrand, gives one pass with m integrals."""
-    lo, hi = model.variant.scaled_region
-    a, b = lo * turning, hi * turning
-    emv, from_left, from_right = model.variant.kinetic(energy, turning)
-    return integrate_singular_endpoints(
-        lambda x: weight(x, np.sqrt(emv(x))), a, b, spec,
-        from_left=lambda s: weight(a + s, np.sqrt(from_left(s))),
-        from_right=lambda s: weight(b - s, np.sqrt(from_right(s))),
-    )
-
-
 def build_ensemble(model: PotentialModel, energy: float = 1.0, spec: QuadratureSpec = DEFAULT_SPEC) -> ClassicalEnsemble:
-    """Construct the ensemble, computing the normalization numerically (it
-    is never hard-coded, so the closed-form moments remain an independent
-    check)."""
+    """Construct the ensemble from one pass over the classical region: the
+    weights 1, X, X^2 and (E - V)/E, each over sqrt(E - V), give the
+    normalization (never hard-coded, so the closed-form moments remain an
+    independent check) and the moments of X = x/A and P = p/sqrt(2mE) by the
+    two-momentum-branch reduction of the phase-space average."""
     if not (energy > 0 and math.isfinite(energy)):
         raise ValueError(f"energy must be strictly positive and finite, got {energy}")
-    turning = model.variant.turning_point(energy)
-    raw = _density_integrals(model, energy, turning, lambda x, root: 1.0 / root, spec)
-    return ClassicalEnsemble(model, energy, turning, 1.0 / raw.value, raw)
+    A = model.variant.turning_point(energy)
+    lo, hi = model.variant.scaled_region
+    a, b = lo * A, hi * A
+    # Endpoint-offset forms of E - V resolve the turning-point singularities
+    # to full precision.
+    _, from_left, from_right = model.variant.kinetic(energy, A)
+
+    # P at the two branches is +/- sqrt(2m(E-V))/sqrt(2mE); the branch average
+    # of P vanishes identically, that of P^2 is (E-V)/E.
+    def weights(x: np.ndarray, kinetic: np.ndarray) -> np.ndarray:
+        root = np.sqrt(kinetic)
+        return np.array([1.0 / root, x / A / root, (x / A) ** 2 / root, kinetic / energy / root])
+
+    result = integrate_singular_endpoints(
+        lambda s: weights(a + s, from_left(s)), lambda s: weights(b - s, from_right(s)), a, b, spec
+    )
+    norm, mean_x, mean_x2, mean_p2 = result.value
+    moments = ScaledMoments(mean_x / norm, mean_x2 / norm, 0.0, mean_p2 / norm, "classical", "quadrature")
+    return ClassicalEnsemble(model, energy, A, 1.0 / norm, moments, result)
 
 
 def classical_density(ens: ClassicalEnsemble, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
@@ -111,23 +113,11 @@ def classical_density(ens: ClassicalEnsemble, x: Union[float, np.ndarray]) -> Un
     return float(density[0]) if np.ndim(x) == 0 else density
 
 
-def classical_moments_quadrature(ens: ClassicalEnsemble, spec: QuadratureSpec = DEFAULT_SPEC) -> ScaledMoments:
-    """Moments of X = x/A and P = p/sqrt(2mE) via the two-momentum-branch
-    reduction of the phase-space average."""
-    A = ens.turning_point
-    energy = ens.energy
-    emv = ens.model.variant.kinetic(energy, A)[0]
-
-    # P at the two branches is +/- sqrt(2m(E-V))/sqrt(2mE); the branch average
-    # of P vanishes identically, that of P^2 is (E-V)/E.
-    def weights(x: np.ndarray, root: np.ndarray) -> np.ndarray:
-        return np.array([1.0 / root, x / A / root, (x / A) ** 2 / root, emv(x) / energy / root])
-
-    result = _density_integrals(ens.model, energy, A, weights, spec)
-    if not result.converged:
-        raise RuntimeError(f"classical moment quadrature failed to converge: {result}")
-    norm, mean_x, mean_x2, mean_p2 = result.value
-    return ScaledMoments(mean_x / norm, mean_x2 / norm, 0.0, mean_p2 / norm, "classical", "quadrature")
+def classical_moments_quadrature(ens: ClassicalEnsemble) -> ScaledMoments:
+    """The moments of the ensemble's pass, once it has converged."""
+    if not ens.result.converged:
+        raise RuntimeError(f"classical moment quadrature failed to converge: {ens.result}")
+    return ens.moments
 
 
 def classical_moments_closed_form(model: PotentialModel) -> ScaledMoments:

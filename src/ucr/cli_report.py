@@ -106,7 +106,7 @@ def compare_rows(system: str, n_list: Sequence[int], tol: float, quad_tol: float
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         try:
-            classical = classical_moments_quadrature(build_ensemble(model, level.energy, spec), spec)
+            classical = classical_moments_quadrature(build_ensemble(model, level.energy, spec))
             quantum = quantum_moments_quadrature(level, spec)
             bound = commutator_bound(level)
         except RuntimeError as exc:
@@ -176,7 +176,7 @@ def run_verify(options: dict) -> tuple[str, bool]:
     model = _MODELS[options["system"]]
     spec = _quad_spec(options["quad-tol"])
     try:
-        reference = classical_moments_quadrature(build_ensemble(model, 1.0, spec), spec)
+        reference = classical_moments_quadrature(build_ensemble(model, 1.0, spec))
     except RuntimeError as exc:
         raise RuntimeError(f"{options['system']}: {exc}") from exc
     oracle = trajectory_moments(build_trajectory(model, 1.0), options["samples"])

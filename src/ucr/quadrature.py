@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -179,63 +179,30 @@ def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrate_singular_endpoints(
-    f: Integrand,
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    *,
-    from_left: Optional[Integrand] = None,
-    from_right: Optional[Integrand] = None,
+    from_left: Integrand, from_right: Integrand, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> IntegralResult:
-    """tanh-sinh (double-exponential) rule on [a, b]; never evaluates the
-    integrand at a or b, and tolerates integrable inverse-square-root
-    endpoint singularities.
-
-    ``from_left``/``from_right``, when given, evaluate the integrand as a
-    function of the exact distance s from the corresponding endpoint
-    (f(a + s) resp. f(b - s)).  They let callers dodge the cancellation in
-    forming a + s or b - s when the endpoint is not representable-adjacent,
-    which is what limits plain double-precision tanh-sinh to ~1e-8 on such
-    integrands.
+    """tanh-sinh (double-exponential) rule on [a, b] for an integrand f given
+    as two functions of the exact distance s from an endpoint:
+    ``from_left(s)`` = f(a + s) and ``from_right(s)`` = f(b - s), each called
+    only at 0 < s <= (b - a)/2.  Integrable inverse-square-root endpoint
+    singularities are tolerated, to full precision when the two forms never
+    compute a + s or b - s: that cancellation is what limits plain
+    double-precision tanh-sinh to ~1e-8 on such integrands.
     """
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     length = b - a
-    mid = 0.5 * (a + b)
-    # Without the offset hooks, nodes whose abscissa rounds onto an endpoint
-    # cannot be evaluated; the mass of the unsampled endpoint slice is bounded
-    # by the worst admitted singularity (f ~ C/sqrt(s), whose slice integral is
-    # 2 f(s_last) s_last) and charged to the error estimate.
-    walls = [0.0, 0.0]
-    last_good = [(0.0, 0.0), (0.0, 0.0)]  # (value, distance) closest to each end
-    f_mid = _values(f, np.array([mid]))[0] if from_left is None else _values(from_left, np.array([mid - a]), "s")[0]
     n_eval = 1
-
-    def side(hook: Optional[Integrand], end: float, sign: float, dists: np.ndarray, i: int) -> np.ndarray:
-        # integrand values at distances from one end, given in decreasing order
-        if hook is not None:
-            return _values(hook, dists, "s")
-        xs = end + sign * dists
-        n_good = int(np.count_nonzero(xs != end))  # rounding onto the end is a suffix
-        values = np.zeros((len(xs),) + np.shape(f_mid))
-        if n_good:
-            values[:n_good] = _values(f, xs[:n_good])
-            if last_good[i][1] == 0.0 or dists[n_good - 1] < last_good[i][1]:
-                last_good[i] = (values[n_good - 1].copy(), dists[n_good - 1])
-        if n_good < len(xs):
-            v, sv = last_good[i]
-            walls[i] = np.maximum(walls[i], 2.0 * np.abs(v) * sv)
-        return values
-
-    acc, value = 0.5 * math.pi * f_mid, None  # the t = 0 node has weight pi/2
+    # the t = 0 node, the midpoint, has weight pi/2
+    acc, value = 0.5 * math.pi * _values(from_left, np.array([0.5 * length]), "s")[0], None
     for level in range(_TS_MAX_LEVELS + 1):
         weights, fractions = _ts_level(level)
         n_eval += 2 * len(weights)
         dists = length * fractions
-        acc = acc + weights @ (side(from_left, a, 1.0, dists, 0) + side(from_right, b, -1.0, dists, 1))
+        acc = acc + weights @ (_values(from_left, dists, "s") + _values(from_right, dists, "s"))
         previous, value = value, acc * (_TS_H0 / 2 ** level) * 0.5 * length
         if level:
-            err = np.abs(value - previous) + walls[0] + walls[1]
+            err = np.abs(value - previous)
             if (err <= spec.tolerance(value)).all():
                 break
     return _result(value, err, n_eval, spec)

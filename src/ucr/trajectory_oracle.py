@@ -33,8 +33,8 @@ def build_trajectory(model: PotentialModel, energy: float) -> Trajectory:
     """Exact one-period trajectory at energy E, starting from the phase
     convention x(0) = 0 moving in the positive direction (bouncer: launch
     from the floor)."""
-    if not energy > 0:
-        raise ValueError(f"energy must be positive, got {energy}")
+    if not (energy > 0 and math.isfinite(energy)):
+        raise ValueError(f"energy must be strictly positive and finite, got {energy}")
     return Trajectory(model, energy, *model.variant.trajectory(energy))
 
 

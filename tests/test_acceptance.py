@@ -61,7 +61,7 @@ def test_criterion_01_oscillator_parity():
     rng = random.Random(1)
     for _ in range(5):
         model = PotentialModel(HarmonicOscillator(m=rng.uniform(0.1, 10.0), omega=rng.uniform(0.1, 10.0)))
-        got = classical_moments_quadrature(build_ensemble(model, rng.uniform(0.1, 10.0), SPEC), SPEC)
+        got = classical_moments_quadrature(build_ensemble(model, rng.uniform(0.1, 10.0), SPEC))
         devs = [abs(g - w) for g, w in zip(
             (got.mean_x, got.mean_x2, got.mean_p, got.mean_p2), (0.0, 0.5, 0.0, 0.5))]
         if max(devs) > 1e-9:
@@ -107,7 +107,7 @@ def test_criterion_05_well_classical_product():
     rng = random.Random(2)
     for _ in range(10):
         model = PotentialModel(InfiniteWell(m=rng.uniform(0.1, 10.0), L=rng.uniform(0.1, 10.0)))
-        got = classical_moments_quadrature(build_ensemble(model, rng.uniform(0.1, 10.0), SPEC), SPEC)
+        got = classical_moments_quadrature(build_ensemble(model, rng.uniform(0.1, 10.0), SPEC))
         if abs(got.product - 1.0 / 3.0) > 1e-10:
             failures.append(f"{model.variant}: dev {abs(got.product - 1.0 / 3.0):.3e}")
     _report("criterion 05: well classical product", failures)
@@ -129,7 +129,7 @@ def test_criterion_06_airy_zero_table():
 
 def test_criterion_07_bouncer_classical():
     failures = []
-    got = classical_moments_quadrature(build_ensemble(BALL, 1.0, SPEC), SPEC)
+    got = classical_moments_quadrature(build_ensemble(BALL, 1.0, SPEC))
     want = CLASSICAL_TARGETS["bouncer"]
     devs = [abs(g - w) for g, w in zip((got.mean_x, got.mean_x2, got.mean_p, got.mean_p2), want)]
     devs.append(abs(got.product - 4.0 / 135.0))
@@ -192,7 +192,7 @@ def test_criterion_11_trajectory_oracle_equivalence():
     failures = []
     for name, model in (("ho", HO), ("well", WELL), ("bouncer", BALL)):
         oracle = trajectory_moments(build_trajectory(model, 1.0), 1_000_000)
-        ens = classical_moments_quadrature(build_ensemble(model, 1.0, SPEC), SPEC)
+        ens = classical_moments_quadrature(build_ensemble(model, 1.0, SPEC))
         dev = max(abs(o - e) for o, e in zip(oracle.fields(), ens.fields()))
         if dev > 1e-4:
             failures.append(f"{name}: max dev {dev:.3e}")
@@ -203,7 +203,7 @@ def test_criterion_12_scale_invariance():
     failures = []
     rng = random.Random(3)
     base = {
-        name: classical_moments_quadrature(build_ensemble(model, 1.0, SPEC), SPEC)
+        name: classical_moments_quadrature(build_ensemble(model, 1.0, SPEC))
         for name, model in (("ho", HO), ("well", WELL), ("bouncer", BALL))
     }
     for _ in range(50):
@@ -216,7 +216,7 @@ def test_criterion_12_scale_invariance():
             "bouncer": PotentialModel(BouncingBall(m=m, g=a)),
         }
         for name, model in draws.items():
-            got = classical_moments_quadrature(build_ensemble(model, e, SPEC), SPEC)
+            got = classical_moments_quadrature(build_ensemble(model, e, SPEC))
             dev = max(abs(g - b) for g, b in zip(got.fields(), base[name].fields()))
             if dev > 1e-9:
                 failures.append(f"{name} (m={m:.3f}, a={a:.3f}, E={e:.3f}): dev {dev:.3e}")
@@ -225,14 +225,16 @@ def test_criterion_12_scale_invariance():
 
 def test_criterion_13_quadrature_unit_suite():
     failures = []
-    r = integrate_singular_endpoints(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, SPEC)
+    # the singular rule takes the integrand as functions of the distance
+    # from the left and from the right end
+    r = integrate_singular_endpoints(lambda s: 1.0 / np.sqrt(s), lambda s: 1.0 / np.sqrt(1.0 - s), 0.0, 1.0, SPEC)
     if abs(r.value - 2.0) > 1e-10:
         failures.append(f"x^(-1/2): dev {abs(r.value - 2.0):.3e}")
-    r = integrate_singular_endpoints(
-        lambda x: 1.0 / np.sqrt(1.0 - x * x), -1.0, 1.0, SPEC,
-        from_left=lambda s: 1.0 / np.sqrt(s * (2.0 - s)),
-        from_right=lambda s: 1.0 / np.sqrt(s * (2.0 - s)),
-    )
+
+    def arcsine(s):
+        return 1.0 / np.sqrt(s * (2.0 - s))
+
+    r = integrate_singular_endpoints(arcsine, arcsine, -1.0, 1.0, SPEC)
     if abs(r.value - math.pi) > 1e-10:
         failures.append(f"arcsine: dev {abs(r.value - math.pi):.3e}")
     r = integrate_semi_infinite(lambda x: x * x * np.exp(-x * x), 0.0, SPEC)

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from ucr import classical_ensemble
 from ucr.classical_ensemble import (
     BouncingBall,
     HarmonicOscillator,
@@ -14,7 +15,7 @@ from ucr.classical_ensemble import (
     classical_moments_closed_form,
     classical_moments_quadrature,
 )
-from ucr.quadrature import QuadratureSpec
+from ucr.quadrature import QuadratureSpec, integrate_singular_endpoints
 
 SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
 
@@ -92,8 +93,42 @@ class TestNormalization:
 
     def test_normalization_integral_converged(self):
         ens = build_ensemble(PotentialModel(HarmonicOscillator(1.0, 1.0)), 0.5, SPEC)
-        assert ens.normalization_result.converged
-        assert ens.normalization * ens.normalization_result.value == pytest.approx(1.0, abs=1e-15)
+        assert ens.result.converged
+        assert ens.normalization * ens.result.value[0] == pytest.approx(1.0, abs=1e-15)
+
+
+class TestOnePass:
+    """The ensemble takes one pass of four integrals against 1/sqrt(E - V):
+    the normalization and the three moments come from it, and the moment
+    accessor integrates nothing."""
+
+    @pytest.mark.parametrize(
+        "variant",
+        [HarmonicOscillator(1.3, 0.7), InfiniteWell(0.7, 3.0), BouncingBall(1.0, 9.8)],
+        ids=["oscillator", "well", "bouncer"],
+    )
+    def test_one_integral_per_ensemble(self, monkeypatch, variant):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return integrate_singular_endpoints(*args)
+
+        monkeypatch.setattr(classical_ensemble, "integrate_singular_endpoints", counted)
+        ens = build_ensemble(PotentialModel(variant), 1.7, SPEC)
+        assert len(calls) == 1
+        assert classical_moments_quadrature(ens) is ens.moments
+        assert len(calls) == 1
+        assert ens.result.converged and len(ens.result.value) == 4
+        assert ens.normalization * ens.result.value[0] == pytest.approx(1.0, abs=1e-15)
+
+    def test_unconverged_pass_raises(self):
+        # here the last two levels still differ by an ulp or so, far above 1e-300
+        tight = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300)
+        ens = build_ensemble(PotentialModel(BouncingBall(1.0, 9.8)), 1.7, tight)
+        assert not ens.result.converged
+        with pytest.raises(RuntimeError, match="classical moment quadrature failed to converge"):
+            classical_moments_quadrature(ens)
 
 
 class TestDensity:
@@ -166,7 +201,7 @@ class TestMoments:
         for cases in _random_models(7, 10):
             for model, e in cases:
                 ens = build_ensemble(model, e, SPEC)
-                got = classical_moments_quadrature(ens, SPEC)
+                got = classical_moments_quadrature(ens)
                 want = classical_moments_closed_form(model)
                 for g, w in zip(got.fields(), want.fields()):
                     assert abs(g - w) < 1e-9
@@ -177,19 +212,13 @@ class TestMoments:
     def test_scale_invariance(self):
         # scaled moments cannot depend on (m, omega/L/g, E)
         base = {
-            "ho": classical_moments_quadrature(
-                build_ensemble(PotentialModel(HarmonicOscillator(1.0, 1.0)), 1.0, SPEC), SPEC
-            ),
-            "well": classical_moments_quadrature(
-                build_ensemble(PotentialModel(InfiniteWell(1.0, 1.0)), 1.0, SPEC), SPEC
-            ),
-            "bouncer": classical_moments_quadrature(
-                build_ensemble(PotentialModel(BouncingBall(1.0, 1.0)), 1.0, SPEC), SPEC
-            ),
+            "ho": classical_moments_quadrature(build_ensemble(PotentialModel(HarmonicOscillator(1.0, 1.0)), 1.0, SPEC)),
+            "well": classical_moments_quadrature(build_ensemble(PotentialModel(InfiniteWell(1.0, 1.0)), 1.0, SPEC)),
+            "bouncer": classical_moments_quadrature(build_ensemble(PotentialModel(BouncingBall(1.0, 1.0)), 1.0, SPEC)),
         }
         for ho_case, well_case, ball_case in _random_models(20260823, 50):
             for key, (model, e) in zip(("ho", "well", "bouncer"), (ho_case, well_case, ball_case)):
-                got = classical_moments_quadrature(build_ensemble(model, e, SPEC), SPEC)
+                got = classical_moments_quadrature(build_ensemble(model, e, SPEC))
                 for g, b in zip(got.fields(), base[key].fields()):
                     assert abs(g - b) < 1e-10
 
@@ -198,14 +227,12 @@ class TestMoments:
             PotentialModel(HarmonicOscillator(2.0, 0.5)),
             PotentialModel(InfiniteWell(0.7, 3.0)),
         ):
-            got = classical_moments_quadrature(build_ensemble(model, 1.7, SPEC), SPEC)
+            got = classical_moments_quadrature(build_ensemble(model, 1.7, SPEC))
             assert abs(got.mean_x) < 1e-12
             assert got.mean_p == 0.0
 
     def test_variance_bookkeeping(self):
-        got = classical_moments_quadrature(
-            build_ensemble(PotentialModel(BouncingBall(1.0, 9.8)), 3.0, SPEC), SPEC
-        )
+        got = classical_moments_quadrature(build_ensemble(PotentialModel(BouncingBall(1.0, 9.8)), 3.0, SPEC))
         assert got.var_x == got.mean_x2 - got.mean_x ** 2
         assert got.var_p == got.mean_p2 - got.mean_p ** 2
         assert got.product == got.var_x * got.var_p

@@ -133,71 +133,71 @@ class TestFinite:
         assert type(r.converged) is bool
 
 
+def _arcsine_from_edge(s):
+    # 1/sqrt(1 - x^2) at distance s from either end of [-1, 1], without
+    # forming x = -1 + s or 1 - s
+    return 1.0 / np.sqrt(s * (2.0 - s))
+
+
 class TestSingularEndpoints:
+    """The integrand comes as from_left(s) = f(a + s) and from_right(s) =
+    f(b - s), functions of the exact distance s from an end."""
+
     def test_arcsine_density(self):
         # 1/(pi sqrt(1 - x^2)) integrates to 1; the raw version to pi
-        r = integrate_singular_endpoints(lambda x: 1.0 / np.sqrt(1.0 - x * x), -1.0, 1.0, TIGHT)
-        assert abs(r.value - math.pi) <= 1e-7  # endpoint-representability wall
+        r = integrate_singular_endpoints(_arcsine_from_edge, _arcsine_from_edge, -1.0, 1.0, TIGHT)
         assert abs(r.value - math.pi) <= max(r.error_estimate * 10.0, 1e-14)
 
     def test_arcsine_with_offset_hooks(self):
-        def from_edge(s):
-            return 1.0 / np.sqrt(s * (2.0 - s))
-
-        r = integrate_singular_endpoints(
-            lambda x: 1.0 / np.sqrt(1.0 - x * x), -1.0, 1.0, TIGHT,
-            from_left=from_edge, from_right=from_edge,
-        )
+        r = integrate_singular_endpoints(_arcsine_from_edge, _arcsine_from_edge, -1.0, 1.0, TIGHT)
         assert r.converged
         assert r.value == pytest.approx(math.pi, abs=1e-13)
 
     def test_inverse_sqrt_left(self):
-        r = integrate_singular_endpoints(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, TIGHT)
+        r = integrate_singular_endpoints(lambda s: 1.0 / np.sqrt(s), lambda s: 1.0 / np.sqrt(1.0 - s), 0.0, 1.0, TIGHT)
         assert r.converged
         assert r.value == pytest.approx(2.0, abs=1e-10)
 
     def test_inverse_sqrt_right(self):
-        r = integrate_singular_endpoints(lambda z: 1.0 / np.sqrt(1.0 - z), 0.0, 1.0, TIGHT)
-        assert abs(r.value - 2.0) <= 1e-7
-        r_hooked = integrate_singular_endpoints(
-            lambda z: 1.0 / np.sqrt(1.0 - z), 0.0, 1.0, TIGHT,
-            from_left=lambda s: 1.0 / np.sqrt(1.0 - s),
-            from_right=lambda s: 1.0 / np.sqrt(s),
-        )
-        assert r_hooked.converged
-        assert r_hooked.value == pytest.approx(2.0, abs=1e-13)
+        r = integrate_singular_endpoints(lambda s: 1.0 / np.sqrt(1.0 - s), lambda s: 1.0 / np.sqrt(s), 0.0, 1.0, TIGHT)
+        assert r.converged
+        assert r.value == pytest.approx(2.0, abs=1e-13)
 
     def test_second_moment_with_arcsine_weight(self):
         r = integrate_singular_endpoints(
-            lambda x: x * x / np.sqrt(1.0 - x * x), -1.0, 1.0, TIGHT,
-            from_left=lambda s: (s - 1.0) ** 2 / np.sqrt(s * (2.0 - s)),
-            from_right=lambda s: (1.0 - s) ** 2 / np.sqrt(s * (2.0 - s)),
+            lambda s: (s - 1.0) ** 2 / np.sqrt(s * (2.0 - s)),
+            lambda s: (1.0 - s) ** 2 / np.sqrt(s * (2.0 - s)),
+            -1.0, 1.0, TIGHT,
         )
         assert r.converged
         assert r.value == pytest.approx(math.pi / 2.0, abs=1e-13)
 
     def test_smooth_integrand_full_precision(self):
-        r = integrate_singular_endpoints(np.exp, 0.0, 1.0, TIGHT)
+        r = integrate_singular_endpoints(np.exp, lambda s: np.exp(1.0 - s), 0.0, 1.0, TIGHT)
         assert r.converged
         assert r.value == pytest.approx(math.e - 1.0, abs=1e-13)
 
     def test_never_evaluates_endpoints(self):
+        # no hook ever sees s <= 0, nor a distance past the midpoint
         seen = []
 
-        def f(x):
-            seen.extend(x.tolist())
-            return 1.0 / np.sqrt(x)
+        def hook(s):
+            seen.extend(s.tolist())
+            return 1.0 / np.sqrt(s)
 
-        integrate_singular_endpoints(f, 0.0, 1.0, TIGHT)
-        assert all(0.0 < x < 1.0 for x in seen)
+        integrate_singular_endpoints(hook, hook, 0.0, 1.0, TIGHT)
+        assert seen and all(0.0 < s <= 0.5 for s in seen)
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError):
-            integrate_singular_endpoints(lambda x: x, 1.0, 0.0)
+            integrate_singular_endpoints(lambda s: s, lambda s: s, 1.0, 0.0)
 
     def test_non_finite_integrand_raises(self):
+        def f(s):
+            return np.full_like(s, np.inf)
+
         with pytest.raises(QuadratureError):
-            integrate_singular_endpoints(lambda x: np.full_like(x, np.inf), 0.0, 1.0)
+            integrate_singular_endpoints(f, f, 0.0, 1.0)
 
 
 class TestSemiInfinite:
@@ -307,35 +307,19 @@ class TestVectorIntegrands:
         assert vector.value == pytest.approx((0.1, 1.0), abs=1e-13)
 
     def test_singular_endpoints(self):
-        components = (
-            lambda x: 1.0 / np.sqrt(1.0 - x * x),
-            lambda x: x / np.sqrt(1.0 - x * x),
-            lambda x: x * x / np.sqrt(1.0 - x * x),
-        )
-        edges = (
-            lambda s: 1.0 / np.sqrt(s * (2.0 - s)),
+        # 1, x and x^2 over sqrt(1 - x^2) on [-1, 1]
+        left = (
+            _arcsine_from_edge,
             lambda s: (s - 1.0) / np.sqrt(s * (2.0 - s)),
             lambda s: (s - 1.0) ** 2 / np.sqrt(s * (2.0 - s)),
         )
-        right = (edges[0], lambda s: (1.0 - s) / np.sqrt(s * (2.0 - s)), edges[2])
+        right = (left[0], lambda s: (1.0 - s) / np.sqrt(s * (2.0 - s)), left[2])
         vector = integrate_singular_endpoints(
-            lambda x: np.array([c(x) for c in components]), -1.0, 1.0, TIGHT,
-            from_left=lambda s: np.array([e(s) for e in edges]),
-            from_right=lambda s: np.array([r(s) for r in right]),
+            lambda s: np.array([e(s) for e in left]), lambda s: np.array([r(s) for r in right]), -1.0, 1.0, TIGHT
         )
-        scalars = [
-            integrate_singular_endpoints(c, -1.0, 1.0, TIGHT, from_left=e, from_right=r)
-            for c, e, r in zip(components, edges, right)
-        ]
+        scalars = [integrate_singular_endpoints(e, r, -1.0, 1.0, TIGHT) for e, r in zip(left, right)]
         _agrees(vector, scalars)
         assert vector.value == pytest.approx((math.pi, 0.0, math.pi / 2.0), abs=1e-13)
-
-    def test_singular_endpoints_without_hooks(self):
-        # the unsampled endpoint slices are charged per component
-        components = (lambda x: 1.0 / np.sqrt(x), np.exp)
-        vector = integrate_singular_endpoints(lambda x: np.array([c(x) for c in components]), 0.0, 1.0, TIGHT)
-        scalars = [integrate_singular_endpoints(c, 0.0, 1.0, TIGHT) for c in components]
-        _agrees(vector, scalars)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_component_raises(self, bad):
@@ -347,9 +331,7 @@ class TestVectorIntegrands:
         with pytest.raises(QuadratureError):
             integrate_semi_infinite(f, 0.0)
         with pytest.raises(QuadratureError):
-            integrate_singular_endpoints(f, 0.0, 1.0)
-        with pytest.raises(QuadratureError):
-            integrate_singular_endpoints(f, 0.0, 1.0, from_left=f, from_right=f)
+            integrate_singular_endpoints(f, f, 0.0, 1.0)
 
 
 class TestArrayContract:
@@ -385,18 +367,14 @@ class TestArrayContract:
         assert len(calls) - 1 < splits / 4  # many panels per generation, not one
 
     def test_singular_endpoints_batches_each_level(self):
-        f, calls = self._recording(lambda x: np.cos(30.0 * x) / np.sqrt(1.0 - x * x))
         left, left_calls = self._recording(lambda s: np.cos(30.0 * (s - 1.0)) / np.sqrt(s * (2.0 - s)))
         right, right_calls = self._recording(lambda s: np.cos(30.0 * (1.0 - s)) / np.sqrt(s * (2.0 - s)))
-        r = integrate_singular_endpoints(f, -1.0, 1.0, self.SPEC, from_left=left, from_right=right)
+        r = integrate_singular_endpoints(left, right, -1.0, 1.0, self.SPEC)
         assert r.converged
-        assert not calls  # the hooks carry every node, the middle one too
         assert self._all_1d_float_arrays(left_calls) and self._all_1d_float_arrays(right_calls)
-        assert len(left_calls) <= 1 + 1 + quadrature._TS_MAX_LEVELS
+        assert len(left_calls) <= 1 + 1 + quadrature._TS_MAX_LEVELS  # the middle node, then one per level
+        assert len(right_calls) == len(left_calls) - 1
         assert sum(len(s) for s in left_calls + right_calls) == r.evaluations
-        integrate_singular_endpoints(f, -1.0, 1.0, self.SPEC)
-        assert self._all_1d_float_arrays(calls)
-        assert len(calls) <= 1 + 2 * (1 + quadrature._TS_MAX_LEVELS)
 
     def test_semi_infinite_probes_then_batches(self):
         f, calls = self._recording(lambda x: np.exp(-x) * np.cos(9.0 * x) ** 2)

@@ -31,6 +31,15 @@ BALL = PotentialModel(BouncingBall(m=1.0, g=1.0))
 SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
 
 
+def _checked_mean_p(monkeypatch) -> list:
+    """The <P> values handed to the check, in call order.  The returned
+    moments carry <P> = 0, so the checked value is caught on its way."""
+    seen = []
+    check = quantum_states._check_mean_p
+    monkeypatch.setattr(quantum_states, "_check_mean_p", lambda p, spec: check(p, spec) or seen.append(p))
+    return seen
+
+
 class TestEigenLevel:
     def test_oscillator_ground_state(self):
         level = eigen_level(HO, 0)
@@ -171,14 +180,16 @@ class TestBouncerState:
 
 
 class TestMoments:
-    def test_oscillator_every_level_matches_classical_values(self):
-        for n in (0, 1, 2, 5, 10, 20):
+    def test_oscillator_every_level_matches_classical_values(self, monkeypatch):
+        mean_p = _checked_mean_p(monkeypatch)
+        levels = (0, 1, 2, 5, 10, 20)
+        for n in levels:
             got = quantum_moments_quadrature(eigen_level(HO, n), SPEC)
             assert abs(got.mean_x) < 1e-9
             assert abs(got.mean_x2 - 0.5) < 1e-9
-            assert abs(got.mean_p) < 1e-9
             assert abs(got.mean_p2 - 0.5) < 1e-9
             assert abs(got.product - 0.25) < 1e-9
+        assert len(mean_p) == len(levels) and max(map(abs, mean_p)) < 1e-9
 
     def test_oscillator_high_levels(self):
         # H_n overflows doubles from n ~ 200 on; the normalized Hermite-function
@@ -194,14 +205,10 @@ class TestMoments:
     @pytest.mark.parametrize("n", [0, 1, 2, 31, 32])
     def test_oscillator_one_half_line_pass(self, monkeypatch, n):
         # <P> is the half-line integral of psi psi' against its exact value
-        # -psi(0)^2/2, so the negative half-line is never integrated.  The
-        # returned moments carry <P> = 0, so the checked value is caught on
-        # its way to the check.
+        # -psi(0)^2/2, so the negative half-line is never integrated
         passes, _ = HO.variant.moment_passes(eigen_level(HO, n))
         assert [(a, b) for _, a, b in passes] == [(0.0, math.inf)]
-        seen = []
-        check = quantum_states._check_mean_p
-        monkeypatch.setattr(quantum_states, "_check_mean_p", lambda p, spec: check(p, spec) or seen.append(p))
+        seen = _checked_mean_p(monkeypatch)
         for spec in (DEFAULT_SPEC, SPEC):
             quantum_moments_quadrature(eigen_level(HO, n), spec)
         assert len(seen) == 2 and max(map(abs, seen)) < 1e-15
@@ -260,14 +267,16 @@ class TestMoments:
         assert all(b > a for a, b in zip(products, products[1:]))
         assert all(p < 1.0 / 3.0 for p in products)
 
-    def test_bouncer_levels_match_classical_values(self):
-        for n in range(1, 6):
+    def test_bouncer_levels_match_classical_values(self, monkeypatch):
+        mean_p = _checked_mean_p(monkeypatch)
+        levels = range(1, 6)
+        for n in levels:
             got = quantum_moments_quadrature(eigen_level(BALL, n), SPEC)
             assert abs(got.mean_x - 2.0 / 3.0) < 1e-6
             assert abs(got.mean_x2 - 8.0 / 15.0) < 1e-6
-            assert abs(got.mean_p) < 1e-6
             assert abs(got.mean_p2 - 1.0 / 3.0) < 1e-6
             assert abs(got.product - 4.0 / 135.0) < 1e-6
+        assert len(mean_p) == len(levels) and max(map(abs, mean_p)) < 1e-6
 
     def test_bouncer_parameter_invariance(self):
         # the scaled moments of a level cannot depend on (m, omega/L/g, hbar),

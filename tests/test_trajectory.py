@@ -62,6 +62,21 @@ class TestBuildTrajectory:
         with pytest.raises(ValueError):
             build_trajectory(PotentialModel(HarmonicOscillator(1.0, 1.0)), 0.0)
 
+    @pytest.mark.parametrize(
+        "variant",
+        [HarmonicOscillator(1.0, 1.0), InfiniteWell(1.0, 2.0), BouncingBall(1.0, 9.8)],
+        ids=["oscillator", "well", "bouncer"],
+    )
+    def test_non_finite_energy_rejected(self, variant):
+        # the ensemble's rejection; an infinite energy used to give NaN moments
+        model = PotentialModel(variant)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="strictly positive and finite") as from_trajectory:
+                build_trajectory(model, bad)
+            with pytest.raises(ValueError) as from_ensemble:
+                build_ensemble(model, bad)
+            assert str(from_trajectory.value) == str(from_ensemble.value)
+
     def test_energy_conserved_along_path(self):
         rng = random.Random(99)
         for model in _all_models():
@@ -103,7 +118,7 @@ class TestTrajectoryMoments:
         for model in _all_models():
             traj = build_trajectory(model, 1.0)
             oracle = trajectory_moments(traj, 1_000_000)
-            ens = classical_moments_quadrature(build_ensemble(model, 1.0, SPEC), SPEC)
+            ens = classical_moments_quadrature(build_ensemble(model, 1.0, SPEC))
             for o, e in zip(oracle.fields(), ens.fields()):
                 assert abs(o - e) < 1e-4
 

@@ -9,7 +9,8 @@ cover `compare` on every system (CSV and JSON, and at the loose integral
 tolerances `--quad-tol 1e-6` and, for the oscillator's n = 0, `1e-4`, where
 the <P> = 0 check meets real quadrature error), `verify` on every system at
 two sample counts, bouncer `density` grids over levels 1..9 and 51..101
-points, the well's and the oscillator's small density grids, and an
+points, the well's and the oscillator's density grids (a 5-point one each,
+and levels 0, 3, 10 resp. 1, 8, 100 at 11 and 101 points), and an
 `airy-zeros` table.  Exits 0 when the two trees agree on all of them, 1
 otherwise.  Standard library only.
 """
@@ -39,6 +40,9 @@ def commands() -> list[tuple[str, ...]]:
             cmds.append(("density", "--system", "bouncer", "--n", str(n), "--points", str(points)))
     cmds.append(("density", "--system", "well", "--n", "2", "--points", "5"))
     cmds.append(("density", "--system", "ho", "--n", "0", "--points", "5"))
+    for system, levels in (("ho", (0, 3, 10)), ("well", (1, 8, 100))):
+        for n, points in itertools.product(levels, ("11", "101")):
+            cmds.append(("density", "--system", system, "--n", str(n), "--points", points))
     cmds.append(("airy-zeros", "--count", "30"))
     return cmds
 
