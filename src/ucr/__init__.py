@@ -26,7 +26,7 @@ from .quantum_states import (
     quantum_moments_quadrature,
     wavefunction,
 )
-from .specfun import AiryValue, AiryZero, airy_ai, airy_zero, hermite, hermite_prime
+from .specfun import AiryValue, AiryZero, airy, airy_ai, airy_zero, hermite, hermite_prime
 from .trajectory_oracle import Trajectory, build_trajectory, trajectory_moments
 
 __version__ = "0.1.0"
@@ -45,6 +45,7 @@ __all__ = [
     "QuadratureSpec",
     "ScaledMoments",
     "Trajectory",
+    "airy",
     "airy_ai",
     "airy_zero",
     "bouncer_state",

@@ -25,7 +25,7 @@ from .quadrature import (
     integrate_finite,
     integrate_semi_infinite,
 )
-from .systems import _airy
+from .specfun import airy
 
 __all__ = [
     "BouncerState",
@@ -71,7 +71,7 @@ def bouncer_state(level: EigenLevel, spec: QuadratureSpec = DEFAULT_SPEC) -> Bou
     if level.scaled_energy is None:
         raise ValueError("bouncer_state requires a bouncer level")
     spec = _oscillation_budget(spec, level.n)
-    raw = integrate_semi_infinite(lambda z: _airy(z)[0] ** 2, -level.scaled_energy, spec)
+    raw = integrate_semi_infinite(lambda z: airy(z)[0] ** 2, -level.scaled_energy, spec)
     _require_converged("bouncer normalization integral", raw)
     return BouncerState(level, 1.0 / math.sqrt(raw.value))
 

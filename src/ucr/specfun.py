@@ -1,9 +1,14 @@
 """Special-function kernel: physicists' Hermite polynomials, the Airy
 function Ai with its derivative, and the negative zeros of Ai.
 
-Everything here is scalar arithmetic.  `airy_ai` and `airy_zero` memoize
-their results, and the Taylor coefficients of Ai at the integer anchors
--8..9 are computed once, on first use; nothing else is kept between calls.
+`airy` evaluates Ai and Ai' over an array of abscissas, and no other code
+does: a Taylor step from an integer anchor on (-9, 9), the large-|z|
+expansions (DLMF 9.7.5-6 and 9.7.9-10) beyond.  Each element's value depends
+on its z alone, never on the rest of its batch, so `airy_ai`, the scalar form
+for Newton steps and the public API, returns the same bits as any array call.
+One LRU memo of 20,000 abscissas sits in front of the kernel and `airy_zero`
+memoizes its zeros; the Taylor and series tables are built once, on first
+use.  Nothing else is kept between calls.
 """
 
 from __future__ import annotations
@@ -11,11 +16,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
+
+import numpy as np
 
 __all__ = [
     "AiryValue",
     "AiryZero",
     "ConvergenceError",
+    "airy",
     "airy_ai",
     "airy_zero",
     "hermite",
@@ -29,7 +39,7 @@ _PI_OVER_4_RESIDUAL = 3.061616997868383e-17
 
 # Regime switch point.  For |z| >= 9 the asymptotic expansions are used;
 # between -9 and 9 a Taylor expansion of the ODE w'' = z*w about the integer
-# anchor at or above z (`_anchor`).
+# anchor at or above z (`_taylor_table`).
 _ASYMP_CUT = 9.0
 
 _NEWTON_MAX_ITER = 50
@@ -87,8 +97,18 @@ def hermite_prime(n: int, y: float) -> float:
 
 # --- Airy machinery -------------------------------------------------------
 
-# Coefficients u_k (for Ai) and v_k (for Ai') of the large-|z| expansions.
+_AIRY_LIMIT = -1e12  # the phase's error grows with |z|: past here it costs over 1e-13 of the envelope
+# exp(-zeta) underflows from z ~ 107 on, so Ai and Ai' are zeros in doubles;
+# the positive branch evaluates every larger z at this cap, where nothing overflows.
+_POSITIVE_CAP = 1e4
+_SERIES_TERMS = 60
+_TERM_FLOOR = 2.0 ** -60  # a series stops at its first term below this
+_CHUNK = 512  # elements per kernel pass: bounds the (terms x elements) series arrays
+_MEMO_SIZE = 20_000
+
+
 def _asymptotic_coefficients(count: int) -> tuple[list[float], list[float]]:
+    # Coefficients u_k (for Ai) and v_k (for Ai') of the large-|z| expansions.
     us = [1.0]
     for k in range(1, count):
         us.append(us[-1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / ((2 * k - 1) * 216.0 * k))
@@ -96,16 +116,65 @@ def _asymptotic_coefficients(count: int) -> tuple[list[float], list[float]]:
     return us, vs
 
 
-_US, _VS = _asymptotic_coefficients(60)
+@functools.cache
+def _series_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The signed (u_k, v_k) rows of the expansions in powers of 1/zeta and
+    the table of term counts, built once:
+
+    - ``alternating[k]`` = (-1)^k (u_k, v_k), for z >= 9;
+    - ``paired[k]`` = (-1)^(k//2) (u_k, v_k), for z <= -9: even k make the
+      sums P (Ai) and R (Ai'), odd k the sums Q and S;
+    - ``counts[i]``, the term count for zeta from ``breaks[i-1]`` up to
+      ``breaks[i]``: a series stops at its first term k that is larger than
+      term k - 1 (where zeta < u_k / u_(k-1)) or below 2^-60 (where zeta >=
+      (2^60 u_k)^(1/k)).  From zeta = 18, the seam, to about 21 the terms
+      turn to growing before they get that small.
+    """
+    us, vs = _asymptotic_coefficients(_SERIES_TERMS)
+    rows = np.array([us, vs]).T
+    k = np.arange(_SERIES_TERMS)[:, None]
+    grows = np.array(us[1:]) / np.array(us[:-1])  # increasing in k
+    small = np.minimum.accumulate([(u / _TERM_FLOOR) ** (1.0 / k) for k, u in enumerate(us[1:], start=1)])
+    breaks = np.sort(np.concatenate((grows, small)))
+    counts = np.minimum(
+        np.searchsorted(grows, breaks, side="right") + 1,  # the first k that grows
+        np.searchsorted(-small, -breaks, side="left") + 1,  # the first k below 2^-60
+    )
+    return rows * (-1.0) ** k, rows * (-1.0) ** (k // 2), breaks, np.concatenate(([1], counts))
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
+def _term_count(zeta):
+    # The terms k < count of a series in 1/zeta; a function of zeta alone.
+    _, _, breaks, counts = _series_tables()
+    return counts[np.searchsorted(breaks, zeta, side="right")]
+
+
+def _partial_sums(rows: np.ndarray, inv_zeta, count, group: int) -> np.ndarray:
+    # Per element, sum_k rows[k] * inv_zeta^k over its own k < group * count,
+    # as `group` interleaved series (term k goes to series k % group).  Terms
+    # are added in order of k and the sum is read at the element's own count,
+    # so no element depends on the counts of its batch.  Returns the sums with
+    # shape (group, 2) + shape(inv_zeta); for one point, as nested lists.
+    shape = np.shape(inv_zeta)
+    terms = group * int(count.max())
+    powers = np.full((terms,) + shape, inv_zeta)
+    powers[0] = 1.0
+    np.multiply.accumulate(powers, axis=0, out=powers)
+    blocks = (terms // group, group)
+    sums = rows[:terms].reshape(blocks + (2,) + (1,) * len(shape)) * powers.reshape(blocks + (1,) + shape)
+    np.add.accumulate(sums, axis=0, out=sums)
+    if not shape:
+        return sums[count - 1].tolist()
+    return np.moveaxis(sums[count - 1, ..., np.arange(len(count))], 0, -1)
+
+
+def _two_sum(a, b):
     s = a + b
     bb = s - a
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _two_prod(a: float, b: float) -> tuple[float, float]:
+def _two_prod(a, b):
     p = a * b
     c = 134217729.0 * a  # Veltkamp split at 2^27 + 1
     ah = c - (c - a)
@@ -116,134 +185,190 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _zeta_double_double(x: float) -> tuple[float, float]:
-    # zeta = (2/3) x^(3/2) as an unevaluated double-double sum; the phase of
-    # the oscillatory expansion needs ~1 ulp of zeta, which plain doubles
-    # cannot deliver once zeta >> 1.
-    s = math.sqrt(x)
+def _zeta_double_double(x):
+    # zeta = (2/3) x^(3/2) as an unevaluated double-double sum, plus sqrt(x);
+    # the phase of the oscillatory expansion needs ~1 ulp of zeta, which plain
+    # doubles cannot deliver once zeta >> 1.
+    s = np.sqrt(x)
     ss, se = _two_prod(s, s)
     s_corr = ((x - ss) - se) / (2.0 * s)
     p, pe = _two_prod(x, s)
-    pe += x * s_corr
+    pe = pe + x * s_corr
     num_h, num_l = _two_sum(2.0 * p, 2.0 * pe)
     q = num_h / 3.0
     qq, qe = _two_prod(3.0, q)
-    return q, (((num_h - qq) - qe) + num_l) / 3.0
+    return q, (((num_h - qq) - qe) + num_l) / 3.0, s
 
 
-def _phase_sin_cos(zeta_hi: float, zeta_lo: float) -> tuple[float, float]:
-    # sin/cos of (zeta + pi/4) with argument reduction done against the
-    # exact 2*pi rather than its double rounding.
-    n = round(zeta_hi / (2.0 * math.pi))
-    reduced = math.remainder(zeta_hi, 2.0 * math.pi)
-    arg = reduced + zeta_lo - n * _TWO_PI_RESIDUAL + math.pi / 4.0 + _PI_OVER_4_RESIDUAL
-    return math.sin(arg), math.cos(arg)
-
-
-def _asymptotic_positive(z: float) -> tuple[float, float]:
-    try:
-        zeta = (2.0 / 3.0) * z ** 1.5
-    except OverflowError:  # z > 3e205, far past where exp(-zeta) underflows
-        return 0.0, 0.0
-    if zeta > 740.0:  # exp underflows; Ai is a true zero in doubles
-        return 0.0, 0.0
-    su, sv = 1.0, 1.0
-    sign = -1.0
-    prev = math.inf
-    for k in range(1, len(_US)):
-        term = _US[k] / zeta ** k
-        if term > prev:
-            break
-        su += sign * term
-        sv += sign * _VS[k] / zeta ** k
-        prev = term
-        sign = -sign
-    damp = math.exp(-zeta)
-    pref = 2.0 * math.sqrt(math.pi)
-    return damp * su / (pref * z ** 0.25), -damp * z ** 0.25 * sv / pref
-
-
-def _asymptotic_negative(z: float) -> tuple[float, float]:
-    if z < -1e12:  # the phase's error grows with it: past here it costs over 1e-13 of the envelope
-        raise ValueError(f"Airy argument {z} is below the limit -1e+12, past which Ai is not computed accurately")
+def _negative(z):
+    # DLMF 9.7.9-10: Ai and Ai' for z <= -9 from the phase zeta + pi/4.  Its
+    # multiple n of 2*pi comes off as in math.remainder: n * 2*pi is a
+    # double-double and zeta - n * 2*pi is exact in doubles.  Past |z| ~ 1e11
+    # zeta / 2*pi no longer rounds to n, and the reduced phase, a few turns
+    # long, keeps a rounding error of up to ~1e-14.  The series go in pairs of
+    # terms, an even one for P and R and an odd one for Q and S.
     x = -z
-    zeta_hi, zeta_lo = _zeta_double_double(x)
-    sn, cs = _phase_sin_cos(zeta_hi, zeta_lo)
-    p = q = r = s = 0.0
-    sign = 1.0
-    prev = math.inf
-    for k in range(len(_US) // 2):
-        try:
-            even, odd = zeta_hi ** (2 * k), zeta_hi ** (2 * k + 1)
-        except OverflowError:  # the terms left are below 1e-248 of the first
-            break
-        t_even = _US[2 * k] / even
-        if t_even > prev:
-            break
-        p += sign * t_even
-        q += sign * _US[2 * k + 1] / odd
-        r += sign * _VS[2 * k] / even
-        s += sign * _VS[2 * k + 1] / odd
-        prev = t_even
-        sign = -sign
-    sqrt_pi = math.sqrt(math.pi)
-    ai = (sn * p - cs * q) / (sqrt_pi * x ** 0.25)
-    ai_prime = -(cs * r + sn * s) * x ** 0.25 / sqrt_pi
-    return ai, ai_prime
+    zeta, zeta_lo, root = _zeta_double_double(x)
+    turns = np.rint(zeta / (2.0 * math.pi))
+    whole, whole_lo = _two_prod(turns, 2.0 * math.pi)
+    phase = ((zeta - whole) - whole_lo) + zeta_lo - turns * _TWO_PI_RESIDUAL + math.pi / 4.0 + _PI_OVER_4_RESIDUAL
+    sn, cs = np.sin(phase), np.cos(phase)
+    (p, r), (q, s) = _partial_sums(_series_tables()[1], 1.0 / zeta, (_term_count(zeta) + 1) // 2, 2)
+    quarter = np.sqrt(root)
+    return (sn * p - cs * q) / (math.sqrt(math.pi) * quarter), -(cs * r + sn * s) * quarter / math.sqrt(math.pi)
 
 
-def _taylor_coefficients(z0: float, ai: float, aip: float) -> tuple[float, ...]:
+def _positive(z):
+    # DLMF 9.7.5-6: Ai and Ai' for z >= 9.
+    # exp(-zeta) takes zeta's rounding as its relative error, so zeta is a
+    # double-double here too.
+    zeta, zeta_lo, root = _zeta_double_double(np.minimum(z, _POSITIVE_CAP))
+    su, sv = _partial_sums(_series_tables()[0], 1.0 / zeta, _term_count(zeta), 1)[0]
+    damp = np.exp(-zeta) * (1.0 - zeta_lo)
+    pref = 2.0 * math.sqrt(math.pi)
+    quarter = np.sqrt(root)
+    return damp * su / (pref * quarter), -damp * quarter * sv / pref
+
+
+def _taylor_coefficients(z0: float, ai: float, aip: float) -> list[float]:
     # The 34 recentred Taylor coefficients of w'' = z*w:
     # c_{k+2} = (z0*c_k + c_{k-1}) / ((k+1)(k+2))
     c = [ai, aip]
     for k in range(32):
         c_km1 = c[k - 1] if k >= 1 else 0.0
         c.append((z0 * c[k] + c_km1) / ((k + 1) * (k + 2)))
-    return tuple(c)
+    return c
 
 
-def _horner(c: tuple[float, ...], h: float) -> tuple[float, float]:
-    # The Taylor polynomial with coefficients c and its derivative at offset h.
-    value = 0.0
-    for k in range(len(c) - 1, -1, -1):
-        value = value * h + c[k]
-    deriv = 0.0
-    for k in range(len(c) - 1, 0, -1):
-        deriv = deriv * h + k * c[k]
+def _horner(columns, h):
+    # The Taylor polynomial and its derivative at offset h, where columns[k]
+    # holds (c_k, (k+1) c_(k+1)): floats for one point, rows of an array for many.
+    value, deriv = columns[-1]
+    for c, d in columns[-2::-1]:
+        value = value * h + c
+        deriv = deriv * h + d
     return value, deriv
 
 
 @functools.cache
-def _anchor(z0: int) -> tuple[float, ...]:
-    # Taylor coefficients of Ai about the integer z0 in -8..9: the asymptotic
-    # value at 9, else one unit step down from the anchor above.  Toward
-    # smaller z Ai is the growing solution on the positive axis and neither
-    # solution grows on the negative axis, so the propagation is stable.
-    if z0 == _ASYMP_CUT:
-        ai, aip = _asymptotic_positive(_ASYMP_CUT)
-    else:
-        ai, aip = _horner(_anchor(z0 + 1), -1.0)
-    return _taylor_coefficients(float(z0), ai, aip)
+def _anchor_columns() -> list[list[tuple[float, float]]]:
+    """Per integer anchor -8..9, the columns (c_k, (k+1) c_(k+1)) of Ai's
+    Taylor polynomial about it, built once.  The anchor 9 starts from the
+    asymptotic value there, every other from one unit step down from the
+    anchor above: toward smaller z Ai is the growing solution on the
+    positive axis and neither solution grows on the negative axis, so the
+    propagation is stable."""
+    ai, aip = _positive(_ASYMP_CUT)
+    anchors = []
+    for z0 in range(9, -9, -1):
+        c = _taylor_coefficients(float(z0), float(ai), float(aip))
+        columns = [(c[k], (k + 1) * c[k + 1]) for k in range(33)] + [(c[33], 0.0)]
+        anchors.append(columns)
+        ai, aip = _horner(columns, -1.0)
+    return anchors[::-1]
 
 
-@functools.lru_cache(maxsize=20_000)
-def airy_ai(z: float) -> AiryValue:
-    """Evaluate Ai(z) and Ai'(z).  Results are memoized for reuse across
-    calls: a session that revisits a level (moments, density grid) meets the
-    same abscissas again.  Fifteen revisited bouncer levels use about 16,400
-    abscissas; the bound keeps those while one-off wavefunction points cycle
-    through the rest instead of growing memory for the life of the process."""
-    if not math.isfinite(z):
-        raise ValueError(f"Airy argument must be finite, got {z}")
+@functools.cache
+def _taylor_table() -> np.ndarray:
+    # The same columns as one (34, 2, 18) array, anchor last, for batches.
+    return np.ascontiguousarray(np.array(_anchor_columns()).transpose(1, 2, 0))
+
+
+def _taylor(z):
+    # One Taylor step from the integer anchor at or above z, for -9 < z < 9.
+    if isinstance(z, float):  # one point: Python floats round every step as numpy does, at a fraction of the cost
+        anchor = math.ceil(z)
+        return _horner(_anchor_columns()[anchor + 8], z - anchor)
+    anchor = np.ceil(z)
+    return _horner(_taylor_table()[:, :, anchor.astype(int) + 8], z - anchor)
+
+
+def _branch(z: float) -> str:
     if z >= _ASYMP_CUT:
-        ai, aip = _asymptotic_positive(z)
-        return AiryValue(ai, aip, "positive-z-asymptotic")
+        return "positive-z-asymptotic"
     if z <= -_ASYMP_CUT:
-        ai, aip = _asymptotic_negative(z)
-        return AiryValue(ai, aip, "negative-z-asymptotic")
-    z0 = math.ceil(z)  # one Taylor step from the integer anchor at or above z
-    ai, aip = _horner(_anchor(z0), z - z0)
-    return AiryValue(ai, aip, "power-series")
+        return "negative-z-asymptotic"
+    return "power-series"
+
+
+_BRANCHES = {"power-series": _taylor, "negative-z-asymptotic": _negative, "positive-z-asymptotic": _positive}
+
+
+def _evaluate(z: np.ndarray) -> np.ndarray:
+    # Ai + i Ai' of each element of the non-empty 1-D z, branch by branch.
+    if len(z) == 1:
+        v = z.item()
+        if not _AIRY_LIMIT <= v < math.inf:  # false for a nan too
+            raise _argument_error(v)
+        return np.array([complex(*_BRANCHES[_branch(v)](v))])
+    if len(z) > _CHUNK:
+        return np.concatenate([_evaluate(z[i:i + _CHUNK]) for i in range(0, len(z), _CHUNK)])
+    lo, hi = z.min(), z.max()
+    if not (lo >= _AIRY_LIMIT and hi < math.inf):
+        raise _argument_error(next(v for v in z.tolist() if not _AIRY_LIMIT <= v < math.inf))
+    values = np.empty(len(z), dtype=complex)
+    if _branch(lo) == _branch(hi):
+        values.real, values.imag = _BRANCHES[_branch(lo)](z)
+        return values
+    for name, inside in (
+        ("negative-z-asymptotic", z <= -_ASYMP_CUT),
+        ("positive-z-asymptotic", z >= _ASYMP_CUT),
+        ("power-series", (z > -_ASYMP_CUT) & (z < _ASYMP_CUT)),
+    ):
+        if inside.any():
+            values.real[inside], values.imag[inside] = _BRANCHES[name](z[inside])
+    return values
+
+
+def _argument_error(z: float) -> ValueError:
+    if not math.isfinite(z):
+        return ValueError(f"Airy argument must be finite, got {z}")
+    return ValueError(f"Airy argument {z} is below the limit -1e+12, past which Ai is not computed accurately")
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _memo_cell(z: float) -> list:
+    # The memo: z -> a cell that `airy` fills with Ai(z) + i Ai'(z) right
+    # after the miss that made it (a complex keeps both doubles exactly).  The
+    # lru_cache keeps recency and counts in C; a cell left empty, because its
+    # batch raised, is computed again when next met.
+    return []
+
+
+def airy(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ai(z) and Ai'(z) for every element of the 1-D array z, as two arrays.
+
+    Raises ``ValueError`` for a non-finite z or one below -1e12.  Elements
+    seen recently come from the memo (its bound keeps the 16,400 abscissas of
+    fifteen revisited bouncer levels, while one-off points cycle through the
+    rest); all others are computed in one kernel pass.
+    """
+    z = np.asarray(z, dtype=float)
+    cells = list(map(_memo_cell, z.tolist()))
+    empty = cells.count([])
+    if empty == len(cells):
+        values = _evaluate(z) if cells else np.empty(0, dtype=complex)
+        for cell, value in zip(cells, values.tolist()):
+            cell[:] = [value]
+    else:
+        if empty:
+            missing = np.array([not cell for cell in cells])
+            for cell, value in zip(compress(cells, missing), _evaluate(z[missing]).tolist()):
+                cell[:] = [value]
+        values = np.fromiter(map(itemgetter(0), cells), complex, len(cells))
+    return values.real, values.imag
+
+
+def airy_ai(z: float) -> AiryValue:
+    """Ai(z) and Ai'(z) with the branch that computed them: one element of
+    `airy`, through the same memo.  ``airy_ai.cache_clear()`` empties that
+    memo and ``airy_ai.cache_info()`` reports its hits, misses and size."""
+    ai, aip = airy(np.array([z], dtype=float))
+    return AiryValue(ai.item(), aip.item(), _branch(z))
+
+
+airy_ai.cache_clear = _memo_cell.cache_clear
+airy_ai.cache_info = _memo_cell.cache_info
 
 
 @functools.lru_cache(maxsize=4096)

@@ -253,12 +253,6 @@ class InfiniteWell(_System):
 # --- bouncer ------------------------------------------------------------------
 
 
-def _airy(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Ai and Ai' per element from the cached kernel, looked up in `specfun` so wrappers there see each call
-    values = [specfun.airy_ai(v) for v in z.tolist()]
-    return np.array([v.ai for v in values]), np.array([v.ai_prime for v in values])
-
-
 @dataclass(frozen=True)
 class BouncingBall(_System):
     m: float
@@ -288,7 +282,7 @@ class BouncingBall(_System):
         normalization = 1.0 / abs(specfun.airy_ai(-level.scaled_energy).ai_prime)
         lg = level.grav_length
         z = np.maximum(x, 0.0) / lg - level.scaled_energy  # x < 0 takes the floor's z, then psi = 0
-        return np.where(x < 0.0, 0.0, normalization / math.sqrt(lg) * _airy(z)[0])
+        return np.where(x < 0.0, 0.0, normalization / math.sqrt(lg) * specfun.airy(z)[0])
 
     def moment_passes(self, level):
         # All integrals live in the shifted dimensionless coordinate on
@@ -296,7 +290,7 @@ class BouncingBall(_System):
         e = level.scaled_energy
 
         def integrands(z: np.ndarray) -> np.ndarray:
-            ai, ai_prime = _airy(z)
+            ai, ai_prime = specfun.airy(z)
             ai_sq = ai ** 2
             return np.array([ai_sq, (z + e) * ai_sq, (z + e) ** 2 * ai_sq, ai * ai_prime])
 

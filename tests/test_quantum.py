@@ -278,6 +278,21 @@ class TestMoments:
             assert abs(got.product - 4.0 / 135.0) < 1e-6
         assert len(mean_p) == len(levels) and max(map(abs, mean_p)) < 1e-6
 
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_bouncer_high_levels(self, monkeypatch, n):
+        # Ai over (a_n, inf) carries about n oscillations; at n = 1000 the
+        # moment pass evaluates Ai about 86,000 times, far past what the memo
+        # holds.  DEFAULT_SPEC, as `ucr compare` runs: at SPEC's abs_tol 1e-13
+        # the error estimate of the Ai Ai' component at n = 1000 stays at its
+        # rounding floor, about 1.3e-13, and the pass cannot converge.
+        mean_p = _checked_mean_p(monkeypatch)
+        got = quantum_moments_quadrature(eigen_level(BALL, n), DEFAULT_SPEC)
+        assert abs(got.mean_x - 2.0 / 3.0) < 1e-6
+        assert abs(got.mean_x2 - 8.0 / 15.0) < 1e-6
+        assert abs(got.mean_p2 - 1.0 / 3.0) < 1e-6
+        assert abs(got.product - 4.0 / 135.0) < 1e-6
+        assert len(mean_p) == 1 and abs(mean_p[0]) < 1e-6
+
     def test_bouncer_parameter_invariance(self):
         # the scaled moments of a level cannot depend on (m, omega/L/g, hbar),
         # for the bouncer and the other two systems alike

@@ -2,12 +2,13 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from ucr.specfun import ConvergenceError, airy_ai, airy_zero, hermite, hermite_prime
+from ucr.specfun import ConvergenceError, airy, airy_ai, airy_zero, hermite, hermite_prime
 
 
 class TestHermite:
@@ -188,6 +189,103 @@ class TestAiryAi:
             value_err = max(1e-12 * env_ai, 1e-14)
             budget = h * h * third / 6.0 * 10.0 + value_err / h
             assert abs(diff - v0.ai_prime) < budget
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _cold(fn, z):
+    # every element computed by the kernel, none served by the memo
+    airy_ai.cache_clear()
+    return fn(z)
+
+
+class TestAiryArray:
+    @staticmethod
+    def _mixed_batch() -> np.ndarray:
+        # every branch, both sides of each seam, the far negative axis up to
+        # its limit, and more elements than one kernel pass takes
+        rng = random.Random(20261019)
+        zs = [rng.uniform(-40.0, 30.0) for _ in range(450)]
+        zs += [-(10.0 ** rng.uniform(1.0, 12.0)) for _ in range(100)]
+        zs += [z for k in range(-9, 10) for z in (math.nextafter(k, -math.inf), float(k), math.nextafter(k, math.inf))]
+        zs += [-1e12, 30.0, 9.0 + 1e-9, -9.0 - 1e-9]
+        rng.shuffle(zs)
+        return np.array(zs)
+
+    def test_each_element_equals_its_one_element_call(self):
+        # a value depends on its z alone, never on the rest of its batch
+        z = self._mixed_batch()
+        ai, aip = _cold(airy, z)
+        for i in range(len(z)):
+            one_ai, one_aip = _cold(airy, z[i:i + 1])
+            scalar = _cold(airy_ai, z[i])
+            assert _bits([ai[i], aip[i]]) == _bits([one_ai[0], one_aip[0]]) == _bits([scalar.ai, scalar.ai_prime])
+
+    def test_memo_returns_the_computed_bits(self):
+        z = self._mixed_batch()
+        cold = _cold(airy, z)
+        _cold(airy, z[::3])  # a third remembered: the next call mixes hits and misses
+        mixed = airy(z)
+        warm = airy(z)
+        for got in (mixed, warm):
+            assert _bits(got[0]) == _bits(cold[0]) and _bits(got[1]) == _bits(cold[1])
+
+    def test_empty_batch(self):
+        ai, aip = airy(np.empty(0))
+        assert ai.shape == aip.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, math.nextafter(-1e12, -math.inf), -1e13])
+    @pytest.mark.parametrize("size", [4, 1500])
+    def test_bad_element_raises_as_airy_ai_does(self, bad, size):
+        with pytest.raises(ValueError) as scalar:
+            airy_ai(bad)
+        z = np.linspace(-20.0, 20.0, size)
+        z[size // 2] = bad
+        with pytest.raises(ValueError) as batch:
+            airy(z)
+        assert str(batch.value) == str(scalar.value)
+
+    def test_cache_counts_batch_elements(self):
+        airy_ai.cache_clear()
+        airy(np.linspace(-12.0, 12.0, 10))
+        info = airy_ai.cache_info()
+        assert info.currsize >= 10 and info.misses == 10 and info.maxsize == 20_000
+        airy(np.linspace(-12.0, 12.0, 10))
+        assert airy_ai.cache_info().hits == 10
+        airy_ai.cache_clear()
+        assert airy_ai.cache_info().currsize == 0
+
+
+class TestAirySeams:
+    # Ai and Ai' against mpmath at 40 digits on both sides of each seam of the
+    # kernel: z = -9 and 9, where the expansions meet the Taylor steps, and
+    # each integer anchor -8..9 of those steps.  Errors are over the envelopes
+    # |z|^(-1/4)/sqrt(pi) of Ai and |z|^(1/4)/sqrt(pi) of Ai', with |z|
+    # floored at 1 so the envelope of Ai stays finite at the origin.
+    BOUND = 2e-15
+
+    @staticmethod
+    def points(seam: int) -> list[float]:
+        k = float(seam)
+        return [k, math.nextafter(k, -math.inf), math.nextafter(k, math.inf), k - 1e-9, k + 1e-9, k - 0.5, k + 0.5]
+
+    @staticmethod
+    def worst_over_envelope(zs: list[float]) -> tuple[float, float]:
+        ai, aip = _cold(airy, np.array(zs))
+        worst_ai = worst_aip = 0.0
+        with mp.workdps(40):
+            for z, a, ap in zip(zs, ai.tolist(), aip.tolist()):
+                quarter = max(abs(z), 1.0) ** 0.25
+                worst_ai = max(worst_ai, float(abs(a - mp.airyai(z))) * quarter * math.sqrt(math.pi))
+                worst_aip = max(worst_aip, float(abs(ap - mp.airyai(z, derivative=1))) / quarter * math.sqrt(math.pi))
+        return worst_ai, worst_aip
+
+    @pytest.mark.parametrize("seam", range(-9, 10))
+    def test_error_over_envelope(self, seam):
+        worst_ai, worst_aip = self.worst_over_envelope(self.points(seam))
+        assert worst_ai <= self.BOUND and worst_aip <= self.BOUND
 
 
 class TestAiryZero:

@@ -5,9 +5,10 @@ stdout line or exit code that differs.
 
 Each argument is a directory that holds the `ucr` package (a checkout's
 `src/`); it goes first on PYTHONPATH for that tree's runs.  The commands
-cover `compare` on every system (CSV and JSON, and at the loose integral
-tolerances `--quad-tol 1e-6` and, for the oscillator's n = 0, `1e-4`, where
-the <P> = 0 check meets real quadrature error), `verify` on every system at
+cover `compare` on every system, and on the bouncer's high levels n = 200
+and 1000 (CSV and JSON, and at the loose integral tolerances `--quad-tol
+1e-6` and, for the oscillator's n = 0, `1e-4`, where the <P> = 0 check
+meets real quadrature error), `verify` on every system at
 two sample counts, bouncer `density` grids over levels 1..9 and 51..101
 points, the well's and the oscillator's density grids (a 5-point one each,
 and levels 0, 3, 10 resp. 1, 8, 100 at 11 and 101 points), and an
@@ -27,7 +28,7 @@ _WELL_LEVELS = "1,2,3,6,10,18,32,56,100,178,316,422,562,750,1000"
 
 def commands() -> list[tuple[str, ...]]:
     cmds: list[tuple[str, ...]] = []
-    for system, n in (("bouncer", "1..36"), ("ho", "0..40"), ("well", _WELL_LEVELS)):
+    for system, n in (("bouncer", "1..36"), ("bouncer", "200,1000"), ("ho", "0..40"), ("well", _WELL_LEVELS)):
         for fmt in ("csv", "json"):
             cmds.append(("compare", "--system", system, "--n", n, "--format", fmt))
         cmds.append(("compare", "--system", system, "--n", n, "--quad-tol", "1e-6"))
