@@ -6,18 +6,18 @@ does: a Taylor step from an integer anchor on (-9, 9), the large-|z|
 expansions (DLMF 9.7.5-6 and 9.7.9-10) beyond.  Each element's value depends
 on its z alone, never on the rest of its batch, so `airy_ai`, the scalar form
 for Newton steps and the public API, returns the same bits as any array call.
-One LRU memo of 20,000 abscissas sits in front of the kernel and `airy_zero`
-memoizes its zeros; the Taylor and series tables are built once, on first
-use.  Nothing else is kept between calls.
+One LRU memo of whole batches, 20,000 elements in all, sits in front of the
+kernel and `airy_zero` memoizes its zeros; the Taylor and series tables are
+built once, on first use.  Nothing else is kept between calls.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from itertools import compress
-from operator import itemgetter
 
 import numpy as np
 
@@ -241,8 +241,8 @@ def _taylor_coefficients(z0: float, ai: float, aip: float) -> list[float]:
 
 
 def _horner(columns, h):
-    # The Taylor polynomial and its derivative at offset h, where columns[k]
-    # holds (c_k, (k+1) c_(k+1)): floats for one point, rows of an array for many.
+    # The Taylor polynomial and its derivative at the float offset h, where
+    # columns[k] holds the floats (c_k, (k+1) c_(k+1)).
     value, deriv = columns[-1]
     for c, d in columns[-2::-1]:
         value = value * h + c
@@ -280,7 +280,12 @@ def _taylor(z):
         anchor = math.ceil(z)
         return _horner(_anchor_columns()[anchor + 8], z - anchor)
     anchor = np.ceil(z)
-    return _horner(_taylor_table()[:, :, anchor.astype(int) + 8], z - anchor)
+    h, columns = z - anchor, _taylor_table()[:, :, anchor.astype(int) + 8]
+    acc = columns[-1].copy()  # (value, derivative) rows: _horner's operations in half its ufunc calls
+    for column in columns[-2::-1]:
+        acc *= h
+        acc += column
+    return acc
 
 
 def _branch(z: float) -> str:
@@ -295,28 +300,27 @@ _BRANCHES = {"power-series": _taylor, "negative-z-asymptotic": _negative, "posit
 
 
 def _evaluate(z: np.ndarray) -> np.ndarray:
-    # Ai + i Ai' of each element of the non-empty 1-D z, branch by branch.
+    # The rows Ai and Ai' of each element of the non-empty 1-D z, branch by branch.
     if len(z) == 1:
         v = z.item()
         if not _AIRY_LIMIT <= v < math.inf:  # false for a nan too
             raise _argument_error(v)
-        return np.array([complex(*_BRANCHES[_branch(v)](v))])
+        return np.array(_BRANCHES[_branch(v)](v))[:, None]
     if len(z) > _CHUNK:
-        return np.concatenate([_evaluate(z[i:i + _CHUNK]) for i in range(0, len(z), _CHUNK)])
+        return np.concatenate([_evaluate(z[i:i + _CHUNK]) for i in range(0, len(z), _CHUNK)], axis=1)
     lo, hi = z.min(), z.max()
     if not (lo >= _AIRY_LIMIT and hi < math.inf):
         raise _argument_error(next(v for v in z.tolist() if not _AIRY_LIMIT <= v < math.inf))
-    values = np.empty(len(z), dtype=complex)
     if _branch(lo) == _branch(hi):
-        values.real, values.imag = _BRANCHES[_branch(lo)](z)
-        return values
+        return np.asarray(_BRANCHES[_branch(lo)](z))
+    values = np.empty((2, len(z)))
     for name, inside in (
         ("negative-z-asymptotic", z <= -_ASYMP_CUT),
         ("positive-z-asymptotic", z >= _ASYMP_CUT),
         ("power-series", (z > -_ASYMP_CUT) & (z < _ASYMP_CUT)),
     ):
         if inside.any():
-            values.real[inside], values.imag[inside] = _BRANCHES[name](z[inside])
+            values[:, inside] = _BRANCHES[name](z[inside])
     return values
 
 
@@ -326,49 +330,56 @@ def _argument_error(z: float) -> ValueError:
     return ValueError(f"Airy argument {z} is below the limit -1e+12, past which Ai is not computed accurately")
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _memo_cell(z: float) -> list:
-    # The memo: z -> a cell that `airy` fills with Ai(z) + i Ai'(z) right
-    # after the miss that made it (a complex keeps both doubles exactly).  The
-    # lru_cache keeps recency and counts in C; a cell left empty, because its
-    # batch raised, is computed again when next met.
-    return []
+# The memo: the bytes of a 1-D batch -> its read-only (Ai, Ai') rows, least
+# recently used first; bounded, and counted, in elements.
+_MEMO: OrderedDict[bytes, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+_memo_counts = [0, 0, 0]  # hits, misses, held elements
+_MEMO_LOCK = threading.Lock()  # held by each memo access, a kernel pass on a miss included
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def airy(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ai(z) and Ai'(z) for every element of the 1-D array z, as two arrays.
-
-    Raises ``ValueError`` for a non-finite z or one below -1e12.  Elements
-    seen recently come from the memo (its bound keeps the 16,400 abscissas of
-    fifteen revisited bouncer levels, while one-off points cycle through the
-    rest); all others are computed in one kernel pass.
-    """
+    """Ai(z) and Ai'(z) for every element of the 1-D array z, as two read-only
+    arrays.  Raises ``ValueError`` for a z that is not 1-D, a non-finite
+    element or one below -1e12.  A batch seen recently comes whole from the
+    memo, as a level's passes make the same batches on every visit."""
     z = np.asarray(z, dtype=float)
-    cells = list(map(_memo_cell, z.tolist()))
-    empty = cells.count([])
-    if empty == len(cells):
-        values = _evaluate(z) if cells else np.empty(0, dtype=complex)
-        for cell, value in zip(cells, values.tolist()):
-            cell[:] = [value]
-    else:
-        if empty:
-            missing = np.array([not cell for cell in cells])
-            for cell, value in zip(compress(cells, missing), _evaluate(z[missing]).tolist()):
-                cell[:] = [value]
-        values = np.fromiter(map(itemgetter(0), cells), complex, len(cells))
-    return values.real, values.imag
+    if z.ndim != 1:
+        raise ValueError(f"Airy argument must be a 1-D array, got shape {z.shape}")
+    key = z.tobytes()
+    with _MEMO_LOCK:
+        if key in _MEMO:
+            _MEMO.move_to_end(key)
+            _memo_counts[0] += len(z)
+            return _MEMO[key]
+        values = _evaluate(z) if len(z) else np.empty((2, 0))
+        values.setflags(write=False)
+        rows = values[0], values[1]
+        _memo_counts[1] += len(z)
+        if len(z) <= _MEMO_SIZE:  # a larger batch is returned but not kept
+            _memo_counts[2] += len(z)
+            while _memo_counts[2] > _MEMO_SIZE:
+                _memo_counts[2] -= _MEMO.popitem(last=False)[1][0].size
+            _MEMO[key] = rows
+        return rows
 
 
 def airy_ai(z: float) -> AiryValue:
     """Ai(z) and Ai'(z) with the branch that computed them: one element of
     `airy`, through the same memo.  ``airy_ai.cache_clear()`` empties that
-    memo and ``airy_ai.cache_info()`` reports its hits, misses and size."""
+    memo and ``airy_ai.cache_info()`` reports its hits, misses and size in elements."""
     ai, aip = airy(np.array([z], dtype=float))
     return AiryValue(ai.item(), aip.item(), _branch(z))
 
 
-airy_ai.cache_clear = _memo_cell.cache_clear
-airy_ai.cache_info = _memo_cell.cache_info
+def _cache_clear() -> None:
+    with _MEMO_LOCK:
+        _MEMO.clear()
+        _memo_counts[:] = [0, 0, 0]
+
+
+airy_ai.cache_clear = _cache_clear
+airy_ai.cache_info = lambda: _CacheInfo(_memo_counts[0], _memo_counts[1], _MEMO_SIZE, _memo_counts[2])
 
 
 @functools.lru_cache(maxsize=4096)

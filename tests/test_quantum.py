@@ -11,7 +11,7 @@ from ucr.classical_ensemble import (
     InfiniteWell,
     PotentialModel,
 )
-from ucr import quantum_states
+from ucr import quantum_states, specfun
 from ucr.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_finite, integrate_semi_infinite
 from ucr.quantum_states import (
     bouncer_state,
@@ -277,6 +277,20 @@ class TestMoments:
             assert abs(got.mean_p2 - 1.0 / 3.0) < 1e-6
             assert abs(got.product - 4.0 / 135.0) < 1e-6
         assert len(mean_p) == len(levels) and max(map(abs, mean_p)) < 1e-6
+
+    def test_revisited_bouncer_level_makes_no_kernel_pass(self, monkeypatch):
+        # a level's moment pass and density grid make the same Airy batches
+        # on every visit, so the memo serves the second visit whole
+        level = eigen_level(BALL, 4)
+        batches = []
+        evaluate = specfun._evaluate
+        monkeypatch.setattr(specfun, "_evaluate", lambda z: batches.append(len(z)) or evaluate(z))
+        airy_ai.cache_clear()
+        cold = quantum_moments_quadrature(level, SPEC), density_grid(level, 61)
+        assert batches  # the counter sees the kernel
+        batches.clear()
+        warm = quantum_moments_quadrature(level, SPEC), density_grid(level, 61)
+        assert batches == [] and warm == cold
 
     @pytest.mark.parametrize("n", [200, 1000])
     def test_bouncer_high_levels(self, monkeypatch, n):

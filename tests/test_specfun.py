@@ -1,5 +1,8 @@
 import math
 import random
+import re
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from ucr import specfun
 from ucr.specfun import ConvergenceError, airy, airy_ai, airy_zero, hermite, hermite_prime
 
 
@@ -226,11 +230,31 @@ class TestAiryArray:
     def test_memo_returns_the_computed_bits(self):
         z = self._mixed_batch()
         cold = _cold(airy, z)
-        _cold(airy, z[::3])  # a third remembered: the next call mixes hits and misses
+        _cold(airy, z[::3])  # z[::3] is remembered, z itself misses
         mixed = airy(z)
         warm = airy(z)
         for got in (mixed, warm):
             assert _bits(got[0]) == _bits(cold[0]) and _bits(got[1]) == _bits(cold[1])
+
+    def test_returned_arrays_are_read_only(self):
+        z = self._mixed_batch()
+        ai, aip = _cold(airy, z)
+        bits = _bits(ai), _bits(aip)
+        for row in (ai, aip):
+            with pytest.raises(ValueError):
+                row[0] = 1.0
+            with pytest.raises(ValueError):
+                row *= 2.0
+        hit = airy(z)
+        assert airy_ai.cache_info().hits == len(z)
+        assert (_bits(hit[0]), _bits(hit[1])) == bits
+
+    @pytest.mark.parametrize("bad", [0.5, [[0.5, 1.0], [1.5, 2.0]], np.zeros((4, 1)), np.zeros((0, 0))])
+    def test_non_1d_argument_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"1-D array, got shape {np.shape(bad)}")):
+            airy(bad)
+        scalar = airy_ai(0.5)  # the scalar form still takes a float
+        assert _bits([scalar.ai, scalar.ai_prime]) == _bits(np.concatenate(airy(np.array([0.5]))))
 
     def test_empty_batch(self):
         ai, aip = airy(np.empty(0))
@@ -256,6 +280,68 @@ class TestAiryArray:
         assert airy_ai.cache_info().hits == 10
         airy_ai.cache_clear()
         assert airy_ai.cache_info().currsize == 0
+
+    def test_least_recent_batches_go_first(self):
+        first, second, third = (np.linspace(k, k + 1.0, 8_000) for k in (-3.0, 0.0, 3.0))
+        airy_ai.cache_clear()
+        airy(first)
+        airy(second)
+        airy(first)  # now second is the least recent
+        airy(third)  # 24,000 elements: second goes
+        info = airy_ai.cache_info()
+        assert info.currsize == 16_000 and (info.hits, info.misses) == (8_000, 24_000)
+        airy(first)
+        airy(third)
+        assert airy_ai.cache_info().misses == 24_000
+        airy(second)
+        assert airy_ai.cache_info().misses == 32_000
+        assert airy_ai.cache_info().currsize <= 20_000
+
+    def test_memo_holds_under_threads(self):
+        # four threads share the memo through 24,000 elements of batches, so
+        # entries are evicted throughout; no call may fail, return other bits
+        # or lose a count
+        batches = [np.linspace(k, k + 0.1, 200) for k in np.arange(-6.0, 6.0, 0.1)]
+        want = [_cold(airy, z)[0].view(np.uint64) for z in batches]
+        airy_ai.cache_clear()
+        wrong = []
+
+        def work(offset: int) -> None:
+            try:
+                for i in range(100):
+                    j = (7 * i + 31 * offset) % len(batches)
+                    if not np.array_equal(airy(batches[j])[0].view(np.uint64), want[j]):
+                        wrong.append(j)
+            except Exception as exc:  # reported by the assertion below
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and wrong == []
+        info = airy_ai.cache_info()
+        assert info.hits + info.misses == 4 * 100 * 200
+        assert info.currsize == sum(len(ai) for ai, _ in specfun._MEMO.values()) <= 20_000
+
+    def test_batch_over_the_bound_is_returned_not_kept(self):
+        kept = np.linspace(-2.0, 2.0, 100)
+        airy_ai.cache_clear()
+        airy(kept)
+        big = np.linspace(-5.0, 5.0, 20_001)
+        ai, aip = airy(big)
+        assert ai.shape == aip.shape == (20_001,)
+        assert _bits(ai[::2000]) == _bits(airy(big[::2000])[0])
+        info = airy_ai.cache_info()
+        assert info.currsize == 100 + len(big[::2000]) and info.misses == 20_001 + 100 + len(big[::2000])
+        airy(kept)
+        assert airy_ai.cache_info().hits == 100
 
 
 class TestAirySeams:
