@@ -12,12 +12,13 @@ quadrature passes and checks them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .classical_ensemble import PotentialModel, ScaledMoments, build_ensemble, classical_density
+from .classical_ensemble import BouncingBall, PotentialModel, ScaledMoments, build_ensemble, classical_density
 from .quadrature import (
     DEFAULT_SPEC,
     IntegralResult,
@@ -25,7 +26,6 @@ from .quadrature import (
     integrate_finite,
     integrate_semi_infinite,
 )
-from .specfun import airy
 
 __all__ = [
     "BouncerState",
@@ -48,8 +48,6 @@ class EigenLevel:
     n: int
     energy: float
     turning_point: float
-    scaled_energy: Optional[float] = None  # bouncer only
-    grav_length: Optional[float] = None  # bouncer only
 
 
 @dataclass(frozen=True)
@@ -60,18 +58,19 @@ class BouncerState:
 
 def eigen_level(model: PotentialModel, n: int) -> EigenLevel:
     variant = model.variant
-    if n < variant.n_min:
-        raise ValueError(f"{variant.name} quantum number must be >= {variant.n_min}, got {n}")
+    if not isinstance(n, numbers.Integral) or n < variant.n_min:
+        raise ValueError(f"{variant.name} quantum number must be an integer >= {variant.n_min}, got {n!r}")
     return EigenLevel(model, n, *variant.level(n, model.hbar))
 
 
 def bouncer_state(level: EigenLevel, spec: QuadratureSpec = DEFAULT_SPEC) -> BouncerState:
     """Normalization constant of the Airy eigenstate in the shifted variable:
-    N_n^2 * integral of Ai^2 over (-E'_n, inf) = 1."""
-    if level.scaled_energy is None:
+    N_n^2 * integral of Ai^2 over (-E'_n, inf) = 1, the moment pass's norm."""
+    if not isinstance(level.model.variant, BouncingBall):  # the one engine that takes a single system
         raise ValueError("bouncer_state requires a bouncer level")
     spec = _oscillation_budget(spec, level.n)
-    raw = integrate_semi_infinite(lambda z: airy(z)[0] ** 2, -level.scaled_energy, spec)
+    [(f, a, _)], _ = level.model.variant.moment_passes(level)
+    raw = integrate_semi_infinite(lambda z: f(z)[0], a, spec)
     _require_converged("bouncer normalization integral", raw)
     return BouncerState(level, 1.0 / math.sqrt(raw.value))
 
@@ -138,8 +137,8 @@ def density_grid(level: EigenLevel, points: int) -> list[tuple[float, float, flo
     singular classical endpoints are clipped to the last interior value and
     flagged.
     """
-    if points < 2:
-        raise ValueError(f"need at least 2 grid points, got {points}")
+    if not isinstance(points, numbers.Integral) or points < 2:
+        raise ValueError(f"need an integer of at least 2 grid points, got {points!r}")
     lo, hi = level.model.variant.scaled_region
     xs = lo + (hi - lo) * np.arange(points) / (points - 1)
     ens = build_ensemble(level.model, level.energy)

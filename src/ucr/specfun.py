@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
@@ -382,12 +383,12 @@ airy_ai.cache_clear = _cache_clear
 airy_ai.cache_info = lambda: _CacheInfo(_memo_counts[0], _memo_counts[1], _MEMO_SIZE, _memo_counts[2])
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=4096, typed=True)  # typed: 3.0 must not hit the entry of 3
 def airy_zero(n: int) -> AiryZero:
     """The n-th negative zero a_n of Ai, found by Newton iteration seeded at
     the asymptotic estimate a_n ~ -[3 pi (4n-1)/8]^(2/3)."""
-    if n < 1:
-        raise ValueError(f"Airy-zero index must be >= 1, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"Airy-zero index must be an integer >= 1, got {n!r}")
     a = -((3.0 * math.pi * (4.0 * n - 1.0) / 8.0) ** (2.0 / 3.0))
     for _ in range(_NEWTON_MAX_ITER):
         v = airy_ai(a)

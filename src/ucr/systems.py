@@ -41,13 +41,14 @@ class _System:
       forms that keep tanh-sinh accurate at the turning points);
       ``closed_form``, the exact classical (<X>, <X^2>, <P^2>).
     Quantum side, for level n at hbar:
-      ``name`` and ``n_min``; ``level(n, hbar)``, (E_n, A_n) plus the
-      bouncer's scaled energy and gravitational length; ``psi(level, x)``;
+      ``name`` and ``n_min``; ``level(n, hbar)``, (E_n, A_n); ``psi(level, x)``;
       ``moment_passes(level)``, the integrals in the natural coordinate and
       how their values become (<X>, <X^2>, <P^2>, <P>);
       ``x2_offset(n)``, how far the exact quantum <X^2> sits below the
       classical one; ``robertson_bound(level)``.
     Trajectory: ``trajectory(E)``, the period, amplitude, x(t) and p(t).
+    The bouncer's quantum members share ``airy_scales(n, hbar)``, its scaled
+    energy E'_n = -a_n and gravitational length l_g = (hbar^2/(2 m^2 g))^(1/3).
     Functions of x (E - V, psi, the integrands) take and return 1-D arrays.
     """
 
@@ -270,24 +271,25 @@ class BouncingBall(_System):
         mg = self.m * self.g
         return (lambda x: mg * (turning - x)), (lambda s: mg * (turning - s)), (lambda s: mg * s)
 
-    def level(self, n: int, hbar: float) -> tuple[float, float, float, float]:
-        grav_length = (hbar ** 2 / (2.0 * self.m ** 2 * self.g)) ** (1.0 / 3.0)
-        scaled_energy = specfun.airy_zero(n).scaled_energy
-        energy = self.m * self.g * grav_length * scaled_energy
-        return energy, grav_length * scaled_energy, scaled_energy, grav_length
+    def airy_scales(self, n: int, hbar: float) -> tuple[float, float]:
+        return specfun.airy_zero(n).scaled_energy, (hbar ** 2 / (2.0 * self.m ** 2 * self.g)) ** (1.0 / 3.0)
+
+    def level(self, n: int, hbar: float) -> tuple[float, float]:
+        scaled_energy, grav_length = self.airy_scales(n, hbar)
+        return self.m * self.g * grav_length * scaled_energy, grav_length * scaled_energy
 
     def psi(self, level, x: np.ndarray) -> np.ndarray:
         # N_n = 1/|Ai'(a_n)| normalizes Ai over (a_n, inf); `bouncer_state`
         # checks that identity by quadrature.
-        normalization = 1.0 / abs(specfun.airy_ai(-level.scaled_energy).ai_prime)
-        lg = level.grav_length
-        z = np.maximum(x, 0.0) / lg - level.scaled_energy  # x < 0 takes the floor's z, then psi = 0
+        e, lg = self.airy_scales(level.n, level.model.hbar)
+        normalization = 1.0 / abs(specfun.airy_ai(-e).ai_prime)
+        z = np.maximum(x, 0.0) / lg - e  # x < 0 takes the floor's z, then psi = 0
         return np.where(x < 0.0, 0.0, normalization / math.sqrt(lg) * specfun.airy(z)[0])
 
     def moment_passes(self, level):
         # All integrals live in the shifted dimensionless coordinate on
         # (-E'_n, inf); the gravitational length cancels throughout.
-        e = level.scaled_energy
+        e = self.airy_scales(level.n, level.model.hbar)[0]
 
         def integrands(z: np.ndarray) -> np.ndarray:
             ai, ai_prime = specfun.airy(z)
@@ -304,7 +306,7 @@ class BouncingBall(_System):
         return [(integrands, -e, math.inf)], moments
 
     def robertson_bound(self, level) -> float:
-        return 1.0 / (4.0 * level.scaled_energy ** 3)
+        return 1.0 / (4.0 * self.airy_scales(level.n, level.model.hbar)[0] ** 3)
 
     def trajectory(self, energy: float):
         # launched from the floor at t = 0

@@ -9,6 +9,7 @@ code rather than this oracle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,8 +43,8 @@ def trajectory_moments(traj: Trajectory, samples: int) -> ScaledMoments:
     """Scaled moments as time averages over one period at uniformly spaced
     sample times, offset by half a step (the midpoint rule), which keeps the
     well's square-wave momentum away from the wall discontinuities."""
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
+    if not isinstance(samples, numbers.Integral) or samples < 2:
+        raise ValueError(f"need an integer of at least 2 samples, got {samples!r}")
     t = (np.arange(samples) + 0.5) * (traj.period / samples)
     x = traj.position_of_time(t) / traj.turning_point
     p = traj.momentum_of_time(t) / math.sqrt(2.0 * traj.model.mass * traj.energy)

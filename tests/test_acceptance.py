@@ -162,7 +162,7 @@ def test_criterion_09_bouncer_normalization_identity():
     failures = []
     for n in range(1, 11):
         level = eigen_level(BALL, n)
-        identity = bouncer_state(level, SPEC).normalization * abs(airy_ai(-level.scaled_energy).ai_prime)
+        identity = bouncer_state(level, SPEC).normalization * abs(airy_ai(airy_zero(n).value).ai_prime)
         if abs(identity - 1.0) > 1e-8:
             failures.append(f"n={n}: dev {abs(identity - 1.0):.3e}")
     _report("criterion 09: bouncer normalization identity", failures)
@@ -181,7 +181,7 @@ def test_criterion_10_robertson_bounds():
         bound = commutator_bound(level)
         if not product >= bound - 1e-12:
             failures.append(f"{type(model.variant).__name__} n={n}: product {product!r} < bound {bound!r}")
-    e1 = eigen_level(BALL, 1).scaled_energy
+    e1 = airy_zero(1).scaled_energy
     b1 = commutator_bound(eigen_level(BALL, 1))
     if abs(b1 - 1.0 / (4.0 * e1 ** 3)) > 1e-15 or not b1 < 4.0 / 135.0:
         failures.append(f"bouncer n=1 bound {b1!r}")

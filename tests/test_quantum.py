@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import mpmath as mp
 import numpy as np
@@ -22,7 +23,7 @@ from ucr.quantum_states import (
     quantum_moments_quadrature,
     wavefunction,
 )
-from ucr.specfun import airy_ai
+from ucr.specfun import airy_ai, airy_zero
 from ucr.systems import _ho_coefficients, _ho_functions
 
 HO = PotentialModel(HarmonicOscillator(m=1.0, omega=1.0))
@@ -59,9 +60,10 @@ class TestEigenLevel:
     def test_bouncer_levels(self):
         mp.mp.dps = 30
         level = eigen_level(BALL, 3)
-        assert level.grav_length == pytest.approx(0.5 ** (1.0 / 3.0), rel=1e-14)
-        assert level.scaled_energy == pytest.approx(float(-mp.airyaizero(3)), abs=1e-13)
-        assert level.energy == pytest.approx(level.grav_length * level.scaled_energy, rel=1e-14)
+        scaled_energy, grav_length = BALL.variant.airy_scales(3, BALL.hbar)
+        assert grav_length == pytest.approx(0.5 ** (1.0 / 3.0), rel=1e-14)
+        assert scaled_energy == pytest.approx(float(-mp.airyaizero(3)), abs=1e-13)
+        assert level.energy == pytest.approx(grav_length * scaled_energy, rel=1e-14)
         assert level.turning_point == pytest.approx(level.energy, rel=1e-14)  # m = g = 1
 
     def test_invalid_quantum_numbers(self):
@@ -71,6 +73,16 @@ class TestEigenLevel:
             eigen_level(WELL, 0)
         with pytest.raises(ValueError):
             eigen_level(BALL, 0)
+
+    @pytest.mark.parametrize("model, n", [(HO, 2.5), (WELL, 2.5), (BALL, 2.5), (WELL, 2.0), (HO, "3")])
+    def test_non_integer_quantum_numbers_rejected(self, model, n):
+        need = f"must be an integer >= {model.variant.n_min}, got {n!r}"
+        with pytest.raises(ValueError, match=re.escape(need)):
+            eigen_level(model, n)
+
+    @pytest.mark.parametrize("model", [HO, WELL, BALL])
+    def test_numpy_integer_quantum_numbers_accepted(self, model):
+        assert eigen_level(model, np.int64(3)).energy == eigen_level(model, 3).energy
 
 
 class TestWavefunction:
@@ -171,7 +183,7 @@ class TestBouncerState:
         for n in range(1, 11):
             level = eigen_level(BALL, n)
             state = bouncer_state(level, SPEC)
-            identity = state.normalization * abs(airy_ai(-level.scaled_energy).ai_prime)
+            identity = state.normalization * abs(airy_ai(airy_zero(n).value).ai_prime)
             assert identity == pytest.approx(1.0, abs=1e-8)
 
     def test_rejects_non_bouncer_level(self):
@@ -350,7 +362,7 @@ class TestCommutatorBound:
         assert commutator_bound(eigen_level(HO, 0)) == 0.25
         assert commutator_bound(eigen_level(HO, 2)) == pytest.approx(1.0 / 100.0)
         assert commutator_bound(eigen_level(WELL, 1)) == pytest.approx(1.0 / math.pi ** 2)
-        e1 = eigen_level(BALL, 1).scaled_energy
+        e1 = airy_zero(1).scaled_energy
         assert commutator_bound(eigen_level(BALL, 1)) == pytest.approx(1.0 / (4.0 * e1 ** 3))
 
     def test_product_respects_bound(self):
@@ -415,6 +427,14 @@ class TestDensityGrid:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             density_grid(eigen_level(WELL, 1), 1)
+
+    @pytest.mark.parametrize("points", [4.5, 5.0, np.float64(5.0), "5"])
+    def test_non_integer_points_rejected(self, points):
+        with pytest.raises(ValueError, match=re.escape(f"need an integer of at least 2 grid points, got {points!r}")):
+            density_grid(eigen_level(WELL, 1), points)
+
+    def test_numpy_integer_points_accepted(self):
+        assert density_grid(eigen_level(WELL, 1), np.int32(5)) == density_grid(eigen_level(WELL, 1), 5)
 
     def test_two_points_without_finite_neighbour_rejected(self):
         # both oscillator grid points are singular turning points

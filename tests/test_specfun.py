@@ -435,5 +435,15 @@ class TestAiryZero:
         with pytest.raises(ValueError):
             airy_zero(0)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0), "3"])
+    def test_non_integer_index_rejected(self, n):
+        airy_zero(3)
+        airy_zero(np.int64(3))  # equal integers already memoized must not answer for n
+        with pytest.raises(ValueError, match=re.escape(f"Airy-zero index must be an integer >= 1, got {n!r}")):
+            airy_zero(n)
+
+    def test_numpy_integer_index_accepted(self):
+        assert airy_zero(np.int64(3)).value == airy_zero(3).value
+
     def test_convergence_error_type_exists(self):
         assert issubclass(ConvergenceError, RuntimeError)

@@ -4,12 +4,13 @@ from pathlib import Path
 
 import ucr
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
 SRC = str(Path(ucr.__file__).resolve().parents[1])
 
 
-def _tool(name: str):
-    spec = importlib.util.spec_from_file_location(f"tool_{name}", TOOLS / f"{name}.py")
+def _tool(name: str, home: Path = TOOLS):
+    spec = importlib.util.spec_from_file_location(f"tool_{name}", home / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -26,8 +27,24 @@ def test_airy_ab_agrees_with_itself(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.count(": equal (") == 6 and "differ" not in out
     assert all(f"n={n} " in out for n in (14, 36, 200))
-    assert ucr.specfun.airy is ucr.quantum_states.airy  # the recorder is gone again
+    assert ucr.specfun.airy is ucr.airy  # the recorder is gone again
 
 
 def test_airy_ab_usage():
     assert _tool("airy_ab").main([SRC]) == 64
+
+
+def test_benchmark_tracer_wraps_and_restores_the_package():
+    # perfbench/tracing.py looks its traced functions up by name on import,
+    # so a renamed or deleted one fails here and not only under --trace 1.
+    tracing = _tool("tracing", ROOT / "perfbench")
+    before = {(module.__name__, attr): value for module in tracing.NAMESPACES for attr, value in vars(module).items()}
+    model = ucr.PotentialModel(ucr.BouncingBall(m=1.0, g=1.0))
+    with tracing.Tracer() as tracer:
+        ucr.quantum_moments_quadrature(ucr.eigen_level(model, 2))
+    assert tracer.span_count() > 0
+    metrics = tracer.layer_metrics()
+    assert metrics["quantum_states.moment_sets"] == 1 and metrics["quadrature.integrals.semi_infinite"] == 1
+    after = {(module.__name__, attr): value for module in tracing.NAMESPACES for attr, value in vars(module).items()}
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -137,3 +138,13 @@ class TestTrajectoryMoments:
         traj = build_trajectory(PotentialModel(HarmonicOscillator(1.0, 1.0)), 0.5)
         with pytest.raises(ValueError):
             trajectory_moments(traj, 1)
+
+    @pytest.mark.parametrize("samples", [2.0000001, 1000.0, np.float64(1000.0), "1000"])
+    def test_non_integer_samples_rejected(self, samples):
+        traj = build_trajectory(PotentialModel(InfiniteWell(1.0, 1.0)), 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"need an integer of at least 2 samples, got {samples!r}")):
+            trajectory_moments(traj, samples)
+
+    def test_numpy_integer_samples_accepted(self):
+        traj = build_trajectory(PotentialModel(InfiniteWell(1.0, 1.0)), 1.0)
+        assert trajectory_moments(traj, np.int64(1000)) == trajectory_moments(traj, 1000)

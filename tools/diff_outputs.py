@@ -8,7 +8,9 @@ Each argument is a directory that holds the `ucr` package (a checkout's
 cover `compare` on every system, and on the bouncer's high levels n = 200
 and 1000 (CSV and JSON, and at the loose integral tolerances `--quad-tol
 1e-6` and, for the oscillator's n = 0, `1e-4`, where the <P> = 0 check
-meets real quadrature error), `verify` on every system at
+meets real quadrature error), `compare` and a 101-point `density` grid on
+the oscillator's high levels (n = 200 and 900, where its recurrence is
+renormalized past y ~ 37.7), `verify` on every system at
 two sample counts, bouncer `density` grids over levels 1..9 and 51..101
 points, the well's and the oscillator's density grids (a 5-point one each,
 and levels 0, 3, 10 resp. 1, 8, 100 at 11 and 101 points), and an
@@ -33,6 +35,8 @@ def commands() -> list[tuple[str, ...]]:
             cmds.append(("compare", "--system", system, "--n", n, "--format", fmt))
         cmds.append(("compare", "--system", system, "--n", n, "--quad-tol", "1e-6"))
     cmds.append(("compare", "--system", "ho", "--n", "0", "--quad-tol", "1e-4"))
+    cmds.append(("compare", "--system", "ho", "--n", "200,900"))
+    cmds.append(("density", "--system", "ho", "--n", "900", "--points", "101"))
     for system in ("ho", "well", "bouncer"):
         for samples in ("100000", "1000"):
             cmds.append(("verify", "--system", system, "--samples", samples))
