@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
@@ -45,10 +46,14 @@ class QuadratureSpec:
     max_subdivisions: int = 60
 
     def __post_init__(self):
+        for name, value in (("abs_tol", self.abs_tol), ("rel_tol", self.rel_tol)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.abs_tol < 0 or self.rel_tol < 0 or self.abs_tol + self.rel_tol <= 0:
-            raise ValueError("need abs_tol + rel_tol > 0 with both non-negative")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+            raise ValueError("need abs_tol + rel_tol > 0 with both non-negative, "
+                             f"got abs_tol={self.abs_tol!r}, rel_tol={self.rel_tol!r}")
+        if not isinstance(self.max_subdivisions, numbers.Integral) or self.max_subdivisions < 1:
+            raise ValueError(f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}")
 
     def tolerance(self, value: Union[float, np.ndarray]) -> np.ndarray:
         """max(abs_tol, rel_tol*|value|), component-wise for an array."""

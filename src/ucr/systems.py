@@ -46,7 +46,8 @@ class _System:
       how their values become (<X>, <X^2>, <P^2>, <P>);
       ``x2_offset(n)``, how far the exact quantum <X^2> sits below the
       classical one; ``robertson_bound(level)``.
-    Trajectory: ``trajectory(E)``, the period, amplitude, x(t) and p(t).
+    Trajectory: ``trajectory(E)``, the period, amplitude, and x(t) and p(t)
+      for t in [0, period) only; `Trajectory` reduces any other t once.
     The bouncer's quantum members share ``airy_scales(n, hbar)``, its scaled
     energy E'_n = -a_n and gravitational length l_g = (hbar^2/(2 m^2 g))^(1/3).
     Functions of x (E - V, psi, the integrands) take and return 1-D arrays.
@@ -156,10 +157,10 @@ class HarmonicOscillator(_System):
         amplitude = math.sqrt(2.0 * energy / (m * omega ** 2))
 
         def position(t: np.ndarray) -> np.ndarray:
-            return amplitude * np.sin(omega * np.asarray(t))
+            return amplitude * np.sin(omega * t)
 
         def momentum(t: np.ndarray) -> np.ndarray:
-            return m * omega * amplitude * np.cos(omega * np.asarray(t))
+            return m * omega * amplitude * np.cos(omega * t)
 
         return 2.0 * math.pi / omega, amplitude, position, momentum
 
@@ -240,12 +241,12 @@ class InfiniteWell(_System):
         period = 2.0 * L / speed
 
         def position(t: np.ndarray) -> np.ndarray:
-            # triangle wave: 0 -> L/2 -> -L/2 -> 0 over one period
-            phase = np.mod(np.asarray(t), period) / period  # in [0, 1)
-            return (L / 2.0) * (4.0 * np.abs(np.mod(phase + 0.75, 1.0) - 0.5) - 1.0)
+            # triangle wave: 0 -> L/2 -> -L/2 -> 0 over one period; u in [0.75, 1.75), u - 1 exact
+            u = t / period + 0.75
+            return (L / 2.0) * (4.0 * np.abs(np.where(u >= 1.0, u - 1.0, u) - 0.5) - 1.0)
 
         def momentum(t: np.ndarray) -> np.ndarray:
-            phase = np.mod(np.asarray(t), period) / period
+            phase = t / period
             return m * speed * np.where((phase < 0.25) | (phase >= 0.75), 1.0, -1.0)
 
         return period, L / 2.0, position, momentum
@@ -315,12 +316,10 @@ class BouncingBall(_System):
         period = 2.0 * v0 / g
 
         def position(t: np.ndarray) -> np.ndarray:
-            tt = np.mod(np.asarray(t), period)
-            return v0 * tt - 0.5 * g * tt ** 2
+            return v0 * t - 0.5 * g * t ** 2
 
         def momentum(t: np.ndarray) -> np.ndarray:
-            tt = np.mod(np.asarray(t), period)
-            return m * (v0 - g * tt)
+            return m * (v0 - g * t)
 
         return period, energy / (m * g), position, momentum
 

@@ -3,7 +3,8 @@ time averages over one period must reproduce the ensemble moments.
 
 The trajectories are piecewise analytic, not ODE solutions, so any
 disagreement with the quadrature moments indicts the quadrature or scaling
-code rather than this oracle.
+code rather than this oracle.  The oracle samples only inside one period,
+where each system's x(t) and p(t) are evaluated directly.
 """
 
 from __future__ import annotations
@@ -22,12 +23,20 @@ __all__ = ["Trajectory", "build_trajectory", "trajectory_moments"]
 
 @dataclass(frozen=True)
 class Trajectory:
+    """x and p of one orbit: ``*_in_period`` take t in [0, period), ``*_of_time`` any t."""
+
     model: PotentialModel
     energy: float
     period: float
     turning_point: float
-    position_of_time: Callable[[np.ndarray], np.ndarray]
-    momentum_of_time: Callable[[np.ndarray], np.ndarray]
+    position_in_period: Callable[[np.ndarray], np.ndarray]
+    momentum_in_period: Callable[[np.ndarray], np.ndarray]
+
+    def position_of_time(self, t: np.ndarray) -> np.ndarray:
+        return self.position_in_period(np.mod(t, self.period))
+
+    def momentum_of_time(self, t: np.ndarray) -> np.ndarray:
+        return self.momentum_in_period(np.mod(t, self.period))
 
 
 def build_trajectory(model: PotentialModel, energy: float) -> Trajectory:
@@ -45,9 +54,10 @@ def trajectory_moments(traj: Trajectory, samples: int) -> ScaledMoments:
     well's square-wave momentum away from the wall discontinuities."""
     if not isinstance(samples, numbers.Integral) or samples < 2:
         raise ValueError(f"need an integer of at least 2 samples, got {samples!r}")
+    # t < period: (N - 1/2) fl(P/N) <= (1 - 1/2N)(1 + 2^-53) P rounds below P for N < ~2^51
     t = (np.arange(samples) + 0.5) * (traj.period / samples)
-    x = traj.position_of_time(t) / traj.turning_point
-    p = traj.momentum_of_time(t) / math.sqrt(2.0 * traj.model.mass * traj.energy)
+    x = traj.position_in_period(t) / traj.turning_point
+    p = traj.momentum_in_period(t) / math.sqrt(2.0 * traj.model.mass * traj.energy)
     return ScaledMoments(
         mean_x=float(np.mean(x)),
         mean_x2=float(np.mean(x ** 2)),

@@ -80,6 +80,13 @@ class TestGoldenOutputs:
         assert code == EXIT_OK
         assert out == (GOLDEN / "verify_bouncer_s1000.csv").read_text()
 
+    @pytest.mark.parametrize("system", ["ho", "well"])
+    def test_verify_oscillator_and_well(self, capsys, system):
+        # the trajectory oracle's time averages, pinned for the other two systems
+        code, out, _ = run(capsys, "verify", "--system", system, "--samples", "1000")
+        assert code == EXIT_OK
+        assert out == (GOLDEN / f"verify_{system}_s1000.csv").read_text()
+
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "compare", "--system", "well", "--n", "1..3")
         _, second, _ = run(capsys, "compare", "--system", "well", "--n", "1..3")

@@ -38,11 +38,19 @@ class TestSpec:
             {"rel_tol": -1.0},
             {"abs_tol": 0.0, "rel_tol": 0.0},
             {"max_subdivisions": 0},
+            {"abs_tol": math.nan},
+            {"abs_tol": math.inf},
+            {"rel_tol": math.nan},
+            {"rel_tol": math.inf},
+            {"max_subdivisions": 2.5},
+            {"max_subdivisions": 60.0},
         ],
     )
     def test_invalid_spec_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             QuadratureSpec(**kwargs)
+        for field, value in kwargs.items():  # the message names each bad field and its value
+            assert field in str(excinfo.value) and repr(value) in str(excinfo.value)
 
 
 class TestFinite:

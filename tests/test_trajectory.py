@@ -105,6 +105,30 @@ class TestBuildTrajectory:
             if isinstance(model.variant, BouncingBall):
                 assert float(np.min(x)) >= 0.0
 
+    @pytest.mark.parametrize("model", _all_models(), ids=["oscillator", "well", "bouncer"])
+    def test_of_time_reduces_once_into_the_period(self, model):
+        # inside [0, period) the reduction is exact, so *_of_time is the
+        # in-period function bit for bit; outside it agrees up to the
+        # rounding of t + k period
+        traj = build_trajectory(model, 1.9)
+        t = np.concatenate(([0.0, np.nextafter(traj.period, 0.0)], np.linspace(0.0, traj.period, 1001)[:-1],
+                            (np.arange(6) + 0.5) * (traj.period / 6)))
+        for of_time, in_period in ((traj.position_of_time, traj.position_in_period),
+                                   (traj.momentum_of_time, traj.momentum_in_period)):
+            assert np.array_equal(of_time(t), in_period(t))
+        for k in (-2, 1, 5):  # x(t) is continuous, so a rounded t + k period moves it by rounding only
+            shifted = traj.position_of_time(t + k * traj.period)
+            assert float(np.max(np.abs(shifted - traj.position_in_period(t)))) < 1e-10 * traj.turning_point
+
+    def test_midpoint_samples_stay_inside_the_period(self):
+        # trajectory_moments calls the in-period functions at (i + 1/2) fl(P/N);
+        # the last of them, (N - 1/2) fl(P/N), must still be below P
+        for model in _all_models():
+            for energy in (1e-3, 0.37, 1.0, 1.9, 42.0, 3.1e5):
+                period = build_trajectory(model, energy).period
+                for samples in (2, 3, 7, 10 ** 6, 2 ** 40, 2 ** 50):
+                    assert (samples - 0.5) * (period / samples) < period, (model, energy, samples)
+
 
 class TestTrajectoryMoments:
     def test_well_midpoint_momentum_moment_exact(self):

@@ -11,7 +11,9 @@ and 1000 (CSV and JSON, and at the loose integral tolerances `--quad-tol
 meets real quadrature error), `compare` and a 101-point `density` grid on
 the oscillator's high levels (n = 200 and 900, where its recurrence is
 renormalized past y ~ 37.7), `verify` on every system at
-two sample counts, bouncer `density` grids over levels 1..9 and 51..101
+four sample counts (100,000 and 1000, and 6 and 2, where the well's sample
+phases land exactly on 1/4 and 3/4, so its triangle wave and square-wave
+momentum switch there), bouncer `density` grids over levels 1..9 and 51..101
 points, the well's and the oscillator's density grids (a 5-point one each,
 and levels 0, 3, 10 resp. 1, 8, 100 at 11 and 101 points), and an
 `airy-zeros` table.  Exits 0 when the two trees agree on all of them, 1
@@ -38,7 +40,7 @@ def commands() -> list[tuple[str, ...]]:
     cmds.append(("compare", "--system", "ho", "--n", "200,900"))
     cmds.append(("density", "--system", "ho", "--n", "900", "--points", "101"))
     for system in ("ho", "well", "bouncer"):
-        for samples in ("100000", "1000"):
+        for samples in ("100000", "1000", "6", "2"):
             cmds.append(("verify", "--system", system, "--samples", samples))
     for n in range(1, 10):
         for points in range(51, 102, 10):
