@@ -73,8 +73,8 @@ class AiryZero:
 
 def hermite(n: int, y: float) -> float:
     """Physicists' Hermite polynomial H_n(y) by the three-term recurrence."""
-    if n < 0:
-        raise ValueError(f"Hermite degree must be non-negative, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"Hermite degree must be an integer >= 0, got {n!r}")
     if not math.isfinite(y):
         raise ValueError(f"Hermite argument must be finite, got {y}")
     if n == 0:
@@ -87,8 +87,8 @@ def hermite(n: int, y: float) -> float:
 
 def hermite_prime(n: int, y: float) -> float:
     """Derivative H'_n(y) = 2n H_{n-1}(y), with H'_0 = 0."""
-    if n < 0:
-        raise ValueError(f"Hermite degree must be non-negative, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"Hermite degree must be an integer >= 0, got {n!r}")
     if not math.isfinite(y):
         raise ValueError(f"Hermite argument must be finite, got {y}")
     if n == 0:
@@ -301,27 +301,23 @@ _BRANCHES = {"power-series": _taylor, "negative-z-asymptotic": _negative, "posit
 
 
 def _evaluate(z: np.ndarray) -> np.ndarray:
-    # The rows Ai and Ai' of each element of the non-empty 1-D z, branch by branch.
+    # The rows Ai and Ai' of each element of the non-empty 1-D z: a mixed batch
+    # branch by branch, one branch in kernel passes of at most _CHUNK elements.
     if len(z) == 1:
         v = z.item()
         if not _AIRY_LIMIT <= v < math.inf:  # false for a nan too
             raise _argument_error(v)
         return np.array(_BRANCHES[_branch(v)](v))[:, None]
-    if len(z) > _CHUNK:
-        return np.concatenate([_evaluate(z[i:i + _CHUNK]) for i in range(0, len(z), _CHUNK)], axis=1)
     lo, hi = z.min(), z.max()
     if not (lo >= _AIRY_LIMIT and hi < math.inf):
         raise _argument_error(next(v for v in z.tolist() if not _AIRY_LIMIT <= v < math.inf))
     if _branch(lo) == _branch(hi):
-        return np.asarray(_BRANCHES[_branch(lo)](z))
+        kernel = _BRANCHES[_branch(lo)]
+        return np.concatenate([kernel(z[i:i + _CHUNK]) for i in range(0, len(z), _CHUNK)], axis=1)
     values = np.empty((2, len(z)))
-    for name, inside in (
-        ("negative-z-asymptotic", z <= -_ASYMP_CUT),
-        ("positive-z-asymptotic", z >= _ASYMP_CUT),
-        ("power-series", (z > -_ASYMP_CUT) & (z < _ASYMP_CUT)),
-    ):
+    for inside in (z <= -_ASYMP_CUT, z >= _ASYMP_CUT, (z > -_ASYMP_CUT) & (z < _ASYMP_CUT)):
         if inside.any():
-            values[:, inside] = _BRANCHES[name](z[inside])
+            values[:, inside] = _evaluate(z[inside])
     return values
 
 

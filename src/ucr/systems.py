@@ -87,8 +87,11 @@ def _ho_functions(coefficients: list[tuple[float, float]], y: np.ndarray) -> tup
     phi = np.where(shift > 0, math.pi ** -0.25 * np.exp(shift * _LN2 - half_y2), phi)
     scaled = shift.any()
     older = old = np.zeros_like(y)
-    for a, b in coefficients:
-        older, old, phi = old, phi, a * y * phi - b * old
+    rows = max(1, (1 << 16) // max(y.size, 1))  # a_k * y by blocks of <= 512 KiB: 3 array ops a step
+    for k, (_, b) in enumerate(coefficients):
+        if k % rows == 0:
+            a_y = np.multiply.outer([a for a, _ in coefficients[k:k + rows]], y)
+        older, old, phi = old, phi, a_y[k % rows] * phi - b * old
         if scaled and (big := np.abs(phi) > _RESCALE_AT).any():
             older, old, phi = (np.ldexp(v, -_RESCALE * big) for v in (older, old, phi))
             shift -= _RESCALE * big

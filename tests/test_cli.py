@@ -361,6 +361,25 @@ class TestUsageSurface:
 
 
 class TestInputValidation:
+    @pytest.mark.parametrize("command", [("compare", "--n", "0"), ("verify", "--samples", "1000")])
+    @pytest.mark.parametrize("quad_tol", ["1e306", "1e307"])
+    def test_quad_tol_whose_tolerance_overflows_is_usage_error(self, capsys, command, quad_tol):
+        # rel_tol = 100 quad-tol: at 1e307 it is inf, at 1e306 its product
+        # with a moment of order one is
+        code, out, err = run(capsys, *command, "--system", "ho", "--quad-tol", quad_tol)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage error:") and "--quad-tol" in err and "1e+300" in err
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        # the quantum pass stops on its first panel and misses the parity
+        # tolerance; verify's classical pass meets its oracle
+        [(("compare", "--n", "0"), EXIT_PARITY), (("verify", "--samples", "1000"), EXIT_OK)],
+    )
+    def test_largest_quad_tol_is_accepted(self, capsys, command, expected):
+        code, _, err = run(capsys, *command, "--system", "ho", "--quad-tol", "1e300")
+        assert code == expected, err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from ucr import quadrature
+from ucr.classical_ensemble import BouncingBall, HarmonicOscillator, InfiniteWell, PotentialModel
 from ucr.quadrature import (
+    DEFAULT_SPEC,
     IntegralResult,
     QuadratureError,
     QuadratureSpec,
@@ -14,6 +16,7 @@ from ucr.quadrature import (
     integrate_semi_infinite,
     integrate_singular_endpoints,
 )
+from ucr.quantum_states import _oscillation_budget, eigen_level
 from ucr.specfun import airy_ai, airy_zero
 
 TIGHT = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
@@ -368,11 +371,26 @@ class TestArrayContract:
         r = integrate_finite(f, 0.0, 10.0, self.SPEC)
         assert r.converged
         assert self._all_1d_float_arrays(calls)
-        assert len(calls[0]) == 15
+        tree = 15 * (2 ** (quadrature._TREE_DEPTH + 1) - 1)  # the first panel and its top generations of halves
+        assert len(calls[0]) == tree
         assert all(len(x) > 0 and len(x) % 30 == 0 for x in calls[1:])
         assert sum(len(x) for x in calls) == r.evaluations
-        splits = (r.evaluations - 15) // 30
+        splits = (r.evaluations - tree) // 30  # those past the tree
         assert len(calls) - 1 < splits / 4  # many panels per generation, not one
+
+    def test_first_panel_convergence_returns_its_panel(self):
+        # a pass that converges on its first panel returns that panel's K15
+        # value and error, evaluated alone, bit for bit, and has evaluated the
+        # whole tree in its one call
+        def f(x):
+            return np.array([x ** 3 - x, np.exp(x)])
+
+        recorded, calls = self._recording(f)
+        r = integrate_finite(recorded, -1.0, 1.3, self.SPEC)
+        assert r.converged and len(calls) == 1
+        value, error = quadrature._panels(f, np.array([-1.0]), np.array([1.3]))[..., 0]
+        assert (r.value, r.error_estimate) == (tuple(value.tolist()), tuple(error.tolist()))
+        assert r.evaluations == len(calls[0]) == 15 * quadrature._TREE
 
     def test_singular_endpoints_batches_each_level(self):
         left, left_calls = self._recording(lambda s: np.cos(30.0 * (s - 1.0)) / np.sqrt(s * (2.0 - s)))
@@ -393,3 +411,81 @@ class TestArrayContract:
         assert len(probes) >= 1 and calls[:len(probes)] == probes
         assert sum(len(x) for x in calls) == r.evaluations
         assert len(calls) - len(probes) < (r.evaluations - len(probes)) // 15
+
+
+def _oscillatory(x):
+    return np.array([np.cos(7.0 * x) ** 2 * np.exp(-x), x * np.sin(5.0 * x)])
+
+
+_MODELS = {
+    "bouncer": PotentialModel(BouncingBall(m=1.0, g=1.0)),
+    "ho": PotentialModel(HarmonicOscillator(m=1.0, omega=1.0)),
+    "well": PotentialModel(InfiniteWell(m=1.0, L=1.0)),
+}
+
+
+class TestPinnedBits:
+    """The value, error estimate (as float.hex, per component) and
+    convergence flag of fixed passes, recorded from the code as it was before
+    the finite rule evaluated the top of its bisection tree in its first
+    call: how the integrand calls are batched must not move a bit."""
+
+    MOMENT_PASSES = {
+        ("bouncer", 1, 0): (
+            ("0x1.f77f5175bf7f3p-2", "0x1.8869086b58598p-1", "0x1.6effbbb3bb8f0p+0", "-0x1.3c04000000000p-58"),
+            ("0x1.8935605c3ba32p-42", "0x1.9fc14a248096dp-41", "0x1.ea9276c5451dcp-39", "0x1.76014d02bede7p-41"),
+        ),
+        ("bouncer", 14, 0): (
+            ("0x1.474f6ac3b339bp+0", "0x1.b80861119d170p+3", "0x1.62f20aaf0c8d9p+7", "0x0.0p+0"),
+            ("0x1.acd649444a593p-39", "0x1.45eefd9096771p-37", "0x1.cdd8a1a20af2bp-36", "0x1.8b1401bf2546fp-41"),
+        ),
+        ("bouncer", 36, 0): (
+            ("0x1.c20e1a09d880fp+0", "0x1.1e00ce5bfa681p+5", "0x1.b433985bf5152p+9", "0x1.8000000000000p-56"),
+            ("0x1.c1a24091bd353p-42", "0x1.c2bbe0db52f5bp-38", "0x1.3a9bf48f7c60bp-33", "0x1.1094c9282596bp-40"),
+        ),
+        ("ho", 0, 0): (
+            ("0x1.0000000000000p-2", "0x1.0000000000000p-2", "-0x1.20dd750429b6ep-2"),
+            ("0x1.7fe61e74a2900p-37", "0x1.deaf0a9213d4fp-37", "0x1.72a6e868379afp-38"),
+        ),
+        ("ho", 25, 0): (
+            ("0x1.9800000000009p+3", "0x1.9800000000000p+3", "-0x1.a400000000000p-51"),
+            ("0x1.693d7a989ec40p-37", "0x1.d6bd8bda30c40p-35", "0x1.ff67bba021fdcp-41"),
+        ),
+        ("ho", 40, 0): (
+            ("0x1.4400000000004p+4", "0x1.4400000000004p+4", "-0x1.21b8c118875cap-5"),
+            ("0x1.4b5bc828dc865p-34", "0x1.39c7f723ed057p-33", "0x1.a15b120f706cep-39"),
+        ),
+        ("well", 1, 0): (("0x1.0000000000000p+0", "0x1.0ba7b4887e38cp-3"), ("0x1.0ee6bdbde6b16p-54", "0x1.637a2fc5f50dcp-39")),
+        ("well", 1, 1): (("0x1.65679ce5a83aep-56", "0x1.ba6e4d1a2f79bp-55"), ("0x1.cb8c634af8a3bp-61", "0x1.52365cba10caap-60")),
+        ("well", 100, 0): (("0x1.0000000000003p+0", "0x1.5550056c65b0bp-2"), ("0x1.b6e685297b7e1p-34", "0x1.2ee79f5f6af0dp-36")),
+        ("well", 100, 1): (("-0x1.5d24d67a9835cp-55", "0x1.3454f72ba0332p-56"), ("0x1.d24d67a9835c0p-59", "0x1.d153dcae80cc8p-58")),
+        ("well", 1000, 0): (("0x1.0000000000000p+0", "0x1.555547bbf6c77p-2"), ("0x1.b3a64c2da9b35p-34", "0x1.474d579b8b927p-36")),
+        ("well", 1000, 1): (("0x1.6b73ed122c7f0p-58", "0x1.bb23227804d48p-58"), ("0x1.48c12edd38100p-62", "0x1.d91913c026a40p-61")),
+    }
+
+    OSCILLATORY = {  # _oscillatory on [0, 3]
+        "default": (DEFAULT_SPEC, ("0x1.e77fdba4a41d4p-2", "0x1.ed6356d32ea01p-2"),
+                    ("0x1.6a88472606d25p-35", "0x1.da763fe9bf039p-50"), True),
+        "tight": (QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12), ("0x1.e77fdba4a41d3p-2", "0x1.ed6356d32ea04p-2"),
+                  ("0x1.07f515f6f630cp-42", "0x1.5b4d2633b9d31p-52"), True),
+        "budget": (QuadratureSpec(max_subdivisions=3), ("0x1.e77fdba4a41d5p-2", "0x1.ed6356d32e9fcp-2"),
+                   ("0x1.b7397c6593620p-19", "0x1.5cb92ad2b992cp-35"), False),
+    }
+
+    @staticmethod
+    def _hex(result):
+        return tuple(v.hex() for v in result.value), tuple(e.hex() for e in result.error_estimate), result.converged
+
+    @pytest.mark.parametrize("system, n, index", sorted(MOMENT_PASSES))
+    def test_moment_pass(self, system, n, index):
+        # each pass as quantum_moments_quadrature runs it
+        level = eigen_level(_MODELS[system], n)
+        spec = _oscillation_budget(DEFAULT_SPEC, n)
+        f, a, b = _MODELS[system].variant.moment_passes(level)[0][index]
+        result = integrate_semi_infinite(f, a, spec) if b == math.inf else integrate_finite(f, a, b, spec)
+        assert self._hex(result) == self.MOMENT_PASSES[system, n, index] + (True,)
+
+    @pytest.mark.parametrize("name", sorted(OSCILLATORY))
+    def test_oscillatory_pass(self, name):
+        spec, value, error, converged = self.OSCILLATORY[name]
+        assert self._hex(integrate_finite(_oscillatory, 0.0, 3.0, spec)) == (value, error, converged)

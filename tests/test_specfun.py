@@ -47,6 +47,16 @@ class TestHermite:
         with pytest.raises(ValueError):
             hermite(-1, 0.0)
 
+    @pytest.mark.parametrize("function", [hermite, hermite_prime])
+    @pytest.mark.parametrize("degree", [2.5, 2.0, "3", None])
+    def test_non_integer_degree_rejected(self, function, degree):
+        with pytest.raises(ValueError, match=re.escape(f"Hermite degree must be an integer >= 0, got {degree!r}")):
+            function(degree, 0.5)
+
+    @pytest.mark.parametrize("function", [hermite, hermite_prime])
+    def test_numpy_integer_degree_accepted(self, function):
+        assert function(np.int64(4), 2.0) == function(4, 2.0)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=1, max_value=30), st.floats(min_value=-5.0, max_value=5.0))
     def test_recurrence_consistency(self, n, y):
