@@ -221,7 +221,7 @@ _OPTIONS: dict[str, Callable[[str], object]] = {
     "points": _checked(int, lambda v: v >= 2, ">= 2"),
     "samples": _checked(int, lambda v: v >= 2, ">= 2"),
     "tol": _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
-    # rel_tol = 100 quad-tol, and rel_tol * |value| must stay finite: 1e300 leaves |value| < 1.79e6
+    # rel_tol = 100 quad-tol must be finite (the tolerance saturates for any |value|); 1e300 keeps it so
     "quad-tol": _checked(float, lambda v: 0.0 < v <= 1e300, "> 0 and <= 1e+300"),
     "format": _checked(str, ("csv", "json").__contains__, "csv or json"),
     "out": _checked(str, _writable, "a file path in an existing directory"),

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
@@ -57,8 +58,10 @@ class QuadratureSpec:
             raise ValueError(f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}")
 
     def tolerance(self, value: Union[float, np.ndarray]) -> np.ndarray:
-        """max(abs_tol, rel_tol*|value|), component-wise for an array."""
-        return np.maximum(self.abs_tol, self.rel_tol * np.abs(value))
+        """max(abs_tol, rel_tol*|value|), component-wise for an array, saturating below the largest float."""
+        # |value| is capped at max/rel_tol rounded down, so the product stays finite; a smaller |value| keeps its bits
+        cap = math.nextafter(sys.float_info.max / self.rel_tol, 0.0) if self.rel_tol else math.inf
+        return np.maximum(self.abs_tol, self.rel_tol * np.minimum(np.abs(value), cap))
 
 
 @dataclass(frozen=True)

@@ -68,10 +68,8 @@ def bouncer_state(level: EigenLevel, spec: QuadratureSpec = DEFAULT_SPEC) -> Bou
     N_n^2 * integral of Ai^2 over (-E'_n, inf) = 1, the moment pass's norm."""
     if not isinstance(level.model.variant, BouncingBall):  # the one engine that takes a single system
         raise ValueError("bouncer_state requires a bouncer level")
-    spec = _oscillation_budget(spec, level.n)
-    [(f, a, _)], _ = level.model.variant.moment_passes(level)
-    raw = integrate_semi_infinite(lambda z: f(z)[0], a, spec)
-    _require_converged("bouncer normalization integral", raw)
+    [(f, a, b)], _ = level.model.variant.moment_passes(level)
+    [raw] = _integrate("bouncer normalization integral", level, [(lambda z: f(z)[0], a, b)], spec)
     return BouncerState(level, 1.0 / math.sqrt(raw.value))
 
 
@@ -81,12 +79,6 @@ def wavefunction(level: EigenLevel, x: Union[float, np.ndarray]) -> Union[float,
     return float(psi[0]) if np.ndim(x) == 0 else psi
 
 
-def _require_converged(what: str, *results: IntegralResult) -> None:
-    for result in results:
-        if not result.converged:
-            raise RuntimeError(f"{what} failed to converge: {result}")
-
-
 def _check_mean_p(mean_p: float, spec: QuadratureSpec) -> None:
     # <P> is the boundary term psi^2/2 over the momentum scale and must vanish
     # to the accuracy asked of the quadrature; more signals a broken integrand.
@@ -94,10 +86,16 @@ def _check_mean_p(mean_p: float, spec: QuadratureSpec) -> None:
         raise RuntimeError(f"scaled momentum <P> should vanish, got {mean_p}")
 
 
-def _oscillation_budget(spec: QuadratureSpec, n: int) -> QuadratureSpec:
-    # the integrands carry ~n oscillations, so the subdivision budget must
-    # grow with the level to stay resolved
-    return replace(spec, max_subdivisions=max(spec.max_subdivisions, 6 * n))
+def _integrate(what: str, level: EigenLevel, passes, spec: QuadratureSpec) -> list[IntegralResult]:
+    """Every quantum pass (f, a, b), on the half-line from a if b is inf, with a budget grown for
+    the integrands' ~n oscillations; raises naming `what` at the first pass that fails."""
+    spec = replace(spec, max_subdivisions=max(spec.max_subdivisions, 6 * level.n))
+    results = []
+    for f, a, b in passes:  # each rule by its module-level name, which a tracer may patch
+        results.append(integrate_semi_infinite(f, a, spec) if b == math.inf else integrate_finite(f, a, b, spec))
+        if not results[-1].converged:
+            raise RuntimeError(f"{what} failed to converge: {results[-1]}")
+    return results
 
 
 def quantum_moments_quadrature(level: EigenLevel, spec: QuadratureSpec = DEFAULT_SPEC) -> ScaledMoments:
@@ -105,13 +103,8 @@ def quantum_moments_quadrature(level: EigenLevel, spec: QuadratureSpec = DEFAULT
     evaluated by quadrature in each system's natural dimensionless
     coordinate."""
     variant = level.model.variant
-    spec = _oscillation_budget(spec, level.n)
     passes, moments = variant.moment_passes(level)
-    results = [
-        integrate_semi_infinite(f, a, spec) if b == math.inf else integrate_finite(f, a, b, spec)
-        for f, a, b in passes
-    ]
-    _require_converged(f"{variant.name} moment quadrature", *results)
+    results = _integrate(f"{variant.name} moment quadrature", level, passes, spec)
     mean_x, mean_x2, mean_p2, mean_p = moments(*(result.value for result in results))
     _check_mean_p(mean_p, spec)
     return ScaledMoments(mean_x, mean_x2, 0.0, mean_p2, "quantum", "quadrature")
@@ -134,7 +127,7 @@ def density_grid(level: EigenLevel, points: int) -> list[tuple[float, float, flo
     scaled classical region.
 
     Returns (x_scaled, quantum_density, classical_density, clipped) rows;
-    singular classical endpoints are clipped to the last interior value and
+    a singular classical end is clipped to its inner neighbour's value and
     flagged.
     """
     if not isinstance(points, numbers.Integral) or points < 2:
@@ -145,15 +138,12 @@ def density_grid(level: EigenLevel, points: int) -> list[tuple[float, float, flo
     A = level.turning_point
     p_qm = A * wavefunction(level, A * xs) ** 2
     p_cl = A * classical_density(ens, A * xs)
-    # clip singular endpoints to the nearest finite neighbour, the left one first
+    # E - V > 0 strictly inside the region, so only an end can be singular
     singular = ~np.isfinite(p_cl)
-    padded = np.concatenate(([math.nan], p_cl, [math.nan]))
-    neighbour = np.where(np.isfinite(padded[:-2]), padded[:-2], padded[2:])
-    stranded = singular & ~np.isfinite(neighbour)
+    ends, inner = [0, -1], p_cl[[1, -2]]
+    stranded = singular[ends] & ~np.isfinite(inner)
     if stranded.any():
-        raise ValueError(
-            f"no finite interior neighbour to clip the singular endpoint x={xs[stranded][0]} to; "
-            f"{points} grid points are too few"
-        )
-    p_cl = np.where(singular, neighbour, p_cl)
+        raise ValueError(f"no finite interior neighbour to clip the singular endpoint x={xs[ends][stranded][0]} to; "
+                         f"{points} grid points are too few")
+    p_cl[ends] = np.where(singular[ends], inner, p_cl[ends])
     return list(zip(xs.tolist(), p_qm.tolist(), p_cl.tolist(), singular.tolist()))

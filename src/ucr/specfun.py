@@ -47,11 +47,7 @@ _NEWTON_MAX_ITER = 50
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration failed to converge; carries the last iterate."""
-
-    def __init__(self, message: str, last_iterate: float):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """Iteration failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -394,8 +390,5 @@ def airy_zero(n: int) -> AiryZero:
         # nearest the zero can take a larger step; two ulps also end it.
         if (abs(v.ai) < 1e-13 and abs(step) < 1e-13) or abs(step) <= 2.0 * math.ulp(a):
             return AiryZero(index=n, value=a)
-    raise ConvergenceError(
-        f"Newton iteration for Airy zero {n} did not converge in "
-        f"{_NEWTON_MAX_ITER} iterations",
-        last_iterate=a,
-    )
+    raise ConvergenceError(f"Newton iteration for Airy zero {n} did not converge in {_NEWTON_MAX_ITER} iterations; "
+                           f"last iterate {a!r}")

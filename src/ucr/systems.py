@@ -46,8 +46,7 @@ class _System:
       how their values become (<X>, <X^2>, <P^2>, <P>);
       ``x2_offset(n)``, how far the exact quantum <X^2> sits below the
       classical one; ``robertson_bound(level)``.
-    Trajectory: ``trajectory(E)``, the period, amplitude, and x(t) and p(t)
-      for t in [0, period) only; `Trajectory` reduces any other t once.
+    Trajectory: ``trajectory(E)``, the period, amplitude, and x(t) and p(t) for t in [0, period).
     The bouncer's quantum members share ``airy_scales(n, hbar)``, its scaled
     energy E'_n = -a_n and gravitational length l_g = (hbar^2/(2 m^2 g))^(1/3).
     Functions of x (E - V, psi, the integrands) take and return 1-D arrays.
@@ -145,10 +144,11 @@ class HarmonicOscillator(_System):
         def moments(values):
             # Even integrands (x^2, p^2): the positive half, doubled.  The odd
             # psi psi' = (psi^2/2)' has half-line integral -psi(0)^2/2; the rest is <P>.
+            # psi(0)^2 = (n-1)!!/(n!! sqrt(pi)) from exact integers, not the recurrence.
             x2, p2, p_half = values
-            psi_0 = _ho_functions(coefficients, np.zeros(1))[2][0]
+            psi_0_sq = 0.0 if n % 2 else math.prod(range(1, n, 2)) / math.prod(range(2, n + 1, 2)) / math.sqrt(math.pi)
             scale = 2.0 / (2.0 * n + 1.0)  # both halves, over the scaled A_n^2 and 2mE_n
-            return 0.0, x2 * scale, p2 * scale, (p_half + 0.5 * psi_0 * psi_0) / math.sqrt(2.0 * n + 1.0)
+            return 0.0, x2 * scale, p2 * scale, (p_half + 0.5 * psi_0_sq) / math.sqrt(2.0 * n + 1.0)
 
         return [(integrands, 0.0, math.inf)], moments
 

@@ -23,7 +23,7 @@ __all__ = ["Trajectory", "build_trajectory", "trajectory_moments"]
 
 @dataclass(frozen=True)
 class Trajectory:
-    """x and p of one orbit: ``*_in_period`` take t in [0, period), ``*_of_time`` any t."""
+    """x and p of one orbit as functions of t in [0, period); reduce any other t first."""
 
     model: PotentialModel
     energy: float
@@ -31,12 +31,6 @@ class Trajectory:
     turning_point: float
     position_in_period: Callable[[np.ndarray], np.ndarray]
     momentum_in_period: Callable[[np.ndarray], np.ndarray]
-
-    def position_of_time(self, t: np.ndarray) -> np.ndarray:
-        return self.position_in_period(np.mod(t, self.period))
-
-    def momentum_of_time(self, t: np.ndarray) -> np.ndarray:
-        return self.momentum_in_period(np.mod(t, self.period))
 
 
 def build_trajectory(model: PotentialModel, energy: float) -> Trajectory:

@@ -380,6 +380,12 @@ class TestInputValidation:
         code, _, err = run(capsys, *command, "--system", "ho", "--quad-tol", "1e300")
         assert code == expected, err
 
+    def test_largest_quad_tol_on_a_large_moment_is_a_parity_failure(self, capsys):
+        # the bouncer's raw <z^2> integral at n = 5000 is past 1.79e6, where
+        # rel_tol * |value| = 1e302 * |value| saturates instead of overflowing
+        code, _, err = run(capsys, "compare", "--system", "bouncer", "--n", "5000", "--quad-tol", "1e300")
+        assert code == EXIT_PARITY, err
+
     @pytest.mark.parametrize(
         "argv",
         [

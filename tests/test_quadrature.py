@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -16,7 +17,7 @@ from ucr.quadrature import (
     integrate_semi_infinite,
     integrate_singular_endpoints,
 )
-from ucr.quantum_states import _oscillation_budget, eigen_level
+from ucr.quantum_states import _integrate, eigen_level
 from ucr.specfun import airy_ai, airy_zero
 
 TIGHT = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
@@ -33,6 +34,14 @@ class TestSpec:
         spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
         assert spec.tolerance(0.0) == 1e-12
         assert spec.tolerance(100.0) == 1e-8
+
+    def test_tolerance_saturates_instead_of_overflowing(self):
+        # rel_tol * 2e6 = 2e308 is past the largest float; warnings are errors here
+        spec = QuadratureSpec(abs_tol=1e300, rel_tol=1e302)
+        saturated = spec.tolerance(2e6)
+        assert math.isfinite(saturated) and saturated == pytest.approx(sys.float_info.max, rel=1e-15)
+        assert spec.tolerance(np.array([-2e6, 1.0])).tolist() == [saturated, 1e302]
+        assert QuadratureSpec(abs_tol=1e-3, rel_tol=0.0).tolerance(sys.float_info.max) == 1e-3
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -478,11 +487,10 @@ class TestPinnedBits:
 
     @pytest.mark.parametrize("system, n, index", sorted(MOMENT_PASSES))
     def test_moment_pass(self, system, n, index):
-        # each pass as quantum_moments_quadrature runs it
+        # each pass through the runner that quantum_moments_quadrature calls
         level = eigen_level(_MODELS[system], n)
-        spec = _oscillation_budget(DEFAULT_SPEC, n)
-        f, a, b = _MODELS[system].variant.moment_passes(level)[0][index]
-        result = integrate_semi_infinite(f, a, spec) if b == math.inf else integrate_finite(f, a, b, spec)
+        one_pass = _MODELS[system].variant.moment_passes(level)[0][index]
+        [result] = _integrate(f"{system} pinned", level, [one_pass], DEFAULT_SPEC)
         assert self._hex(result) == self.MOMENT_PASSES[system, n, index] + (True,)
 
     @pytest.mark.parametrize("name", sorted(OSCILLATORY))

@@ -191,6 +191,25 @@ class TestBouncerState:
             bouncer_state(eigen_level(HO, 0))
 
 
+class TestFailingPass:
+    # no pass meets these tolerances within its budget
+    HOPELESS = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300)
+
+    def test_bouncer_normalization_names_itself(self):
+        with pytest.raises(RuntimeError, match="^bouncer normalization integral failed to converge: IntegralResult"):
+            bouncer_state(eigen_level(BALL, 3), self.HOPELESS)
+
+    def test_well_stops_at_its_first_failing_pass(self, monkeypatch):
+        # the runner looks each rule up by its module-level name, so a
+        # patched name sees every call; the odd pass never runs
+        calls = []
+        monkeypatch.setattr(quantum_states, "integrate_finite",
+                            lambda *args: calls.append(args) or integrate_finite(*args))
+        with pytest.raises(RuntimeError, match="^well moment quadrature failed to converge: IntegralResult"):
+            quantum_moments_quadrature(eigen_level(WELL, 2), self.HOPELESS)
+        assert len(calls) == 1
+
+
 class TestMoments:
     def test_oscillator_every_level_matches_classical_values(self, monkeypatch):
         mean_p = _checked_mean_p(monkeypatch)
@@ -387,6 +406,57 @@ class TestCommutatorBound:
 
 
 class TestDensityGrid:
+    # (x, quantum, classical, clipped) rows of level 2 as float.hex, recorded
+    # from the padded-neighbour clip that the end-only clip replaced
+    ROWS = {
+        ('bouncer', 2): (
+            ('0x0.0p+0', '0x1.0bc814deb8f23p-102', '0x1.ffffffffffffep-2', False),
+            ('0x1.0000000000000p+0', '0x1.9906428a81d38p-1', '0x1.ffffffffffffep-2', True),
+        ),
+        ('bouncer', 3): (
+            ('0x0.0p+0', '0x1.0bc814deb8f23p-102', '0x1.ffffffffffffep-2', False),
+            ('0x1.0000000000000p-1', '0x1.031289148bd82p-2', '0x1.6a09e667f3bcbp-1', False),
+            ('0x1.0000000000000p+0', '0x1.9906428a81d38p-1', '0x1.6a09e667f3bcbp-1', True),
+        ),
+        ('bouncer', 4): (
+            ('0x0.0p+0', '0x1.0bc814deb8f23p-102', '0x1.ffffffffffffep-2', False),
+            ('0x1.5555555555555p-2', '0x1.a4de5fc7a6d99p-2', '0x1.3988e1409212dp-1', False),
+            ('0x1.5555555555555p-1', '0x1.95ec7ae2b388ep+0', '0x1.bb67ae8584ca7p-1', False),
+            ('0x1.0000000000000p+0', '0x1.9906428a81d38p-1', '0x1.bb67ae8584ca7p-1', True),
+        ),
+        ('ho', 3): (
+            ('-0x1.0000000000000p+0', '0x1.6086f6d304710p-2', '0x1.45f306dc9c882p-2', True),
+            ('0x0.0p+0', '0x1.42f601a8c679cp-1', '0x1.45f306dc9c882p-2', False),
+            ('0x1.0000000000000p+0', '0x1.6086f6d304710p-2', '0x1.45f306dc9c882p-2', True),
+        ),
+        ('ho', 4): (
+            ('-0x1.0000000000000p+0', '0x1.6086f6d304710p-2', '0x1.59b8b1f4ecc98p-2', True),
+            ('-0x1.5555555555556p-2', '0x1.24d1d6e7654d8p-8', '0x1.59b8b1f4ecc98p-2', False),
+            ('0x1.5555555555554p-2', '0x1.24d1d6e76547ep-8', '0x1.59b8b1f4ecc98p-2', False),
+            ('0x1.0000000000000p+0', '0x1.6086f6d304710p-2', '0x1.59b8b1f4ecc98p-2', True),
+        ),
+        ('well', 2): (
+            ('-0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
+            ('0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
+        ),
+        ('well', 3): (
+            ('-0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
+            ('0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p-1', False),
+            ('0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
+        ),
+        ('well', 4): (
+            ('-0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
+            ('-0x1.5555555555556p-2', '0x1.8000000000001p-1', '0x1.0000000000000p-1', False),
+            ('0x1.5555555555554p-2', '0x1.7ffffffffffffp-1', '0x1.0000000000000p-1', False),
+            ('0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
+        ),
+    }
+
+    @pytest.mark.parametrize("system, points", sorted(ROWS))
+    def test_pinned_rows(self, system, points):
+        rows = density_grid(eigen_level({"bouncer": BALL, "ho": HO, "well": WELL}[system], 2), points)
+        assert tuple((x.hex(), q.hex(), c.hex(), clipped) for x, q, c, clipped in rows) == self.ROWS[system, points]
+
     def test_well_classical_column_flat(self):
         rows = density_grid(eigen_level(WELL, 5), 5)
         assert len(rows) == 5

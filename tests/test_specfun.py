@@ -457,3 +457,12 @@ class TestAiryZero:
 
     def test_convergence_error_type_exists(self):
         assert issubclass(ConvergenceError, RuntimeError)
+
+    def test_convergence_error_message_carries_the_last_iterate(self, monkeypatch):
+        # with no Newton step allowed, the last iterate is the asymptotic seed
+        monkeypatch.setattr(specfun, "_NEWTON_MAX_ITER", 0)
+        airy_zero.cache_clear()
+        seed = -((3.0 * math.pi * 11.0 / 8.0) ** (2.0 / 3.0))
+        expected = f"Airy zero 3 did not converge in 0 iterations; last iterate {seed!r}"
+        with pytest.raises(ConvergenceError, match=re.escape(expected)):
+            airy_zero(3)

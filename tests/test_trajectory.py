@@ -40,23 +40,23 @@ class TestBuildTrajectory:
     def test_oscillator_initial_conditions(self):
         model = PotentialModel(HarmonicOscillator(m=2.0, omega=3.0))
         traj = build_trajectory(model, 9.0)
-        assert float(traj.position_of_time(0.0)) == 0.0
+        assert float(traj.position_in_period(0.0)) == 0.0
         # p(0) = m omega A = sqrt(2 m E)
-        assert float(traj.momentum_of_time(0.0)) == pytest.approx(math.sqrt(2.0 * 2.0 * 9.0), rel=1e-14)
+        assert float(traj.momentum_in_period(0.0)) == pytest.approx(math.sqrt(2.0 * 2.0 * 9.0), rel=1e-14)
         assert traj.period == pytest.approx(2.0 * math.pi / 3.0, rel=1e-14)
 
     def test_well_quarter_period_reaches_wall(self):
         model = PotentialModel(InfiniteWell(m=1.0, L=2.0))
         traj = build_trajectory(model, 2.0)
-        assert float(traj.position_of_time(traj.period / 4.0)) == pytest.approx(1.0, rel=1e-12)
-        assert float(traj.position_of_time(3.0 * traj.period / 4.0)) == pytest.approx(-1.0, rel=1e-12)
+        assert float(traj.position_in_period(traj.period / 4.0)) == pytest.approx(1.0, rel=1e-12)
+        assert float(traj.position_in_period(3.0 * traj.period / 4.0)) == pytest.approx(-1.0, rel=1e-12)
 
     def test_bouncer_apex_at_half_period(self):
         model = PotentialModel(BouncingBall(m=1.0, g=2.0))
         traj = build_trajectory(model, 4.0)
         t_half = traj.period / 2.0
-        assert float(traj.position_of_time(t_half)) == pytest.approx(traj.turning_point, rel=1e-12)
-        assert float(traj.momentum_of_time(t_half)) == pytest.approx(0.0, abs=1e-12)
+        assert float(traj.position_in_period(t_half)) == pytest.approx(traj.turning_point, rel=1e-12)
+        assert float(traj.momentum_in_period(t_half)) == pytest.approx(0.0, abs=1e-12)
         assert traj.turning_point == pytest.approx(2.0)  # E/(m g)
 
     def test_invalid_energy_rejected(self):
@@ -83,42 +83,21 @@ class TestBuildTrajectory:
         for model in _all_models():
             energy = 1.7
             traj = build_trajectory(model, energy)
-            t = np.array([rng.uniform(0.0, 5.0 * traj.period) for _ in range(10_000)])
-            x = traj.position_of_time(t)
-            p = traj.momentum_of_time(t)
+            t = np.array([rng.uniform(0.0, traj.period) for _ in range(10_000)])
+            t = t[t < traj.period]  # uniform(a, b) may return b
+            x = traj.position_in_period(t)
+            p = traj.momentum_in_period(t)
             e = p ** 2 / (2.0 * model.mass) + np.array([_potential(model, xi) for xi in x])
             assert float(np.max(np.abs(e - energy))) < 1e-10 * energy
-
-    def test_periodicity(self):
-        for model in _all_models():
-            traj = build_trajectory(model, 2.3)
-            t = np.linspace(0.0, traj.period, 37)
-            assert np.allclose(traj.position_of_time(t + traj.period), traj.position_of_time(t),
-                               rtol=0.0, atol=1e-10)
 
     def test_position_stays_inside_region(self):
         for model in _all_models():
             traj = build_trajectory(model, 3.1)
-            t = np.linspace(0.0, 3.0 * traj.period, 10_001)
-            x = traj.position_of_time(t)
+            t = np.linspace(0.0, traj.period, 10_001)[:-1]
+            x = traj.position_in_period(t)
             assert float(np.max(np.abs(x))) <= traj.turning_point * (1.0 + 1e-12)
             if isinstance(model.variant, BouncingBall):
                 assert float(np.min(x)) >= 0.0
-
-    @pytest.mark.parametrize("model", _all_models(), ids=["oscillator", "well", "bouncer"])
-    def test_of_time_reduces_once_into_the_period(self, model):
-        # inside [0, period) the reduction is exact, so *_of_time is the
-        # in-period function bit for bit; outside it agrees up to the
-        # rounding of t + k period
-        traj = build_trajectory(model, 1.9)
-        t = np.concatenate(([0.0, np.nextafter(traj.period, 0.0)], np.linspace(0.0, traj.period, 1001)[:-1],
-                            (np.arange(6) + 0.5) * (traj.period / 6)))
-        for of_time, in_period in ((traj.position_of_time, traj.position_in_period),
-                                   (traj.momentum_of_time, traj.momentum_in_period)):
-            assert np.array_equal(of_time(t), in_period(t))
-        for k in (-2, 1, 5):  # x(t) is continuous, so a rounded t + k period moves it by rounding only
-            shifted = traj.position_of_time(t + k * traj.period)
-            assert float(np.max(np.abs(shifted - traj.position_in_period(t)))) < 1e-10 * traj.turning_point
 
     def test_midpoint_samples_stay_inside_the_period(self):
         # trajectory_moments calls the in-period functions at (i + 1/2) fl(P/N);

@@ -15,7 +15,9 @@ four sample counts (100,000 and 1000, and 6 and 2, where the well's sample
 phases land exactly on 1/4 and 3/4, so its triangle wave and square-wave
 momentum switch there), bouncer `density` grids over levels 1..9 and 51..101
 points, the well's and the oscillator's density grids (a 5-point one each,
-and levels 0, 3, 10 resp. 1, 8, 100 at 11 and 101 points), and an
+and levels 0, 3, 10 resp. 1, 8, 100 at 11 and 101 points), the smallest
+grids the endpoint clip meets (bouncer n = 1 at 2 and 3 points, oscillator
+n = 0 at 3 points and at 2, whose ends are both singular), and an
 `airy-zeros` table.  Exits 0 when the two trees agree on all of them, 1
 otherwise.  Standard library only.
 """
@@ -47,6 +49,8 @@ def commands() -> list[tuple[str, ...]]:
             cmds.append(("density", "--system", "bouncer", "--n", str(n), "--points", str(points)))
     cmds.append(("density", "--system", "well", "--n", "2", "--points", "5"))
     cmds.append(("density", "--system", "ho", "--n", "0", "--points", "5"))
+    for system, n, points in (("bouncer", "1", "2"), ("bouncer", "1", "3"), ("ho", "0", "2"), ("ho", "0", "3")):
+        cmds.append(("density", "--system", system, "--n", n, "--points", points))  # the clip at its smallest grids
     for system, levels in (("ho", (0, 3, 10)), ("well", (1, 8, 100))):
         for n, points in itertools.product(levels, ("11", "101")):
             cmds.append(("density", "--system", system, "--n", str(n), "--points", points))
