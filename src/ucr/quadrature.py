@@ -1,6 +1,8 @@
 """Integration stack for the three integrand classes the moment
-computations need: smooth finite intervals, inverse-square-root endpoint
-singularities, and semi-infinite integrands with fast-decaying tails.
+computations need, all on one adaptive G7-K15 rule: smooth finite intervals
+directly, inverse-square-root endpoint singularities after the change of
+variable x = a + (b - a) sin^2(theta), and semi-infinite integrands with
+fast-decaying tails by truncating the tail.
 
 An integrand takes a 1-D float array of k abscissas and returns shape (k,),
 or (m, k) for m components; each rule calls it once per batch of nodes.  An
@@ -10,13 +12,11 @@ converges only when each component meets ``spec.tolerance`` of its own value.
 The result then holds one value and one error estimate per component.
 
 The adaptive finite rule's first call evaluates the top of its bisection tree.
-The tanh-sinh node tables are built once per level and kept for the life of
-the process; nothing else outlives a call.
+Nothing outlives a call.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import sys
@@ -180,60 +180,28 @@ def integrate_finite(f: Integrand, a: float, b: float, spec: QuadratureSpec = DE
     return _result(value, err, evaluations, spec)
 
 
-# --- tanh-sinh ------------------------------------------------------------
-
-_TS_T_MAX = 4.6  # exp(-pi*sinh(4.6)) ~ 1e-68: far past double-precision needs
-_TS_H0 = 0.5
-_TS_MAX_LEVELS = 10  # refinements after level 0
-
-
-@functools.cache
-def _ts_level(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and near-end offset fractions (1 - tanh((pi/2) sinh t)) / 2,
-    without cancellation, of the nodes t = k*h > 0 a level adds, h = _TS_H0 /
-    2^level: every k at level 0, odd k after it; increasing t, so decreasing
-    offset.  Built once per level: the table depends on nothing else."""
-    # h is a power of two, so k*h is exact; t <= _TS_T_MAX keeps c <= 78.2, so
-    # cosh(c)^2 cannot overflow
-    h = _TS_H0 / 2 ** level
-    weights, fractions = [], []
-    for k in range(1, int(_TS_T_MAX / h) + 1, 2 if level else 1):
-        t = k * h
-        c = 0.5 * math.pi * math.sinh(t)
-        weights.append(0.5 * math.pi * math.cosh(t) / math.cosh(c) ** 2)
-        es = math.exp(-2.0 * c)
-        fractions.append(es / (1.0 + es))
-    return np.array(weights), np.array(fractions)
-
-
 def integrate_singular_endpoints(
     from_left: Integrand, from_right: Integrand, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> IntegralResult:
-    """tanh-sinh (double-exponential) rule on [a, b] for an integrand f given
-    as two functions of the exact distance s from an endpoint:
-    ``from_left(s)`` = f(a + s) and ``from_right(s)`` = f(b - s), each called
-    only at 0 < s <= (b - a)/2.  Integrable inverse-square-root endpoint
-    singularities are tolerated, to full precision when the two forms never
-    compute a + s or b - s: that cancellation is what limits plain
-    double-precision tanh-sinh to ~1e-8 on such integrands.
+    """Integrate f on [a, b] given as two functions of the exact distance s
+    from an endpoint: ``from_left(s)`` = f(a + s) and ``from_right(s)`` =
+    f(b - s), each called only at 0 < s < (b - a)/2.  Both halves fold onto
+    theta in (0, pi/4) through s = (b - a) sin^2(theta), where an integrable
+    inverse-square-root endpoint singularity cancels against ds/dtheta, and
+    the adaptive finite rule takes the smooth integrand in theta.  The result
+    is to full precision when the two forms never compute a + s or b - s.
+    ``evaluations`` counts the values of f: two per abscissa in theta.
     """
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     length = b - a
-    n_eval = 1
-    # the t = 0 node, the midpoint, has weight pi/2
-    acc, value = 0.5 * math.pi * _values(from_left, np.array([0.5 * length]), "s")[0], None
-    for level in range(_TS_MAX_LEVELS + 1):
-        weights, fractions = _ts_level(level)
-        n_eval += 2 * len(weights)
-        dists = length * fractions
-        acc = acc + weights @ (_values(from_left, dists, "s") + _values(from_right, dists, "s"))
-        previous, value = value, acc * (_TS_H0 / 2 ** level) * 0.5 * length
-        if level:
-            err = np.abs(value - previous)
-            if (err <= spec.tolerance(value)).all():
-                break
-    return _result(value, err, n_eval, spec)
+
+    def folded(theta: np.ndarray) -> np.ndarray:
+        s = length * np.sin(theta) ** 2
+        return (_values(from_left, s, "s") + _values(from_right, s, "s")).T * (length * np.sin(2.0 * theta))
+
+    result = integrate_finite(folded, 0.0, 0.25 * math.pi, spec)
+    return replace(result, evaluations=2 * result.evaluations)
 
 
 _TAIL_CUTOFF = 1e-16  # the semi-infinite tail is truncated below this

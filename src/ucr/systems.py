@@ -38,7 +38,7 @@ class _System:
       ``turning_point(E)``; ``scaled_region``, the classical region in X = x/A;
       ``kinetic(E, A)``, E - V(x) as a function of x and of the exact distance
       s from the left and from the right end of the region (the endpoint
-      forms that keep tanh-sinh accurate at the turning points);
+      forms that keep the classical pass accurate at the turning points);
       ``closed_form``, the exact classical (<X>, <X^2>, <P^2>).
     Quantum side, for level n at hbar:
       ``name`` and ``n_min``; ``level(n, hbar)``, (E_n, A_n); ``psi(level, x)``;

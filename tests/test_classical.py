@@ -16,6 +16,7 @@ from ucr.classical_ensemble import (
     classical_moments_quadrature,
 )
 from ucr.quadrature import QuadratureSpec, integrate_singular_endpoints
+from ucr.quantum_states import eigen_level
 
 SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
 
@@ -123,12 +124,24 @@ class TestOnePass:
         assert ens.normalization * ens.result.value[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_unconverged_pass_raises(self):
-        # here the last two levels still differ by an ulp or so, far above 1e-300
+        # here the K15 error estimate stays far above 1e-300
         tight = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300)
         ens = build_ensemble(PotentialModel(BouncingBall(1.0, 9.8)), 1.7, tight)
         assert not ens.result.converged
         with pytest.raises(RuntimeError, match="classical moment quadrature failed to converge"):
             classical_moments_quadrature(ens)
+
+
+    @pytest.mark.parametrize(
+        "variant",
+        [HarmonicOscillator(1.0, 1.0), InfiniteWell(1.0, 1.0), BouncingBall(1.0, 1.0)],
+        ids=["oscillator", "well", "bouncer"],
+    )
+    def test_unreachable_tolerance_never_claims_convergence(self, variant):
+        # an estimate taken from two refinements that agree to the bit would
+        # read (0, 0, 0, 0) here and claim convergence no rule can reach
+        ens = build_ensemble(PotentialModel(variant), 0.5, QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300))
+        assert not ens.result.converged
 
 
 class TestDensity:
@@ -208,6 +221,18 @@ class TestMoments:
                 assert abs(got.product - want.product) < 1e-9
                 assert got.realm == "classical"
                 assert got.method == "quadrature"
+
+    @pytest.mark.parametrize("variant", [HarmonicOscillator(1.0, 1.0), InfiniteWell(1.0, 1.0), BouncingBall(1.0, 1.0)],
+                             ids=["oscillator", "well", "bouncer"])
+    def test_loose_spec_still_meets_closed_form(self, variant):
+        # the turning points cancel in the change of variable, so even a loose
+        # tolerance gives the closed form to rounding at every level energy
+        model = PotentialModel(variant)
+        loose = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-4)
+        want = classical_moments_closed_form(model).fields()
+        for n in [*range(variant.n_min, 41), 178, 316, 1000]:
+            got = classical_moments_quadrature(build_ensemble(model, eigen_level(model, n).energy, loose))
+            assert max(abs(g - w) for g, w in zip(got.fields(), want)) <= 1e-15, n
 
     def test_scale_invariance(self):
         # scaled moments cannot depend on (m, omega/L/g, E)

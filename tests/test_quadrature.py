@@ -401,14 +401,27 @@ class TestArrayContract:
         assert (r.value, r.error_estimate) == (tuple(value.tolist()), tuple(error.tolist()))
         assert r.evaluations == len(calls[0]) == 15 * quadrature._TREE
 
-    def test_singular_endpoints_batches_each_level(self):
+    def test_singular_endpoints_batches_each_generation(self, monkeypatch):
+        # one pass of the finite rule in theta; each of its integrand calls
+        # evaluates each side once, at the same distances s
         left, left_calls = self._recording(lambda s: np.cos(30.0 * (s - 1.0)) / np.sqrt(s * (2.0 - s)))
         right, right_calls = self._recording(lambda s: np.cos(30.0 * (1.0 - s)) / np.sqrt(s * (2.0 - s)))
+        theta_calls = []
+
+        def finite(f, *args):
+            recorded, calls = self._recording(f)
+            theta_calls.append(calls)
+            return integrate_finite(recorded, *args)
+
+        monkeypatch.setattr(quadrature, "integrate_finite", finite)
         r = integrate_singular_endpoints(left, right, -1.0, 1.0, self.SPEC)
         assert r.converged
         assert self._all_1d_float_arrays(left_calls) and self._all_1d_float_arrays(right_calls)
-        assert len(left_calls) <= 1 + 1 + quadrature._TS_MAX_LEVELS  # the middle node, then one per level
-        assert len(right_calls) == len(left_calls) - 1
+        [calls] = theta_calls
+        assert len(calls) > 1 and len(left_calls) == len(right_calls) == len(calls)
+        assert all(np.array_equal(s, t) for s, t in zip(left_calls, right_calls))
+        assert len(left_calls[0]) == 15 * quadrature._TREE
+        assert all(0.0 < s < 1.0 for s in np.concatenate(left_calls))
         assert sum(len(s) for s in left_calls + right_calls) == r.evaluations
 
     def test_semi_infinite_probes_then_batches(self):

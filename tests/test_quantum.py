@@ -425,9 +425,9 @@ class TestDensityGrid:
             ('0x1.0000000000000p+0', '0x1.9906428a81d38p-1', '0x1.bb67ae8584ca7p-1', True),
         ),
         ('ho', 3): (
-            ('-0x1.0000000000000p+0', '0x1.6086f6d304710p-2', '0x1.45f306dc9c882p-2', True),
-            ('0x0.0p+0', '0x1.42f601a8c679cp-1', '0x1.45f306dc9c882p-2', False),
-            ('0x1.0000000000000p+0', '0x1.6086f6d304710p-2', '0x1.45f306dc9c882p-2', True),
+            ('-0x1.0000000000000p+0', '0x1.6086f6d304710p-2', '0x1.45f306dc9c883p-2', True),
+            ('0x0.0p+0', '0x1.42f601a8c679cp-1', '0x1.45f306dc9c883p-2', False),
+            ('0x1.0000000000000p+0', '0x1.6086f6d304710p-2', '0x1.45f306dc9c883p-2', True),
         ),
         ('ho', 4): (
             ('-0x1.0000000000000p+0', '0x1.6086f6d304710p-2', '0x1.59b8b1f4ecc98p-2', True),
