@@ -75,11 +75,6 @@ class IntegralResult:
 DEFAULT_SPEC = QuadratureSpec()
 
 
-def _result(value: np.ndarray, err: np.ndarray, evaluations: int, spec: QuadratureSpec) -> IntegralResult:
-    plain = (lambda array: tuple(array.tolist())) if value.ndim else float
-    return IntegralResult(plain(value), plain(err), evaluations, bool((err <= spec.tolerance(value)).all()))
-
-
 def _values(f: Integrand, xs: np.ndarray, where: str = "x") -> np.ndarray:
     """f over the abscissas in one call, abscissas first: shape (k,) for a
     one-component integrand, a C-contiguous (k, m) for an m-component one."""
@@ -124,6 +119,7 @@ _K15_G7_WEIGHTS[1, 1::2] -= _WG[:-1] + _WG[::-1]
 # bouncer `compare` by a fifth, 2 by an eighth; 4 doubles a long session's Airy memo misses.
 _TREE_DEPTH = 3
 _TREE = 2 ** (_TREE_DEPTH + 1) - 1  # its panels; the node number of any panel outside it
+_HALVES = np.minimum(np.arange(1, 2 * _TREE + 3).reshape(-1, 2).T, _TREE)  # column k: node k's two halves
 
 
 def _panels(f: Integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -138,46 +134,50 @@ def _panels(f: Integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def integrate_finite(f: Integrand, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC) -> IntegralResult:
-    """QUADPACK's globally adaptive subdivision, a generation of panels at a
-    time; an m-component integrand shares the subdivision.  A generation inside
-    the first call's tree calls nothing; ``evaluations`` counts the whole tree."""
+    """QUADPACK's globally adaptive subdivision, a generation of panels at a time; an m-component
+    integrand shares the subdivision.  A generation whose halves all lie in the first call's tree
+    takes them from it by node number; ``evaluations`` counts the whole tree."""
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
-    edges = np.array([[a], [b]])
-    for level in range(_TREE_DEPTH):  # each half from the loop's own 0.5 * (lo + hi)
-        lo, hi = edges[:, 2 ** level - 1:]
-        mid = 0.5 * (lo + hi)
-        edges = np.hstack((edges, np.array([(lo, mid), (mid, hi)]).transpose(0, 2, 1).reshape(2, -1)))
-    tree = _panels(f, *edges)
-    edges, panels = np.array([[a], [b], [0.0]]), tree[..., :1]  # rows lo, hi and node number
+    lo, hi = [a], [b]
+    for k in range(_TREE // 2):  # the tree's edges, each half from the same 0.5 * (lo + hi)
+        mid = 0.5 * (lo[k] + hi[k])
+        lo, hi = lo + [lo[k], mid], hi + [mid, hi[k]]
+    tree_edges = np.array((lo, hi))
+    tree = _panels(f, *tree_edges)
+    edges, panels, nodes = tree_edges[:, :1], tree[..., :1], np.zeros(1, dtype=np.intp)
     budget, evaluations = spec.max_subdivisions, 15 * _TREE
-    while True:
+    while True:  # a generation a turn, by ndarray methods and ufuncs rather than numpy's Python wrappers
         value, err = panels.sum(axis=-1)
         tol = spec.tolerance(value)
-        if budget == 0 or (err <= tol).all():
+        converged = bool((err <= tol).all())
+        if converged or budget == 0:
             break
-        # Worst first by the largest error relative to the tolerance (tol is 0
-        # where abs_tol = 0 meets a zero value); split the fewest worst panels
-        # whose removal leaves every component's error sum within tolerance.
-        errors, tol_column = panels[1].reshape(-1, edges.shape[1]), np.reshape(tol, (-1, 1))
-        order = np.argsort(-(errors / np.maximum(tol_column, 1e-300)).max(axis=0), kind="stable")
-        left = np.cumsum(errors[:, order[::-1]], axis=1)[:, ::-1]  # column j: after splitting order[:j]
-        fits = (left[:, 1:] <= tol_column).all(axis=0)
-        count = min(int(fits.argmax()) + 1 if fits.any() else edges.shape[1], budget)
-        lo, hi, nodes = edges[:, order[:count]]
-        mid = 0.5 * (lo + hi)
-        children = np.minimum(np.add.outer((1.0, 2.0), 2.0 * nodes), _TREE).ravel()
-        halves = np.concatenate((lo, mid, mid, hi, children)).reshape(3, -1)
+        # Worst first by the largest error relative to the tolerance (tol is 0 where abs_tol = 0
+        # meets a zero value); split the fewest worst panels whose removal leaves every component's
+        # error sum within tolerance: the errors are >= 0, so `fits` is False up to there, then True.
+        errors, tol_column = panels[1].reshape(-1, edges.shape[1]), tol.reshape(-1, 1)
+        order = (-np.maximum.reduce(errors / np.maximum(tol_column, 1e-300))).argsort(kind="stable")
+        left = errors.take(order[:0:-1], axis=1).cumsum(axis=1)[:, ::-1]  # column j: after splitting order[:j + 1]
+        fits = np.logical_and.reduce(left <= tol_column)
+        count = min(int(fits.searchsorted(True)) + 1, budget)
+        split, keep = order[:count], order[count:]
+        keep.sort()
+        children = _HALVES.take(nodes[split], axis=1).ravel()  # all left halves, then all right halves
         if children.max() < _TREE:
-            new = tree[..., children.astype(np.intp)]
-        else:
-            new = _panels(f, halves[0], halves[1])
+            halves, new = tree_edges.take(children, axis=1), tree[..., children]
+        else:  # a half outside the tree: evaluate every half
+            lo, hi = edges.take(split, axis=1)
+            mid = 0.5 * (lo + hi)
+            halves = np.concatenate((lo, mid, mid, hi)).reshape(2, -1)
+            new = _panels(f, *halves)
             evaluations += 30 * count
-        keep = np.sort(order[count:])
-        edges = np.concatenate((edges[:, keep], halves), axis=1)
-        panels = np.concatenate((panels[..., keep], new), axis=-1)
+        edges = np.concatenate((edges.take(keep, axis=1), halves), axis=1)
+        panels = np.concatenate((panels[..., keep], new), axis=-1)  # by index: take would change .sum's order
+        nodes = np.concatenate((nodes[keep], children))
         budget -= count
-    return _result(value, err, evaluations, spec)
+    plain = (lambda array: tuple(array.tolist())) if value.ndim else float
+    return IntegralResult(plain(value), plain(err), evaluations, converged)
 
 
 def integrate_singular_endpoints(

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from ucr import cli_report
 from ucr.cli_report import (
     COMPARE_HEADER,
     EXIT_COMPUTATION,
@@ -154,6 +155,15 @@ class TestCompareCommand:
         code, _, err = run(capsys, "compare", "--system", "ho", "--n", "0", "--quad-tol", "1e-300")
         assert code == EXIT_COMPUTATION
         assert err.startswith("error: ho n=0: ")
+
+    def test_computation_error_without_message_names_its_class(self, capsys, monkeypatch):
+        # a bare MemoryError, as a level too large for memory raises, has an empty message
+        def out_of_memory(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli_report, "compare_rows", out_of_memory)
+        code, out, err = run(capsys, "compare", "--system", "ho", "--n", "0")
+        assert (code, out, err) == (EXIT_COMPUTATION, "", "error: MemoryError\n")
 
     @pytest.mark.parametrize(
         "system, n, quad_tol",

@@ -34,6 +34,28 @@ def test_airy_ab_usage():
     assert _tool("airy_ab").main([SRC]) == 64
 
 
+def test_quad_ab_agrees_with_itself(capsys, monkeypatch):
+    # both trees are this one: every field agrees and every counted set is timed
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    quad_ab = _tool("quad_ab")
+    sweep = {"bouncer": (11,), "ho": (3,), "well": (2,)}
+    counted = {"bouncer n=11": ("bouncer", (11,)), "well n=2": ("well", (2,))}
+    try:
+        assert quad_ab.main([SRC, SRC], sweep=sweep, counted=counted, rounds=1) == 0
+    finally:
+        for label in ("parent", "change"):
+            sys.modules.pop(f"quadrature_{label}", None)
+    out = capsys.readouterr().out
+    assert f"fields: 0 of {7 * 7} (level, pass, spec) cases differ" in out  # 2 + 2 + 3 passes at 7 specs
+    assert "bouncer n=11 " in out and "well n=2 " in out
+    assert sys.getprofile() is None  # the profiler and the recorder are gone again
+    assert ucr.classical_ensemble.integrate_singular_endpoints is ucr.quadrature.integrate_singular_endpoints
+
+
+def test_quad_ab_usage():
+    assert _tool("quad_ab").main([SRC]) == 64
+
+
 def test_benchmark_tracer_wraps_and_restores_the_package():
     # perfbench/tracing.py looks its traced functions up by name on import,
     # so a renamed or deleted one fails here and not only under --trace 1.
