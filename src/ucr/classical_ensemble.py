@@ -12,7 +12,7 @@ from typing import Union
 import numpy as np
 
 from .quadrature import DEFAULT_SPEC, IntegralResult, QuadratureSpec, integrate_singular_endpoints
-from .systems import BouncingBall, HarmonicOscillator, InfiniteWell, PotentialModel
+from .systems import BouncingBall, HarmonicOscillator, InfiniteWell, PotentialModel, _require_positive
 
 __all__ = [
     "BouncingBall",
@@ -77,8 +77,7 @@ def build_ensemble(model: PotentialModel, energy: float = 1.0, spec: QuadratureS
     normalization (never hard-coded, so the closed-form moments remain an
     independent check) and the moments of X = x/A and P = p/sqrt(2mE) by the
     two-momentum-branch reduction of the phase-space average."""
-    if not (energy > 0 and math.isfinite(energy)):
-        raise ValueError(f"energy must be strictly positive and finite, got {energy}")
+    _require_positive(energy=energy)
     A = model.variant.turning_point(energy)
     lo, hi = model.variant.scaled_region
     a, b = lo * A, hi * A

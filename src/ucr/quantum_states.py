@@ -6,7 +6,7 @@ Momentum moments are evaluated in the position representation with analytic
 derivatives (Hermite recurrences, the well's sinusoid second derivative, the
 Airy ODE substitution), so no numerical differentiation enters anywhere.
 Each system supplies those integrands (`ucr.systems`); this module runs its
-quadrature passes and checks them.
+one quadrature pass and checks it.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ def bouncer_state(level: EigenLevel, spec: QuadratureSpec = DEFAULT_SPEC) -> Bou
     N_n^2 * integral of Ai^2 over (-E'_n, inf) = 1, the moment pass's norm."""
     if not isinstance(level.model.variant, BouncingBall):  # the one engine that takes a single system
         raise ValueError("bouncer_state requires a bouncer level")
-    [(f, a, b)], _ = level.model.variant.moment_passes(level)
-    [raw] = _integrate("bouncer normalization integral", level, [(lambda z: f(z)[0], a, b)], spec)
+    (f, a, b), _ = level.model.variant.moment_pass(level)
+    raw = _integrate("bouncer normalization integral", level, lambda z: f(z)[0], a, b, spec)
     return BouncerState(level, 1.0 / math.sqrt(raw.value))
 
 
@@ -86,16 +86,15 @@ def _check_mean_p(mean_p: float, spec: QuadratureSpec) -> None:
         raise RuntimeError(f"scaled momentum <P> should vanish, got {mean_p}")
 
 
-def _integrate(what: str, level: EigenLevel, passes, spec: QuadratureSpec) -> list[IntegralResult]:
-    """Every quantum pass (f, a, b), on the half-line from a if b is inf, with a budget grown for
-    the integrands' ~n oscillations; raises naming `what` at the first pass that fails."""
+def _integrate(what: str, level: EigenLevel, f, a: float, b: float, spec: QuadratureSpec) -> IntegralResult:
+    """One quantum pass of f over (a, b), on the half-line from a if b is inf, with a budget grown
+    for the integrands' ~n oscillations; raises naming `what` if it fails."""
     spec = replace(spec, max_subdivisions=max(spec.max_subdivisions, 6 * level.n))
-    results = []
-    for f, a, b in passes:  # each rule by its module-level name, which a tracer may patch
-        results.append(integrate_semi_infinite(f, a, spec) if b == math.inf else integrate_finite(f, a, b, spec))
-        if not results[-1].converged:
-            raise RuntimeError(f"{what} failed to converge: {results[-1]}")
-    return results
+    # each rule by its module-level name, which a tracer may patch
+    result = integrate_semi_infinite(f, a, spec) if b == math.inf else integrate_finite(f, a, b, spec)
+    if not result.converged:
+        raise RuntimeError(f"{what} failed to converge: {result}")
+    return result
 
 
 def quantum_moments_quadrature(level: EigenLevel, spec: QuadratureSpec = DEFAULT_SPEC) -> ScaledMoments:
@@ -103,9 +102,9 @@ def quantum_moments_quadrature(level: EigenLevel, spec: QuadratureSpec = DEFAULT
     evaluated by quadrature in each system's natural dimensionless
     coordinate."""
     variant = level.model.variant
-    passes, moments = variant.moment_passes(level)
-    results = _integrate(f"{variant.name} moment quadrature", level, passes, spec)
-    mean_x, mean_x2, mean_p2, mean_p = moments(*(result.value for result in results))
+    (f, a, b), moments = variant.moment_pass(level)
+    result = _integrate(f"{variant.name} moment quadrature", level, f, a, b, spec)
+    mean_x, mean_x2, mean_p2, mean_p = moments(result.value)
     _check_mean_p(mean_p, spec)
     return ScaledMoments(mean_x, mean_x2, 0.0, mean_p2, "quantum", "quadrature")
 

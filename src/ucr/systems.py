@@ -42,8 +42,8 @@ class _System:
       ``closed_form``, the exact classical (<X>, <X^2>, <P^2>).
     Quantum side, for level n at hbar:
       ``name`` and ``n_min``; ``level(n, hbar)``, (E_n, A_n); ``psi(level, x)``;
-      ``moment_passes(level)``, the integrals in the natural coordinate and
-      how their values become (<X>, <X^2>, <P^2>, <P>);
+      ``moment_pass(level)``, the one integral (f, a, b) in the natural
+      coordinate and how its values become (<X>, <X^2>, <P^2>, <P>);
       ``x2_offset(n)``, how far the exact quantum <X^2> sits below the
       classical one; ``robertson_bound(level)``.
     Trajectory: ``trajectory(E)``, the period, amplitude, and x(t) and p(t) for t in [0, period).
@@ -127,7 +127,7 @@ class HarmonicOscillator(_System):
         scale = math.sqrt(self.m * self.omega / level.model.hbar)
         return math.sqrt(scale) * _ho_functions(_ho_coefficients(level.n), scale * x)[2]
 
-    def moment_passes(self, level):
+    def moment_pass(self, level):
         n = level.n
         coefficients = _ho_coefficients(n)
         c1, c2 = math.sqrt(2.0 * n), 2.0 * math.sqrt(n * (n - 1.0))
@@ -150,7 +150,7 @@ class HarmonicOscillator(_System):
             scale = 2.0 / (2.0 * n + 1.0)  # both halves, over the scaled A_n^2 and 2mE_n
             return 0.0, x2 * scale, p2 * scale, (p_half + 0.5 * psi_0_sq) / math.sqrt(2.0 * n + 1.0)
 
-        return [(integrands, 0.0, math.inf)], moments
+        return (integrands, 0.0, math.inf), moments
 
     def robertson_bound(self, level) -> float:
         return 1.0 / (4.0 * (2.0 * level.n + 1.0) ** 2)
@@ -205,32 +205,20 @@ class InfiniteWell(_System):
         half = self.L / 2.0
         return np.where(np.abs(x) > half, 0.0, math.sqrt(2.0 / self.L) * _well_state_u(level.n, x / half))
 
-    def moment_passes(self, level):
+    def moment_pass(self, level):
         n = level.n
-        k = n * math.pi / 2.0
 
-        # One pass per parity on u in [-1, 1]: the odd integrands vanish and
-        # converge on the first symmetric panel, which a pass shared with the
-        # even ones would forfeit by holding them to abs_tol over every panel.
-        # The scaled momentum carries 1/k, so the odd pass integrates
-        # psi psi'/k, which is <P> and of order 1 at every level.
-        def even(u: np.ndarray) -> np.ndarray:
+        # psi^2 and u^2 psi^2 are even in u: the half [0, 1], doubled.  <X> and
+        # <P> vanish by parity, and psi'' = -(n pi/2)^2 psi makes <P^2> the norm.
+        def integrands(u: np.ndarray) -> np.ndarray:
             density = _well_state_u(n, u) ** 2
             return np.array([density, u * u * density])
 
-        def odd(u: np.ndarray) -> np.ndarray:
-            psi = _well_state_u(n, u)
-            slope = -np.sin(k * u) if n % 2 == 1 else np.cos(k * u)  # psi'/k
-            return np.array([u * psi * psi, psi * slope])
+        def moments(values):
+            norm, x2 = values
+            return 0.0, 2.0 * x2, 2.0 * norm, 0.0
 
-        def moments(even_values, odd_values):
-            # psi'' = -k^2 psi, so <P^2> is just the norm integral evaluated
-            # by quadrature.
-            mean_p2, mean_x2 = even_values
-            mean_x, mean_p = odd_values
-            return mean_x, mean_x2, mean_p2, mean_p
-
-        return [(even, -1.0, 1.0), (odd, -1.0, 1.0)], moments
+        return (integrands, 0.0, 1.0), moments
 
     def x2_offset(self, n: int) -> float:
         return 2.0 / (n * n * math.pi ** 2)
@@ -290,7 +278,7 @@ class BouncingBall(_System):
         z = np.maximum(x, 0.0) / lg - e  # x < 0 takes the floor's z, then psi = 0
         return np.where(x < 0.0, 0.0, normalization / math.sqrt(lg) * specfun.airy(z)[0])
 
-    def moment_passes(self, level):
+    def moment_pass(self, level):
         # All integrals live in the shifted dimensionless coordinate on
         # (-E'_n, inf); the gravitational length cancels throughout.
         e = self.airy_scales(level.n, level.model.hbar)[0]
@@ -307,7 +295,7 @@ class BouncingBall(_System):
             mean_z_shifted = first / norm - e
             return first / (e * norm), second / (e * e * norm), -mean_z_shifted / e, raw_p / (norm * math.sqrt(e))
 
-        return [(integrands, -e, math.inf)], moments
+        return (integrands, -e, math.inf), moments
 
     def robertson_bound(self, level) -> float:
         return 1.0 / (4.0 * self.airy_scales(level.n, level.model.hbar)[0] ** 3)

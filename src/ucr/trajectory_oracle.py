@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .classical_ensemble import PotentialModel, ScaledMoments
+from .systems import _require_positive
 
 __all__ = ["Trajectory", "build_trajectory", "trajectory_moments"]
 
@@ -37,8 +38,7 @@ def build_trajectory(model: PotentialModel, energy: float) -> Trajectory:
     """Exact one-period trajectory at energy E, starting from the phase
     convention x(0) = 0 moving in the positive direction (bouncer: launch
     from the floor)."""
-    if not (energy > 0 and math.isfinite(energy)):
-        raise ValueError(f"energy must be strictly positive and finite, got {energy}")
+    _require_positive(energy=energy)
     return Trajectory(model, energy, *model.variant.trajectory(energy))
 
 

@@ -454,50 +454,48 @@ class TestPinnedBits:
     batched must not move a bit.  The counts, and the bouncer at n = 11, whose
     pass has a generation with halves both inside and outside that tree, were
     recorded from the loop as it was before it took its halves from the tree
-    by node number."""
+    by node number.  The well's pass over its half u in [0, 1] was recorded
+    when it replaced the well's two parity passes over [-1, 1]."""
 
     MOMENT_PASSES = {
-        ("bouncer", 1, 0): (
+        ("bouncer", 1): (
             ("0x1.f77f5175bf7f3p-2", "0x1.8869086b58598p-1", "0x1.6effbbb3bb8f0p+0", "-0x1.3c04000000000p-58"),
             ("0x1.8935605c3ba32p-42", "0x1.9fc14a248096dp-41", "0x1.ea9276c5451dcp-39", "0x1.76014d02bede7p-41"),
             347,
         ),
-        ("bouncer", 14, 0): (
+        ("bouncer", 14): (
             ("0x1.474f6ac3b339bp+0", "0x1.b80861119d170p+3", "0x1.62f20aaf0c8d9p+7", "0x0.0p+0"),
             ("0x1.acd649444a593p-39", "0x1.45eefd9096771p-37", "0x1.cdd8a1a20af2bp-36", "0x1.8b1401bf2546fp-41"),
             1368,
         ),
-        ("bouncer", 11, 0): (
+        ("bouncer", 11): (
             ("0x1.2d89b0b1088dbp+0", "0x1.580ab6ad4806dp+3", "0x1.d70b65c4674f3p+6", "0x1.c000000000000p-55"),
             ("0x1.344084a23c940p-41", "0x1.74dc2d5bd4df1p-39", "0x1.2900cfe6c581ap-36", "0x1.a2a3758acbaa8p-41"),
             1188,
         ),
-        ("bouncer", 36, 0): (
+        ("bouncer", 36): (
             ("0x1.c20e1a09d880fp+0", "0x1.1e00ce5bfa681p+5", "0x1.b433985bf5152p+9", "0x1.8000000000000p-56"),
             ("0x1.c1a24091bd353p-42", "0x1.c2bbe0db52f5bp-38", "0x1.3a9bf48f7c60bp-33", "0x1.1094c9282596bp-40"),
             2839,
         ),
-        ("ho", 0, 0): (
+        ("ho", 0): (
             ("0x1.0000000000000p-2", "0x1.0000000000000p-2", "-0x1.20dd750429b6ep-2"),
             ("0x1.7fe61e74a2900p-37", "0x1.deaf0a9213d4fp-37", "0x1.72a6e868379afp-38"),
             256,
         ),
-        ("ho", 25, 0): (
+        ("ho", 25): (
             ("0x1.9800000000009p+3", "0x1.9800000000000p+3", "-0x1.a400000000000p-51"),
             ("0x1.693d7a989ec40p-37", "0x1.d6bd8bda30c40p-35", "0x1.ff67bba021fdcp-41"),
             1307,
         ),
-        ("ho", 40, 0): (
+        ("ho", 40): (
             ("0x1.4400000000004p+4", "0x1.4400000000004p+4", "-0x1.21b8c118875cap-5"),
             ("0x1.4b5bc828dc865p-34", "0x1.39c7f723ed057p-33", "0x1.a15b120f706cep-39"),
             1667,
         ),
-        ("well", 1, 0): (("0x1.0000000000000p+0", "0x1.0ba7b4887e38cp-3"), ("0x1.0ee6bdbde6b16p-54", "0x1.637a2fc5f50dcp-39"), 225),
-        ("well", 1, 1): (("0x1.65679ce5a83aep-56", "0x1.ba6e4d1a2f79bp-55"), ("0x1.cb8c634af8a3bp-61", "0x1.52365cba10caap-60"), 225),
-        ("well", 100, 0): (("0x1.0000000000003p+0", "0x1.5550056c65b0bp-2"), ("0x1.b6e685297b7e1p-34", "0x1.2ee79f5f6af0dp-36"), 5085),
-        ("well", 100, 1): (("-0x1.5d24d67a9835cp-55", "0x1.3454f72ba0332p-56"), ("0x1.d24d67a9835c0p-59", "0x1.d153dcae80cc8p-58"), 225),
-        ("well", 1000, 0): (("0x1.0000000000000p+0", "0x1.555547bbf6c77p-2"), ("0x1.b3a64c2da9b35p-34", "0x1.474d579b8b927p-36"), 57165),
-        ("well", 1000, 1): (("0x1.6b73ed122c7f0p-58", "0x1.bb23227804d48p-58"), ("0x1.48c12edd38100p-62", "0x1.d91913c026a40p-61"), 225),
+        ("well", 1): (("0x1.0000000000000p-1", "0x1.0ba7b4887e38bp-4"), ("0x1.22de4bb4e4691p-55", "0x1.637a2fff35f50p-40"), 225),
+        ("well", 100): (("0x1.fffffffffffffp-2", "0x1.5550056c65b0ap-3"), ("0x1.b6e685252759cp-35", "0x1.2ee79f4a65a98p-37"), 2535),
+        ("well", 1000): (("0x1.ffffffffffffdp-2", "0x1.555547bbf6c6ep-3"), ("0x1.b3a64c2554bc6p-35", "0x1.474d578e7c740p-37"), 28575),
     }
 
     OSCILLATORY = {  # _oscillatory on [0, 3]
@@ -514,13 +512,13 @@ class TestPinnedBits:
         hexes = tuple(v.hex() for v in result.value), tuple(e.hex() for e in result.error_estimate)
         return hexes + (result.evaluations, result.converged)
 
-    @pytest.mark.parametrize("system, n, index", sorted(MOMENT_PASSES))
-    def test_moment_pass(self, system, n, index):
-        # each pass through the runner that quantum_moments_quadrature calls
+    @pytest.mark.parametrize("system, n", sorted(MOMENT_PASSES))
+    def test_moment_pass(self, system, n):
+        # the level's one pass through the runner that quantum_moments_quadrature calls
         level = eigen_level(_MODELS[system], n)
-        one_pass = _MODELS[system].variant.moment_passes(level)[0][index]
-        [result] = _integrate(f"{system} pinned", level, [one_pass], DEFAULT_SPEC)
-        assert self._hex(result) == self.MOMENT_PASSES[system, n, index] + (True,)
+        (f, a, b), _ = _MODELS[system].variant.moment_pass(level)
+        result = _integrate(f"{system} pinned", level, f, a, b, DEFAULT_SPEC)
+        assert self._hex(result) == self.MOMENT_PASSES[system, n] + (True,)
 
     @pytest.mark.parametrize("name", sorted(OSCILLATORY))
     def test_oscillatory_pass(self, name):

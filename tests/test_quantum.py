@@ -201,7 +201,7 @@ class TestFailingPass:
 
     def test_well_stops_at_its_first_failing_pass(self, monkeypatch):
         # the runner looks each rule up by its module-level name, so a
-        # patched name sees every call; the odd pass never runs
+        # patched name sees every call; the well's one pass is one call
         calls = []
         monkeypatch.setattr(quantum_states, "integrate_finite",
                             lambda *args: calls.append(args) or integrate_finite(*args))
@@ -233,12 +233,21 @@ class TestMoments:
             assert abs(got.mean_p2 - 0.5) < 1e-9
             assert abs(got.product - 0.25) < 1e-9
 
+    @pytest.mark.parametrize("system, n", [("ho", 0), ("ho", 31), ("well", 1), ("well", 100), ("bouncer", 1), ("bouncer", 14)])
+    def test_one_pass_per_level(self, system, n):
+        # the oscillator and the well integrate on their positive half only,
+        # the bouncer from its floor at z = -E'_n
+        model = {"ho": HO, "well": WELL, "bouncer": BALL}[system]
+        (_, a, b), _ = model.variant.moment_pass(eigen_level(model, n))
+        if system == "bouncer":
+            assert (a, b) == (-airy_zero(n).scaled_energy, math.inf)
+        else:
+            assert (a, b) == (0.0, 1.0 if system == "well" else math.inf)
+
     @pytest.mark.parametrize("n", [0, 1, 2, 31, 32])
     def test_oscillator_one_half_line_pass(self, monkeypatch, n):
         # <P> is the half-line integral of psi psi' against its exact value
         # -psi(0)^2/2, so the negative half-line is never integrated
-        passes, _ = HO.variant.moment_passes(eigen_level(HO, n))
-        assert [(a, b) for _, a, b in passes] == [(0.0, math.inf)]
         seen = _checked_mean_p(monkeypatch)
         for spec in (DEFAULT_SPEC, SPEC):
             quantum_moments_quadrature(eigen_level(HO, n), spec)
@@ -256,18 +265,18 @@ class TestMoments:
     def test_mean_p_bound_follows_abs_tol(self, monkeypatch, spec, shift, fires):
         # |<P>| is held to max(1e-12, abs_tol): 1e-12 at the default and the
         # tighter specs, looser only where the caller asked for a looser integral
-        moment_passes = HarmonicOscillator.moment_passes
+        moment_pass = HarmonicOscillator.moment_pass
 
         def shifted(self, level):
-            passes, moments = moment_passes(self, level)
+            one_pass, moments = moment_pass(self, level)
 
             def shifted_moments(values):
                 mean_x, mean_x2, mean_p2, mean_p = moments(values)
                 return mean_x, mean_x2, mean_p2, mean_p + shift
 
-            return passes, shifted_moments
+            return one_pass, shifted_moments
 
-        monkeypatch.setattr(HarmonicOscillator, "moment_passes", shifted)
+        monkeypatch.setattr(HarmonicOscillator, "moment_pass", shifted)
         level = eigen_level(HO, 3)
         if fires:
             with pytest.raises(RuntimeError, match="<P>"):
@@ -283,10 +292,19 @@ class TestMoments:
             assert abs(got.mean_p2 - 1.0) < 1e-10
             assert abs(got.mean_x) < 1e-10
 
+    def test_well_loose_spec_meets_closed_forms(self):
+        # even at a loose spec the well's pass over [0, 1] meets 1/3 - 2/(n pi)^2
+        # and 1 within 6.1e-13 over the benchmark's levels
+        spec = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-4)
+        for n in (1, 2, 3, 6, 10, 18, 32, 56, 100, 178, 316, 422, 562, 750, 1000):
+            got = quantum_moments_quadrature(eigen_level(WELL, n), spec)
+            assert abs(got.mean_x2 - (1.0 / 3.0 - 2.0 / (n * n * math.pi ** 2))) < 5e-12, n
+            assert abs(got.mean_p2 - 1.0) < 5e-12, n
+
     @pytest.mark.parametrize("n", [30_000, 100_000])
     def test_well_past_ten_thousand(self, n):
-        # psi psi' scales with k = n pi / 2; the odd pass integrates it over k,
-        # so the <P> check and the tolerance meet values of order 1
+        # psi^2 and u^2 psi^2 stay of order 1 at every level; only the
+        # budget, 6n panels, grows with the n/2 periods on [0, 1]
         level = eigen_level(WELL, n)
         got = quantum_moments_quadrature(level)
         want = quantum_moments_closed_form(level)

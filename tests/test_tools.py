@@ -46,7 +46,7 @@ def test_quad_ab_agrees_with_itself(capsys, monkeypatch):
         for label in ("parent", "change"):
             sys.modules.pop(f"quadrature_{label}", None)
     out = capsys.readouterr().out
-    assert f"fields: 0 of {7 * 7} (level, pass, spec) cases differ" in out  # 2 + 2 + 3 passes at 7 specs
+    assert f"fields: 0 of {6 * 7} (level, pass, spec) cases differ" in out  # 2 passes a level at 7 specs
     assert "bouncer n=11 " in out and "well n=2 " in out
     assert sys.getprofile() is None  # the profiler and the recorder are gone again
     assert ucr.classical_ensemble.integrate_singular_endpoints is ucr.quadrature.integrate_singular_endpoints

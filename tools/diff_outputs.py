@@ -10,7 +10,8 @@ and 1000 (CSV and JSON, and at the loose integral tolerances `--quad-tol
 1e-6` and, for the oscillator's n = 0, `1e-4`, where the <P> = 0 check
 meets real quadrature error), `compare` and a 101-point `density` grid on
 the oscillator's high levels (n = 200 and 900, where its recurrence is
-renormalized past y ~ 37.7), `verify` on every system at
+renormalized past y ~ 37.7), `compare` on the well's levels 1778, 3000 and
+10001 (past the benchmark scan's 1000), `verify` on every system at
 four sample counts (100,000 and 1000, and 6 and 2, where the well's sample
 phases land exactly on 1/4 and 3/4, so its triangle wave and square-wave
 momentum switch there), bouncer `density` grids over levels 1..9 and 51..101
@@ -40,6 +41,7 @@ def commands() -> list[tuple[str, ...]]:
         cmds.append(("compare", "--system", system, "--n", n, "--quad-tol", "1e-6"))
     cmds.append(("compare", "--system", "ho", "--n", "0", "--quad-tol", "1e-4"))
     cmds.append(("compare", "--system", "ho", "--n", "200,900"))
+    cmds.append(("compare", "--system", "well", "--n", "1778,3000,10001"))
     cmds.append(("density", "--system", "ho", "--n", "900", "--points", "101"))
     for system in ("ho", "well", "bouncer"):
         for samples in ("100000", "1000", "6", "2"):

@@ -9,10 +9,11 @@ Each argument is a directory that holds the `ucr` package (a checkout's
 as separate modules; the integrands are CHANGE_SRC's, so the two loops see
 the same functions, the same Airy memo and the machine's speed of the moment.
 
-The sweep takes, for every level of SWEEP, the level's quantum moment passes
-(each on the budget `quantum_states._integrate` gives it, max(budget, 6n),
-by `integrate_semi_infinite` when the pass is on a half-line) and the
-classical ensemble's endpoint-singular pass, at each of seven specs.  The
+The sweep takes, for every level of SWEEP, the level's one quantum moment
+pass from `moment_pass` (on the budget `quantum_states._integrate` gives it,
+max(budget, 6n), by `integrate_semi_infinite` when the pass is on a
+half-line) and the classical ensemble's endpoint-singular pass, at each of
+seven specs.  The
 value, error estimate, `evaluations` and `converged` of the two trees'
 results must agree bit for bit (an integrand error must be the same
 exception).  The first (system, n, spec, pass) that differs is named.
@@ -87,11 +88,11 @@ def import_ucr(src: str):
 
 def level_passes(ucr, model, n: int) -> list[tuple]:
     """The level's passes as (label, kind, integrand, a, b): the quantum
-    moment passes, then the classical ensemble's pass, caught on its way to
+    moment pass, then the classical ensemble's pass, caught on its way to
     `integrate_singular_endpoints`."""
     level = ucr.eigen_level(model, n)
-    quantum, _ = model.variant.moment_passes(level)
-    passes = [(f"quantum {i}", "quantum", f, a, b) for i, (f, a, b) in enumerate(quantum)]
+    (f, a, b), _ = model.variant.moment_pass(level)
+    passes = [("quantum", "quantum", f, a, b)]
     module = sys.modules["ucr.classical_ensemble"]
     rule = module.integrate_singular_endpoints
 
