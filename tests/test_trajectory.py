@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ucr.classical_ensemble import (
     classical_moments_quadrature,
 )
 from ucr.quadrature import QuadratureSpec
-from ucr.trajectory_oracle import build_trajectory, trajectory_moments
+from ucr.trajectory_oracle import BLOCK, build_trajectory, trajectory_moments
 
 SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
 
@@ -125,6 +126,31 @@ class TestTrajectoryMoments:
             ens = classical_moments_quadrature(build_ensemble(model, 1.0, SPEC))
             for o, e in zip(oracle.fields(), ens.fields()):
                 assert abs(o - e) < 1e-4
+
+    @pytest.mark.parametrize("samples", [2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 100_000, 1_000_000])
+    def test_blocks_match_whole_array_bits(self, samples):
+        # the blocks fill X and P element by element and the means run over the
+        # whole arrays, so every bit equals one whole-array evaluation
+        for model in _all_models():
+            traj = build_trajectory(model, 1.7)
+            t = (np.arange(samples) + 0.5) * (traj.period / samples)
+            x = traj.position_in_period(t) / traj.turning_point
+            p = traj.momentum_in_period(t) / math.sqrt(2.0 * model.mass * traj.energy)
+            want = tuple(float(np.mean(a)) for a in (x, x ** 2, p, p ** 2))
+            got = trajectory_moments(traj, samples)
+            assert (got.mean_x, got.mean_x2, got.mean_p, got.mean_p2) == want, (model, samples)
+
+    def test_memory_is_two_arrays_and_a_block(self):
+        # 16 bytes per sample plus one block; whole-array evaluation peaked at 32-33 MB
+        for model in _all_models():
+            traj = build_trajectory(model, 1.0)
+            tracemalloc.start()
+            try:
+                trajectory_moments(traj, 1_000_000)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 20_000_000, (model, peak)
 
     def test_sampling_error_shrinks_with_refinement(self):
         # bouncer <X> has the slowest midpoint convergence (corner at the floor)

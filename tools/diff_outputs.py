@@ -12,11 +12,13 @@ meets real quadrature error), `compare` and a 101-point `density` grid on
 the oscillator's high levels (n = 200 and 900, where its recurrence is
 renormalized past y ~ 37.7), `compare` on the well's levels 1778, 3000 and
 10001 (past the benchmark scan's 1000), `verify` on every system at
-four sample counts (100,000 and 1000, and 6 and 2, where the well's sample
-phases land exactly on 1/4 and 3/4, so its triangle wave and square-wave
-momentum switch there), bouncer `density` grids over levels 1..9 and 51..101
-points, the well's and the oscillator's density grids (a 5-point one each,
-and levels 0, 3, 10 resp. 1, 8, 100 at 11 and 101 points), the smallest
+its default 1,000,000 samples and four more counts (100,000 and 1000, and 6
+and 2, where the well's sample phases land exactly on 1/4 and 3/4, so its
+triangle wave and square-wave momentum switch there), the well's `verify` at
+8193 samples (one past the oracle's block), bouncer `density` grids over
+levels 1..9 and 51..101 points, the well's and the oscillator's density
+grids (a 5-point one each, and levels 0, 3, 10 resp. 1, 8, 100 at 11 and 101
+points), the smallest
 grids the endpoint clip meets (bouncer n = 1 at 2 and 3 points, oscillator
 n = 0 at 3 points and at 2, whose ends are both singular), and an
 `airy-zeros` table.  Exits 0 when the two trees agree on all of them, 1
@@ -44,8 +46,10 @@ def commands() -> list[tuple[str, ...]]:
     cmds.append(("compare", "--system", "well", "--n", "1778,3000,10001"))
     cmds.append(("density", "--system", "ho", "--n", "900", "--points", "101"))
     for system in ("ho", "well", "bouncer"):
+        cmds.append(("verify", "--system", system))  # the default 1,000,000 samples
         for samples in ("100000", "1000", "6", "2"):
             cmds.append(("verify", "--system", system, "--samples", samples))
+    cmds.append(("verify", "--system", "well", "--samples", "8193"))  # one past the oracle's 8192-sample block
     for n in range(1, 10):
         for points in range(51, 102, 10):
             cmds.append(("density", "--system", "bouncer", "--n", str(n), "--points", str(points)))
