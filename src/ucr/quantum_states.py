@@ -24,6 +24,7 @@ from .quadrature import (
     IntegralResult,
     QuadratureSpec,
     integrate_finite,
+    integrate_rule,
     integrate_semi_infinite,
 )
 
@@ -60,6 +61,8 @@ def eigen_level(model: PotentialModel, n: int) -> EigenLevel:
     variant = model.variant
     if not isinstance(n, numbers.Integral) or n < variant.n_min:
         raise ValueError(f"{variant.name} quantum number must be an integer >= {variant.n_min}, got {n!r}")
+    if n > variant.n_max:
+        raise ValueError(f"{variant.name} quantum number must be at most {variant.n_max}, got {n!r}")
     return EigenLevel(model, n, *variant.level(n, model.hbar))
 
 
@@ -86,12 +89,16 @@ def _check_mean_p(mean_p: float, spec: QuadratureSpec) -> None:
         raise RuntimeError(f"scaled momentum <P> should vanish, got {mean_p}")
 
 
-def _integrate(what: str, level: EigenLevel, f, a: float, b: float, spec: QuadratureSpec) -> IntegralResult:
-    """One quantum pass of f over (a, b), on the half-line from a if b is inf, with a budget grown
-    for the integrands' ~n oscillations; raises naming `what` if it fails."""
-    spec = replace(spec, max_subdivisions=max(spec.max_subdivisions, 6 * level.n))
+def _integrate(what: str, level: EigenLevel, f, a, b, spec: QuadratureSpec) -> IntegralResult:
+    """One quantum pass of f: by the fixed rule when a and b are its nodes and weights, else over
+    (a, b), on the half-line from a if b is inf, with a budget grown for the integrands' ~n
+    oscillations; raises naming `what` if it fails."""
     # each rule by its module-level name, which a tracer may patch
-    result = integrate_semi_infinite(f, a, spec) if b == math.inf else integrate_finite(f, a, b, spec)
+    if isinstance(a, np.ndarray):
+        result = integrate_rule(f, a, b, spec)
+    else:
+        spec = replace(spec, max_subdivisions=max(spec.max_subdivisions, 6 * level.n))
+        result = integrate_semi_infinite(f, a, spec) if b == math.inf else integrate_finite(f, a, b, spec)
     if not result.converged:
         raise RuntimeError(f"{what} failed to converge: {result}")
     return result

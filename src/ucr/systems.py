@@ -41,9 +41,12 @@ class _System:
       forms that keep the classical pass accurate at the turning points);
       ``closed_form``, the exact classical (<X>, <X^2>, <P^2>).
     Quantum side, for level n at hbar:
-      ``name`` and ``n_min``; ``level(n, hbar)``, (E_n, A_n); ``psi(level, x)``;
+      ``name``, ``n_min`` and ``n_max`` (the highest level computed);
+      ``level(n, hbar)``, (E_n, A_n); ``psi(level, x)``;
       ``moment_pass(level)``, the one integral (f, a, b) in the natural
-      coordinate and how its values become (<X>, <X^2>, <P^2>, <P>);
+      coordinate, over the interval (a, b) or, when a and b are arrays, by the
+      fixed rule with nodes a and weights b, and how its values become
+      (<X>, <X^2>, <P^2>, <P>);
       ``x2_offset(n)``, how far the exact quantum <X^2> sits below the
       classical one; ``robertson_bound(level)``.
     Trajectory: ``trajectory(E)``, the period, amplitude, and x(t) and p(t) for t in [0, period).
@@ -51,6 +54,8 @@ class _System:
     energy E'_n = -a_n and gravitational length l_g = (hbar^2/(2 m^2 g))^(1/3).
     Functions of x (E - V, psi, the integrands) take and return 1-D arrays.
     """
+
+    n_max = math.inf
 
     def __post_init__(self):
         _require_positive(**{f.name: getattr(self, f.name) for f in fields(self)})
@@ -64,6 +69,7 @@ class _System:
 _LN2 = math.log(2.0)
 _RESCALE = 600  # the scaled recurrence is renormalized past 2^600
 _RESCALE_AT = 2.0 ** _RESCALE
+_NEWTON_STEPS = 8  # the Gauss-Hermite nodes settle in three
 
 
 def _ho_coefficients(n: int) -> list[tuple[float, float]]:
@@ -97,6 +103,45 @@ def _ho_functions(coefficients: list[tuple[float, float]], y: np.ndarray) -> tup
     return np.ldexp(older, -shift), np.ldexp(old, -shift), np.ldexp(phi, -shift)
 
 
+def _gauss_hermite(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Hermite rule of `count` >= 2 nodes, ascending, with the scaled
+    Christoffel weights W_i = lambda_i e^(y_i^2) = 1/(count phi_{count-1}(y_i)^2),
+    so that sum_i W_i g(y_i) is the integral over the line of g = q e^(-y^2)
+    for every polynomial q of degree < 2 count, and no weight underflows
+    (Golub & Welsch, Math. Comp. 23, 1969; Townsend, Trogdon & Olver, IMA J.
+    Numer. Anal. 36, 2016)."""
+    # Seeds y = sqrt(2N+1) cos(theta), theta - sin(2 theta)/2 = 2 pi (k - 1/4)/(2N+1) for
+    # the positive nodes k = 1..N/2, largest first: Newton from theta = pi/2, where the
+    # left side is convex and increasing on [0, pi/2], so theta falls monotonically onto the root.
+    k = np.arange(1, count // 2 + 1)
+    target = 2.0 * math.pi * (k - 0.25) / (2 * count + 1)
+    theta = np.full(k.size, 0.5 * math.pi)
+    while True:
+        step = (theta - 0.5 * np.sin(2.0 * theta) - target) / (2.0 * np.sin(theta) ** 2)
+        theta -= step
+        if step.max() <= 1e-13:
+            break
+    y = math.sqrt(2 * count + 1) * np.cos(theta)
+    if count % 2:
+        y = np.append(y, 0.0)  # phi_N(0) is exactly 0 for odd N, so Newton leaves this node in place
+    # Newton on phi_N with phi_N' = sqrt(2N) phi_{N-1} - y phi_N: three steps from these seeds
+    coefficients, root = _ho_coefficients(count), math.sqrt(2.0 * count)
+    for _ in range(_NEWTON_STEPS):
+        older, old, phi = _ho_functions(coefficients, y)
+        step = phi / (root * old - y * phi)
+        if np.abs(step).max() <= 1e-14 * y[0]:
+            break
+        y -= step
+    else:
+        raise ArithmeticError(f"Gauss-Hermite nodes for {count} points did not converge in {_NEWTON_STEPS} Newton steps")
+    # the last step moves phi_{N-1} by one Taylor term, phi_{N-1}' = sqrt(2N-2) phi_{N-2} - y phi_{N-1}
+    old -= step * (math.sqrt(2.0 * count - 2.0) * older - y * old)
+    y -= step
+    weights = 1.0 / (count * old * old)
+    half = count // 2
+    return np.concatenate((-y[:half], y[::-1])), np.concatenate((weights[:half], weights[::-1]))
+
+
 @dataclass(frozen=True)
 class HarmonicOscillator(_System):
     m: float
@@ -104,6 +149,7 @@ class HarmonicOscillator(_System):
 
     name = "oscillator"
     n_min = 0
+    n_max = 20_000  # the rule's cost grows as n^2: about 30 s at this level
     scaled_region = (-1.0, 1.0)
     closed_form = (0.0, 0.5, 0.5)
 
@@ -142,15 +188,14 @@ class HarmonicOscillator(_System):
             return np.array([y * y * psi * psi, -psi * psi_second, psi * psi_prime])
 
         def moments(values):
-            # Even integrands (x^2, p^2): the positive half, doubled.  The odd
-            # psi psi' = (psi^2/2)' has half-line integral -psi(0)^2/2; the rest is <P>.
-            # psi(0)^2 = (n-1)!!/(n!! sqrt(pi)) from exact integers, not the recurrence.
-            x2, p2, p_half = values
-            psi_0_sq = 0.0 if n % 2 else math.prod(range(1, n, 2)) / math.prod(range(2, n + 1, 2)) / math.sqrt(math.pi)
-            scale = 2.0 / (2.0 * n + 1.0)  # both halves, over the scaled A_n^2 and 2mE_n
-            return 0.0, x2 * scale, p2 * scale, (p_half + 0.5 * psi_0_sq) / math.sqrt(2.0 * n + 1.0)
+            # Each integrand is a polynomial of degree <= 2n + 2 times e^(-y^2), which
+            # the rule of n + 2 nodes integrates exactly over the whole line; the odd
+            # psi psi' is taken at every node, both signs, so <P> = 0 tests parity.
+            x2, p2, p = values
+            scale = 1.0 / (2.0 * n + 1.0)  # over the scaled A_n^2 and 2mE_n
+            return 0.0, x2 * scale, p2 * scale, p / math.sqrt(2.0 * n + 1.0)
 
-        return (integrands, 0.0, math.inf), moments
+        return (integrands, *_gauss_hermite(n + 2)), moments
 
     def robertson_bound(self, level) -> float:
         return 1.0 / (4.0 * (2.0 * level.n + 1.0) ** 2)

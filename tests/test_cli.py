@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,15 @@ class TestCompareCommand:
         # <P> is held to the requested integral tolerance, not to 1e-12 alone
         code, _, err = run(capsys, "compare", "--system", system, "--n", n, "--quad-tol", quad_tol)
         assert code == EXIT_OK, err
+
+    @pytest.mark.parametrize("command", ["compare", "density"])
+    def test_oscillator_level_past_its_ceiling_is_refused_at_once(self, capsys, command):
+        # refused before its n coefficient pairs are built, which no memory holds
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--system", "ho", "--n", "99999999999")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "usage error: oscillator quantum number must be at most 20000, got 99999999999\n"
 
     def test_bouncer_level_past_airy_limit_is_usage_error(self, capsys):
         # a_n for n ~ 1e18 lies below -1e12, where airy_ai refuses to compute
@@ -382,12 +392,17 @@ class TestInputValidation:
 
     @pytest.mark.parametrize(
         "command, expected",
-        # the quantum pass stops on its first panel and misses the parity
-        # tolerance; verify's classical pass meets its oracle
-        [(("compare", "--n", "0"), EXIT_PARITY), (("verify", "--samples", "1000"), EXIT_OK)],
+        # the bouncer's quantum pass stops on its first panel and misses the
+        # parity tolerance; verify's classical pass meets its oracle, and the
+        # oscillator's exact rule does not depend on --quad-tol
+        [
+            (("compare", "--system", "bouncer", "--n", "1"), EXIT_PARITY),
+            (("verify", "--system", "ho", "--samples", "1000"), EXIT_OK),
+            (("compare", "--system", "ho", "--n", "0"), EXIT_OK),
+        ],
     )
     def test_largest_quad_tol_is_accepted(self, capsys, command, expected):
-        code, _, err = run(capsys, *command, "--system", "ho", "--quad-tol", "1e300")
+        code, _, err = run(capsys, *command, "--quad-tol", "1e300")
         assert code == expected, err
 
     def test_largest_quad_tol_on_a_large_moment_is_a_parity_failure(self, capsys):

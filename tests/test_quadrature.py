@@ -14,6 +14,7 @@ from ucr.quadrature import (
     QuadratureError,
     QuadratureSpec,
     integrate_finite,
+    integrate_rule,
     integrate_semi_infinite,
     integrate_singular_endpoints,
 )
@@ -252,6 +253,46 @@ class TestSemiInfinite:
             integrate_semi_infinite(lambda x: np.full_like(x, np.nan), 0.0)
 
 
+class TestFixedRule:
+    # Gauss-Legendre with 3 nodes on [-1, 1]: exact through degree 5
+    NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
+    WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+
+    def test_exact_rule_in_one_call(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.copy())
+            return np.array([x ** 4, x ** 5, np.ones_like(x)])
+
+        r = integrate_rule(f, self.NODES, self.WEIGHTS)
+        assert len(calls) == 1 and calls[0].tolist() == self.NODES.tolist()
+        assert r.value == pytest.approx((0.4, 0.0, 2.0), abs=1e-15)
+        assert (r.evaluations, r.converged) == (3, True)
+
+    def test_error_estimate_is_the_rounding_floor(self):
+        # eps * sum |w_i f(x_i)| per component; never 0 where a term is not 0
+        f = lambda x: np.array([x ** 2, x ** 3])
+        r = integrate_rule(f, self.NODES, self.WEIGHTS)
+        terms = self.WEIGHTS * f(self.NODES)
+        assert r.error_estimate == tuple((sys.float_info.epsilon * np.abs(terms).sum(axis=1)).tolist())
+        assert min(r.error_estimate) > 0.0
+
+    def test_one_component_returns_floats(self):
+        r = integrate_rule(lambda x: x * x, self.NODES, self.WEIGHTS)
+        assert type(r.value) is float and type(r.error_estimate) is float and type(r.evaluations) is int
+        assert r.value == pytest.approx(2.0 / 3.0, rel=1e-15)
+
+    def test_tolerance_below_the_floor_does_not_converge(self):
+        r = integrate_rule(lambda x: x * x, self.NODES, self.WEIGHTS, QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300))
+        assert r.converged is False
+        assert r.value == pytest.approx(2.0 / 3.0, rel=1e-15)
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(QuadratureError, match="at x=0.0"):
+            integrate_rule(lambda x: np.where(x == 0.0, np.nan, x), self.NODES, self.WEIGHTS)
+
+
 class TestKronrodConstants:
     """The typed G7-K15 digits, checked with mpmath alone: a 15-point rule
     that embeds the 7-point Gauss rule and integrates x^k exactly for
@@ -455,7 +496,12 @@ class TestPinnedBits:
     pass has a generation with halves both inside and outside that tree, were
     recorded from the loop as it was before it took its halves from the tree
     by node number.  The well's pass over its half u in [0, 1] was recorded
-    when it replaced the well's two parity passes over [-1, 1]."""
+    when it replaced the well's two parity passes over [-1, 1].  The
+    oscillator's Gauss-Hermite rule of n + 2 nodes was recorded when it
+    replaced the oscillator's adaptive half-line pass, on numpy 2.4.6 with
+    the AVX512_SPR dispatch of its ufuncs (np.exp, np.sin and np.cos build
+    the nodes and the recurrence's start) on an AVX-512 Xeon; its sums are
+    numpy's pairwise sums, not a BLAS product."""
 
     MOMENT_PASSES = {
         ("bouncer", 1): (
@@ -479,19 +525,19 @@ class TestPinnedBits:
             2839,
         ),
         ("ho", 0): (
-            ("0x1.0000000000000p-2", "0x1.0000000000000p-2", "-0x1.20dd750429b6ep-2"),
-            ("0x1.7fe61e74a2900p-37", "0x1.deaf0a9213d4fp-37", "0x1.72a6e868379afp-38"),
-            256,
+            ("0x1.ffffffffffffep-2", "0x1.ffffffffffffbp-2", "0x0.0p+0"),
+            ("0x1.ffffffffffffep-54", "0x1.ffffffffffffbp-54", "0x1.6a09e667f3bcbp-53"),
+            2,
         ),
         ("ho", 25): (
-            ("0x1.9800000000009p+3", "0x1.9800000000000p+3", "-0x1.a400000000000p-51"),
-            ("0x1.693d7a989ec40p-37", "0x1.d6bd8bda30c40p-35", "0x1.ff67bba021fdcp-41"),
-            1307,
+            ("0x1.9800000000002p+4", "0x1.97fffffffffffp+4", "-0x1.0000000000000p-54"),
+            ("0x1.9800000000002p-48", "0x1.97fffffffffffp-48", "0x1.6d424d2bdd361p-51"),
+            27,
         ),
         ("ho", 40): (
-            ("0x1.4400000000004p+4", "0x1.4400000000004p+4", "-0x1.21b8c118875cap-5"),
-            ("0x1.4b5bc828dc865p-34", "0x1.39c7f723ed057p-33", "0x1.a15b120f706cep-39"),
-            1667,
+            ("0x1.43fffffffffffp+5", "0x1.43ffffffffffep+5", "0x1.0000000000000p-53"),
+            ("0x1.43fffffffffffp-47", "0x1.43ffffffffffep-47", "0x1.d4db5e4b842e7p-51"),
+            42,
         ),
         ("well", 1): (("0x1.0000000000000p-1", "0x1.0ba7b4887e38bp-4"), ("0x1.22de4bb4e4691p-55", "0x1.637a2fff35f50p-40"), 225),
         ("well", 100): (("0x1.fffffffffffffp-2", "0x1.5550056c65b0ap-3"), ("0x1.b6e685252759cp-35", "0x1.2ee79f4a65a98p-37"), 2535),

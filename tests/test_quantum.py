@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -12,8 +13,8 @@ from ucr.classical_ensemble import (
     InfiniteWell,
     PotentialModel,
 )
-from ucr import quantum_states, specfun
-from ucr.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_finite, integrate_semi_infinite
+from ucr import quantum_states, specfun, systems
+from ucr.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_finite, integrate_rule, integrate_semi_infinite
 from ucr.quantum_states import (
     bouncer_state,
     commutator_bound,
@@ -24,7 +25,7 @@ from ucr.quantum_states import (
     wavefunction,
 )
 from ucr.specfun import airy_ai, airy_zero
-from ucr.systems import _ho_coefficients, _ho_functions
+from ucr.systems import _gauss_hermite, _ho_coefficients, _ho_functions
 
 HO = PotentialModel(HarmonicOscillator(m=1.0, omega=1.0))
 WELL = PotentialModel(InfiniteWell(m=1.0, L=1.0))
@@ -79,6 +80,18 @@ class TestEigenLevel:
         need = f"must be an integer >= {model.variant.n_min}, got {n!r}"
         with pytest.raises(ValueError, match=re.escape(need)):
             eigen_level(model, n)
+
+    def test_oscillator_levels_past_the_ceiling_are_refused(self):
+        # the oscillator's rule costs ~n^2 and its recurrence n coefficient
+        # pairs; past n_max the level is refused before any of that is built
+        assert eigen_level(HO, HO.variant.n_max).n == 20_000
+        with pytest.raises(ValueError, match=re.escape("oscillator quantum number must be at most 20000, got 20001")):
+            eigen_level(HO, 20_001)
+        with pytest.raises(ValueError, match="at most 20000"):
+            eigen_level(HO, 99_999_999_999)
+        # the other systems have no ceiling
+        assert WELL.variant.n_max == BALL.variant.n_max == math.inf
+        assert eigen_level(WELL, 10 ** 12).n == 10 ** 12
 
     @pytest.mark.parametrize("model", [HO, WELL, BALL])
     def test_numpy_integer_quantum_numbers_accepted(self, model):
@@ -177,6 +190,46 @@ class TestHermiteFunctions:
                     assert abs(value - want) <= 1e-13 * abs(want), (k, y)
 
 
+class TestGaussHermite:
+    """The oscillator's rule, checked without the recurrence it is built from."""
+
+    @pytest.mark.parametrize("count", [2, 3, 42, 202, 902])
+    def test_even_moments_of_the_gaussian(self, count):
+        # sum_i W_i y_i^(2j) e^(-y_i^2) = Gamma(j + 1/2) for every j < N, each
+        # term from np.exp and math.lgamma alone.  The bound is the rounding of
+        # the exponent, whose parts reach N ln(2N + 1).
+        y, w = _gauss_hermite(count)
+        j = np.arange(count)[:, None]
+        lgamma = np.array([math.lgamma(k + 0.5) for k in range(count)])[:, None]
+        inner = y != 0.0
+        sums = (w[inner] * np.exp(2 * j * np.log(np.abs(y[inner])) - y[inner] ** 2 - lgamma)).sum(axis=1)
+        sums[0] += w[~inner].sum() * math.exp(-math.lgamma(0.5))  # the node y = 0 of an odd N counts only at j = 0
+        assert np.abs(sums - 1.0).max() <= 4.0 * sys.float_info.epsilon * count * math.log(2 * count + 1)
+
+    def test_agrees_with_numpy_hermgauss(self):
+        # numpy's Golub-Welsch rule, a reference only: from N = 502 on its weights are nan
+        from numpy.polynomial.hermite import hermgauss
+
+        for count in range(2, 151):
+            y, w = _gauss_hermite(count)
+            x, lam = hermgauss(count)
+            assert np.abs(y - x).max() <= 1e-14, count
+            assert np.abs(lam * np.exp(x * x) / w - 1.0).max() <= 2e-13, count
+
+    @pytest.mark.parametrize("count", [2, 3, 42, 203, 1002])
+    def test_symmetric_nodes_in_three_newton_steps(self, monkeypatch, count):
+        # nodes ascending, mirrored bit for bit, with an exact 0 for odd N; the
+        # seeds are close enough that three evaluations of phi_N settle them
+        calls = []
+        functions = systems._ho_functions
+        monkeypatch.setattr(systems, "_ho_functions", lambda *args: calls.append(1) or functions(*args))
+        y, w = _gauss_hermite(count)
+        assert len(calls) == 3
+        assert y.shape == w.shape == (count,)
+        assert (np.diff(y) > 0).all() and (y == -y[::-1]).all() and (w == w[::-1]).all() and (w > 0).all()
+        assert (y == 0.0).sum() == count % 2
+
+
 class TestBouncerState:
     def test_normalization_identity(self):
         # N_n * |Ai'(-E'_n)| = 1
@@ -198,6 +251,11 @@ class TestFailingPass:
     def test_bouncer_normalization_names_itself(self):
         with pytest.raises(RuntimeError, match="^bouncer normalization integral failed to converge: IntegralResult"):
             bouncer_state(eigen_level(BALL, 3), self.HOPELESS)
+
+    def test_oscillator_rule_names_itself(self):
+        # the exact rule's rounding floor lies far above these tolerances
+        with pytest.raises(RuntimeError, match="^oscillator moment quadrature failed to converge: IntegralResult"):
+            quantum_moments_quadrature(eigen_level(HO, 3), QuadratureSpec(abs_tol=1e-300, rel_tol=1e-298))
 
     def test_well_stops_at_its_first_failing_pass(self, monkeypatch):
         # the runner looks each rule up by its module-level name, so a
@@ -225,32 +283,38 @@ class TestMoments:
     def test_oscillator_high_levels(self):
         # H_n overflows doubles from n ~ 200 on; the normalized Hermite-function
         # recurrence must carry the moments through.  From n ~ 700 on the
-        # outer lobe reaches past y ~ 37.7, where the recurrence's start
+        # outer nodes lie past y ~ 37.7, where the recurrence's start
         # e^(-y^2/2) underflows.
-        for n in (200, 250, 700, 750, 900):
+        for n in (200, 250, 700, 750, 900, 2000):
             got = quantum_moments_quadrature(eigen_level(HO, n), SPEC)
-            assert abs(got.mean_x2 - 0.5) < 1e-9
-            assert abs(got.mean_p2 - 0.5) < 1e-9
-            assert abs(got.product - 0.25) < 1e-9
+            assert abs(got.mean_x2 - 0.5) < 1e-13
+            assert abs(got.mean_p2 - 0.5) < 1e-13
+            assert abs(got.product - 0.25) < 1e-13
 
     @pytest.mark.parametrize("system, n", [("ho", 0), ("ho", 31), ("well", 1), ("well", 100), ("bouncer", 1), ("bouncer", 14)])
     def test_one_pass_per_level(self, system, n):
-        # the oscillator and the well integrate on their positive half only,
-        # the bouncer from its floor at z = -E'_n
+        # the oscillator on the Gauss-Hermite rule of n + 2 nodes over the whole
+        # line, the well on its positive half, the bouncer from its floor at z = -E'_n
         model = {"ho": HO, "well": WELL, "bouncer": BALL}[system]
         (_, a, b), _ = model.variant.moment_pass(eigen_level(model, n))
-        if system == "bouncer":
+        if system == "ho":
+            assert a.shape == b.shape == (n + 2,) and a.min() < 0.0 < a.max()
+            assert a.tolist() == _gauss_hermite(n + 2)[0].tolist()
+        elif system == "bouncer":
             assert (a, b) == (-airy_zero(n).scaled_energy, math.inf)
         else:
-            assert (a, b) == (0.0, 1.0 if system == "well" else math.inf)
+            assert (a, b) == (0.0, 1.0)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 31, 32])
     def test_oscillator_one_half_line_pass(self, monkeypatch, n):
-        # <P> is the half-line integral of psi psi' against its exact value
-        # -psi(0)^2/2, so the negative half-line is never integrated
-        seen = _checked_mean_p(monkeypatch)
+        # one rule call a level, its integrand taken at every node of both
+        # signs (no mirrored half), so <P> = sum W_i psi psi' checks parity
+        seen, rules = _checked_mean_p(monkeypatch), []
+        monkeypatch.setattr(quantum_states, "integrate_rule",
+                            lambda f, y, w, spec: rules.append(y) or integrate_rule(f, y, w, spec))
         for spec in (DEFAULT_SPEC, SPEC):
             quantum_moments_quadrature(eigen_level(HO, n), spec)
+        assert [len(y) for y in rules] == [n + 2, n + 2] and all((y < 0.0).sum() == (n + 2) // 2 for y in rules)
         assert len(seen) == 2 and max(map(abs, seen)) < 1e-15
 
     @pytest.mark.parametrize(

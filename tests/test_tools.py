@@ -52,6 +52,25 @@ def test_quad_ab_agrees_with_itself(capsys, monkeypatch):
     assert ucr.classical_ensemble.integrate_singular_endpoints is ucr.quadrature.integrate_singular_endpoints
 
 
+def test_quad_ab_lists_a_rule_the_parent_lacks_as_moved(capsys, monkeypatch, tmp_path):
+    # a parent tree with no integrate_rule cannot run the oscillator's node
+    # rule: its quantum cases are listed as moved, every other case compared
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    (tmp_path / "ucr").mkdir()
+    source = Path(ucr.quadrature.__file__).read_text()
+    (tmp_path / "ucr" / "quadrature.py").write_text(source + "\ndel integrate_rule\n")
+    quad_ab = _tool("quad_ab")
+    sweep = {"ho": (3, 4), "well": (2,)}
+    try:
+        assert quad_ab.main([str(tmp_path), SRC], sweep=sweep, counted={}, rounds=1) == 0
+    finally:
+        for label in ("parent", "change"):
+            sys.modules.pop(f"quadrature_{label}", None)
+    out = capsys.readouterr().out
+    assert f"fields: 0 of {4 * 7} (level, pass, spec) cases differ" in out  # 3 classical passes and the well's
+    assert "moved by design: 14 ho quantum cases (n = 3, 4 at 7 specs)" in out
+
+
 def test_quad_ab_usage():
     assert _tool("quad_ab").main([SRC]) == 64
 

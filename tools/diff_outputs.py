@@ -4,13 +4,14 @@ stdout line or exit code that differs.
     python3 tools/diff_outputs.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory that holds the `ucr` package (a checkout's
-`src/`); it goes first on PYTHONPATH for that tree's runs.  The commands
-cover `compare` on every system, and on the bouncer's high levels n = 200
-and 1000 (CSV and JSON, and at the loose integral tolerances `--quad-tol
-1e-6` and, for the oscillator's n = 0, `1e-4`, where the <P> = 0 check
-meets real quadrature error), `compare` and a 101-point `density` grid on
+`src/`); it goes first on PYTHONPATH for that tree's runs.  The 106
+commands cover `compare` on every system, and on the bouncer's high levels
+n = 200 and 1000 (CSV and JSON, and at the loose integral tolerances
+`--quad-tol 1e-6` and, for the oscillator's n = 0, `1e-4`, where the
+adaptive passes' <P> = 0 check meets real quadrature error), `compare` and a 101-point `density` grid on
 the oscillator's high levels (n = 200 and 900, where its recurrence is
-renormalized past y ~ 37.7), `compare` on the well's levels 1778, 3000 and
+renormalized past y ~ 37.7, and `compare` at n = 2000, whose outer nodes lie
+near y ~ 63), `compare` on the well's levels 1778, 3000 and
 10001 (past the benchmark scan's 1000), `verify` on every system at
 its default 1,000,000 samples and four more counts (100,000 and 1000, and 6
 and 2, where the well's sample phases land exactly on 1/4 and 3/4, so its
@@ -43,6 +44,7 @@ def commands() -> list[tuple[str, ...]]:
         cmds.append(("compare", "--system", system, "--n", n, "--quad-tol", "1e-6"))
     cmds.append(("compare", "--system", "ho", "--n", "0", "--quad-tol", "1e-4"))
     cmds.append(("compare", "--system", "ho", "--n", "200,900"))
+    cmds.append(("compare", "--system", "ho", "--n", "2000"))
     cmds.append(("compare", "--system", "well", "--n", "1778,3000,10001"))
     cmds.append(("density", "--system", "ho", "--n", "900", "--points", "101"))
     for system in ("ho", "well", "bouncer"):
