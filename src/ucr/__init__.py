@@ -3,11 +3,7 @@ and quantum stationary states of three 1D bound systems (harmonic
 oscillator, infinite well, bouncing ball)."""
 
 from .classical_ensemble import (
-    BouncingBall,
     ClassicalEnsemble,
-    HarmonicOscillator,
-    InfiniteWell,
-    PotentialModel,
     ScaledMoments,
     build_ensemble,
     classical_density,
@@ -27,6 +23,7 @@ from .quantum_states import (
     wavefunction,
 )
 from .specfun import AiryValue, AiryZero, airy, airy_ai, airy_zero, hermite, hermite_prime
+from .systems import BouncingBall, HarmonicOscillator, InfiniteWell, PotentialModel
 from .trajectory_oracle import Trajectory, build_trajectory, trajectory_moments
 
 __version__ = "0.1.0"

@@ -12,14 +12,10 @@ from typing import Union
 import numpy as np
 
 from .quadrature import DEFAULT_SPEC, IntegralResult, QuadratureSpec, integrate_singular_endpoints
-from .systems import BouncingBall, HarmonicOscillator, InfiniteWell, PotentialModel, _require_positive
+from .systems import PotentialModel, _require_positive
 
 __all__ = [
-    "BouncingBall",
     "ClassicalEnsemble",
-    "HarmonicOscillator",
-    "InfiniteWell",
-    "PotentialModel",
     "ScaledMoments",
     "build_ensemble",
     "classical_density",

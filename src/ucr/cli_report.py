@@ -18,15 +18,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from .classical_ensemble import (
-    BouncingBall,
-    HarmonicOscillator,
-    InfiniteWell,
-    PotentialModel,
-    ScaledMoments,
-    build_ensemble,
-    classical_moments_quadrature,
-)
+from .classical_ensemble import ScaledMoments, build_ensemble, classical_moments_quadrature
 from .quadrature import QuadratureSpec
 from .quantum_states import (
     commutator_bound,
@@ -35,6 +27,7 @@ from .quantum_states import (
     quantum_moments_quadrature,
 )
 from .specfun import airy_zero
+from .systems import BouncingBall, HarmonicOscillator, InfiniteWell, PotentialModel
 from .trajectory_oracle import build_trajectory, trajectory_moments
 
 __all__ = ["ComparisonRow", "main"]
@@ -74,8 +67,8 @@ def _fmt(value: float) -> str:
     return f"{value:.11e}"  # 12 significant digits, lowercase exponent
 
 
-def parse_n_list(text: str) -> list[int]:
-    """Accepts '0,1,5,20' or '1..5'."""
+def parse_n_list(text: str) -> Sequence[int]:
+    """Accepts '0,1,5,20' or '1..5'; a range stays a `range`, unbuilt."""
     text = text.strip()
     try:
         if ".." in text:
@@ -83,7 +76,7 @@ def parse_n_list(text: str) -> list[int]:
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1))
+            return range(lo, hi + 1)
         values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise UsageError(f"cannot parse n selector {text!r}") from None
@@ -99,17 +92,19 @@ def _quad_spec(quad_tol: float) -> QuadratureSpec:
 def compare_rows(system: str, n_list: Sequence[int], tol: float, quad_tol: float) -> list[ComparisonRow]:
     model = _MODELS[system]
     spec = _quad_spec(quad_tol)
+    try:  # every level is checked before any is computed, a range by its two ends
+        for n in (n_list[0], n_list[-1]) if isinstance(n_list, range) else n_list:
+            eigen_level(model, n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     rows = []
-    for n in n_list:
-        try:
-            level = eigen_level(model, n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    for n in list(n_list):  # built whole: a range too long for memory fails at once, not level after level
+        level = eigen_level(model, n)
         try:
             classical = classical_moments_quadrature(build_ensemble(model, level.energy, spec))
             quantum = quantum_moments_quadrature(level, spec)
             bound = commutator_bound(level)
-        except RuntimeError as exc:
+        except (ArithmeticError, RuntimeError) as exc:
             raise RuntimeError(f"{system} n={n}: {exc}") from exc
         # Parity allows for the documented finite-n deviation of the quantum
         # <X^2> (the well's 2/(n^2 pi^2)); the other moments must agree.

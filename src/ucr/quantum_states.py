@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .classical_ensemble import BouncingBall, PotentialModel, ScaledMoments, build_ensemble, classical_density
+from .classical_ensemble import ScaledMoments, build_ensemble, classical_density
 from .quadrature import (
     DEFAULT_SPEC,
     IntegralResult,
@@ -27,6 +27,7 @@ from .quadrature import (
     integrate_rule,
     integrate_semi_infinite,
 )
+from .systems import BouncingBall, PotentialModel
 
 __all__ = [
     "BouncerState",

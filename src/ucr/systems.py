@@ -72,17 +72,11 @@ _RESCALE_AT = 2.0 ** _RESCALE
 _NEWTON_STEPS = 8  # the Gauss-Hermite nodes settle in three
 
 
-def _ho_coefficients(n: int) -> list[tuple[float, float]]:
-    # (sqrt(2/(k+1)), sqrt(k/(k+1))) for k < n: the normalized Hermite-function
-    # recurrence phi_{k+1} = sqrt(2/(k+1)) y phi_k - sqrt(k/(k+1)) phi_{k-1}.
-    return [(math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))) for k in range(n)]
-
-
-def _ho_functions(coefficients: list[tuple[float, float]], y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ho_functions(n: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # (phi_{n-2}, phi_{n-1}, phi_n) at each y, the orthonormal oscillator
     # states in the dimensionless y = x*sqrt(m w/hbar), with phi_{-1} =
-    # phi_{-2} = 0.  The recurrence never forms H_n, which overflows doubles
-    # from n ~ 200 on.
+    # phi_{-2} = 0, by phi_{k+1} = sqrt(2/(k+1)) y phi_k - sqrt(k/(k+1)) phi_{k-1}.
+    # The recurrence never forms H_n, which overflows doubles from n ~ 200 on.
     half_y2 = 0.5 * y * y
     phi = math.pi ** -0.25 * np.exp(-half_y2)
     # Past y ~ 37.7 the start e^(-y^2/2) is subnormal or zero: such an element
@@ -93,10 +87,11 @@ def _ho_functions(coefficients: list[tuple[float, float]], y: np.ndarray) -> tup
     scaled = shift.any()
     older = old = np.zeros_like(y)
     rows = max(1, (1 << 16) // max(y.size, 1))  # a_k * y by blocks of <= 512 KiB: 3 array ops a step
-    for k, (_, b) in enumerate(coefficients):
+    for k in range(n):
         if k % rows == 0:
-            a_y = np.multiply.outer([a for a, _ in coefficients[k:k + rows]], y)
-        older, old, phi = old, phi, a_y[k % rows] * phi - b * old
+            steps = np.arange(k + 1.0, min(k + rows, n) + 1.0)  # k + 1 for each k of the block
+            a_y, b = np.multiply.outer(np.sqrt(2.0 / steps), y), np.sqrt((steps - 1.0) / steps).tolist()
+        older, old, phi = old, phi, a_y[k % rows] * phi - b[k % rows] * old
         if scaled and (big := np.abs(phi) > _RESCALE_AT).any():
             older, old, phi = (np.ldexp(v, -_RESCALE * big) for v in (older, old, phi))
             shift -= _RESCALE * big
@@ -125,9 +120,9 @@ def _gauss_hermite(count: int) -> tuple[np.ndarray, np.ndarray]:
     if count % 2:
         y = np.append(y, 0.0)  # phi_N(0) is exactly 0 for odd N, so Newton leaves this node in place
     # Newton on phi_N with phi_N' = sqrt(2N) phi_{N-1} - y phi_N: three steps from these seeds
-    coefficients, root = _ho_coefficients(count), math.sqrt(2.0 * count)
+    root = math.sqrt(2.0 * count)
     for _ in range(_NEWTON_STEPS):
-        older, old, phi = _ho_functions(coefficients, y)
+        older, old, phi = _ho_functions(count, y)
         step = phi / (root * old - y * phi)
         if np.abs(step).max() <= 1e-14 * y[0]:
             break
@@ -171,18 +166,17 @@ class HarmonicOscillator(_System):
 
     def psi(self, level, x: np.ndarray) -> np.ndarray:
         scale = math.sqrt(self.m * self.omega / level.model.hbar)
-        return math.sqrt(scale) * _ho_functions(_ho_coefficients(level.n), scale * x)[2]
+        return math.sqrt(scale) * _ho_functions(level.n, scale * x)[2]
 
     def moment_pass(self, level):
         n = level.n
-        coefficients = _ho_coefficients(n)
         c1, c2 = math.sqrt(2.0 * n), 2.0 * math.sqrt(n * (n - 1.0))
 
         def integrands(y: np.ndarray) -> np.ndarray:
             # psi' and psi'' from the Hermite derivative recurrences
             # H_n' = 2n H_{n-1} and H_n'' = 4n(n-1) H_{n-2}, not from the
             # eigen-equation, so <P^2> is not routed through <X^2>.
-            older, old, psi = _ho_functions(coefficients, y)
+            older, old, psi = _ho_functions(n, y)
             psi_prime = c1 * old - y * psi
             psi_second = c2 * older - 2.0 * y * c1 * old + (y * y - 1.0) * psi
             return np.array([y * y * psi * psi, -psi * psi_second, psi * psi_prime])

@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .classical_ensemble import PotentialModel, ScaledMoments
-from .systems import _require_positive
+from .classical_ensemble import ScaledMoments
+from .systems import PotentialModel, _require_positive
 
 __all__ = ["Trajectory", "build_trajectory", "trajectory_moments"]
 

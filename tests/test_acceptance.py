@@ -8,10 +8,6 @@ import time
 import numpy as np
 
 from ucr.classical_ensemble import (
-    BouncingBall,
-    HarmonicOscillator,
-    InfiniteWell,
-    PotentialModel,
     build_ensemble,
     classical_moments_closed_form,
     classical_moments_quadrature,
@@ -29,6 +25,7 @@ from ucr.quantum_states import (
     quantum_moments_quadrature,
 )
 from ucr.specfun import airy_ai, airy_zero
+from ucr.systems import BouncingBall, HarmonicOscillator, InfiniteWell, PotentialModel
 from ucr.trajectory_oracle import build_trajectory, trajectory_moments
 
 HO = PotentialModel(HarmonicOscillator(m=1.0, omega=1.0))
@@ -267,7 +264,7 @@ def test_criterion_14_cli_contract(capsys, tmp_path):
 
     exit_matrix = [
         (("compare", "--system", "ho", "--n", "0"), EXIT_OK),
-        (("compare", "--system", "well", "--n", "1", "--tol", "1e-18"), EXIT_PARITY),
+        (("compare", "--system", "bouncer", "--n", "3", "--quad-tol", "1e-6", "--tol", "1e-15"), EXIT_PARITY),
         (("compare", "--system", "well", "--n", "0"), EXIT_USAGE),
         (("compare", "--system", "nosuch"), EXIT_USAGE),
         (("verify", "--system", "well", "--samples", "100"), EXIT_PARITY),

@@ -6,10 +6,6 @@ import pytest
 
 from ucr import classical_ensemble
 from ucr.classical_ensemble import (
-    BouncingBall,
-    HarmonicOscillator,
-    InfiniteWell,
-    PotentialModel,
     build_ensemble,
     classical_density,
     classical_moments_closed_form,
@@ -17,6 +13,7 @@ from ucr.classical_ensemble import (
 )
 from ucr.quadrature import QuadratureSpec, integrate_singular_endpoints
 from ucr.quantum_states import eigen_level
+from ucr.systems import BouncingBall, HarmonicOscillator, InfiniteWell, PotentialModel
 
 SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ucr import cli_report
+from ucr import cli_report, systems
 from ucr.cli_report import (
     COMPARE_HEADER,
     EXIT_COMPUTATION,
@@ -31,7 +31,8 @@ class TestParseNList:
         assert parse_n_list("0,1,5,20") == [0, 1, 5, 20]
 
     def test_range(self):
-        assert parse_n_list("1..5") == [1, 2, 3, 4, 5]
+        # a range is not built: its levels are checked from its two ends
+        assert parse_n_list("1..5") == range(1, 6)
 
     def test_single(self):
         assert parse_n_list("7") == [7]
@@ -134,7 +135,8 @@ class TestCompareCommand:
         assert quantum[-1] == "true"
 
     def test_parity_failure_exit_code(self, capsys):
-        code, out, _ = run(capsys, "compare", "--system", "well", "--n", "1", "--tol", "1e-18")
+        # the loose integrals leave the bouncer's rows 7e-15 apart, far above any rounding noise
+        code, out, _ = run(capsys, "compare", "--system", "bouncer", "--n", "3", "--quad-tol", "1e-6", "--tol", "1e-15")
         assert code == EXIT_PARITY
         assert out.strip().split("\n")[1].split(",")[-1] == "false"
 
@@ -157,6 +159,13 @@ class TestCompareCommand:
         assert code == EXIT_COMPUTATION
         assert err.startswith("error: ho n=0: ")
 
+    def test_unconverged_node_solve_names_system_and_level(self, capsys, monkeypatch):
+        # the Gauss-Hermite nodes need three Newton steps; one leaves them unsettled
+        monkeypatch.setattr(systems, "_NEWTON_STEPS", 1)
+        code, out, err = run(capsys, "compare", "--system", "ho", "--n", "5")
+        assert (code, out) == (EXIT_COMPUTATION, "")
+        assert err == "error: ho n=5: Gauss-Hermite nodes for 7 points did not converge in 1 Newton steps\n"
+
     def test_computation_error_without_message_names_its_class(self, capsys, monkeypatch):
         # a bare MemoryError, as a level too large for memory raises, has an empty message
         def out_of_memory(*args):
@@ -177,12 +186,21 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize("command", ["compare", "density"])
     def test_oscillator_level_past_its_ceiling_is_refused_at_once(self, capsys, command):
-        # refused before its n coefficient pairs are built, which no memory holds
+        # refused before any of the level's ~n^2 work starts
         start = time.perf_counter()
         code, out, err = run(capsys, command, "--system", "ho", "--n", "99999999999")
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "usage error: oscillator quantum number must be at most 20000, got 99999999999\n"
+
+    @pytest.mark.parametrize("levels, top", [("0..99999999999", 99999999999), ("19999..20001", 20001)])
+    def test_oscillator_range_past_its_ceiling_is_refused_at_once(self, capsys, levels, top):
+        # checked from its two ends: neither the whole list nor a level below the ceiling is built first
+        start = time.perf_counter()
+        code, out, err = run(capsys, "compare", "--system", "ho", "--n", levels)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"usage error: oscillator quantum number must be at most 20000, got {top}\n"
 
     def test_bouncer_level_past_airy_limit_is_usage_error(self, capsys):
         # a_n for n ~ 1e18 lies below -1e12, where airy_ai refuses to compute

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from ucr import quadrature
-from ucr.classical_ensemble import BouncingBall, HarmonicOscillator, InfiniteWell, PotentialModel
 from ucr.quadrature import (
     DEFAULT_SPEC,
     IntegralResult,
@@ -20,6 +19,7 @@ from ucr.quadrature import (
 )
 from ucr.quantum_states import _integrate, eigen_level
 from ucr.specfun import airy_ai, airy_zero
+from ucr.systems import BouncingBall, HarmonicOscillator, InfiniteWell, PotentialModel
 
 TIGHT = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
 
@@ -427,6 +427,17 @@ class TestArrayContract:
         assert sum(len(x) for x in calls) == r.evaluations
         splits = (r.evaluations - tree) // 30  # those past the tree
         assert len(calls) - 1 < splits / 4  # many panels per generation, not one
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda x: 1.0, lambda x: x[:-1], lambda x: np.stack([x, x], axis=1), lambda x: x[None, None, :]],
+        ids=["scalar", "one short", "abscissas last", "three axes"],
+    )
+    def test_integrand_of_the_wrong_shape_is_refused(self, f):
+        # one value per abscissa, abscissas on the last axis of one or two
+        for integrate in (lambda: integrate_finite(f, 0.0, 1.0), lambda: integrate_rule(f, np.arange(3.0), np.ones(3))):
+            with pytest.raises(ValueError, match=r"^integrand returned shape \(.*\) for \d+ abscissas$"):
+                integrate()
 
     def test_first_panel_convergence_returns_its_panel(self):
         # a pass that converges on its first panel returns that panel's K15

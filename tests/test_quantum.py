@@ -7,12 +7,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from ucr.classical_ensemble import (
-    BouncingBall,
-    HarmonicOscillator,
-    InfiniteWell,
-    PotentialModel,
-)
 from ucr import quantum_states, specfun, systems
 from ucr.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_finite, integrate_rule, integrate_semi_infinite
 from ucr.quantum_states import (
@@ -25,7 +19,7 @@ from ucr.quantum_states import (
     wavefunction,
 )
 from ucr.specfun import airy_ai, airy_zero
-from ucr.systems import _gauss_hermite, _ho_coefficients, _ho_functions
+from ucr.systems import BouncingBall, HarmonicOscillator, InfiniteWell, PotentialModel, _gauss_hermite, _ho_functions
 
 HO = PotentialModel(HarmonicOscillator(m=1.0, omega=1.0))
 WELL = PotentialModel(InfiniteWell(m=1.0, L=1.0))
@@ -82,8 +76,8 @@ class TestEigenLevel:
             eigen_level(model, n)
 
     def test_oscillator_levels_past_the_ceiling_are_refused(self):
-        # the oscillator's rule costs ~n^2 and its recurrence n coefficient
-        # pairs; past n_max the level is refused before any of that is built
+        # the oscillator's rule costs ~n^2; past n_max the level is refused
+        # before any of that work starts
         assert eigen_level(HO, HO.variant.n_max).n == 20_000
         with pytest.raises(ValueError, match=re.escape("oscillator quantum number must be at most 20000, got 20001")):
             eigen_level(HO, 20_001)
@@ -177,7 +171,7 @@ class TestHermiteFunctions:
         mp.mp.dps = 50
         n = 600
         ys = np.array([0.0, 10.0, 37.0, 38.0, 39.0, 45.0])
-        got = _ho_functions(_ho_coefficients(n), ys)
+        got = _ho_functions(n, ys)
         for row, k in zip(got, (n - 2, n - 1, n)):
             for value, y in zip(row.tolist(), ys.tolist()):
                 y_mp = mp.mpf(y)

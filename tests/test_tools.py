@@ -1,4 +1,5 @@
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
@@ -52,27 +53,32 @@ def test_quad_ab_agrees_with_itself(capsys, monkeypatch):
     assert ucr.classical_ensemble.integrate_singular_endpoints is ucr.quadrature.integrate_singular_endpoints
 
 
-def test_quad_ab_lists_a_rule_the_parent_lacks_as_moved(capsys, monkeypatch, tmp_path):
-    # a parent tree with no integrate_rule cannot run the oscillator's node
-    # rule: its quantum cases are listed as moved, every other case compared
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    (tmp_path / "ucr").mkdir()
-    source = Path(ucr.quadrature.__file__).read_text()
-    (tmp_path / "ucr" / "quadrature.py").write_text(source + "\ndel integrate_rule\n")
-    quad_ab = _tool("quad_ab")
-    sweep = {"ho": (3, 4), "well": (2,)}
-    try:
-        assert quad_ab.main([str(tmp_path), SRC], sweep=sweep, counted={}, rounds=1) == 0
-    finally:
-        for label in ("parent", "change"):
-            sys.modules.pop(f"quadrature_{label}", None)
-    out = capsys.readouterr().out
-    assert f"fields: 0 of {4 * 7} (level, pass, spec) cases differ" in out  # 3 classical passes and the well's
-    assert "moved by design: 14 ho quantum cases (n = 3, 4 at 7 specs)" in out
-
-
 def test_quad_ab_usage():
     assert _tool("quad_ab").main([SRC]) == 64
+
+
+def test_diff_outputs_names_the_command_and_line_that_differ(capsys, monkeypatch, tmp_path):
+    # two short commands; the second tree prints one digit fewer, which only the density grid shows
+    diff_outputs = _tool("diff_outputs")
+    density = ("density", "--system", "well", "--n", "2", "--points", "3")
+    monkeypatch.setattr(diff_outputs, "commands", lambda: [("airy-zeros", "--count", "2"), density])
+    assert diff_outputs.main([SRC, SRC]) == 0
+    assert capsys.readouterr().out == "0 of 2 commands differ\n"
+
+    shutil.copytree(Path(SRC) / "ucr", tmp_path / "ucr", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "ucr" / "cli_report.py"
+    source = cli.read_text()
+    assert source.count('f"{value:.11e}"') == 1
+    cli.write_text(source.replace('f"{value:.11e}"', 'f"{value:.10e}"'))
+    assert diff_outputs.main([SRC, str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("ucr " + " ".join(density) + "\n  line 2:\n    - -1.00000000000e+00,")
+    assert out.endswith("1 of 2 commands differ\n") and "airy-zeros" not in out
+
+
+def test_diff_outputs_usage(capsys):
+    assert _tool("diff_outputs").main([SRC]) == 64
+    assert "usage" in capsys.readouterr().err
 
 
 def test_benchmark_tracer_wraps_and_restores_the_package():

@@ -6,15 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ucr.classical_ensemble import (
-    BouncingBall,
-    HarmonicOscillator,
-    InfiniteWell,
-    PotentialModel,
-    build_ensemble,
-    classical_moments_quadrature,
-)
+from ucr.classical_ensemble import build_ensemble, classical_moments_quadrature
 from ucr.quadrature import QuadratureSpec
+from ucr.systems import BouncingBall, HarmonicOscillator, InfiniteWell, PotentialModel
 from ucr.trajectory_oracle import BLOCK, build_trajectory, trajectory_moments
 
 SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)

@@ -17,13 +17,11 @@ and weights, as the oscillator's does) and the classical ensemble's
 endpoint-singular pass, at each of seven specs.  The value, error estimate,
 `evaluations` and `converged` of the two trees' results must agree bit for
 bit (an integrand error must be the same exception).  The first (system, n,
-spec, pass) that differs is named.  A fixed-rule pass against a tree with no
-`integrate_rule` cannot be compared: such cases are counted and listed as
-moved by design, not as differing.
+spec, pass) that differs is named.
 
 The loop's calls are counted with `sys.setprofile`: a `call` or `c_call`
 event belongs to the loop when the nearest enclosing frame of the tree's
-`integrate_finite`, `_values`, `_panels` or `_result` is `integrate_finite`,
+`integrate_finite`, `_values` or `_panels` is `integrate_finite`,
 so the integrand and the panel products are not counted, but numpy's Python
 wrappers and `QuadratureSpec.tolerance` are.  A generation is one turn of the
 loop, one call of `spec.tolerance` from `integrate_finite`.  The times are
@@ -63,7 +61,7 @@ COUNTED = {
     "well n=178,316,422": ("well", (178, 316, 422)),
 }
 ROUNDS = 15
-_OWNERS = {"integrate_finite": True, "_values": False, "_panels": False, "_result": False}
+_OWNERS = {"integrate_finite": True, "_values": False, "_panels": False}
 
 
 def load_quadrature(src: str, label: str):
@@ -168,14 +166,9 @@ def main(argv: list[str], sweep: dict = SWEEP, counted: dict = COUNTED, rounds: 
     ucr, models = import_ucr(argv[1])
     cases = differ = 0
     first = None
-    moved = {}  # system -> levels whose fixed-rule pass a tree cannot run
-    has_rule = all(hasattr(module, "integrate_rule") for module in trees.values())
     for system, levels in sweep.items():
         for n in levels:
             for one_pass in level_passes(ucr, models[system], n):
-                if one_pass[1] == "rule" and not has_rule:
-                    moved.setdefault(system, []).append(n)
-                    continue
                 for spec_name, spec_fields in SPECS.items():
                     got = [fields(module, n, one_pass, spec_fields) for module in trees.values()]
                     cases += 1
@@ -185,9 +178,6 @@ def main(argv: list[str], sweep: dict = SWEEP, counted: dict = COUNTED, rounds: 
     print(f"fields: {differ} of {cases} (level, pass, spec) cases differ")
     if first:
         print(f"first difference: {first[0]}\n  parent {first[1]}\n  change {first[2]}")
-    for system, levels in moved.items():
-        print(f"moved by design: {len(levels) * len(SPECS)} {system} quantum cases (n = {', '.join(map(str, levels))}"
-              f" at {len(SPECS)} specs) are a fixed rule in one tree only")
     print(f"{'loop calls per generation':30s}   parent -> change   generations per pass   pass set ms (min of {rounds})")
     for name, (system, levels) in counted.items():
         passes = [(n, p) for n in levels for p in level_passes(ucr, models[system], n)
