@@ -85,6 +85,10 @@ def parse_n_list(text: str) -> Sequence[int]:
     return values
 
 
+def _too_long(n_list: range) -> UsageError:
+    return UsageError(f"n selector {n_list.start}..{n_list.stop - 1} has too many levels to build")
+
+
 def _quad_spec(quad_tol: float) -> QuadratureSpec:
     return QuadratureSpec(abs_tol=quad_tol, rel_tol=100.0 * quad_tol)
 
@@ -97,8 +101,12 @@ def compare_rows(system: str, n_list: Sequence[int], tol: float, quad_tol: float
             eigen_level(model, n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    try:  # built whole: a range too long for memory fails at once, not level after level
+        levels = list(n_list)
+    except (OverflowError, MemoryError):  # longer than sys.maxsize, or than memory holds
+        raise _too_long(n_list) from None
     rows = []
-    for n in list(n_list):  # built whole: a range too long for memory fails at once, not level after level
+    for n in levels:
         level = eigen_level(model, n)
         try:
             classical = classical_moments_quadrature(build_ensemble(model, level.energy, spec))
@@ -147,7 +155,11 @@ def run_compare(options: dict) -> tuple[str, bool]:
 
 def run_density(options: dict) -> tuple[str, bool]:
     """quantum and classical density grid"""
-    if len(options["n"]) != 1:
+    try:
+        single = len(options["n"]) == 1
+    except OverflowError:  # a range longer than sys.maxsize
+        raise _too_long(options["n"]) from None
+    if not single:
         raise UsageError("density needs exactly one quantum number")
     model = _MODELS[options["system"]]
     try:

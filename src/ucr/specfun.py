@@ -6,6 +6,9 @@ does: a Taylor step from an integer anchor on (-9, 9), the large-|z|
 expansions (DLMF 9.7.5-6 and 9.7.9-10) beyond.  Each element's value depends
 on its z alone, never on the rest of its batch, so `airy_ai`, the scalar form
 for Newton steps and the public API, returns the same bits as any array call.
+A one-element call runs on every branch in Python floats, which round as
+numpy's do; the series sums go term by term, down the columns of a batch
+below 100 elements and along its rows from there (`_partial_sums`).
 One LRU memo of whole batches, 20,000 elements in all, sits in front of the
 kernel and `airy_zero` memoizes its zeros; the Taylor and series tables are
 built once, on first use.  Nothing else is kept between calls.
@@ -13,6 +16,7 @@ built once, on first use.  Nothing else is kept between calls.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import numbers
@@ -101,6 +105,7 @@ _POSITIVE_CAP = 1e4
 _SERIES_TERMS = 60
 _TERM_FLOOR = 2.0 ** -60  # a series stops at its first term below this
 _CHUNK = 512  # elements per kernel pass: bounds the (terms x elements) series arrays
+_ROWS_FROM = 100  # batch length from which _partial_sums runs row by row
 _MEMO_SIZE = 20_000
 
 
@@ -114,9 +119,10 @@ def _asymptotic_coefficients(count: int) -> tuple[list[float], list[float]]:
 
 
 @functools.cache
-def _series_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _series_tables(as_lists: bool = False) -> tuple:
     """The signed (u_k, v_k) rows of the expansions in powers of 1/zeta and
-    the table of term counts, built once:
+    the table of term counts, built once, as arrays or (``as_lists``) as
+    nested lists of Python floats and ints for one-element calls:
 
     - ``alternating[k]`` = (-1)^k (u_k, v_k), for z >= 9;
     - ``paired[k]`` = (-1)^(k//2) (u_k, v_k), for z <= -9: even k make the
@@ -127,6 +133,8 @@ def _series_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
       (2^60 u_k)^(1/k)).  From zeta = 18, the seam, to about 21 the terms
       turn to growing before they get that small.
     """
+    if as_lists:
+        return tuple(table.tolist() for table in _series_tables())
     us, vs = _asymptotic_coefficients(_SERIES_TERMS)
     rows = np.array([us, vs]).T
     k = np.arange(_SERIES_TERMS)[:, None]
@@ -140,29 +148,60 @@ def _series_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return rows * (-1.0) ** k, rows * (-1.0) ** (k // 2), breaks, np.concatenate(([1], counts))
 
 
+def _on(ufunc, x, *more):
+    # numpy's ufunc; at a Python float, a Python float.  A one-element call on
+    # an asymptotic branch runs in Python floats, whose + - * / round as
+    # numpy's do, at a fraction of the cost of numpy scalars.
+    return float(ufunc(x, *more)) if isinstance(x, float) else ufunc(x, *more)
+
+
 def _term_count(zeta):
     # The terms k < count of a series in 1/zeta; a function of zeta alone.
-    _, _, breaks, counts = _series_tables()
-    return counts[np.searchsorted(breaks, zeta, side="right")]
+    one = isinstance(zeta, float)
+    _, _, breaks, counts = _series_tables(one)
+    return counts[bisect.bisect_right(breaks, zeta) if one else np.searchsorted(breaks, zeta, side="right")]
 
 
-def _partial_sums(rows: np.ndarray, inv_zeta, count, group: int) -> np.ndarray:
+def _partial_sums(inv_zeta, count, group: int):
     # Per element, sum_k rows[k] * inv_zeta^k over its own k < group * count,
-    # as `group` interleaved series (term k goes to series k % group).  Terms
+    # as `group` interleaved series (term k goes to series k % group), with
+    # the alternating rows for group 1 and the paired ones for group 2.  Terms
     # are added in order of k and the sum is read at the element's own count,
     # so no element depends on the counts of its batch.  Returns the sums with
-    # shape (group, 2) + shape(inv_zeta); for one point, as nested lists.
-    shape = np.shape(inv_zeta)
-    terms = group * int(count.max())
-    powers = np.full((terms,) + shape, inv_zeta)
+    # shape (group, 2) + shape(inv_zeta); for a float, as `group` pairs.
+    #
+    # Powers and sums run along k, the first axis.  numpy's accumulate along
+    # it runs one inner loop per element, which pays below _ROWS_FROM
+    # elements; from there a loop over k, one ufunc call a row, costs less.
+    # Both add in order of k.  np.add.reduce would not: it sums pairwise,
+    # and gives only the total, not the sum at each element's own count.
+    rows = _series_tables(isinstance(inv_zeta, float))[group - 1]
+    if isinstance(inv_zeta, float):  # the same operations in the same order, in Python floats
+        sums, power = [], 1.0
+        for k in range(group * count):
+            u, v = rows[k]
+            last = sums[-group] if k >= group else None
+            sums.append((last[0] + u * power, last[1] + v * power) if last else (u * power, v * power))
+            power *= inv_zeta
+        return sums[-group:]
+    terms, size = group * int(count.max()), len(inv_zeta)
+    by_rows = size >= _ROWS_FROM
+    powers = np.full((terms, size), inv_zeta)
     powers[0] = 1.0
-    np.multiply.accumulate(powers, axis=0, out=powers)
+    if by_rows:
+        for before, row in zip(powers[1:], powers[2:]):
+            np.multiply(before, inv_zeta, out=row)
+    else:
+        np.multiply.accumulate(powers, axis=0, out=powers)
     blocks = (terms // group, group)
-    sums = rows[:terms].reshape(blocks + (2,) + (1,) * len(shape)) * powers.reshape(blocks + (1,) + shape)
-    np.add.accumulate(sums, axis=0, out=sums)
-    if not shape:
-        return sums[count - 1].tolist()
-    return np.moveaxis(sums[count - 1, ..., np.arange(len(count))], 0, -1)
+    sums = np.empty(blocks + (2, size))  # C-contiguous, so its rows are views, never copies
+    np.multiply(rows[:terms].reshape(blocks + (2, 1)), powers.reshape(blocks + (1, size)), out=sums)
+    if by_rows:
+        for before, row in zip(sums, sums[1:]):
+            np.add(before, row, out=row)
+    else:
+        np.add.accumulate(sums, axis=0, out=sums)
+    return np.moveaxis(sums[count - 1, ..., np.arange(size)], 0, -1)
 
 
 def _two_sum(a, b):
@@ -171,14 +210,17 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _two_prod(a, b):
-    p = a * b
+def _split(a):
     c = 134217729.0 * a  # Veltkamp split at 2^27 + 1
-    ah = c - (c - a)
-    al = a - ah
-    c = 134217729.0 * b
-    bh = c - (c - b)
-    bl = b - bh
+    high = c - (c - a)
+    return high, a - high
+
+
+def _two_prod(a, b, a_parts=None, b_parts=None):
+    # a * b as an exact sum p + e; a caller that has split a or b passes its parts
+    p = a * b
+    ah, al = _split(a) if a_parts is None else a_parts
+    bh, bl = _split(b) if b_parts is None else b_parts
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
@@ -186,10 +228,11 @@ def _zeta_double_double(x):
     # zeta = (2/3) x^(3/2) as an unevaluated double-double sum, plus sqrt(x);
     # the phase of the oscillatory expansion needs ~1 ulp of zeta, which plain
     # doubles cannot deliver once zeta >> 1.
-    s = np.sqrt(x)
-    ss, se = _two_prod(s, s)
+    s = _on(np.sqrt, x)
+    s_parts = _split(s)
+    ss, se = _two_prod(s, s, s_parts, s_parts)
     s_corr = ((x - ss) - se) / (2.0 * s)
-    p, pe = _two_prod(x, s)
+    p, pe = _two_prod(x, s, b_parts=s_parts)
     pe = pe + x * s_corr
     num_h, num_l = _two_sum(2.0 * p, 2.0 * pe)
     q = num_h / 3.0
@@ -206,12 +249,12 @@ def _negative(z):
     # terms, an even one for P and R and an odd one for Q and S.
     x = -z
     zeta, zeta_lo, root = _zeta_double_double(x)
-    turns = np.rint(zeta / (2.0 * math.pi))
+    turns = _on(np.rint, zeta / (2.0 * math.pi))
     whole, whole_lo = _two_prod(turns, 2.0 * math.pi)
     phase = ((zeta - whole) - whole_lo) + zeta_lo - turns * _TWO_PI_RESIDUAL + math.pi / 4.0 + _PI_OVER_4_RESIDUAL
-    sn, cs = np.sin(phase), np.cos(phase)
-    (p, r), (q, s) = _partial_sums(_series_tables()[1], 1.0 / zeta, (_term_count(zeta) + 1) // 2, 2)
-    quarter = np.sqrt(root)
+    sn, cs = _on(np.sin, phase), _on(np.cos, phase)
+    (p, r), (q, s) = _partial_sums(1.0 / zeta, (_term_count(zeta) + 1) // 2, 2)
+    quarter = _on(np.sqrt, root)
     return (sn * p - cs * q) / (math.sqrt(math.pi) * quarter), -(cs * r + sn * s) * quarter / math.sqrt(math.pi)
 
 
@@ -219,11 +262,11 @@ def _positive(z):
     # DLMF 9.7.5-6: Ai and Ai' for z >= 9.
     # exp(-zeta) takes zeta's rounding as its relative error, so zeta is a
     # double-double here too.
-    zeta, zeta_lo, root = _zeta_double_double(np.minimum(z, _POSITIVE_CAP))
-    su, sv = _partial_sums(_series_tables()[0], 1.0 / zeta, _term_count(zeta), 1)[0]
-    damp = np.exp(-zeta) * (1.0 - zeta_lo)
+    zeta, zeta_lo, root = _zeta_double_double(_on(np.minimum, z, _POSITIVE_CAP))
+    su, sv = _partial_sums(1.0 / zeta, _term_count(zeta), 1)[0]
+    damp = _on(np.exp, -zeta) * (1.0 - zeta_lo)
     pref = 2.0 * math.sqrt(math.pi)
-    quarter = np.sqrt(root)
+    quarter = _on(np.sqrt, root)
     return damp * su / (pref * quarter), -damp * quarter * sv / pref
 
 

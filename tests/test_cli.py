@@ -202,6 +202,15 @@ class TestCompareCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"usage error: oscillator quantum number must be at most 20000, got {top}\n"
 
+    @pytest.mark.parametrize("command, system", [("compare", "well"), ("density", "bouncer")])
+    def test_range_too_long_to_build_is_refused_at_once(self, capsys, command, system):
+        # past sys.maxsize levels neither list(range) nor len(range) can take it
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--system", system, "--n", "1..100000000000000000000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "usage error: n selector 1..100000000000000000000 has too many levels to build\n"
+
     def test_bouncer_level_past_airy_limit_is_usage_error(self, capsys):
         # a_n for n ~ 1e18 lies below -1e12, where airy_ai refuses to compute
         code, _, err = run(capsys, "compare", "--system", "bouncer", "--n", "1000000000000000000")
@@ -240,6 +249,11 @@ class TestDensityCommand:
     def test_needs_single_level(self, capsys):
         code, _, _ = run(capsys, "density", "--system", "ho", "--n", "0,1")
         assert code == EXIT_USAGE
+
+    def test_one_level_range(self, capsys):
+        code, out, _ = run(capsys, "density", "--system", "bouncer", "--n", "3..3", "--points", "3")
+        assert code == EXIT_OK
+        assert out == run(capsys, "density", "--system", "bouncer", "--n", "3", "--points", "3")[1]
 
     def test_json_format(self, capsys):
         _, out, _ = run(capsys, "density", "--system", "bouncer", "--n", "1", "--points", "4",

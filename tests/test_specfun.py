@@ -230,12 +230,37 @@ class TestAiryArray:
 
     def test_each_element_equals_its_one_element_call(self):
         # a value depends on its z alone, never on the rest of its batch
-        z = self._mixed_batch()
+        self._assert_each_element_is_its_own(self._mixed_batch())
+
+    @staticmethod
+    def _assert_each_element_is_its_own(z):
         ai, aip = _cold(airy, z)
         for i in range(len(z)):
             one_ai, one_aip = _cold(airy, z[i:i + 1])
             scalar = _cold(airy_ai, z[i])
             assert _bits([ai[i], aip[i]]) == _bits([one_ai[0], one_aip[0]]) == _bits([scalar.ai, scalar.ai_prime])
+
+    @pytest.mark.parametrize("size", [1, specfun._ROWS_FROM - 1, specfun._ROWS_FROM, 512, 513, 1500])
+    @pytest.mark.parametrize("near, far", [(-9.0 - 1e-9, -1e12), (9.0, 10.0 * specfun._POSITIVE_CAP)])
+    def test_asymptotic_batches_on_both_sides_of_the_row_switch(self, near, far, size):
+        # the series sums go by columns below _ROWS_FROM elements and by rows
+        # from there, in passes of 512: either way a value is its z's alone.
+        # Log-uniform |z| mixes term counts from 37 (zeta = 18) down to 2.
+        rng = np.random.default_rng(size)
+        z = math.copysign(1.0, near) * 10.0 ** rng.uniform(math.log10(abs(near)), math.log10(abs(far)), size)
+        z[[0, -1]] = far, near
+        assert len({int(c) for c in specfun._term_count(2.0 / 3.0 * np.abs(z) ** 1.5)}) > (size > 1)
+        self._assert_each_element_is_its_own(z)
+
+    @pytest.mark.parametrize("size", [3, specfun._ROWS_FROM])
+    def test_each_series_sum_is_read_at_its_own_count(self, size):
+        # zeta = 18 (37 terms) next to zeta ~ 1e6 (3 terms) and to the most
+        # terms of all, 40 at zeta ~ 19.3: past its own count a series at
+        # zeta = 18 grows, so a sum read at another element's count shows
+        z = np.resize([-9.0 - 1e-9, -13104.0, -(1.5 * 19.3) ** (2.0 / 3.0)], size)
+        zeta = np.array([specfun._zeta_double_double(-v)[0] for v in z[:3]])
+        assert specfun._term_count(zeta).tolist() == [37, 3, 40]
+        self._assert_each_element_is_its_own(z)
 
     def test_memo_returns_the_computed_bits(self):
         z = self._mixed_batch()

@@ -20,15 +20,25 @@ def _tool(name: str, home: Path = TOOLS):
 def test_airy_ab_agrees_with_itself(capsys, monkeypatch):
     # both trees are this one: every bit check holds and every level is timed
     monkeypatch.setattr(sys, "path", list(sys.path))
+    airy_ab = _tool("airy_ab")
     try:
-        assert _tool("airy_ab").main([SRC, SRC], rounds=2) == 0
+        assert airy_ab.main([SRC, SRC], rounds=2) == 0
+        change = sys.modules["specfun_change"]
     finally:
         for label in ("parent", "change"):
             sys.modules.pop(f"specfun_{label}", None)
     out = capsys.readouterr().out
     assert out.count(": equal (") == 6 and "differ" not in out
-    assert all(f"n={n} " in out for n in (14, 36, 200))
+    lines = out.splitlines()
+    for n in (14, 36, 200):  # one-element calls, batches, warm calls, then the three kernels
+        timed = [line for line in lines if line.startswith(f"n={n} ")]
+        assert len(timed) == 4
+        assert "one-element calls" in timed[0] and "cold" in timed[0]
+        assert " batches " in timed[1] and "cold" in timed[1]
+        assert "warm" in timed[2]
+        assert all(kernel in timed[3] for kernel in airy_ab.KERNELS)
     assert ucr.specfun.airy is ucr.airy  # the recorder is gone again
+    assert set(change._BRANCHES.values()) == {change._negative, change._taylor, change._positive}  # and the timers
 
 
 def test_airy_ab_usage():

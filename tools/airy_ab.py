@@ -1,27 +1,33 @@
 """In-process A/B of two trees' Airy layer: the same bits, then cold and warm
-`airy` times.
+`airy` times, and the time in each branch kernel.
 
     python3 tools/airy_ab.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory that holds the `ucr` package (a checkout's
 `src/`).  Both trees' `ucr/specfun.py` are loaded into this one process as
 separate modules, so the two kernels share the process, its caches and the
-machine's speed of the moment.  The batches are the ones `specfun.airy`
-receives in the bouncer's moment passes at n = 14, 36 and 200 (DEFAULT_SPEC),
+machine's speed of the moment.  The calls are the ones `specfun.airy`
+receives when a bouncer level at n = 14, 36 and 200 is found and its moment
+pass runs (DEFAULT_SPEC): the one-element calls of the Newton steps and the
+semi-infinite probes, and the pass's multi-element batches.  They are
 recorded once through CHANGE_SRC's `ucr` package.
 
 The script asserts that the two kernels agree bit for bit on every element of
-those batches and of a fixed 43,000-point set on [-1e12, 40]: evaluated cold
+those calls and of a fixed 43,000-point set on [-1e12, 40]: evaluated cold
 (memo cleared), warm (the same calls again) and mixed (half the calls
-remembered).  It then times each tree's `airy` over each level's batches,
-the trees interleaved round by round: a cold round clears the memo first, a
-warm round repeats the batches on the filled memo.  Each time printed is the
-10th percentile of the rounds, in ms.  Exits 0 when the bits agree, 1
+remembered).  It then times each tree's `airy` per level, the trees
+interleaved round by round: the one-element calls from a cleared memo, then
+the batches (cold too, as none of them is remembered), then all the calls
+again on the filled memo (warm).  A last cold run per round times each call
+of the three branch kernels, `_negative` (z <= -9), `_taylor` and
+`_positive` (z >= 9), summed over the level's calls.  Each time printed is
+the 10th percentile of the rounds, in ms.  Exits 0 when the bits agree, 1
 otherwise.  Needs numpy only.
 """
 
 from __future__ import annotations
 
+import collections
 import importlib.util
 import os
 import statistics
@@ -32,6 +38,7 @@ import numpy as np
 
 LEVELS = (14, 36, 200)
 ROUNDS = 60
+KERNELS = ("_negative", "_taylor", "_positive")
 
 
 def load_specfun(src: str, label: str):
@@ -100,13 +107,35 @@ def differing_ways(parent, change, calls: list[np.ndarray]) -> list[str]:
     return [way for way, remembered in ways.items() if outputs(parent, calls, remembered) != outputs(change, calls, remembered)]
 
 
-def times(module, batches: list[np.ndarray], clear: bool) -> float:
+def times(module, calls: list[np.ndarray], clear: bool) -> float:
     if clear:
         module.airy_ai.cache_clear()
     start = time.perf_counter()
-    for z in batches:
+    for z in calls:
         module.airy(z)
     return time.perf_counter() - start
+
+
+def kernel_times(module, calls: list[np.ndarray]) -> dict[str, float]:
+    # Seconds each branch kernel takes over `calls` from a cleared memo.
+    spent = dict.fromkeys(KERNELS, 0.0)
+    kernels = dict(module._BRANCHES)
+
+    def timed(kernel):
+        def run(z):
+            start = time.perf_counter()
+            values = kernel(z)
+            spent[kernel.__name__] += time.perf_counter() - start
+            return values
+
+        return run
+
+    module._BRANCHES.update({branch: timed(kernel) for branch, kernel in kernels.items()})
+    try:
+        times(module, calls, clear=True)
+    finally:
+        module._BRANCHES.update(kernels)
+    return spent
 
 
 def main(argv: list[str], rounds: int = ROUNDS) -> int:
@@ -125,26 +154,37 @@ def main(argv: list[str], rounds: int = ROUNDS) -> int:
         bad = differing_ways(trees["parent"], trees["change"], calls)
         differ += bool(bad)
         print(f"bits {what}: {'differ ' + ', '.join(bad) if bad else 'equal'} ({sum(map(len, calls))} elements)")
-    samples = {(tree, n, kind): [] for tree in trees for n in LEVELS for kind in ("cold", "warm")}
+    parts = {n: {"one-element": [z for z in batches[n] if len(z) == 1],
+                 "batches": [z for z in batches[n] if len(z) > 1]} for n in LEVELS}
+    samples = collections.defaultdict(list)
     for i in range(rounds):
         order = list(trees) if i % 2 == 0 else list(trees)[::-1]
         for n in LEVELS:
             for tree in order:
-                samples[tree, n, "cold"].append(times(trees[tree], batches[n], clear=True))
-                samples[tree, n, "warm"].append(times(trees[tree], batches[n], clear=False))
+                module = trees[tree]
+                samples[tree, n, "one-element"].append(times(module, parts[n]["one-element"], clear=True))
+                samples[tree, n, "batches"].append(times(module, parts[n]["batches"], clear=False))
+                samples[tree, n, "warm"].append(times(module, batches[n], clear=False))
+                for kernel, spent in kernel_times(module, batches[n]).items():
+                    samples[tree, n, kernel].append(spent)
 
     def p10(key) -> float:
         values = samples[key]
         return 1e3 * (statistics.quantiles(values, n=10)[0] if len(values) > 1 else values[0])
 
+    def change(what, n) -> str:
+        before, after = p10(("parent", n, what)), p10(("change", n, what))
+        return f"{before:8.3f} -> {after:8.3f} ({after / before - 1.0:+.0%})" if before else f"{before:8.3f} -> {after:8.3f}"
+
     print(f"airy ms, p10 of {rounds} rounds   parent -> change")
     for n in LEVELS:
-        size = sum(map(len, batches[n]))
-        line = [f"n={n:<4} {len(batches[n]):3d} batches {size:6d} elements"]
-        for kind in ("cold", "warm"):
-            before, after = p10(("parent", n, kind)), p10(("change", n, kind))
-            line.append(f"{kind} {before:8.3f} -> {after:8.3f} ({after / before - 1.0:+.0%})")
-        print("   ".join(line))
+        ones, many = parts[n]["one-element"], parts[n]["batches"]
+        print(f"n={n:<4} {len(ones):4d} one-element calls              cold  {change('one-element', n)}")
+        print(f"n={n:<4} {len(many):4d} batches {sum(map(len, many)):6d} elements        cold  {change('batches', n)}")
+        print(f"n={n:<4} {len(batches[n]):4d} calls, all remembered          warm  {change('warm', n)}")
+    print(f"kernel ms over each level's calls, cold, p10 of {rounds} rounds   parent -> change")
+    for n in LEVELS:
+        print(f"n={n:<4} " + "   ".join(f"{kernel} {change(kernel, n)}" for kernel in KERNELS))
     return 1 if differ else 0
 
 
