@@ -69,6 +69,7 @@ class _System:
 _LN2 = math.log(2.0)
 _RESCALE = 600  # the scaled recurrence is renormalized past 2^600
 _RESCALE_AT = 2.0 ** _RESCALE
+_HEADROOM = 400  # log2 of the growth allowed between two tests: 2^(600 + 400) stays below overflow
 _NEWTON_STEPS = 8  # the Gauss-Hermite nodes settle in three
 
 
@@ -84,7 +85,12 @@ def _ho_functions(n: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     # and is renormalized as the recurrence grows it.
     shift = np.where(phi < sys.float_info.min, np.ceil(np.minimum(half_y2, 1e15) / _LN2), 0.0).astype(np.int64)
     phi = np.where(shift > 0, math.pi ** -0.25 * np.exp(shift * _LN2 - half_y2), phi)
-    scaled = shift.any()
+    # A step grows max(|phi_k|, |phi_(k-1)|) by at most sqrt(2) max|y| + 1, so testing
+    # that pair after each `every` steps keeps it below 2^(600 + 400); an unscaled
+    # element never nears 2^600, so n + 1 tests none.  Each rescale is exact, so the
+    # schedule moves no bit.
+    every = (max(1, int(_HEADROOM / math.log2(math.sqrt(2.0) * np.fmax.reduce(np.abs(y)) + 1.0)))
+             if shift.any() else n + 1)
     older = old = np.zeros_like(y)
     rows = max(1, (1 << 16) // max(y.size, 1))  # a_k * y by blocks of <= 512 KiB: 3 array ops a step
     for k in range(n):
@@ -92,7 +98,7 @@ def _ho_functions(n: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
             steps = np.arange(k + 1.0, min(k + rows, n) + 1.0)  # k + 1 for each k of the block
             a_y, b = np.multiply.outer(np.sqrt(2.0 / steps), y), np.sqrt((steps - 1.0) / steps).tolist()
         older, old, phi = old, phi, a_y[k % rows] * phi - b[k % rows] * old
-        if scaled and (big := np.abs(phi) > _RESCALE_AT).any():
+        if (k + 1) % every == 0 and (big := np.maximum(np.abs(old), np.abs(phi)) > _RESCALE_AT).any():
             older, old, phi = (np.ldexp(v, -_RESCALE * big) for v in (older, old, phi))
             shift -= _RESCALE * big
     return np.ldexp(older, -shift), np.ldexp(old, -shift), np.ldexp(phi, -shift)
@@ -284,6 +290,14 @@ class InfiniteWell(_System):
 
 # --- bouncer ------------------------------------------------------------------
 
+# The bouncer's pass ends at z = 9, `specfun`'s asymptotic seam: every K15 node lies
+# inside it, so no abscissa reaches the positive-z branch.  For z > 0, Ai(z) <=
+# e^(-zeta)/(2 sqrt(pi) z^(1/4)) with zeta = (2/3) z^(3/2) (DLMF 9.7(iv)), so the
+# dropped tails of Ai^2, (z + E')Ai^2 and (z + E')^2 Ai^2 past z = 9 lie below 0.42 eps
+# of their integrals Ai'(a_n)^2, (2/3)E' and (8/15)E'^2 times it (the worst case, n = 1;
+# the ratio falls as n grows).
+_Z_END = 9.0
+
 
 @dataclass(frozen=True)
 class BouncingBall(_System):
@@ -311,7 +325,7 @@ class BouncingBall(_System):
 
     def psi(self, level, x: np.ndarray) -> np.ndarray:
         # N_n = 1/|Ai'(a_n)| normalizes Ai over (a_n, inf); `bouncer_state`
-        # checks that identity by quadrature.
+        # checks that identity by quadrature over (a_n, 9].
         e, lg = self.airy_scales(level.n, level.model.hbar)
         normalization = 1.0 / abs(specfun.airy_ai(-e).ai_prime)
         z = np.maximum(x, 0.0) / lg - e  # x < 0 takes the floor's z, then psi = 0
@@ -319,7 +333,8 @@ class BouncingBall(_System):
 
     def moment_pass(self, level):
         # All integrals live in the shifted dimensionless coordinate on
-        # (-E'_n, inf); the gravitational length cancels throughout.
+        # (-E'_n, 9], the tail past _Z_END below rounding; the gravitational
+        # length cancels throughout.
         e = self.airy_scales(level.n, level.model.hbar)[0]
 
         def integrands(z: np.ndarray) -> np.ndarray:
@@ -334,7 +349,7 @@ class BouncingBall(_System):
             mean_z_shifted = first / norm - e
             return first / (e * norm), second / (e * e * norm), -mean_z_shifted / e, raw_p / (norm * math.sqrt(e))
 
-        return (integrands, -e, math.inf), moments
+        return (integrands, -e, _Z_END), moments
 
     def robertson_bound(self, level) -> float:
         return 1.0 / (4.0 * self.airy_scales(level.n, level.model.hbar)[0] ** 3)

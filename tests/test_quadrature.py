@@ -503,10 +503,14 @@ class TestPinnedBits:
     count and convergence flag of fixed passes.  The values, errors and flags
     were recorded from the code as it was before the finite rule evaluated the
     top of its bisection tree in its first call: how the integrand calls are
-    batched must not move a bit.  The counts, and the bouncer at n = 11, whose
-    pass has a generation with halves both inside and outside that tree, were
-    recorded from the loop as it was before it took its halves from the tree
-    by node number.  The well's pass over its half u in [0, 1] was recorded
+    batched must not move a bit.  The counts, and the bouncer's n = 11 pass
+    on (-E'_11, -E'_11 + 40], which has a generation with halves both inside
+    and outside that tree, were recorded from the loop as it was before it
+    took its halves from the tree by node number; that pass was the level's
+    moment pass while the bouncer's ran on the half-line, and its count then
+    included three one-element tail probes.  The bouncer's passes over
+    (-E'_n, 9] were recorded when they replaced those half-line passes.  The
+    well's pass over its half u in [0, 1] was recorded
     when it replaced the well's two parity passes over [-1, 1].  The
     oscillator's Gauss-Hermite rule of n + 2 nodes was recorded when it
     replaced the oscillator's adaptive half-line pass, on numpy 2.4.6 with
@@ -516,24 +520,24 @@ class TestPinnedBits:
 
     MOMENT_PASSES = {
         ("bouncer", 1): (
-            ("0x1.f77f5175bf7f3p-2", "0x1.8869086b58598p-1", "0x1.6effbbb3bb8f0p+0", "-0x1.3c04000000000p-58"),
-            ("0x1.8935605c3ba32p-42", "0x1.9fc14a248096dp-41", "0x1.ea9276c5451dcp-39", "0x1.76014d02bede7p-41"),
-            347,
+            ("0x1.f77f5175bf7f3p-2", "0x1.8869086b58596p-1", "0x1.6effbbb3bb8f0p+0", "0x1.8000000000000p-55"),
+            ("0x1.8e50c39f9ff60p-44", "0x1.7e296397ca3b0p-44", "0x1.4aba746c3f324p-40", "0x1.6738c21a38e9cp-46"),
+            285,
         ),
         ("bouncer", 14): (
-            ("0x1.474f6ac3b339bp+0", "0x1.b80861119d170p+3", "0x1.62f20aaf0c8d9p+7", "0x0.0p+0"),
-            ("0x1.acd649444a593p-39", "0x1.45eefd9096771p-37", "0x1.cdd8a1a20af2bp-36", "0x1.8b1401bf2546fp-41"),
-            1368,
+            ("0x1.474f6ac3b3397p+0", "0x1.b80861119d16bp+3", "0x1.62f20aaf0c8dcp+7", "0x1.5400000000000p-51"),
+            ("0x1.a35bb963d08c2p-43", "0x1.e4e30762e5558p-40", "0x1.956d9077210a3p-36", "0x1.a9bdc242169b5p-41"),
+            1185,
         ),
         ("bouncer", 11): (
-            ("0x1.2d89b0b1088dbp+0", "0x1.580ab6ad4806dp+3", "0x1.d70b65c4674f3p+6", "0x1.c000000000000p-55"),
-            ("0x1.344084a23c940p-41", "0x1.74dc2d5bd4df1p-39", "0x1.2900cfe6c581ap-36", "0x1.a2a3758acbaa8p-41"),
-            1188,
+            ("0x1.2d89b0b1088dap+0", "0x1.580ab6ad48071p+3", "0x1.d70b65c4674eep+6", "0x1.cc00000000000p-52"),
+            ("0x1.028d6277274aap-41", "0x1.0a9f17209c901p-38", "0x1.0653b4fd819dcp-35", "0x1.684efe69b2c93p-41"),
+            1035,
         ),
         ("bouncer", 36): (
-            ("0x1.c20e1a09d880fp+0", "0x1.1e00ce5bfa681p+5", "0x1.b433985bf5152p+9", "0x1.8000000000000p-56"),
-            ("0x1.c1a24091bd353p-42", "0x1.c2bbe0db52f5bp-38", "0x1.3a9bf48f7c60bp-33", "0x1.1094c9282596bp-40"),
-            2839,
+            ("0x1.c20e1a09d880cp+0", "0x1.1e00ce5bfa67fp+5", "0x1.b433985bf5157p+9", "0x1.ac00000000000p-50"),
+            ("0x1.95465a38bd544p-42", "0x1.73a5d1bedb273p-38", "0x1.f04fa47f64b05p-34", "0x1.f50523b29dcc5p-41"),
+            2745,
         ),
         ("ho", 0): (
             ("0x1.ffffffffffffep-2", "0x1.ffffffffffffbp-2", "0x0.0p+0"),
@@ -554,6 +558,13 @@ class TestPinnedBits:
         ("well", 100): (("0x1.fffffffffffffp-2", "0x1.5550056c65b0ap-3"), ("0x1.b6e685252759cp-35", "0x1.2ee79f4a65a98p-37"), 2535),
         ("well", 1000): (("0x1.ffffffffffffdp-2", "0x1.555547bbf6c6ep-3"), ("0x1.b3a64c2554bc6p-35", "0x1.474d578e7c740p-37"), 28575),
     }
+
+    MIXED_GENERATION = (  # the bouncer's n = 11 integrands on (-E'_11, -E'_11 + 40], budget 6n = 66
+        ("0x1.2d89b0b1088dbp+0", "0x1.580ab6ad4806dp+3", "0x1.d70b65c4674f3p+6", "0x1.c000000000000p-55"),
+        ("0x1.344084a23c940p-41", "0x1.74dc2d5bd4df1p-39", "0x1.2900cfe6c581ap-36", "0x1.a2a3758acbaa8p-41"),
+        1185,
+        True,
+    )
 
     OSCILLATORY = {  # _oscillatory on [0, 3]
         "default": (DEFAULT_SPEC, ("0x1.e77fdba4a41d4p-2", "0x1.ed6356d32ea01p-2"),
@@ -576,6 +587,13 @@ class TestPinnedBits:
         (f, a, b), _ = _MODELS[system].variant.moment_pass(level)
         result = _integrate(f"{system} pinned", level, f, a, b, DEFAULT_SPEC)
         assert self._hex(result) == self.MOMENT_PASSES[system, n] + (True,)
+
+    def test_mixed_generation_pass(self):
+        # a generation that takes some halves from the tree and evaluates others
+        level = eigen_level(_MODELS["bouncer"], 11)
+        (f, a, _), _ = _MODELS["bouncer"].variant.moment_pass(level)
+        result = integrate_finite(f, a, a + 40.0, QuadratureSpec(max_subdivisions=66))
+        assert self._hex(result) == self.MIXED_GENERATION
 
     @pytest.mark.parametrize("name", sorted(OSCILLATORY))
     def test_oscillatory_pass(self, name):

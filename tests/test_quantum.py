@@ -183,6 +183,16 @@ class TestHermiteFunctions:
                 else:
                     assert abs(value - want) <= 1e-13 * abs(want), (k, y)
 
+    @pytest.mark.parametrize("count", [702, 2002])
+    def test_rescale_schedule_moves_no_bit(self, monkeypatch, count):
+        # the 2^600 rescale is tested only every few steps; a test after every
+        # step (no headroom) must give the same bits on the rule's outer nodes
+        y = _gauss_hermite(count)[0][count // 2:]
+        sparse = _ho_functions(count, y)
+        monkeypatch.setattr(systems, "_HEADROOM", 0.0)
+        dense = _ho_functions(count, y)
+        assert [row.tobytes() for row in sparse] == [row.tobytes() for row in dense]
+
 
 class TestGaussHermite:
     """The oscillator's rule, checked without the recurrence it is built from."""
@@ -238,6 +248,34 @@ class TestBouncerState:
             bouncer_state(eigen_level(HO, 0))
 
 
+class TestBouncerEnd:
+    """The bouncer's pass ends at z = 9: the tail it drops lies below rounding,
+    and no abscissa reaches the positive asymptotic branch."""
+
+    @pytest.mark.parametrize("n", [*range(1, 37), 200, 1000, 3000])
+    def test_dropped_tail_below_rounding(self, n):
+        # Ai(z) <= e^(-zeta)/(2 sqrt(pi) z^(1/4)), zeta = (2/3) z^(3/2), for z > 0
+        # (DLMF 9.7(iv)) bounds the tail of (z + E')^k Ai^2 past the end, against
+        # the closed forms Ai'(a_n)^2 times 1, (2/3)E' and (8/15)E'^2, all in mpmath
+        with mp.workdps(20):
+            a_n = mp.airyaizero(n)
+            norm = mp.airyai(a_n, derivative=1) ** 2
+            for k, value in enumerate((norm, mp.mpf(2) / 3 * -a_n * norm, mp.mpf(8) / 15 * a_n ** 2 * norm)):
+                bound = mp.quad(lambda z: (z - a_n) ** k * mp.exp(-mp.mpf(4) / 3 * z ** 1.5) / (4 * mp.pi * mp.sqrt(z)),
+                                [systems._Z_END, 2 * systems._Z_END, mp.inf])
+                assert bound < sys.float_info.epsilon * value, (n, k)
+
+    def test_no_abscissa_reaches_the_positive_branch(self, monkeypatch):
+        # every kernel batch of the pass lies below the seam, and the pass makes no one-element call
+        levels = [eigen_level(BALL, n) for n in range(1, 37)]  # a_n's Newton steps make one-element calls
+        batches = []
+        airy = specfun.airy
+        monkeypatch.setattr(specfun, "airy", lambda z: batches.append(z) or airy(z))
+        for level in levels:
+            quantum_moments_quadrature(level)
+        assert batches and all(len(z) > 1 and z.max() < specfun._ASYMP_CUT for z in batches)
+
+
 class TestFailingPass:
     # no pass meets these tolerances within its budget
     HOPELESS = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300)
@@ -288,14 +326,14 @@ class TestMoments:
     @pytest.mark.parametrize("system, n", [("ho", 0), ("ho", 31), ("well", 1), ("well", 100), ("bouncer", 1), ("bouncer", 14)])
     def test_one_pass_per_level(self, system, n):
         # the oscillator on the Gauss-Hermite rule of n + 2 nodes over the whole
-        # line, the well on its positive half, the bouncer from its floor at z = -E'_n
+        # line, the well on its positive half, the bouncer from its floor at z = -E'_n to z = 9
         model = {"ho": HO, "well": WELL, "bouncer": BALL}[system]
         (_, a, b), _ = model.variant.moment_pass(eigen_level(model, n))
         if system == "ho":
             assert a.shape == b.shape == (n + 2,) and a.min() < 0.0 < a.max()
             assert a.tolist() == _gauss_hermite(n + 2)[0].tolist()
         elif system == "bouncer":
-            assert (a, b) == (-airy_zero(n).scaled_energy, math.inf)
+            assert (a, b) == (-airy_zero(n).scaled_energy, 9.0)
         else:
             assert (a, b) == (0.0, 1.0)
 
@@ -401,8 +439,8 @@ class TestMoments:
 
     @pytest.mark.parametrize("n", [200, 1000])
     def test_bouncer_high_levels(self, monkeypatch, n):
-        # Ai over (a_n, inf) carries about n oscillations; at n = 1000 the
-        # moment pass evaluates Ai about 86,000 times, far past what the memo
+        # Ai over (a_n, 9] carries about n oscillations; at n = 1000 the
+        # moment pass evaluates Ai about 91,000 times, far past what the memo
         # holds.  DEFAULT_SPEC, as `ucr compare` runs: at SPEC's abs_tol 1e-13
         # the error estimate of the Ai Ai' component at n = 1000 stays at its
         # rounding floor, about 1.3e-13, and the pass cannot converge.

@@ -101,7 +101,8 @@ def test_benchmark_tracer_wraps_and_restores_the_package():
         ucr.quantum_moments_quadrature(ucr.eigen_level(model, 2))
     assert tracer.span_count() > 0
     metrics = tracer.layer_metrics()
-    assert metrics["quantum_states.moment_sets"] == 1 and metrics["quadrature.integrals.semi_infinite"] == 1
+    assert metrics["quantum_states.moment_sets"] == 1
+    assert metrics["quadrature.integrals.finite"] == 1 and metrics["quadrature.integrals.semi_infinite"] == 0
     after = {(module.__name__, attr): value for module in tracing.NAMESPACES for attr, value in vars(module).items()}
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())

@@ -8,9 +8,9 @@ Each argument is a directory that holds the `ucr` package (a checkout's
 separate modules, so the two kernels share the process, its caches and the
 machine's speed of the moment.  The calls are the ones `specfun.airy`
 receives when a bouncer level at n = 14, 36 and 200 is found and its moment
-pass runs (DEFAULT_SPEC): the one-element calls of the Newton steps and the
-semi-infinite probes, and the pass's multi-element batches.  They are
-recorded once through CHANGE_SRC's `ucr` package.
+pass runs (DEFAULT_SPEC): the one-element calls of the Newton steps, and the
+pass's multi-element batches.  They are recorded once through CHANGE_SRC's
+`ucr` package.
 
 The script asserts that the two kernels agree bit for bit on every element of
 those calls and of a fixed 43,000-point set on [-1e12, 40]: evaluated cold

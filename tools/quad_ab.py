@@ -11,9 +11,8 @@ the same functions, the same Airy memo and the machine's speed of the moment.
 
 The sweep takes, for every level of SWEEP, the level's one quantum moment
 pass from `moment_pass` (on the budget `quantum_states._integrate` gives it,
-max(budget, 6n), by `integrate_semi_infinite` when the pass is on a
-half-line, and by `integrate_rule` when it hands over a fixed rule's nodes
-and weights, as the oscillator's does) and the classical ensemble's
+max(budget, 6n), and by `integrate_rule` when it hands over a fixed rule's
+nodes and weights, as the oscillator's does) and the classical ensemble's
 endpoint-singular pass, at each of seven specs.  The value, error estimate,
 `evaluations` and `converged` of the two trees' results must agree bit for
 bit (an integrand error must be the same exception).  The first (system, n,
@@ -33,7 +32,6 @@ every field agrees, 1 otherwise.  Needs numpy only.
 from __future__ import annotations
 
 import importlib.util
-import math
 import os
 import sys
 import time
@@ -117,7 +115,7 @@ def run(module, n: int, one_pass: tuple, spec_fields: dict):
     if kind == "rule":
         return module.integrate_rule(f, a, b, spec)
     spec = replace(spec, max_subdivisions=max(spec.max_subdivisions, 6 * n))
-    return module.integrate_semi_infinite(f, a, spec) if b == math.inf else module.integrate_finite(f, a, b, spec)
+    return module.integrate_finite(f, a, b, spec)
 
 
 def fields(module, n: int, one_pass: tuple, spec_fields: dict) -> tuple:
