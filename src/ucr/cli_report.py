@@ -226,7 +226,9 @@ _OPTIONS: dict[str, Callable[[str], object]] = {
     "system": _checked(str, _MODELS.__contains__, "ho, well or bouncer"),
     "n": _checked(parse_n_list),
     "points": _checked(int, lambda v: v >= 2, ">= 2"),
-    "samples": _checked(int, lambda v: v >= 2, ">= 2"),
+    # the oracle's memory is one block whatever the count, so the count bounds
+    # only its time: 13-50 ns per sample, under a minute at this ceiling
+    "samples": _checked(int, lambda v: 2 <= v <= 1_000_000_000, ">= 2 and <= 1000000000"),
     "tol": _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
     # rel_tol = 100 quad-tol must be finite (the tolerance saturates for any |value|); 1e300 keeps it so
     "quad-tol": _checked(float, lambda v: 0.0 < v <= 1e300, "> 0 and <= 1e+300"),

@@ -448,6 +448,7 @@ class TestInputValidation:
         [
             ("density", "--system", "well", "--n", "2", "--points", "1"),
             ("verify", "--system", "well", "--samples", "1"),
+            ("verify", "--system", "well", "--samples", "1000000001"),
             ("compare", "--system", "ho", "--n", "0", "--tol", "nan"),
             ("compare", "--system", "ho", "--n", "0", "--tol=-1e-6"),
             ("compare", "--system", "ho", "--n", "0", "--tol", "inf"),
@@ -466,7 +467,7 @@ class TestInputValidation:
         assert err.startswith("usage error:")
 
     @pytest.mark.parametrize(
-        "line", ["points=1", "samples=0", "tol=nan", "tol=-1", "quad-tol=0", "quad-tol=inf"]
+        "line", ["points=1", "samples=0", "samples=1000000001", "tol=nan", "tol=-1", "quad-tol=0", "quad-tol=inf"]
     )
     def test_bad_config_values_are_usage_errors(self, capsys, tmp_path, line):
         cfg = tmp_path / "run.cfg"
@@ -480,3 +481,5 @@ class TestInputValidation:
         assert run(capsys, "density", "--system", "bouncer", "--n", "1", "--points", "2")[0] == EXIT_OK
         # a zero parity tolerance is valid input that no computed row meets
         assert run(capsys, "compare", "--system", "well", "--n", "1", "--tol", "0")[0] == EXIT_PARITY
+        # the largest sample count, converted but not run (up to a minute)
+        assert cli_report._OPTIONS["samples"]("1000000000") == 1_000_000_000

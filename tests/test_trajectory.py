@@ -121,10 +121,13 @@ class TestTrajectoryMoments:
             for o, e in zip(oracle.fields(), ens.fields()):
                 assert abs(o - e) < 1e-4
 
-    @pytest.mark.parametrize("samples", [2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 100_000, 1_000_000])
+    @pytest.mark.parametrize(
+        "samples",
+        [2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK + 5, 16 * BLOCK + 9, 100_000, 999_983, 1_000_000, 1_234_567],
+    )
     def test_blocks_match_whole_array_bits(self, samples):
-        # the blocks fill X and P element by element and the means run over the
-        # whole arrays, so every bit equals one whole-array evaluation
+        # the blocks are the pieces of numpy's pairwise sum, so every bit
+        # equals one whole-array evaluation
         for model in _all_models():
             traj = build_trajectory(model, 1.7)
             t = (np.arange(samples) + 0.5) * (traj.period / samples)
@@ -135,16 +138,18 @@ class TestTrajectoryMoments:
             assert (got.mean_x, got.mean_x2, got.mean_p, got.mean_p2) == want, (model, samples)
 
     def test_memory_is_two_arrays_and_a_block(self):
-        # 16 bytes per sample plus one block; whole-array evaluation peaked at 32-33 MB
+        # one block's arrays whatever the count (0.26 MB at 10^5 samples, 0.33 MB
+        # at 10^6); whole-length X and P arrays peaked at 16.3 MB at 10^6
         for model in _all_models():
             traj = build_trajectory(model, 1.0)
-            tracemalloc.start()
-            try:
-                trajectory_moments(traj, 1_000_000)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 20_000_000, (model, peak)
+            for samples in (100_000, 1_000_000):
+                tracemalloc.start()
+                try:
+                    trajectory_moments(traj, samples)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 8 * BLOCK * 8, (model, samples, peak)
 
     def test_sampling_error_shrinks_with_refinement(self):
         # bouncer <X> has the slowest midpoint convergence (corner at the floor)

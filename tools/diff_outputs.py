@@ -4,7 +4,7 @@ stdout line or exit code that differs.
     python3 tools/diff_outputs.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory that holds the `ucr` package (a checkout's
-`src/`); it goes first on PYTHONPATH for that tree's runs.  The 106
+`src/`); it goes first on PYTHONPATH for that tree's runs.  The 110
 commands cover `compare` on every system, and on the bouncer's high levels
 n = 200 and 1000 (CSV and JSON, and at the loose integral tolerances
 `--quad-tol 1e-6` and, for the oscillator's n = 0, `1e-4`, where the
@@ -13,10 +13,12 @@ the oscillator's high levels (n = 200 and 900, where its recurrence is
 renormalized past y ~ 37.7, and `compare` at n = 2000, whose outer nodes lie
 near y ~ 63), `compare` on the well's levels 1778, 3000 and
 10001 (past the benchmark scan's 1000), `verify` on every system at
-its default 1,000,000 samples and four more counts (100,000 and 1000, and 6
+its default 1,000,000 samples and five more counts (100,000 and 1000, and 6
 and 2, where the well's sample phases land exactly on 1/4 and 3/4, so its
-triangle wave and square-wave momentum switch there), the well's `verify` at
-8193 samples (one past the oracle's block), bouncer `density` grids over
+triangle wave and square-wave momentum switch there, and 131,081, sixteen
+blocks and 9 samples, whose pairwise split is five levels deep on one side
+and four on the other), the well's `verify` at 8193 samples (one past the
+oracle's block) and at the prime 999,983, bouncer `density` grids over
 levels 1..9 and 51..101 points, the well's and the oscillator's density
 grids (a 5-point one each, and levels 0, 3, 10 resp. 1, 8, 100 at 11 and 101
 points), the smallest
@@ -52,6 +54,9 @@ def commands() -> list[tuple[str, ...]]:
         for samples in ("100000", "1000", "6", "2"):
             cmds.append(("verify", "--system", system, "--samples", samples))
     cmds.append(("verify", "--system", "well", "--samples", "8193"))  # one past the oracle's 8192-sample block
+    for system in ("ho", "well", "bouncer"):
+        cmds.append(("verify", "--system", system, "--samples", "131081"))  # 17 blocks, 5 levels deep and 4
+    cmds.append(("verify", "--system", "well", "--samples", "999983"))  # a prime: uneven blocks all the way down
     for n in range(1, 10):
         for points in range(51, 102, 10):
             cmds.append(("density", "--system", "bouncer", "--n", str(n), "--points", str(points)))
