@@ -13,8 +13,10 @@ abscissas (and, for the adaptive rules, the subdivision), and the pass
 converges only when each component meets ``spec.tolerance`` of its own value.
 The result then holds one value and one error estimate per component.
 
-The adaptive finite rule's first call evaluates the top of its bisection tree.
-Nothing outlives a call.
+The adaptive finite rule starts from the panels between the caller's break
+points (the well's n panels between u = k/n) and evaluates all of them first,
+in integrand calls of at most 512 panels; a one-panel start evaluates the top
+of its bisection tree in its first call instead.  Nothing outlives a call.
 """
 
 from __future__ import annotations
@@ -116,13 +118,16 @@ _K15_G7_WEIGHTS = np.array([_WGK[:-1] + _WGK[::-1], _WGK[:-1] + _WGK[::-1]])
 _K15_G7_WEIGHTS[1, 1::2] -= _WG[:-1] + _WG[::-1]
 
 
-# A pass's first call evaluates the top of its bisection tree, heap-ordered (node
+# A one-panel pass's first call evaluates the top of its bisection tree, heap-ordered (node
 # k's halves are 2k + 1 and 2k + 2): most passes split their first panel, and a
 # generation costs about as much at 30 abscissas as at hundreds.  Depth 3 cuts a cold
 # bouncer `compare` by a fifth, 2 by an eighth; 4 doubles a long session's Airy memo misses.
 _TREE_DEPTH = 3
 _TREE = 2 ** (_TREE_DEPTH + 1) - 1  # its panels; the node number of any panel outside it
 _HALVES = np.minimum(np.arange(1, 2 * _TREE + 3).reshape(-1, 2).T, _TREE)  # column k: node k's two halves
+# Starting panels per integrand call: 7,680 abscissas, so a two-component integrand's values
+# (120 KiB) stay below glibc's default 128 KiB mmap threshold and are not mapped afresh each call.
+_BLOCK = 512
 
 
 def _panels(f: Integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -136,20 +141,32 @@ def _panels(f: Integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return panels.reshape((2,) + values.shape[1:] + (len(lo),))
 
 
-def integrate_finite(f: Integrand, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC) -> IntegralResult:
-    """QUADPACK's globally adaptive subdivision, a generation of panels at a time; an m-component
-    integrand shares the subdivision.  A generation whose halves all lie in the first call's tree
-    takes them from it by node number; ``evaluations`` counts the whole tree."""
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
-    lo, hi = [a], [b]
-    for k in range(_TREE // 2):  # the tree's edges, each half from the same 0.5 * (lo + hi)
-        mid = 0.5 * (lo[k] + hi[k])
-        lo, hi = lo + [lo[k], mid], hi + [mid, hi[k]]
-    tree_edges = np.array((lo, hi))
-    tree = _panels(f, *tree_edges)
-    edges, panels, nodes = tree_edges[:, :1], tree[..., :1], np.zeros(1, dtype=np.intp)
-    budget, evaluations = spec.max_subdivisions, 15 * _TREE
+def integrate_finite(f: Integrand, points, spec: QuadratureSpec = DEFAULT_SPEC) -> IntegralResult:
+    """QUADPACK's globally adaptive subdivision from the panels between the increasing break
+    points (qagp), a generation of panels at a time; an m-component integrand shares the
+    subdivision.  It first evaluates every starting panel, ``_BLOCK`` panels a call, or for a
+    one-panel start the top of its bisection tree in one call; a generation whose halves all lie
+    in that tree takes them from it by node number.  ``evaluations`` counts everything evaluated."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 1 or len(points) < 2 or not np.logical_and.reduce(points[:-1] < points[1:]):
+        raise ValueError(f"need two or more increasing break points, got {points!r}")
+    if len(points) == 2:  # one panel: the top of its tree, node 0 its root
+        a, b = points.tolist()
+        lo, hi = [a], [b]
+        for k in range(_TREE // 2):  # each half from the same 0.5 * (lo + hi)
+            mid = 0.5 * (lo[k] + hi[k])
+            lo, hi = lo + [lo[k], mid], hi + [mid, hi[k]]
+        tree_edges = np.array((lo, hi))
+        tree = _panels(f, *tree_edges)
+        # the panels keep _panels' layout, which the loop's concatenations and so its sums' bits follow
+        edges, panels, nodes = tree_edges[:, :1], tree[..., :1], np.zeros(1, dtype=np.intp)
+        evaluations = 15 * _TREE
+    else:  # many panels, outside any tree, so no half is taken from one; summed pairwise, from contiguous memory
+        edges = np.array((points[:-1], points[1:]))
+        blocks = [_panels(f, *edges[:, k:k + _BLOCK]) for k in range(0, edges.shape[1], _BLOCK)]
+        panels = np.ascontiguousarray(np.concatenate(blocks, axis=-1))
+        nodes, evaluations = np.full(edges.shape[1], _TREE, dtype=np.intp), 15 * edges.shape[1]
+    budget = spec.max_subdivisions
     while True:  # a generation a turn, by ndarray methods and ufuncs rather than numpy's Python wrappers
         value, err = panels.sum(axis=-1)
         tol = spec.tolerance(value)
@@ -217,7 +234,7 @@ def integrate_singular_endpoints(
         s = length * np.sin(theta) ** 2
         return (_values(from_left, s, "s") + _values(from_right, s, "s")).T * (length * np.sin(2.0 * theta))
 
-    result = integrate_finite(folded, 0.0, 0.25 * math.pi, spec)
+    result = integrate_finite(folded, (0.0, 0.25 * math.pi), spec)
     return replace(result, evaluations=2 * result.evaluations)
 
 
@@ -237,5 +254,5 @@ def integrate_semi_infinite(f: Integrand, a: float, spec: QuadratureSpec = DEFAU
         offset *= 2.0
         if offset > 1e4:
             raise QuadratureError("no truncation point found below the ceiling a + 1e4")
-    result = integrate_finite(f, a, a + offset, spec)
+    result = integrate_finite(f, (a, a + offset), spec)
     return replace(result, evaluations=result.evaluations + n_probe)

@@ -72,8 +72,8 @@ def bouncer_state(level: EigenLevel, spec: QuadratureSpec = DEFAULT_SPEC) -> Bou
     N_n^2 * integral of Ai^2 over (-E'_n, 9] = 1, the moment pass's norm."""
     if not isinstance(level.model.variant, BouncingBall):  # the one engine that takes a single system
         raise ValueError("bouncer_state requires a bouncer level")
-    (f, a, b), _ = level.model.variant.moment_pass(level)
-    raw = _integrate("bouncer normalization integral", level, lambda z: f(z)[0], a, b, spec)
+    (f, *rule), _ = level.model.variant.moment_pass(level)
+    raw = _integrate("bouncer normalization integral", level, lambda z: f(z)[0], rule, spec)
     return BouncerState(level, 1.0 / math.sqrt(raw.value))
 
 
@@ -90,16 +90,17 @@ def _check_mean_p(mean_p: float, spec: QuadratureSpec) -> None:
         raise RuntimeError(f"scaled momentum <P> should vanish, got {mean_p}")
 
 
-def _integrate(what: str, level: EigenLevel, f, a, b, spec: QuadratureSpec) -> IntegralResult:
-    """One quantum pass of f: by the fixed rule when a and b are its nodes and weights, else over
-    the finite interval (a, b), with a budget grown for the integrands' ~n oscillations; raises
-    naming `what` if it fails."""
+def _integrate(what: str, level: EigenLevel, f, rule: tuple, spec: QuadratureSpec) -> IntegralResult:
+    """One quantum pass of f: by the fixed rule when `rule` is its (nodes, weights), else by K15
+    from the panels between its break points (points,), such as the well's n panels between
+    u = k/n, with a budget grown for the integrands' ~n oscillations; raises naming `what` if it
+    fails."""
     # each rule by its module-level name, which a tracer may patch
-    if isinstance(a, np.ndarray):
-        result = integrate_rule(f, a, b, spec)
+    if len(rule) == 2:
+        result = integrate_rule(f, *rule, spec)
     else:
         spec = replace(spec, max_subdivisions=max(spec.max_subdivisions, 6 * level.n))
-        result = integrate_finite(f, a, b, spec)
+        result = integrate_finite(f, *rule, spec)
     if not result.converged:
         raise RuntimeError(f"{what} failed to converge: {result}")
     return result
@@ -110,8 +111,8 @@ def quantum_moments_quadrature(level: EigenLevel, spec: QuadratureSpec = DEFAULT
     evaluated by quadrature in each system's natural dimensionless
     coordinate."""
     variant = level.model.variant
-    (f, a, b), moments = variant.moment_pass(level)
-    result = _integrate(f"{variant.name} moment quadrature", level, f, a, b, spec)
+    (f, *rule), moments = variant.moment_pass(level)
+    result = _integrate(f"{variant.name} moment quadrature", level, f, rule, spec)
     mean_x, mean_x2, mean_p2, mean_p = moments(result.value)
     _check_mean_p(mean_p, spec)
     return ScaledMoments(mean_x, mean_x2, 0.0, mean_p2, "quantum", "quadrature")

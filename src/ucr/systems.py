@@ -43,9 +43,9 @@ class _System:
     Quantum side, for level n at hbar:
       ``name``, ``n_min`` and ``n_max`` (the highest level computed);
       ``level(n, hbar)``, (E_n, A_n); ``psi(level, x)``;
-      ``moment_pass(level)``, the one integral (f, a, b) in the natural
-      coordinate, over the interval (a, b) or, when a and b are arrays, by the
-      fixed rule with nodes a and weights b, and how its values become
+      ``moment_pass(level)``, the one integral in the natural coordinate,
+      (f, points) adaptively from the panels between the sorted break points
+      or (f, nodes, weights) by a fixed rule, and how its values become
       (<X>, <X^2>, <P^2>, <P>);
       ``x2_offset(n)``, how far the exact quantum <X^2> sits below the
       classical one; ``robertson_bound(level)``.
@@ -150,7 +150,7 @@ class HarmonicOscillator(_System):
 
     name = "oscillator"
     n_min = 0
-    n_max = 20_000  # the rule's cost grows as n^2: about 30 s at this level
+    n_max = 20_000  # the rule's cost grows as n^2: 3-5 s for this level's pass on a 2-vCPU x86-64 VM
     scaled_region = (-1.0, 1.0)
     closed_form = (0.0, 0.5, 0.5)
 
@@ -253,8 +253,9 @@ class InfiniteWell(_System):
     def moment_pass(self, level):
         n = level.n
 
-        # psi^2 and u^2 psi^2 are even in u: the half [0, 1], doubled.  <X> and
-        # <P> vanish by parity, and psi'' = -(n pi/2)^2 psi makes <P^2> the norm.
+        # psi^2 and u^2 psi^2 are even in u: the half [0, 1], doubled, from its n
+        # panels between the nodes and peaks u = k/n.  <X> and <P> vanish by
+        # parity, and psi'' = -(n pi/2)^2 psi makes <P^2> the norm.
         def integrands(u: np.ndarray) -> np.ndarray:
             density = _well_state_u(n, u) ** 2
             return np.array([density, u * u * density])
@@ -263,7 +264,7 @@ class InfiniteWell(_System):
             norm, x2 = values
             return 0.0, 2.0 * x2, 2.0 * norm, 0.0
 
-        return (integrands, 0.0, 1.0), moments
+        return (integrands, np.arange(n + 1) / n), moments
 
     def x2_offset(self, n: int) -> float:
         return 2.0 / (n * n * math.pi ** 2)
@@ -349,7 +350,7 @@ class BouncingBall(_System):
             mean_z_shifted = first / norm - e
             return first / (e * norm), second / (e * e * norm), -mean_z_shifted / e, raw_p / (norm * math.sqrt(e))
 
-        return (integrands, -e, _Z_END), moments
+        return (integrands, (-e, _Z_END)), moments
 
     def robertson_bound(self, level) -> float:
         return 1.0 / (4.0 * self.airy_scales(level.n, level.model.hbar)[0] ** 3)

@@ -68,20 +68,20 @@ class TestSpec:
 
 class TestFinite:
     def test_linear(self):
-        r = integrate_finite(lambda x: x, 0.0, 1.0, TIGHT)
+        r = integrate_finite(lambda x: x, (0.0, 1.0), TIGHT)
         assert r.converged
         assert r.value == pytest.approx(0.5, abs=1e-14)
         assert r.evaluations > 0
 
     def test_cosine_squared(self):
-        r = integrate_finite(lambda x: np.cos(np.pi * x) ** 2, -0.5, 0.5, TIGHT)
+        r = integrate_finite(lambda x: np.cos(np.pi * x) ** 2, (-0.5, 0.5), TIGHT)
         assert r.value == pytest.approx(0.5, abs=1e-13)
 
     def test_ground_state_second_moment_profile(self):
         # integral of x^2 (2/L) cos^2(pi x / L) over [-L/2, L/2]
         # = L^2 (1/12 - 1/(2 pi^2)); checked at L = 1
         expected = 1.0 / 12.0 - 1.0 / (2.0 * math.pi ** 2)
-        r = integrate_finite(lambda x: x * x * 2.0 * np.cos(np.pi * x) ** 2, -0.5, 0.5, TIGHT)
+        r = integrate_finite(lambda x: x * x * 2.0 * np.cos(np.pi * x) ** 2, (-0.5, 0.5), TIGHT)
         assert r.value == pytest.approx(expected, abs=1e-13)
         assert r.value == pytest.approx(0.032672, abs=1e-6)
 
@@ -98,7 +98,7 @@ class TestFinite:
                 return acc
 
             exact = sum(c / (k + 1) * (b ** (k + 1) - a ** (k + 1)) for k, c in enumerate(coeffs))
-            r = integrate_finite(poly, a, b, TIGHT)
+            r = integrate_finite(poly, (a, b), TIGHT)
             assert abs(r.value - exact) <= 1e-13 * max(1.0, abs(exact))
 
     def test_error_estimate_honest_when_converged(self):
@@ -110,7 +110,7 @@ class TestFinite:
             (lambda x: x ** 5 - 3.0 * x, -1.0, 2.5, (2.5 ** 6 - 1.0) / 6.0 - 1.5 * (2.5 ** 2 - 1.0)),
         ]
         for f, a, b, exact in cases:
-            r = integrate_finite(f, a, b, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10))
+            r = integrate_finite(f, (a, b), QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10))
             assert r.converged
             floor = eps * (abs(r.value) + 1.0)
             assert abs(r.value - exact) <= 10.0 * max(r.error_estimate, floor)
@@ -123,7 +123,7 @@ class TestFinite:
         errors = []
         tol = 1e-2
         for _ in range(12):
-            r = integrate_finite(f, 0.0, 2.0, QuadratureSpec(abs_tol=tol, rel_tol=tol))
+            r = integrate_finite(f, (0.0, 2.0), QuadratureSpec(abs_tol=tol, rel_tol=tol))
             errors.append(abs(r.value - exact))
             tol *= 0.5
         for coarse, fine in zip(errors, errors[1:]):
@@ -132,22 +132,41 @@ class TestFinite:
 
     def test_budget_exhaustion_reported(self):
         spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1)
-        r = integrate_finite(lambda x: np.cos(40.0 * x) ** 2, 0.0, 10.0, spec)
+        r = integrate_finite(lambda x: np.cos(40.0 * x) ** 2, (0.0, 10.0), spec)
         assert not r.converged
         assert r.error_estimate > 0.0
 
     def test_degenerate_interval_rejected(self):
-        with pytest.raises(ValueError):
-            integrate_finite(lambda x: x, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            integrate_finite(lambda x: x, 2.0, 1.0)
+        # the break points must be one axis of two or more, strictly increasing
+        cases = [(1.0, 1.0), (2.0, 1.0), (0.0, 0.5, 0.5, 1.0), (0.0, 2.0, 1.0), (0.0, float("nan"), 1.0), (1.0,), 1.0,
+                 ((0.0, 1.0), (1.0, 2.0))]
+        for points in cases:
+            with pytest.raises(ValueError, match=r"^need two or more increasing break points, got array\("):
+                integrate_finite(lambda x: x, points)
+
+    def test_break_points_start_from_their_panels(self):
+        # the first call evaluates every panel between the break points, each
+        # centred on its own, the pass refines from there, and it agrees with
+        # the pass from one panel over the whole interval
+        def f(x):
+            return np.array([np.cos(40.0 * x) ** 2, x * np.sin(25.0 * x)])
+
+        recorded, calls = TestArrayContract._recording(f)
+        points = np.linspace(0.0, 10.0, 9)
+        r = integrate_finite(recorded, points, TestArrayContract.SPEC)
+        whole = integrate_finite(f, (0.0, 10.0), TestArrayContract.SPEC)
+        assert r.converged and len(calls) > 1 and len(calls[0]) == 15 * 8
+        assert np.array_equal(calls[0].reshape(8, 15)[:, 7], 0.5 * (points[:-1] + points[1:]))
+        assert all(len(x) % 30 == 0 for x in calls[1:]) and sum(len(x) for x in calls) == r.evaluations
+        for v, e, w, d in zip(r.value, r.error_estimate, whole.value, whole.error_estimate):
+            assert abs(v - w) <= e + d + 4e-16 * abs(w)
 
     def test_non_finite_integrand_raises(self):
         with pytest.raises(QuadratureError):
-            integrate_finite(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+            integrate_finite(lambda x: np.full_like(x, np.nan), (0.0, 1.0))
 
     def test_result_types_are_plain(self):
-        r = integrate_finite(lambda x: x * x, 0.0, 1.0)
+        r = integrate_finite(lambda x: x * x, (0.0, 1.0))
         assert isinstance(r, IntegralResult)
         assert type(r.value) is float
         assert type(r.error_estimate) is float
@@ -347,8 +366,8 @@ class TestVectorIntegrands:
             lambda x: 1.0 / (1.0 + x * x),
             lambda x: x * np.exp(-x * x),  # odd: vanishes on the symmetric range
         )
-        vector = integrate_finite(lambda x: np.array([c(x) for c in components]), -3.0, 3.0, TIGHT)
-        _agrees(vector, [integrate_finite(c, -3.0, 3.0, TIGHT) for c in components])
+        vector = integrate_finite(lambda x: np.array([c(x) for c in components]), (-3.0, 3.0), TIGHT)
+        _agrees(vector, [integrate_finite(c, (-3.0, 3.0), TIGHT) for c in components])
         assert isinstance(vector.evaluations, int) and type(vector.converged) is bool
 
     def test_semi_infinite_decaying(self):
@@ -388,7 +407,7 @@ class TestVectorIntegrands:
             return np.array([np.exp(-x), np.where(x > 0.3, bad, 0.0)])
 
         with pytest.raises(QuadratureError):
-            integrate_finite(f, 0.0, 1.0)
+            integrate_finite(f, (0.0, 1.0))
         with pytest.raises(QuadratureError):
             integrate_semi_infinite(f, 0.0)
         with pytest.raises(QuadratureError):
@@ -418,7 +437,7 @@ class TestArrayContract:
 
     def test_finite_batches_each_generation(self):
         f, calls = self._recording(lambda x: np.array([np.cos(40.0 * x) ** 2, x * np.sin(25.0 * x)]))
-        r = integrate_finite(f, 0.0, 10.0, self.SPEC)
+        r = integrate_finite(f, (0.0, 10.0), self.SPEC)
         assert r.converged
         assert self._all_1d_float_arrays(calls)
         tree = 15 * (2 ** (quadrature._TREE_DEPTH + 1) - 1)  # the first panel and its top generations of halves
@@ -435,7 +454,7 @@ class TestArrayContract:
     )
     def test_integrand_of_the_wrong_shape_is_refused(self, f):
         # one value per abscissa, abscissas on the last axis of one or two
-        for integrate in (lambda: integrate_finite(f, 0.0, 1.0), lambda: integrate_rule(f, np.arange(3.0), np.ones(3))):
+        for integrate in (lambda: integrate_finite(f, (0.0, 1.0)), lambda: integrate_rule(f, np.arange(3.0), np.ones(3))):
             with pytest.raises(ValueError, match=r"^integrand returned shape \(.*\) for \d+ abscissas$"):
                 integrate()
 
@@ -447,11 +466,26 @@ class TestArrayContract:
             return np.array([x ** 3 - x, np.exp(x)])
 
         recorded, calls = self._recording(f)
-        r = integrate_finite(recorded, -1.0, 1.3, self.SPEC)
+        r = integrate_finite(recorded, (-1.0, 1.3), self.SPEC)
         assert r.converged and len(calls) == 1
         value, error = quadrature._panels(f, np.array([-1.0]), np.array([1.3]))[..., 0]
         assert (r.value, r.error_estimate) == (tuple(value.tolist()), tuple(error.tolist()))
         assert r.evaluations == len(calls[0]) == 15 * quadrature._TREE
+
+    def test_starting_panels_in_blocks_keep_their_bits(self):
+        # many starting panels are evaluated in integrand calls of at most
+        # _BLOCK panels, with the bits of one call over all of them, summed pairwise
+        def f(x):
+            return np.array([np.cos(3.0 * x) ** 2, x * x])
+
+        recorded, calls = self._recording(f)
+        block = quadrature._BLOCK
+        points = np.linspace(0.0, 1.0, 2 * block + 2)
+        r = integrate_finite(recorded, points, DEFAULT_SPEC)
+        assert r.converged and [len(x) for x in calls] == [15 * block, 15 * block, 15]
+        assert r.evaluations == 15 * (2 * block + 1)
+        value, error = np.ascontiguousarray(quadrature._panels(f, points[:-1], points[1:])).sum(axis=-1)
+        assert (r.value, r.error_estimate) == (tuple(value.tolist()), tuple(error.tolist()))
 
     def test_singular_endpoints_batches_each_generation(self, monkeypatch):
         # one pass of the finite rule in theta; each of its integrand calls
@@ -511,7 +545,8 @@ class TestPinnedBits:
     included three one-element tail probes.  The bouncer's passes over
     (-E'_n, 9] were recorded when they replaced those half-line passes.  The
     well's pass over its half u in [0, 1] was recorded
-    when it replaced the well's two parity passes over [-1, 1].  The
+    when it replaced the well's two parity passes over [-1, 1], and from
+    n = 2 on re-recorded when it started from its n panels between u = k/n.  The
     oscillator's Gauss-Hermite rule of n + 2 nodes was recorded when it
     replaced the oscillator's adaptive half-line pass, on numpy 2.4.6 with
     the AVX512_SPR dispatch of its ufuncs (np.exp, np.sin and np.cos build
@@ -555,8 +590,8 @@ class TestPinnedBits:
             42,
         ),
         ("well", 1): (("0x1.0000000000000p-1", "0x1.0ba7b4887e38bp-4"), ("0x1.22de4bb4e4691p-55", "0x1.637a2fff35f50p-40"), 225),
-        ("well", 100): (("0x1.fffffffffffffp-2", "0x1.5550056c65b0ap-3"), ("0x1.b6e685252759cp-35", "0x1.2ee79f4a65a98p-37"), 2535),
-        ("well", 1000): (("0x1.ffffffffffffdp-2", "0x1.555547bbf6c6ep-3"), ("0x1.b3a64c2554bc6p-35", "0x1.474d578e7c740p-37"), 28575),
+        ("well", 100): (("0x1.0000000000001p-1", "0x1.5550056c65b0ap-3"), ("0x1.02bdb6e3dce95p-51", "0x1.c89b367d31f76p-47"), 1500),
+        ("well", 1000): (("0x1.0000000000000p-1", "0x1.555547bbf6c6cp-3"), ("0x1.235ec8a7117ccp-48", "0x1.43ea628c3b31ap-49"), 15000),
     }
 
     MIXED_GENERATION = (  # the bouncer's n = 11 integrands on (-E'_11, -E'_11 + 40], budget 6n = 66
@@ -584,18 +619,18 @@ class TestPinnedBits:
     def test_moment_pass(self, system, n):
         # the level's one pass through the runner that quantum_moments_quadrature calls
         level = eigen_level(_MODELS[system], n)
-        (f, a, b), _ = _MODELS[system].variant.moment_pass(level)
-        result = _integrate(f"{system} pinned", level, f, a, b, DEFAULT_SPEC)
+        (f, *rule), _ = _MODELS[system].variant.moment_pass(level)
+        result = _integrate(f"{system} pinned", level, f, rule, DEFAULT_SPEC)
         assert self._hex(result) == self.MOMENT_PASSES[system, n] + (True,)
 
     def test_mixed_generation_pass(self):
         # a generation that takes some halves from the tree and evaluates others
         level = eigen_level(_MODELS["bouncer"], 11)
-        (f, a, _), _ = _MODELS["bouncer"].variant.moment_pass(level)
-        result = integrate_finite(f, a, a + 40.0, QuadratureSpec(max_subdivisions=66))
+        (f, (a, _)), _ = _MODELS["bouncer"].variant.moment_pass(level)
+        result = integrate_finite(f, (a, a + 40.0), QuadratureSpec(max_subdivisions=66))
         assert self._hex(result) == self.MIXED_GENERATION
 
     @pytest.mark.parametrize("name", sorted(OSCILLATORY))
     def test_oscillatory_pass(self, name):
         spec, *pinned = self.OSCILLATORY[name]
-        assert self._hex(integrate_finite(_oscillatory, 0.0, 3.0, spec)) == tuple(pinned)
+        assert self._hex(integrate_finite(_oscillatory, (0.0, 3.0), spec)) == tuple(pinned)

@@ -127,7 +127,7 @@ class TestWavefunction:
     def test_normalization_well(self):
         for n in list(range(1, 11)) + [25, 50]:
             level = eigen_level(WELL, n)
-            r = integrate_finite(lambda x: wavefunction(level, x) ** 2, -0.5, 0.5,
+            r = integrate_finite(lambda x: wavefunction(level, x) ** 2, (-0.5, 0.5),
                                  QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=400))
             assert r.value == pytest.approx(1.0, abs=1e-9)
 
@@ -326,16 +326,43 @@ class TestMoments:
     @pytest.mark.parametrize("system, n", [("ho", 0), ("ho", 31), ("well", 1), ("well", 100), ("bouncer", 1), ("bouncer", 14)])
     def test_one_pass_per_level(self, system, n):
         # the oscillator on the Gauss-Hermite rule of n + 2 nodes over the whole
-        # line, the well on its positive half, the bouncer from its floor at z = -E'_n to z = 9
+        # line, the well on its positive half from its n panels between u = k/n,
+        # the bouncer from its floor at z = -E'_n to z = 9
         model = {"ho": HO, "well": WELL, "bouncer": BALL}[system]
-        (_, a, b), _ = model.variant.moment_pass(eigen_level(model, n))
+        (_, *rule), _ = model.variant.moment_pass(eigen_level(model, n))
         if system == "ho":
-            assert a.shape == b.shape == (n + 2,) and a.min() < 0.0 < a.max()
-            assert a.tolist() == _gauss_hermite(n + 2)[0].tolist()
+            nodes, weights = rule
+            assert nodes.shape == weights.shape == (n + 2,) and nodes.min() < 0.0 < nodes.max()
+            assert nodes.tolist() == _gauss_hermite(n + 2)[0].tolist()
         elif system == "bouncer":
-            assert (a, b) == (-airy_zero(n).scaled_energy, 9.0)
+            assert rule == [(-airy_zero(n).scaled_energy, 9.0)]
         else:
-            assert (a, b) == (0.0, 1.0)
+            [points] = rule
+            assert points.tolist() == [k / n for k in range(n + 1)]
+
+    @pytest.mark.parametrize("n, calls", [(1, [225]), (2, [30]), (100, [1500]), (512, [7680]), (513, [7680, 15]),
+                                          (1000, [7680, 7320])])
+    def test_well_pass_converges_on_its_starting_panels(self, n, calls):
+        # from n = 2 on the pass converges on its n starting panels, 15n
+        # abscissas in integrand calls of at most 512 panels; n = 1 is one
+        # panel, whose one call evaluates the top of its bisection tree
+        level = eigen_level(WELL, n)
+        (f, points), _ = WELL.variant.moment_pass(level)
+        seen = []
+        result = quantum_states._integrate("well", level, lambda u: seen.append(len(u)) or f(u), (points,),
+                                           DEFAULT_SPEC)
+        assert seen == calls and result.evaluations == sum(calls) and result.converged
+
+    @pytest.mark.parametrize("spec", [DEFAULT_SPEC, QuadratureSpec(abs_tol=1e-6, rel_tol=1e-4),
+                                      QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)], ids=["default", "loose", "tight"])
+    def test_well_closed_form_errors_stay_at_rounding(self, spec):
+        # <P^2> = 2 norm and <X^2> = 1/3 - 2/(n pi)^2 at every spec; from its n
+        # panels the pass meets both within a few ulps, below the worst the
+        # pass from one panel reached at the default spec (2.3e-15 and 1.3e-15)
+        for n in (*range(1, 60), 100, 178, 316, 422, 562, 750, 1000, 1778, 3000, 10_001):
+            got = quantum_moments_quadrature(eigen_level(WELL, n), spec)
+            assert abs(got.mean_p2 - 1.0) <= 1.2e-15, n
+            assert abs(got.mean_x2 - (1.0 / 3.0 - 2.0 / (n * n * math.pi ** 2))) <= 5e-16, n
 
     @pytest.mark.parametrize("n", [0, 1, 2, 31, 32])
     def test_oscillator_one_half_line_pass(self, monkeypatch, n):

@@ -1,6 +1,7 @@
 import importlib.util
 import shutil
 import sys
+import types
 from pathlib import Path
 
 import ucr
@@ -61,6 +62,25 @@ def test_quad_ab_agrees_with_itself(capsys, monkeypatch):
     assert "bouncer n=11 " in out and "well n=2 " in out
     assert sys.getprofile() is None  # the profiler and the recorder are gone again
     assert ucr.classical_ensemble.integrate_singular_endpoints is ucr.quadrature.integrate_singular_endpoints
+
+
+def test_quad_ab_calls_each_tree_by_its_own_signature():
+    # a tree that takes the ends (a, b) gets the first and the last break point,
+    # a tree that takes break points gets them all, each on the runner's budget
+    quad_ab, seen = _tool("quad_ab"), []
+
+    def ends(f, a, b, spec):
+        seen.append(((a, b), spec.max_subdivisions))
+
+    def points(f, points, spec):
+        seen.append((tuple(points), spec.max_subdivisions))
+
+    one_pass = ("quantum", "quantum", None, ((0.0, 0.25, 0.5, 0.75, 1.0),))
+    for integrate_finite in (ends, points):
+        tree = types.SimpleNamespace(QuadratureSpec=ucr.QuadratureSpec, integrate_finite=integrate_finite)
+        quad_ab.run(tree, 20, one_pass, {})
+    assert seen == [((0.0, 1.0), 120), ((0.0, 0.25, 0.5, 0.75, 1.0), 120)]
+    assert [type(a) for a in seen[0][0]] == [float, float]
 
 
 def test_quad_ab_usage():

@@ -13,10 +13,13 @@ The sweep takes, for every level of SWEEP, the level's one quantum moment
 pass from `moment_pass` (on the budget `quantum_states._integrate` gives it,
 max(budget, 6n), and by `integrate_rule` when it hands over a fixed rule's
 nodes and weights, as the oscillator's does) and the classical ensemble's
-endpoint-singular pass, at each of seven specs.  The value, error estimate,
-`evaluations` and `converged` of the two trees' results must agree bit for
-bit (an integrand error must be the same exception).  The first (system, n,
-spec, pass) that differs is named.
+endpoint-singular pass, at each of seven specs.  Each tree's
+`integrate_finite` is called by its own signature: the pass's break points,
+or for a tree that takes the ends (a, b) the first and the last of them.
+The value, error estimate, `evaluations` and `converged` of the two trees'
+results must agree bit for bit (an integrand error must be the same
+exception).  Every (system, n, pass) that differs is listed with its specs,
+and the first differing case is shown.
 
 The loop's calls are counted with `sys.setprofile`: a `call` or `c_call`
 event belongs to the loop when the nearest enclosing frame of the tree's
@@ -32,6 +35,7 @@ every field agrees, 1 otherwise.  Needs numpy only.
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import os
 import sys
 import time
@@ -85,37 +89,40 @@ def import_ucr(src: str):
 
 
 def level_passes(ucr, model, n: int) -> list[tuple]:
-    """The level's passes as (label, kind, integrand, a, b): the quantum
-    moment pass (kind "rule" when a and b are a fixed rule's nodes and
-    weights), then the classical ensemble's pass, caught on its way to
-    `integrate_singular_endpoints`."""
+    """The level's passes as (label, kind, integrand, rule): the quantum
+    moment pass, its rule its (points,) or, kind "rule", a fixed rule's
+    (nodes, weights), then the classical ensemble's pass with its (a, b),
+    caught on its way to `integrate_singular_endpoints`."""
     level = ucr.eigen_level(model, n)
-    (f, a, b), _ = model.variant.moment_pass(level)
-    passes = [("quantum", "rule" if hasattr(a, "shape") else "quantum", f, a, b)]
+    (f, *rule), _ = model.variant.moment_pass(level)
+    passes = [("quantum", "rule" if len(rule) == 2 else "quantum", f, tuple(rule))]
     module = sys.modules["ucr.classical_ensemble"]
-    rule = module.integrate_singular_endpoints
+    singular = module.integrate_singular_endpoints
 
     def recording(from_left, from_right, a, b, spec):
-        passes.append(("classical", "classical", (from_left, from_right), a, b))
-        return rule(from_left, from_right, a, b, spec)
+        passes.append(("classical", "classical", (from_left, from_right), (a, b)))
+        return singular(from_left, from_right, a, b, spec)
 
     module.integrate_singular_endpoints = recording
     try:
         ucr.build_ensemble(model, level.energy)
     finally:
-        module.integrate_singular_endpoints = rule
+        module.integrate_singular_endpoints = singular
     return passes
 
 
 def run(module, n: int, one_pass: tuple, spec_fields: dict):
-    _, kind, f, a, b = one_pass
+    _, kind, f, rule = one_pass
     spec = module.QuadratureSpec(**spec_fields)
     if kind == "classical":
-        return module.integrate_singular_endpoints(*f, a, b, spec)
+        return module.integrate_singular_endpoints(*f, *rule, spec)
     if kind == "rule":
-        return module.integrate_rule(f, a, b, spec)
+        return module.integrate_rule(f, *rule, spec)
     spec = replace(spec, max_subdivisions=max(spec.max_subdivisions, 6 * n))
-    return module.integrate_finite(f, a, b, spec)
+    [points] = rule
+    if "b" in inspect.signature(module.integrate_finite).parameters:  # a tree whose passes start from (a, b)
+        return module.integrate_finite(f, float(points[0]), float(points[-1]), spec)
+    return module.integrate_finite(f, points, spec)
 
 
 def fields(module, n: int, one_pass: tuple, spec_fields: dict) -> tuple:
@@ -163,7 +170,7 @@ def main(argv: list[str], sweep: dict = SWEEP, counted: dict = COUNTED, rounds: 
     trees = {"parent": load_quadrature(argv[0], "parent"), "change": load_quadrature(argv[1], "change")}
     ucr, models = import_ucr(argv[1])
     cases = differ = 0
-    first = None
+    first, listed = None, {}
     for system, levels in sweep.items():
         for n in levels:
             for one_pass in level_passes(ucr, models[system], n):
@@ -173,7 +180,10 @@ def main(argv: list[str], sweep: dict = SWEEP, counted: dict = COUNTED, rounds: 
                     if got[0] != got[1]:
                         differ += 1
                         first = first or (f"{system} n={n} spec={spec_name} pass={one_pass[0]}", *got)
+                        listed.setdefault(f"{system} n={n} pass={one_pass[0]}", []).append(spec_name)
     print(f"fields: {differ} of {cases} (level, pass, spec) cases differ")
+    for case, spec_names in listed.items():
+        print(f"  {case}: {', '.join(spec_names)}")
     if first:
         print(f"first difference: {first[0]}\n  parent {first[1]}\n  change {first[2]}")
     print(f"{'loop calls per generation':30s}   parent -> change   generations per pass   pass set ms (min of {rounds})")
