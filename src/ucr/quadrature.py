@@ -11,12 +11,13 @@ or (m, k) for m components; each rule calls it once per batch of nodes.  An
 m-component integrand is integrated in one pass: every component shares the
 abscissas (and, for the adaptive rules, the subdivision), and the pass
 converges only when each component meets ``spec.tolerance`` of its own value.
-The result then holds one value and one error estimate per component.
+The result then holds one value, error estimate and rounding floor per component.
 
 The adaptive finite rule starts from the panels between the caller's break
-points (the well's n panels between u = k/n) and evaluates all of them first,
-in integrand calls of at most 512 panels; a one-panel start evaluates the top
-of its bisection tree in its first call instead.  Nothing outlives a call.
+points (the well's n panels between u = k/n, the bouncer's between its Airy
+zeros), in integrand calls of at most 512 panels, then takes each generation's
+halves in one call.  Its error estimate is QUADPACK qk15's, with its rounding
+floor; a pass asked for less than its floor stops at once.  Nothing outlives a call.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -75,14 +76,15 @@ class IntegralResult:
     error_estimate: Union[float, tuple[float, ...]]
     evaluations: int
     converged: bool
+    floor: Union[float, tuple[float, ...]] = field(repr=False)  # the least error estimate rounding allows
 
 
 DEFAULT_SPEC = QuadratureSpec()
 
 
 def _values(f: Integrand, xs: np.ndarray, where: str = "x") -> np.ndarray:
-    """f over the abscissas in one call, abscissas first: shape (k,) for a
-    one-component integrand, a C-contiguous (k, m) for an m-component one."""
+    """f over the abscissas in one call, as the integrand returns it, C-contiguous:
+    shape (k,) for a one-component integrand, (m, k) for an m-component one."""
     values = np.asarray(f(xs), dtype=float)
     if values.ndim not in (1, 2) or values.shape[-1] != len(xs):
         raise ValueError(f"integrand returned shape {values.shape} for {len(xs)} abscissas")
@@ -90,7 +92,7 @@ def _values(f: Integrand, xs: np.ndarray, where: str = "x") -> np.ndarray:
     if not finite.all():
         bad = int(np.argmin(finite.reshape(-1, len(xs)).all(axis=0)))
         raise QuadratureError(f"integrand returned non-finite value at {where}={xs[bad].item()!r}")
-    return np.ascontiguousarray(values.T)
+    return np.ascontiguousarray(values)
 
 
 # Embedded Gauss-Kronrod pair G7-K15 (QUADPACK qk15): the 15-point Kronrod
@@ -118,60 +120,47 @@ _K15_G7_WEIGHTS = np.array([_WGK[:-1] + _WGK[::-1], _WGK[:-1] + _WGK[::-1]])
 _K15_G7_WEIGHTS[1, 1::2] -= _WG[:-1] + _WG[::-1]
 
 
-# A one-panel pass's first call evaluates the top of its bisection tree, heap-ordered (node
-# k's halves are 2k + 1 and 2k + 2): most passes split their first panel, and a
-# generation costs about as much at 30 abscissas as at hundreds.  Depth 3 cuts a cold
-# bouncer `compare` by a fifth, 2 by an eighth; 4 doubles a long session's Airy memo misses.
-_TREE_DEPTH = 3
-_TREE = 2 ** (_TREE_DEPTH + 1) - 1  # its panels; the node number of any panel outside it
-_HALVES = np.minimum(np.arange(1, 2 * _TREE + 3).reshape(-1, 2).T, _TREE)  # column k: node k's two halves
 # Starting panels per integrand call: 7,680 abscissas, so a two-component integrand's values
 # (120 KiB) stay below glibc's default 128 KiB mmap threshold and are not mapped afresh each call.
 _BLOCK = 512
 
 
 def _panels(f: Integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """K15 values and |K15 - G7| errors, shape (2, P) or (2, m, P), of the P
-    panels (lo, hi) from one integrand call; each panel is its own
-    (2 x 15) @ (15 x m) product, so its sums do not depend on the batch."""
+    """K15 values, error estimates and rounding floors, shape (3, P) or (3, m, P), of the P
+    panels (lo, hi) from one integrand call.  The estimate is QUADPACK qk15's:
+    resasc min(1, (200 |K15 - G7| / resasc)^1.5), at least the floor 50 eps resabs, where
+    resabs integrates |f| and resasc |f - mean| by K15.  The sums are 2-D products over one
+    (m P, 15) row per panel and component, so a panel's sums do not depend on its batch."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     values = _values(f, (mid[:, None] + half[:, None] * _K15_NODES).ravel())
-    panels = half * (_K15_G7_WEIGHTS @ values.reshape(len(lo), 15, -1)).transpose(1, 2, 0)
-    np.abs(panels[1], out=panels[1])
-    return panels.reshape((2,) + values.shape[1:] + (len(lo),))
+    rows = values.reshape(-1, 15)  # one panel of one component a row
+    k15, diff = (rows @ _K15_G7_WEIGHTS.T).T
+    deviation = rows - 0.5 * k15[:, None]  # from the panel's mean
+    resabs, resasc = np.abs(rows) @ _K15_G7_WEIGHTS[0], np.abs(deviation, out=deviation) @ _K15_G7_WEIGHTS[0]
+    ratio = np.divide(200.0 * np.abs(diff), resasc, out=np.ones_like(resasc), where=resasc > 0.0)
+    floor = 50.0 * sys.float_info.epsilon * resabs
+    panels = np.array((k15, np.maximum(resasc * np.minimum(ratio, 1.0) ** 1.5, floor), floor))
+    return half * panels.reshape((3,) + values.shape[:-1] + (len(lo),))
 
 
 def integrate_finite(f: Integrand, points, spec: QuadratureSpec = DEFAULT_SPEC) -> IntegralResult:
     """QUADPACK's globally adaptive subdivision from the panels between the increasing break
     points (qagp), a generation of panels at a time; an m-component integrand shares the
-    subdivision.  It first evaluates every starting panel, ``_BLOCK`` panels a call, or for a
-    one-panel start the top of its bisection tree in one call; a generation whose halves all lie
-    in that tree takes them from it by node number.  ``evaluations`` counts everything evaluated."""
+    subdivision.  It first evaluates every starting panel, ``_BLOCK`` panels a call, then each
+    generation's halves in one call.  A pass stops unconverged when its budget is spent or when
+    a component's summed rounding floor exceeds its tolerance, which no split can meet."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 1 or len(points) < 2 or not np.logical_and.reduce(points[:-1] < points[1:]):
         raise ValueError(f"need two or more increasing break points, got {points!r}")
-    if len(points) == 2:  # one panel: the top of its tree, node 0 its root
-        a, b = points.tolist()
-        lo, hi = [a], [b]
-        for k in range(_TREE // 2):  # each half from the same 0.5 * (lo + hi)
-            mid = 0.5 * (lo[k] + hi[k])
-            lo, hi = lo + [lo[k], mid], hi + [mid, hi[k]]
-        tree_edges = np.array((lo, hi))
-        tree = _panels(f, *tree_edges)
-        # the panels keep _panels' layout, which the loop's concatenations and so its sums' bits follow
-        edges, panels, nodes = tree_edges[:, :1], tree[..., :1], np.zeros(1, dtype=np.intp)
-        evaluations = 15 * _TREE
-    else:  # many panels, outside any tree, so no half is taken from one; summed pairwise, from contiguous memory
-        edges = np.array((points[:-1], points[1:]))
-        blocks = [_panels(f, *edges[:, k:k + _BLOCK]) for k in range(0, edges.shape[1], _BLOCK)]
-        panels = np.ascontiguousarray(np.concatenate(blocks, axis=-1))
-        nodes, evaluations = np.full(edges.shape[1], _TREE, dtype=np.intp), 15 * edges.shape[1]
-    budget = spec.max_subdivisions
+    edges = np.array((points[:-1], points[1:]))
+    blocks = [_panels(f, *edges[:, k:k + _BLOCK]) for k in range(0, edges.shape[1], _BLOCK)]
+    panels = np.ascontiguousarray(np.concatenate(blocks, axis=-1))  # summed pairwise, from contiguous memory
+    evaluations, budget = 15 * edges.shape[1], spec.max_subdivisions
     while True:  # a generation a turn, by ndarray methods and ufuncs rather than numpy's Python wrappers
-        value, err = panels.sum(axis=-1)
+        value, err, floor = panels.sum(axis=-1)
         tol = spec.tolerance(value)
         converged = bool((err <= tol).all())
-        if converged or budget == 0:
+        if converged or budget == 0 or (floor > tol).any():
             break
         # Worst first by the largest error relative to the tolerance (tol is 0 where abs_tol = 0
         # meets a zero value); split the fewest worst panels whose removal leaves every component's
@@ -183,21 +172,16 @@ def integrate_finite(f: Integrand, points, spec: QuadratureSpec = DEFAULT_SPEC) 
         count = min(int(fits.searchsorted(True)) + 1, budget)
         split, keep = order[:count], order[count:]
         keep.sort()
-        children = _HALVES.take(nodes[split], axis=1).ravel()  # all left halves, then all right halves
-        if children.max() < _TREE:
-            halves, new = tree_edges.take(children, axis=1), tree[..., children]
-        else:  # a half outside the tree: evaluate every half
-            lo, hi = edges.take(split, axis=1)
-            mid = 0.5 * (lo + hi)
-            halves = np.concatenate((lo, mid, mid, hi)).reshape(2, -1)
-            new = _panels(f, *halves)
-            evaluations += 30 * count
+        lo, hi = edges.take(split, axis=1)
+        mid = 0.5 * (lo + hi)
+        halves = np.concatenate((lo, mid, mid, hi)).reshape(2, -1)  # all left halves, then all right halves
         edges = np.concatenate((edges.take(keep, axis=1), halves), axis=1)
-        panels = np.concatenate((panels[..., keep], new), axis=-1)  # by index: take would change .sum's order
-        nodes = np.concatenate((nodes[keep], children))
+        # by index: take would change .sum's order
+        panels = np.concatenate((panels[..., keep], _panels(f, *halves)), axis=-1)
+        evaluations += 30 * count
         budget -= count
     plain = (lambda array: tuple(array.tolist())) if value.ndim else float
-    return IntegralResult(plain(value), plain(err), evaluations, converged)
+    return IntegralResult(plain(value), plain(err), evaluations, converged, plain(floor))
 
 
 def integrate_rule(f: Integrand, nodes: np.ndarray, weights: np.ndarray,
@@ -207,11 +191,11 @@ def integrate_rule(f: Integrand, nodes: np.ndarray, weights: np.ndarray,
     estimate is its rounding floor eps * sum_i |w_i f(x_i)|, and the pass
     converges when every floor is within ``spec.tolerance``.  The sums are
     numpy's pairwise ufunc sums over each component, not a BLAS product."""
-    terms = np.multiply(_values(f, nodes).T, weights, order="C")  # (m, k): each component's terms contiguous
+    terms = _values(f, nodes) * weights  # (m, k): each component's terms contiguous
     value = np.add.reduce(terms, axis=-1)
     err = sys.float_info.epsilon * np.add.reduce(np.abs(terms), axis=-1)
     plain = (lambda array: tuple(array.tolist())) if value.ndim else float
-    return IntegralResult(plain(value), plain(err), len(nodes), bool((err <= spec.tolerance(value)).all()))
+    return IntegralResult(plain(value), plain(err), len(nodes), bool((err <= spec.tolerance(value)).all()), plain(err))
 
 
 def integrate_singular_endpoints(
@@ -232,7 +216,7 @@ def integrate_singular_endpoints(
 
     def folded(theta: np.ndarray) -> np.ndarray:
         s = length * np.sin(theta) ** 2
-        return (_values(from_left, s, "s") + _values(from_right, s, "s")).T * (length * np.sin(2.0 * theta))
+        return (_values(from_left, s, "s") + _values(from_right, s, "s")) * (length * np.sin(2.0 * theta))
 
     result = integrate_finite(folded, (0.0, 0.25 * math.pi), spec)
     return replace(result, evaluations=2 * result.evaluations)

@@ -94,7 +94,7 @@ def _integrate(what: str, level: EigenLevel, f, rule: tuple, spec: QuadratureSpe
     """One quantum pass of f: by the fixed rule when `rule` is its (nodes, weights), else by K15
     from the panels between its break points (points,), such as the well's n panels between
     u = k/n, with a budget grown for the integrands' ~n oscillations; raises naming `what` if it
-    fails."""
+    fails, and the first component whose rounding floor lies above its tolerance."""
     # each rule by its module-level name, which a tracer may patch
     if len(rule) == 2:
         result = integrate_rule(f, *rule, spec)
@@ -102,7 +102,10 @@ def _integrate(what: str, level: EigenLevel, f, rule: tuple, spec: QuadratureSpe
         spec = replace(spec, max_subdivisions=max(spec.max_subdivisions, 6 * level.n))
         result = integrate_finite(f, *rule, spec)
     if not result.converged:
-        raise RuntimeError(f"{what} failed to converge: {result}")
+        floors, tols = np.atleast_1d(result.floor), spec.tolerance(np.atleast_1d(result.value))
+        below = "".join(f"; component {k}'s rounding floor {floors[k]:.3g} exceeds its tolerance {tols[k]:.3g}"
+                        for k in np.flatnonzero(floors > tols)[:1])
+        raise RuntimeError(f"{what} failed to converge: {result}{below}")
     return result
 
 

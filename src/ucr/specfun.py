@@ -9,9 +9,10 @@ for Newton steps and the public API, returns the same bits as any array call.
 A one-element call runs on every branch in Python floats, which round as
 numpy's do; the series sums go term by term, down the columns of a batch
 below 100 elements and along its rows from there (`_partial_sums`).
-One LRU memo of whole batches, 20,000 elements in all, sits in front of the
-kernel and `airy_zero` memoizes its zeros; the Taylor and series tables are
-built once, on first use.  Nothing else is kept between calls.
+One LRU memo of whole batches, 20,000 elements in all with each batch charged
+18 more for its overhead, sits in front of the kernel and `airy_zero`
+memoizes its zeros; the Taylor and series tables are built once, on first
+use.  Nothing else is kept between calls.
 """
 
 from __future__ import annotations
@@ -107,6 +108,7 @@ _TERM_FLOOR = 2.0 ** -60  # a series stops at its first term below this
 _CHUNK = 512  # elements per kernel pass: bounds the (terms x elements) series arrays
 _ROWS_FROM = 100  # batch length from which _partial_sums runs row by row
 _MEMO_SIZE = 20_000
+_ENTRY_COST = 18  # the elements a memo entry is charged besides its own: ~430 B of key, arrays and links
 
 
 def _asymptotic_coefficients(count: int) -> tuple[list[float], list[float]]:
@@ -367,7 +369,8 @@ def _argument_error(z: float) -> ValueError:
 
 
 # The memo: the bytes of a 1-D batch -> its read-only (Ai, Ai') rows, least
-# recently used first; bounded, and counted, in elements.
+# recently used first; bounded, and counted, in elements, each batch charged
+# _ENTRY_COST more, so one-element batches cannot fill memory the bound does not see.
 _MEMO: OrderedDict[bytes, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 _memo_counts = [0, 0, 0]  # hits, misses, held elements
 _MEMO_LOCK = threading.Lock()  # held by each memo access, a kernel pass on a miss included
@@ -392,10 +395,10 @@ def airy(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values.setflags(write=False)
         rows = values[0], values[1]
         _memo_counts[1] += len(z)
-        if len(z) <= _MEMO_SIZE:  # a larger batch is returned but not kept
-            _memo_counts[2] += len(z)
+        if len(z) + _ENTRY_COST <= _MEMO_SIZE:  # a larger batch is returned but not kept
+            _memo_counts[2] += len(z) + _ENTRY_COST
             while _memo_counts[2] > _MEMO_SIZE:
-                _memo_counts[2] -= _MEMO.popitem(last=False)[1][0].size
+                _memo_counts[2] -= _MEMO.popitem(last=False)[1][0].size + _ENTRY_COST
             _MEMO[key] = rows
         return rows
 
@@ -403,7 +406,8 @@ def airy(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def airy_ai(z: float) -> AiryValue:
     """Ai(z) and Ai'(z) with the branch that computed them: one element of
     `airy`, through the same memo.  ``airy_ai.cache_clear()`` empties that
-    memo and ``airy_ai.cache_info()`` reports its hits, misses and size in elements."""
+    memo and ``airy_ai.cache_info()`` reports its hits and misses in elements and its size
+    in charged elements."""
     ai, aip = airy(np.array([z], dtype=float))
     return AiryValue(ai.item(), aip.item(), _branch(z))
 

@@ -264,7 +264,7 @@ def test_criterion_14_cli_contract(capsys, tmp_path):
 
     exit_matrix = [
         (("compare", "--system", "ho", "--n", "0"), EXIT_OK),
-        (("compare", "--system", "bouncer", "--n", "3", "--quad-tol", "1e-6", "--tol", "1e-15"), EXIT_PARITY),
+        (("compare", "--system", "bouncer", "--n", "3", "--quad-tol", "1e-6", "--tol", "0"), EXIT_PARITY),
         (("compare", "--system", "well", "--n", "0"), EXIT_USAGE),
         (("compare", "--system", "nosuch"), EXIT_USAGE),
         (("verify", "--system", "well", "--samples", "100"), EXIT_PARITY),

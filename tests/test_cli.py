@@ -135,8 +135,9 @@ class TestCompareCommand:
         assert quantum[-1] == "true"
 
     def test_parity_failure_exit_code(self, capsys):
-        # the loose integrals leave the bouncer's rows 7e-15 apart, far above any rounding noise
-        code, out, _ = run(capsys, "compare", "--system", "bouncer", "--n", "3", "--quad-tol", "1e-6", "--tol", "1e-15")
+        # parity is |classical - quantum| < --tol, so a tolerance of 0 fails every row: even at
+        # --quad-tol 1e-6 the bouncer's passes from their break points agree to the printed digits
+        code, out, _ = run(capsys, "compare", "--system", "bouncer", "--n", "3", "--quad-tol", "1e-6", "--tol", "0")
         assert code == EXIT_PARITY
         assert out.strip().split("\n")[1].split(",")[-1] == "false"
 
@@ -202,14 +203,26 @@ class TestCompareCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"usage error: oscillator quantum number must be at most 20000, got {top}\n"
 
-    @pytest.mark.parametrize("command, system", [("compare", "well"), ("density", "bouncer")])
-    def test_range_too_long_to_build_is_refused_at_once(self, capsys, command, system):
-        # past sys.maxsize levels neither list(range) nor len(range) can take it
+    @pytest.mark.parametrize("command, top", [("compare", 10 ** 17), ("density", 10 ** 20)],
+                             ids=["compare-bouncer", "density-bouncer"])
+    def test_range_too_long_to_build_is_refused_at_once(self, capsys, command, top):
+        # compare checks both ends first, so its top is a bouncer level a_n can reach (a_n ~ -6e11);
+        # its list of levels is more than memory holds, and past sys.maxsize neither
+        # list(range) nor len(range) can take density's
         start = time.perf_counter()
-        code, out, err = run(capsys, command, "--system", system, "--n", "1..100000000000000000000")
+        code, out, err = run(capsys, command, "--system", "bouncer", "--n", f"1..{top}")
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == "usage error: n selector 1..100000000000000000000 has too many levels to build\n"
+        assert err == f"usage error: n selector 1..{top} has too many levels to build\n"
+
+    @pytest.mark.parametrize("command", ["compare", "density"])
+    def test_well_level_past_its_ceiling_is_refused_at_once(self, capsys, command):
+        # refused before its pass holds the level's n panels (10^7 of them took 1.2 GB)
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--system", "well", "--n", "10000000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "usage error: well quantum number must be at most 1000000, got 10000000\n"
 
     def test_bouncer_level_past_airy_limit_is_usage_error(self, capsys):
         # a_n for n ~ 1e18 lies below -1e12, where airy_ai refuses to compute
@@ -424,11 +437,11 @@ class TestInputValidation:
 
     @pytest.mark.parametrize(
         "command, expected",
-        # the bouncer's quantum pass stops on its first panel and misses the
-        # parity tolerance; verify's classical pass meets its oracle, and the
-        # oscillator's exact rule does not depend on --quad-tol
+        # the bouncer's quantum pass stops on its starting panels and runs to
+        # the parity verdict, which --tol 0 fails; verify's classical pass meets
+        # its oracle, and the oscillator's exact rule does not depend on --quad-tol
         [
-            (("compare", "--system", "bouncer", "--n", "1"), EXIT_PARITY),
+            (("compare", "--system", "bouncer", "--n", "1", "--tol", "0"), EXIT_PARITY),
             (("verify", "--system", "ho", "--samples", "1000"), EXIT_OK),
             (("compare", "--system", "ho", "--n", "0"), EXIT_OK),
         ],
@@ -439,8 +452,9 @@ class TestInputValidation:
 
     def test_largest_quad_tol_on_a_large_moment_is_a_parity_failure(self, capsys):
         # the bouncer's raw <z^2> integral at n = 5000 is past 1.79e6, where
-        # rel_tol * |value| = 1e302 * |value| saturates instead of overflowing
-        code, _, err = run(capsys, "compare", "--system", "bouncer", "--n", "5000", "--quad-tol", "1e300")
+        # rel_tol * |value| = 1e302 * |value| saturates instead of overflowing;
+        # the rows then reach the verdict, which --tol 0 fails
+        code, _, err = run(capsys, "compare", "--system", "bouncer", "--n", "5000", "--quad-tol", "1e300", "--tol", "0")
         assert code == EXIT_PARITY, err
 
     @pytest.mark.parametrize(

@@ -83,9 +83,12 @@ class TestEigenLevel:
             eigen_level(HO, 20_001)
         with pytest.raises(ValueError, match="at most 20000"):
             eigen_level(HO, 99_999_999_999)
-        # the other systems have no ceiling
-        assert WELL.variant.n_max == BALL.variant.n_max == math.inf
-        assert eigen_level(WELL, 10 ** 12).n == 10 ** 12
+        # the well's pass holds its n panels at once, so its levels stop at 10^6; the bouncer has no ceiling
+        assert eigen_level(WELL, 10 ** 6).n == WELL.variant.n_max == 10 ** 6
+        with pytest.raises(ValueError, match=re.escape("well quantum number must be at most 1000000, got 1000001")):
+            eigen_level(WELL, 10 ** 6 + 1)
+        assert BALL.variant.n_max == math.inf
+        assert eigen_level(BALL, 10 ** 12).n == 10 ** 12
 
     @pytest.mark.parametrize("model", [HO, WELL, BALL])
     def test_numpy_integer_quantum_numbers_accepted(self, model):
@@ -289,6 +292,19 @@ class TestFailingPass:
         with pytest.raises(RuntimeError, match="^oscillator moment quadrature failed to converge: IntegralResult"):
             quantum_moments_quadrature(eigen_level(HO, 3), QuadratureSpec(abs_tol=1e-300, rel_tol=1e-298))
 
+    def test_pass_below_its_floor_names_the_component(self, monkeypatch):
+        # at n = 200 the <P> integrand Ai Ai' has a rounding floor 50 eps int |Ai Ai'| of
+        # 1.07e-13, above SPEC's 1e-13 for its zero value: the pass stops on its starting
+        # panels and the error names that component, where it used to meet SPEC
+        calls = []
+        monkeypatch.setattr(quantum_states, "integrate_finite",
+                            lambda *args: calls.append(args) or integrate_finite(*args))
+        with pytest.raises(RuntimeError, match=r"^bouncer moment quadrature failed to converge: IntegralResult\(.*"
+                                               r"evaluations=3090, converged=False\); component 3's rounding floor "
+                                               r"1\.07e-13 exceeds its tolerance 1e-13$"):
+            quantum_moments_quadrature(eigen_level(BALL, 200), SPEC)
+        assert len(calls) == 1
+
     def test_well_stops_at_its_first_failing_pass(self, monkeypatch):
         # the runner looks each rule up by its module-level name, so a
         # patched name sees every call; the well's one pass is one call
@@ -327,7 +343,8 @@ class TestMoments:
     def test_one_pass_per_level(self, system, n):
         # the oscillator on the Gauss-Hermite rule of n + 2 nodes over the whole
         # line, the well on its positive half from its n panels between u = k/n,
-        # the bouncer from its floor at z = -E'_n to z = 9
+        # the bouncer from its floor at z = -E'_n past the asymptotic zeros a_k,
+        # k = n - 1 .. 1, each within 6e-4 of its zero, and on to z = 9
         model = {"ho": HO, "well": WELL, "bouncer": BALL}[system]
         (_, *rule), _ = model.variant.moment_pass(eigen_level(model, n))
         if system == "ho":
@@ -335,17 +352,20 @@ class TestMoments:
             assert nodes.shape == weights.shape == (n + 2,) and nodes.min() < 0.0 < nodes.max()
             assert nodes.tolist() == _gauss_hermite(n + 2)[0].tolist()
         elif system == "bouncer":
-            assert rule == [(-airy_zero(n).scaled_energy, 9.0)]
+            [points] = rule
+            zeros = [airy_zero(k).value for k in range(n - 1, 0, -1)]
+            past = [0.0, 1.0, 2.0, 3.0, 4.5, 6.0, 9.0]
+            assert points.tolist()[:1] + points.tolist()[n:] == [-airy_zero(n).scaled_energy] + past
+            assert np.all(np.abs(points[1:n] - zeros) < 6e-4)
         else:
             [points] = rule
             assert points.tolist() == [k / n for k in range(n + 1)]
 
-    @pytest.mark.parametrize("n, calls", [(1, [225]), (2, [30]), (100, [1500]), (512, [7680]), (513, [7680, 15]),
+    @pytest.mark.parametrize("n, calls", [(1, [15]), (2, [30]), (100, [1500]), (512, [7680]), (513, [7680, 15]),
                                           (1000, [7680, 7320])])
     def test_well_pass_converges_on_its_starting_panels(self, n, calls):
-        # from n = 2 on the pass converges on its n starting panels, 15n
-        # abscissas in integrand calls of at most 512 panels; n = 1 is one
-        # panel, whose one call evaluates the top of its bisection tree
+        # the pass converges on its n starting panels, 15n abscissas in
+        # integrand calls of at most 512 panels
         level = eigen_level(WELL, n)
         (f, points), _ = WELL.variant.moment_pass(level)
         seen = []
@@ -467,10 +487,9 @@ class TestMoments:
     @pytest.mark.parametrize("n", [200, 1000])
     def test_bouncer_high_levels(self, monkeypatch, n):
         # Ai over (a_n, 9] carries about n oscillations; at n = 1000 the
-        # moment pass evaluates Ai about 91,000 times, far past what the memo
-        # holds.  DEFAULT_SPEC, as `ucr compare` runs: at SPEC's abs_tol 1e-13
-        # the error estimate of the Ai Ai' component at n = 1000 stays at its
-        # rounding floor, about 1.3e-13, and the pass cannot converge.
+        # moment pass evaluates Ai 44,400 times, far past what the memo
+        # holds.  DEFAULT_SPEC, as `ucr compare` runs: SPEC's abs_tol 1e-13
+        # lies below the Ai Ai' component's rounding floor from n = 200 on.
         mean_p = _checked_mean_p(monkeypatch)
         got = quantum_moments_quadrature(eigen_level(BALL, n), DEFAULT_SPEC)
         assert abs(got.mean_x - 2.0 / 3.0) < 1e-6
@@ -517,6 +536,75 @@ class TestMoments:
         assert got.method == "quadrature"
 
 
+_ESTIMATE_SPECS = {"default": DEFAULT_SPEC, "loose": QuadratureSpec(abs_tol=1e-6, rel_tol=1e-4), "tight": SPEC}
+
+
+def _exact_integrals(system: str, n: int) -> list:
+    """The exact integrals of the level's moment pass, from mpmath at 30 digits: the well's
+    1/2 and 1/6 - 1/(n pi)^2 over u in [0, 1]; the bouncer's Ai'(a_n)^2, (2/3) E' Ai'(a_n)^2,
+    (8/15) E'^2 Ai'(a_n)^2 and 0 over (a_n, inf), for the shifts z + e by the pass's own
+    double e rather than E' = -a_n (delta = e - E' is about an ulp of E')."""
+    if system == "well":
+        return [mp.mpf(1) / 2, mp.mpf(1) / 6 - 1 / (n * mp.pi) ** 2]
+    with mp.workdps(30):
+        a = mp.airyaizero(n)
+        slope2 = mp.airyai(a, derivative=1) ** 2
+        e = -a
+        delta = mp.mpf(airy_zero(n).scaled_energy) - e
+        first = mp.mpf(2) / 3 * e * slope2
+        second = mp.mpf(8) / 15 * e * e * slope2 + 2 * delta * first + delta ** 2 * slope2
+        return [slope2, first + delta * slope2, second, mp.mpf(0)]
+
+
+class TestErrorEstimates:
+    """Every converged pass's error estimate bounds its component's distance from the exact
+    integral: QUADPACK qk15's estimate with its rounding floor 50 eps resabs does; the
+    |K15 - G7| of the G7 rule did not, 14 of the well's 138 components lay past it at
+    the default spec."""
+
+    LEVELS = {
+        "well": (*range(1, 60), 100, 178, 316, 422, 562, 750, 1000, 1778, 3000, 10_001),
+        "bouncer": (*range(1, 37), 200, 1000),
+    }
+
+    @pytest.mark.parametrize("spec", sorted(_ESTIMATE_SPECS))
+    @pytest.mark.parametrize("system", sorted(LEVELS))
+    def test_estimate_bounds_the_truth(self, system, spec):
+        model, spec = {"well": WELL, "bouncer": BALL}[system], _ESTIMATE_SPECS[spec]
+        passed, under = 0, []
+        for n in self.LEVELS[system]:
+            level = eigen_level(model, n)
+            (f, *rule), _ = model.variant.moment_pass(level)
+            try:
+                result = quantum_states._integrate(system, level, f, rule, spec)
+            except RuntimeError:  # a pass that does not converge claims nothing
+                continue
+            passed += 1
+            for k, (value, error, exact) in enumerate(zip(result.value, result.error_estimate,
+                                                          _exact_integrals(system, n))):
+                if not abs(mp.mpf(value) - exact) <= error:
+                    under.append((n, k, float(abs(mp.mpf(value) - exact)), error))
+        assert passed >= len(self.LEVELS[system]) - 2 and under == []
+
+    @pytest.mark.parametrize("n, evaluations, generations", [(14, 720, 1), (200, 9060, 1), (1000, 44_400, 2),
+                                                             (3000, 132_330, 4), (4000, 177_240, 4)])
+    def test_bouncer_starts_from_its_zeros(self, n, evaluations, generations):
+        # the bouncer's pass evaluates its n + 6 starting panels, 512 to a call, then splits
+        # for one to four generations at the default spec; every moment lies within 4e-15 of
+        # its closed form up to n = 4000, where the pass from one panel did not converge
+        level = eigen_level(BALL, n)
+        (f, points), moments = BALL.variant.moment_pass(level)
+        seen = []
+        result = quantum_states._integrate("bouncer", level, lambda z: seen.append(len(z)) or f(z), (points,),
+                                           DEFAULT_SPEC)
+        starts = -(-(n + 6) // 512)
+        assert seen[:starts] == [15 * 512] * (starts - 1) + [15 * ((n + 6 - 1) % 512 + 1)]
+        assert (result.evaluations, len(seen) - starts, result.converged) == (evaluations, generations, True)
+        mean_x, mean_x2, mean_p2, mean_p = moments(result.value)
+        for got, exact in ((mean_x, 2.0 / 3.0), (mean_x2, 8.0 / 15.0), (mean_p2, 1.0 / 3.0), (mean_p, 0.0)):
+            assert abs(got - exact) <= 4e-15
+
+
 class TestCommutatorBound:
     def test_values(self):
         assert commutator_bound(eigen_level(HO, 0)) == 0.25
@@ -548,7 +636,9 @@ class TestCommutatorBound:
 
 class TestDensityGrid:
     # (x, quantum, classical, clipped) rows of level 2 as float.hex, recorded
-    # from the padded-neighbour clip that the end-only clip replaced
+    # from the padded-neighbour clip that the end-only clip replaced; the
+    # well's classical column moved from 0x1.0p-1 by one ulp when its
+    # classical pass came to converge on its first panel under qk15's estimate
     ROWS = {
         ('bouncer', 2): (
             ('0x0.0p+0', '0x1.0bc814deb8f23p-102', '0x1.ffffffffffffep-2', False),
@@ -577,19 +667,19 @@ class TestDensityGrid:
             ('0x1.0000000000000p+0', '0x1.6086f6d304710p-2', '0x1.59b8b1f4ecc98p-2', True),
         ),
         ('well', 2): (
-            ('-0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
-            ('0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
+            ('-0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000001p-1', False),
+            ('0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000001p-1', False),
         ),
         ('well', 3): (
-            ('-0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
-            ('0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p-1', False),
-            ('0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
+            ('-0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000001p-1', False),
+            ('0x0.0p+0', '0x0.0p+0', '0x1.0000000000001p-1', False),
+            ('0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000001p-1', False),
         ),
         ('well', 4): (
-            ('-0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
-            ('-0x1.5555555555556p-2', '0x1.8000000000001p-1', '0x1.0000000000000p-1', False),
-            ('0x1.5555555555554p-2', '0x1.7ffffffffffffp-1', '0x1.0000000000000p-1', False),
-            ('0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
+            ('-0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000001p-1', False),
+            ('-0x1.5555555555556p-2', '0x1.8000000000001p-1', '0x1.0000000000001p-1', False),
+            ('0x1.5555555555554p-2', '0x1.7ffffffffffffp-1', '0x1.0000000000001p-1', False),
+            ('0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000001p-1', False),
         ),
     }
 

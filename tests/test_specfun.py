@@ -324,7 +324,7 @@ class TestAiryArray:
         airy(first)  # now second is the least recent
         airy(third)  # 24,000 elements: second goes
         info = airy_ai.cache_info()
-        assert info.currsize == 16_000 and (info.hits, info.misses) == (8_000, 24_000)
+        assert info.currsize == 2 * (8_000 + specfun._ENTRY_COST) and (info.hits, info.misses) == (8_000, 24_000)
         airy(first)
         airy(third)
         assert airy_ai.cache_info().misses == 24_000
@@ -363,7 +363,7 @@ class TestAiryArray:
         assert not any(thread.is_alive() for thread in threads) and wrong == []
         info = airy_ai.cache_info()
         assert info.hits + info.misses == 4 * 100 * 200
-        assert info.currsize == sum(len(ai) for ai, _ in specfun._MEMO.values()) <= 20_000
+        assert info.currsize == sum(len(ai) + specfun._ENTRY_COST for ai, _ in specfun._MEMO.values()) <= 20_000
 
     def test_batch_over_the_bound_is_returned_not_kept(self):
         kept = np.linspace(-2.0, 2.0, 100)
@@ -374,9 +374,22 @@ class TestAiryArray:
         assert ai.shape == aip.shape == (20_001,)
         assert _bits(ai[::2000]) == _bits(airy(big[::2000])[0])
         info = airy_ai.cache_info()
-        assert info.currsize == 100 + len(big[::2000]) and info.misses == 20_001 + 100 + len(big[::2000])
+        assert info.currsize == 100 + len(big[::2000]) + 2 * specfun._ENTRY_COST
+        assert info.misses == 20_001 + 100 + len(big[::2000])
         airy(kept)
         assert airy_ai.cache_info().hits == 100
+
+    def test_each_batch_is_charged_its_overhead(self):
+        # a one-element batch weighs about as much as 18 elements more (its key, two
+        # views, its base array and its list node), so one-element calls fill the memo at 19 each
+        airy_ai.cache_clear()
+        for z in np.linspace(-1.0, 1.0, 2_000):
+            airy(np.array([z]))
+        held = 20_000 // (1 + specfun._ENTRY_COST)
+        assert len(specfun._MEMO) == held and airy_ai.cache_info().currsize == held * (1 + specfun._ENTRY_COST)
+        airy(np.array([1.0]))  # the last batch is still held; the first has gone
+        airy(np.array([-1.0]))
+        assert airy_ai.cache_info().hits == 1
 
 
 class TestAirySeams:

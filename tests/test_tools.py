@@ -64,23 +64,19 @@ def test_quad_ab_agrees_with_itself(capsys, monkeypatch):
     assert ucr.classical_ensemble.integrate_singular_endpoints is ucr.quadrature.integrate_singular_endpoints
 
 
-def test_quad_ab_calls_each_tree_by_its_own_signature():
-    # a tree that takes the ends (a, b) gets the first and the last break point,
-    # a tree that takes break points gets them all, each on the runner's budget
+def test_quad_ab_hands_each_tree_the_break_points_on_the_runners_budget():
+    # each tree's integrate_finite gets the pass's break points as they are,
+    # on the budget max(max_subdivisions, 6n) that quantum_states._integrate gives
     quad_ab, seen = _tool("quad_ab"), []
 
-    def ends(f, a, b, spec):
-        seen.append(((a, b), spec.max_subdivisions))
-
     def points(f, points, spec):
-        seen.append((tuple(points), spec.max_subdivisions))
+        seen.append((points, spec.max_subdivisions))
 
     one_pass = ("quantum", "quantum", None, ((0.0, 0.25, 0.5, 0.75, 1.0),))
-    for integrate_finite in (ends, points):
-        tree = types.SimpleNamespace(QuadratureSpec=ucr.QuadratureSpec, integrate_finite=integrate_finite)
-        quad_ab.run(tree, 20, one_pass, {})
-    assert seen == [((0.0, 1.0), 120), ((0.0, 0.25, 0.5, 0.75, 1.0), 120)]
-    assert [type(a) for a in seen[0][0]] == [float, float]
+    tree = types.SimpleNamespace(QuadratureSpec=ucr.QuadratureSpec, integrate_finite=points)
+    for n in (5, 20):
+        quad_ab.run(tree, n, one_pass, {})
+    assert seen == [((0.0, 0.25, 0.5, 0.75, 1.0), 60), ((0.0, 0.25, 0.5, 0.75, 1.0), 120)]
 
 
 def test_quad_ab_usage():

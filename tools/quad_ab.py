@@ -13,12 +13,10 @@ The sweep takes, for every level of SWEEP, the level's one quantum moment
 pass from `moment_pass` (on the budget `quantum_states._integrate` gives it,
 max(budget, 6n), and by `integrate_rule` when it hands over a fixed rule's
 nodes and weights, as the oscillator's does) and the classical ensemble's
-endpoint-singular pass, at each of seven specs.  Each tree's
-`integrate_finite` is called by its own signature: the pass's break points,
-or for a tree that takes the ends (a, b) the first and the last of them.
-The value, error estimate, `evaluations` and `converged` of the two trees'
-results must agree bit for bit (an integrand error must be the same
-exception).  Every (system, n, pass) that differs is listed with its specs,
+endpoint-singular pass, at each of seven specs; both trees' `integrate_finite`
+take the pass's break points.  The value, error estimate, `evaluations` and
+`converged` of the two trees' results must agree bit for bit (an integrand
+error must be the same exception).  Every (system, n, pass) that differs is listed with its specs,
 and the first differing case is shown.
 
 The loop's calls are counted with `sys.setprofile`: a `call` or `c_call`
@@ -35,7 +33,6 @@ every field agrees, 1 otherwise.  Needs numpy only.
 from __future__ import annotations
 
 import importlib.util
-import inspect
 import os
 import sys
 import time
@@ -118,11 +115,7 @@ def run(module, n: int, one_pass: tuple, spec_fields: dict):
         return module.integrate_singular_endpoints(*f, *rule, spec)
     if kind == "rule":
         return module.integrate_rule(f, *rule, spec)
-    spec = replace(spec, max_subdivisions=max(spec.max_subdivisions, 6 * n))
-    [points] = rule
-    if "b" in inspect.signature(module.integrate_finite).parameters:  # a tree whose passes start from (a, b)
-        return module.integrate_finite(f, float(points[0]), float(points[-1]), spec)
-    return module.integrate_finite(f, points, spec)
+    return module.integrate_finite(f, *rule, replace(spec, max_subdivisions=max(spec.max_subdivisions, 6 * n)))
 
 
 def fields(module, n: int, one_pass: tuple, spec_fields: dict) -> tuple:
