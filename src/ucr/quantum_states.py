@@ -64,7 +64,8 @@ def eigen_level(model: PotentialModel, n: int) -> EigenLevel:
         raise ValueError(f"{variant.name} quantum number must be an integer >= {variant.n_min}, got {n!r}")
     if n > variant.n_max:
         raise ValueError(f"{variant.name} quantum number must be at most {variant.n_max}, got {n!r}")
-    return EigenLevel(model, n, *variant.level(n, model.hbar))
+    energy = variant.level(n, model.hbar)
+    return EigenLevel(model, n, energy, variant.turning_point(energy))
 
 
 def bouncer_state(level: EigenLevel, spec: QuadratureSpec = DEFAULT_SPEC) -> BouncerState:

@@ -422,13 +422,21 @@ airy_ai.cache_clear = _cache_clear
 airy_ai.cache_info = lambda: _CacheInfo(_memo_counts[0], _memo_counts[1], _MEMO_SIZE, _memo_counts[2])
 
 
+def asymptotic_zero(k):
+    """a_k ~ -T(3 pi (4k - 1)/8) (DLMF 9.9.6), the k-th negative zero of Ai, for an integer k >= 1 or an integer
+    array, with T(t) ~ t^(2/3) (1 + 5/48 t^-2 - 5/36 t^-4) (DLMF 9.9.18): 6e-4 off at k = 1, closer beyond."""
+    t = 3.0 * math.pi * (4.0 * k - 1.0) / 8.0
+    t2 = t * t  # not t ** 4: a float's ** raises OverflowError from k ~ 2.5e76, far past the Airy limit
+    return -t ** (2.0 / 3.0) * (1.0 + 5.0 / 48.0 / t2 - 5.0 / 36.0 / (t2 * t2))
+
+
 @functools.lru_cache(maxsize=4096, typed=True)  # typed: 3.0 must not hit the entry of 3
 def airy_zero(n: int) -> AiryZero:
     """The n-th negative zero a_n of Ai, found by Newton iteration seeded at
-    the asymptotic estimate a_n ~ -[3 pi (4n-1)/8]^(2/3)."""
+    its asymptotic estimate `asymptotic_zero(n)`."""
     if not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"Airy-zero index must be an integer >= 1, got {n!r}")
-    a = -((3.0 * math.pi * (4.0 * n - 1.0) / 8.0) ** (2.0 / 3.0))
+    a = asymptotic_zero(n)
     for _ in range(_NEWTON_MAX_ITER):
         v = airy_ai(a)
         step = v.ai / v.ai_prime

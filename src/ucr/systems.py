@@ -42,7 +42,7 @@ class _System:
       ``closed_form``, the exact classical (<X>, <X^2>, <P^2>).
     Quantum side, for level n at hbar:
       ``name``, ``n_min`` and ``n_max`` (the highest level computed);
-      ``level(n, hbar)``, (E_n, A_n); ``psi(level, x)``;
+      ``level(n, hbar)``, E_n, whose A_n is ``turning_point(E_n)``; ``psi(level, x)``;
       ``moment_pass(level)``, the one integral in the natural coordinate,
       (f, points) adaptively from the panels between the sorted break points
       or (f, nodes, weights) by a fixed rule, and how its values become
@@ -167,8 +167,8 @@ class HarmonicOscillator(_System):
 
         return lambda x: half_mw2 * (turning - x) * (turning + x), from_end, from_end
 
-    def level(self, n: int, hbar: float) -> tuple[float, float]:
-        return (n + 0.5) * hbar * self.omega, math.sqrt((2 * n + 1) * hbar / (self.m * self.omega))
+    def level(self, n: int, hbar: float) -> float:
+        return (n + 0.5) * hbar * self.omega
 
     def psi(self, level, x: np.ndarray) -> np.ndarray:
         scale = math.sqrt(self.m * self.omega / level.model.hbar)
@@ -244,8 +244,8 @@ class InfiniteWell(_System):
 
         return flat, flat, flat
 
-    def level(self, n: int, hbar: float) -> tuple[float, float]:
-        return n * n * math.pi ** 2 * hbar ** 2 / (2.0 * self.m * self.L ** 2), self.L / 2.0
+    def level(self, n: int, hbar: float) -> float:
+        return n * n * math.pi ** 2 * hbar ** 2 / (2.0 * self.m * self.L ** 2)
 
     def psi(self, level, x: np.ndarray) -> np.ndarray:
         half = self.L / 2.0
@@ -322,9 +322,9 @@ class BouncingBall(_System):
     def airy_scales(self, n: int, hbar: float) -> tuple[float, float]:
         return specfun.airy_zero(n).scaled_energy, (hbar ** 2 / (2.0 * self.m ** 2 * self.g)) ** (1.0 / 3.0)
 
-    def level(self, n: int, hbar: float) -> tuple[float, float]:
+    def level(self, n: int, hbar: float) -> float:
         scaled_energy, grav_length = self.airy_scales(n, hbar)
-        return self.m * self.g * grav_length * scaled_energy, grav_length * scaled_energy
+        return self.m * self.g * grav_length * scaled_energy
 
     def psi(self, level, x: np.ndarray) -> np.ndarray:
         # N_n = 1/|Ai'(a_n)| normalizes Ai over (a_n, inf); `bouncer_state`
@@ -337,12 +337,9 @@ class BouncingBall(_System):
     def moment_pass(self, level):
         # All integrals live in the shifted dimensionless coordinate on
         # (-E'_n, 9], the tail past _Z_END below rounding; the gravitational
-        # length cancels throughout.  Panels end near the zeros a_k, k = n - 1 .. 1, of Ai:
-        # a_k = -T(3 pi (4k - 1)/8) (DLMF 9.9.6), T(t) ~ t^(2/3) (1 + 5/48 t^-2 - 5/36 t^-4)
-        # (DLMF 9.9.18), within 6e-4 of a_1 and closer as k grows, with no Airy call.
+        # length cancels throughout.  Panels end at the asymptotic zeros a_k of Ai, k = n - 1 .. 1.
         e = self.airy_scales(level.n, level.model.hbar)[0]
-        t = 3.0 * math.pi * (4.0 * np.arange(level.n - 1, 0, -1) - 1.0) / 8.0
-        zeros = -t ** (2.0 / 3.0) * (1.0 + 5.0 / 48.0 / t ** 2 - 5.0 / 36.0 / t ** 4)
+        zeros = specfun.asymptotic_zero(np.arange(level.n - 1, 0, -1))
 
         def integrands(z: np.ndarray) -> np.ndarray:
             ai, ai_prime = specfun.airy(z)

@@ -688,6 +688,34 @@ class TestDensityGrid:
         rows = density_grid(eigen_level({"bouncer": BALL, "ho": HO, "well": WELL}[system], 2), points)
         assert tuple((x.hex(), q.hex(), c.hex(), clipped) for x, q, c, clipped in rows) == self.ROWS[system, points]
 
+    @staticmethod
+    def _assert_turning_point_ends(level, points):
+        # A_n is turning_point(E_n) to the bit, so each end of the grid that lies on a turning
+        # point is singular: flagged and clipped to its inner neighbour, never 0 or a huge finite value
+        variant = level.model.variant
+        assert level.turning_point == variant.turning_point(level.energy)
+        rows = density_grid(level, points)
+        assert all(math.isfinite(p_cl) and p_cl >= 0.0 for _, _, p_cl, _ in rows)
+        ends = {"oscillator": [0, points - 1], "bouncer": [points - 1], "well": []}[variant.name]
+        assert [i for i, row in enumerate(rows) if row[3]] == ends
+        for end in ends:
+            assert rows[end][2] == rows[1 if end == 0 else end - 1][2]
+
+    @pytest.mark.parametrize("model, n", [(PotentialModel(HarmonicOscillator(m=0.5, omega=3.0), hbar=0.1), 3),
+                                          (PotentialModel(BouncingBall(m=0.5, g=3.0), hbar=0.1), 5)],
+                             ids=["oscillator", "bouncer"])
+    def test_ends_off_unit_parameters_are_turning_points(self, model, n):
+        self._assert_turning_point_ends(eigen_level(model, n), 5)
+
+    @pytest.mark.parametrize("system", [HarmonicOscillator, InfiniteWell, BouncingBall])
+    def test_ends_are_turning_points_over_random_parameters(self, system):
+        rng = random.Random(f"density ends {system.__name__}")
+        for _ in range(60):
+            model = PotentialModel(system(10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-1.0, 1.0)),
+                                   hbar=10.0 ** rng.uniform(-2.0, 0.0))
+            self._assert_turning_point_ends(eigen_level(model, rng.randint(model.variant.n_min, 30)),
+                                            rng.randint(3, 12))
+
     def test_well_classical_column_flat(self):
         rows = density_grid(eigen_level(WELL, 5), 5)
         assert len(rows) == 5

@@ -493,6 +493,21 @@ class TestAiryZero:
     def test_numpy_integer_index_accepted(self):
         assert airy_zero(np.int64(3)).value == airy_zero(3).value
 
+    def test_seed_leaves_at_most_two_newton_steps(self):
+        # from three terms of the asymptotic form, the second Airy evaluation of a cold zero ends
+        # its iteration (the one-term seed took three); counted as memo misses, both caches cleared
+        for n in range(2, 100):
+            airy_ai.cache_clear()
+            airy_zero.cache_clear()
+            airy_zero(n)
+            assert airy_ai.cache_info().misses <= 2, n
+
+    def test_index_far_past_the_airy_limit_is_refused_as_a_value(self):
+        # the seed's t^-4 term must not overflow into an OverflowError where
+        # the Airy limit refuses the index (from n ~ 2.5e76 a float's t ** 4 would)
+        with pytest.raises(ValueError, match="below the limit"):
+            airy_zero(10 ** 100)
+
     def test_convergence_error_type_exists(self):
         assert issubclass(ConvergenceError, RuntimeError)
 
@@ -500,7 +515,8 @@ class TestAiryZero:
         # with no Newton step allowed, the last iterate is the asymptotic seed
         monkeypatch.setattr(specfun, "_NEWTON_MAX_ITER", 0)
         airy_zero.cache_clear()
-        seed = -((3.0 * math.pi * 11.0 / 8.0) ** (2.0 / 3.0))
+        seed = specfun.asymptotic_zero(3)
+        assert seed == -5.520558836789148
         expected = f"Airy zero 3 did not converge in 0 iterations; last iterate {seed!r}"
         with pytest.raises(ConvergenceError, match=re.escape(expected)):
             airy_zero(3)

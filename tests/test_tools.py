@@ -29,7 +29,9 @@ def test_airy_ab_agrees_with_itself(capsys, monkeypatch):
         for label in ("parent", "change"):
             sys.modules.pop(f"specfun_{label}", None)
     out = capsys.readouterr().out
-    assert out.count(": equal (") == 6 and "differ" not in out
+    assert out.count(": equal (") == 7 and "differ" not in out
+    assert "bits airy_zero(n), n = 1..3000: equal (3000 zeros)" in out
+    assert "Airy evaluations per cold zero" in out
     lines = out.splitlines()
     for n in (14, 36, 200):  # one-element calls, batches, warm calls, then the three kernels
         timed = [line for line in lines if line.startswith(f"n={n} ")]

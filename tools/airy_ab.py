@@ -15,11 +15,13 @@ pass's multi-element batches.  They are recorded once through CHANGE_SRC's
 The script asserts that the two kernels agree bit for bit on every element of
 those calls and of a fixed 43,000-point set on [-1e12, 40]: evaluated cold
 (memo cleared), warm (the same calls again) and mixed (half the calls
-remembered).  It then times each tree's `airy` per level, the trees
-interleaved round by round: the one-element calls from a cleared memo, then
-the batches (cold too, as none of them is remembered), then all the calls
-again on the filled memo (warm).  A last cold run per round times each call
-of the three branch kernels, `_negative` (z <= -9), `_taylor` and
+remembered).  It asserts that both trees' `airy_zero(n)` agree bit for bit
+for n = 1..3000, each zero found cold (both caches cleared), and prints each
+tree's Airy evaluations per zero, the memo's misses.  It then times each
+tree's `airy` per level, the trees interleaved round by round: the
+one-element calls from a cleared memo, then the batches (cold too, as none
+of them is remembered), then all the calls again on the filled memo (warm).
+A last cold run per round times each call of the three branch kernels, `_negative` (z <= -9), `_taylor` and
 `_positive` (z >= 9), summed over the level's calls.  Each time printed is
 the 10th percentile of the rounds, in ms.  Exits 0 when the bits agree, 1
 otherwise.  Needs numpy only.
@@ -37,6 +39,7 @@ import time
 import numpy as np
 
 LEVELS = (14, 36, 200)
+ZEROS = 3000
 ROUNDS = 60
 KERNELS = ("_negative", "_taylor", "_positive")
 
@@ -107,6 +110,18 @@ def differing_ways(parent, change, calls: list[np.ndarray]) -> list[str]:
     return [way for way, remembered in ways.items() if outputs(parent, calls, remembered) != outputs(change, calls, remembered)]
 
 
+def cold_zeros(module) -> tuple[bytes, int]:
+    # The bits of a_n for n = 1..ZEROS, each found from cleared caches, and the
+    # Airy elements the memo missed in finding them.
+    values, misses = [], 0
+    for n in range(1, ZEROS + 1):
+        module.airy_ai.cache_clear()
+        module.airy_zero.cache_clear()
+        values.append(module.airy_zero(n).value)
+        misses += module.airy_ai.cache_info().misses
+    return np.array(values).tobytes(), misses
+
+
 def times(module, calls: list[np.ndarray], clear: bool) -> float:
     if clear:
         module.airy_ai.cache_clear()
@@ -154,6 +169,11 @@ def main(argv: list[str], rounds: int = ROUNDS) -> int:
         bad = differing_ways(trees["parent"], trees["change"], calls)
         differ += bool(bad)
         print(f"bits {what}: {'differ ' + ', '.join(bad) if bad else 'equal'} ({sum(map(len, calls))} elements)")
+    (parent_zeros, parent_misses), (change_zeros, change_misses) = map(cold_zeros, trees.values())
+    differ += parent_zeros != change_zeros
+    print(f"bits airy_zero(n), n = 1..{ZEROS}: {'differ' if parent_zeros != change_zeros else 'equal'} ({ZEROS} zeros)")
+    print(f"Airy evaluations per cold zero, n = 1..{ZEROS}   parent -> change: "
+          f"{parent_misses / ZEROS:.3f} -> {change_misses / ZEROS:.3f} ({parent_misses} -> {change_misses})")
     parts = {n: {"one-element": [z for z in batches[n] if len(z) == 1],
                  "batches": [z for z in batches[n] if len(z) > 1]} for n in LEVELS}
     samples = collections.defaultdict(list)
