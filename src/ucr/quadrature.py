@@ -15,9 +15,11 @@ The result then holds one value, error estimate and rounding floor per component
 
 The adaptive finite rule starts from the panels between the caller's break
 points (the well's n panels between u = k/n, the bouncer's between its Airy
-zeros), in integrand calls of at most 512 panels, then takes each generation's
-halves in one call.  Its error estimate is QUADPACK qk15's, with its rounding
-floor; a pass asked for less than its floor stops at once.  Nothing outlives a call.
+zeros and their midpoints; both converge on them at the default spec), in
+integrand calls of at most 512 panels, then takes each generation's halves in
+one call, within the spec's budget of splits.  Its error estimate is QUADPACK
+qk15's, with its rounding floor; a pass asked for less than its floor stops at
+once.  Nothing outlives a call.
 """
 
 from __future__ import annotations

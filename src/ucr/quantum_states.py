@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -74,7 +74,7 @@ def bouncer_state(level: EigenLevel, spec: QuadratureSpec = DEFAULT_SPEC) -> Bou
     if not isinstance(level.model.variant, BouncingBall):  # the one engine that takes a single system
         raise ValueError("bouncer_state requires a bouncer level")
     (f, *rule), _ = level.model.variant.moment_pass(level)
-    raw = _integrate("bouncer normalization integral", level, lambda z: f(z)[0], rule, spec)
+    raw = _integrate("bouncer normalization integral", lambda z: f(z)[0], rule, spec)
     return BouncerState(level, 1.0 / math.sqrt(raw.value))
 
 
@@ -91,17 +91,13 @@ def _check_mean_p(mean_p: float, spec: QuadratureSpec) -> None:
         raise RuntimeError(f"scaled momentum <P> should vanish, got {mean_p}")
 
 
-def _integrate(what: str, level: EigenLevel, f, rule: tuple, spec: QuadratureSpec) -> IntegralResult:
-    """One quantum pass of f: by the fixed rule when `rule` is its (nodes, weights), else by K15
-    from the panels between its break points (points,), such as the well's n panels between
-    u = k/n, with a budget grown for the integrands' ~n oscillations; raises naming `what` if it
-    fails, and the first component whose rounding floor lies above its tolerance."""
+def _integrate(what: str, f, rule: tuple, spec: QuadratureSpec) -> IntegralResult:
+    """One quantum pass of f on the caller's spec: by the fixed rule when `rule` is its (nodes,
+    weights), else by K15 from the panels between its break points (points,), such as the well's
+    n panels between u = k/n; raises naming `what` if it fails, and the first component whose
+    rounding floor lies above its tolerance."""
     # each rule by its module-level name, which a tracer may patch
-    if len(rule) == 2:
-        result = integrate_rule(f, *rule, spec)
-    else:
-        spec = replace(spec, max_subdivisions=max(spec.max_subdivisions, 6 * level.n))
-        result = integrate_finite(f, *rule, spec)
+    result = (integrate_rule if len(rule) == 2 else integrate_finite)(f, *rule, spec)
     if not result.converged:
         floors, tols = np.atleast_1d(result.floor), spec.tolerance(np.atleast_1d(result.value))
         below = "".join(f"; component {k}'s rounding floor {floors[k]:.3g} exceeds its tolerance {tols[k]:.3g}"
@@ -116,7 +112,7 @@ def quantum_moments_quadrature(level: EigenLevel, spec: QuadratureSpec = DEFAULT
     coordinate."""
     variant = level.model.variant
     (f, *rule), moments = variant.moment_pass(level)
-    result = _integrate(f"{variant.name} moment quadrature", level, f, rule, spec)
+    result = _integrate(f"{variant.name} moment quadrature", f, rule, spec)
     mean_x, mean_x2, mean_p2, mean_p = moments(result.value)
     _check_mean_p(mean_p, spec)
     return ScaledMoments(mean_x, mean_x2, 0.0, mean_p2, "quantum", "quadrature")

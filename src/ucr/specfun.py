@@ -436,6 +436,9 @@ def airy_zero(n: int) -> AiryZero:
     its asymptotic estimate `asymptotic_zero(n)`."""
     if not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"Airy-zero index must be an integer >= 1, got {n!r}")
+    if n > 10 ** 18:  # a_n passes the Airy limit near n = 2.1e17: refused before float(n) can overflow
+        raise ValueError(f"Airy-zero index {n} is past 1e18, whose zero lies below the limit -1e+12, "
+                         "past which Ai is not computed accurately")
     a = asymptotic_zero(n)
     for _ in range(_NEWTON_MAX_ITER):
         v = airy_ai(a)

@@ -337,9 +337,12 @@ class BouncingBall(_System):
     def moment_pass(self, level):
         # All integrals live in the shifted dimensionless coordinate on
         # (-E'_n, 9], the tail past _Z_END below rounding; the gravitational
-        # length cancels throughout.  Panels end at the asymptotic zeros a_k of Ai, k = n - 1 .. 1.
+        # length cancels throughout.  Break points: -E'_n, the asymptotic zeros a_k of Ai,
+        # k = n - 1 .. 1, and 0, with one midway between each pair of neighbours, then
+        # _PAST_ZEROS; the pass converges on these 2n + 6 panels at the default spec.
         e = self.airy_scales(level.n, level.model.hbar)[0]
-        zeros = specfun.asymptotic_zero(np.arange(level.n - 1, 0, -1))
+        ends = np.concatenate(([-e], specfun.asymptotic_zero(np.arange(level.n - 1, 0, -1)), _PAST_ZEROS[:1]))
+        points = np.column_stack((ends[:-1], 0.5 * (ends[:-1] + ends[1:]))).ravel()
 
         def integrands(z: np.ndarray) -> np.ndarray:
             ai, ai_prime = specfun.airy(z)
@@ -353,7 +356,7 @@ class BouncingBall(_System):
             mean_z_shifted = first / norm - e
             return first / (e * norm), second / (e * e * norm), -mean_z_shifted / e, raw_p / (norm * math.sqrt(e))
 
-        return (integrands, np.concatenate(([-e], zeros, _PAST_ZEROS))), moments
+        return (integrands, np.concatenate((points, _PAST_ZEROS))), moments
 
     def robertson_bound(self, level) -> float:
         return 1.0 / (4.0 * self.airy_scales(level.n, level.model.hbar)[0] ** 3)

@@ -230,6 +230,15 @@ class TestCompareCommand:
         assert code == EXIT_USAGE
         assert "-1e+12" in err
 
+    @pytest.mark.parametrize("command", ["compare", "density"])
+    def test_bouncer_level_too_large_for_a_float_is_usage_error(self, capsys, command):
+        # 10^309 overflows a float: the index is refused as an integer, before its conversion
+        n = "1" + "0" * 309
+        code, out, err = run(capsys, command, "--system", "bouncer", "--n", n)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"usage error: Airy-zero index {n} is past 1e18, whose zero lies below the limit -1e+12, " \
+                      "past which Ai is not computed accurately\n"
+
     @pytest.mark.parametrize("target", [".", "missing/table.csv"])
     def test_unwritable_out_path_is_usage_error(self, capsys, tmp_path, target):
         # a directory, or a file in a missing directory: refused before computing

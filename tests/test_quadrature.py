@@ -613,7 +613,9 @@ class TestPinnedBits:
     K15 pin was re-recorded when the error estimate became QUADPACK qk15's
     and the bouncer's pass started from its panels between the asymptotic
     Airy zeros: the well's values and the oscillatory pass's budget-3 values
-    kept their bits.  The oscillator's Gauss-Hermite rule of n + 2 nodes was
+    kept their bits.  The bouncer's pins were re-recorded when its break
+    points took the midpoints between those zeros, on which its pass
+    converges without a split.  The oscillator's Gauss-Hermite rule of n + 2 nodes was
     recorded when it replaced the oscillator's adaptive half-line pass, on
     numpy 2.4.6 with the AVX512_SPR dispatch of its ufuncs (np.exp, np.sin
     and np.cos build the nodes and the recurrence's start) on an AVX-512
@@ -621,24 +623,24 @@ class TestPinnedBits:
 
     MOMENT_PASSES = {
         ("bouncer", 1): (
-            ("0x1.f77f5175bf7f3p-2", "0x1.8869086b58596p-1", "0x1.6effbbb3bb8f0p+0", "0x0.0p+0"),
-            ("0x1.c362de21090b8p-47", "0x1.abaf3026a697ep-44", "0x1.63988f2071de9p-43", "0x1.30aa90b4f4d44p-45"),
-            135,
+            ("0x1.f77f5175bf7f3p-2", "0x1.8869086b58596p-1", "0x1.6effbbb3bb8efp+0", "0x1.4000000000000p-58"),
+            ("0x1.c362de21090b8p-47", "0x1.abaf3026a697ep-44", "0x1.63988f2071de8p-43", "0x1.30aa90b4f4d44p-45"),
+            120,
         ),
         ("bouncer", 14): (
-            ("0x1.474f6ac3b339cp+0", "0x1.b80861119d171p+3", "0x1.62f20aaf0c8dbp+7", "0x1.c800000000000p-52"),
-            ("0x1.822d8fb10790dp-46", "0x1.0cae40271b1efp-42", "0x1.f783442eca800p-39", "0x1.d77c6be3a8883p-45"),
-            720,
+            ("0x1.474f6ac3b339bp+0", "0x1.b80861119d171p+3", "0x1.62f20aaf0c8dap+7", "0x1.cddd35c840000p-52"),
+            ("0x1.822d8fb10790ep-46", "0x1.0cae40271b1efp-42", "0x1.f783442eca800p-39", "0x1.d77c6be3a8883p-45"),
+            510,
         ),
         ("bouncer", 11): (
-            ("0x1.2d89b0b1088dcp+0", "0x1.580ab6ad48070p+3", "0x1.d70b65c4674f1p+6", "0x1.c000000000000p-55"),
-            ("0x1.6e0b1652723a9p-46", "0x1.b5ed68acc601cp-43", "0x1.632b4623d3e40p-39", "0x1.bec14f3083514p-45"),
-            585,
+            ("0x1.2d89b0b1088dcp+0", "0x1.580ab6ad48071p+3", "0x1.d70b65c4674f0p+6", "0x1.3418d72100000p-54"),
+            ("0x1.6e0b1652723a9p-46", "0x1.b5ed68acc601dp-43", "0x1.632b4623d3e40p-39", "0x1.bec14f3083515p-45"),
+            420,
         ),
         ("bouncer", 36): (
-            ("0x1.c20e1a09d880dp+0", "0x1.1e00ce5bfa683p+5", "0x1.b433985bf515ap+9", "-0x1.2800000000000p-51"),
-            ("0x1.e212889fd4b08p-46", "0x1.48535092f1b9fp-41", "0x1.025df6cad6b25p-36", "0x1.348ab6cf2b1e5p-44"),
-            1710,
+            ("0x1.c20e1a09d880ep+0", "0x1.1e00ce5bfa684p+5", "0x1.b433985bf515cp+9", "-0x1.0d7ce51be0000p-51"),
+            ("0x1.e212889fd4b09p-46", "0x1.48535092f1b9ep-41", "0x1.025df6cad6b25p-36", "0x1.348ab6cf2b1e6p-44"),
+            1170,
         ),
         ("ho", 0): (
             ("0x1.ffffffffffffep-2", "0x1.ffffffffffffbp-2", "0x0.0p+0"),
@@ -660,7 +662,7 @@ class TestPinnedBits:
         ("well", 1000): (("0x1.0000000000000p-1", "0x1.555547bbf6c6cp-3"), ("0x1.9000000000000p-48", "0x1.0aaaa04edbe5dp-49"), 15000),
     }
 
-    ONE_PANEL_START = (  # the bouncer's n = 11 integrands on (-E'_11, -E'_11 + 40], budget 6n = 66
+    ONE_PANEL_START = (  # the bouncer's n = 11 integrands on (-E'_11, -E'_11 + 40], budget 66
         ("0x1.2d89b0b1088dbp+0", "0x1.580ab6ad4806fp+3", "0x1.d70b65c4674f1p+6", "0x1.0000000000000p-54"),
         ("0x1.e21d18cae3fc5p-43", "0x1.512dc0042e667p-41", "0x1.24d3fd18ebbe6p-38", "0x1.7fa4e174b7304p-41"),
         825,
@@ -686,7 +688,7 @@ class TestPinnedBits:
         # the level's one pass through the runner that quantum_moments_quadrature calls
         level = eigen_level(_MODELS[system], n)
         (f, *rule), _ = _MODELS[system].variant.moment_pass(level)
-        result = _integrate(f"{system} pinned", level, f, rule, DEFAULT_SPEC)
+        result = _integrate(f"{system} pinned", f, rule, DEFAULT_SPEC)
         assert self._hex(result) == self.MOMENT_PASSES[system, n] + (True,)
 
     def test_one_panel_start(self):

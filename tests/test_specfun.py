@@ -503,10 +503,12 @@ class TestAiryZero:
             assert airy_ai.cache_info().misses <= 2, n
 
     def test_index_far_past_the_airy_limit_is_refused_as_a_value(self):
-        # the seed's t^-4 term must not overflow into an OverflowError where
-        # the Airy limit refuses the index (from n ~ 2.5e76 a float's t ** 4 would)
-        with pytest.raises(ValueError, match="below the limit"):
-            airy_zero(10 ** 100)
+        # neither the seed's t^-4 term (from n ~ 2.5e76 a float's t ** 4 would overflow)
+        # nor the index's own conversion to float (past 1.8e308) may raise an
+        # OverflowError where the Airy limit refuses the index
+        for n in (10 ** 18 + 1, 10 ** 100, 10 ** 309):
+            with pytest.raises(ValueError, match="below the limit -1e\\+12"):
+                airy_zero(n)
 
     def test_convergence_error_type_exists(self):
         assert issubclass(ConvergenceError, RuntimeError)

@@ -66,19 +66,20 @@ def test_quad_ab_agrees_with_itself(capsys, monkeypatch):
     assert ucr.classical_ensemble.integrate_singular_endpoints is ucr.quadrature.integrate_singular_endpoints
 
 
-def test_quad_ab_hands_each_tree_the_break_points_on_the_runners_budget():
-    # each tree's integrate_finite gets the pass's break points as they are,
-    # on the budget max(max_subdivisions, 6n) that quantum_states._integrate gives
+def test_quad_ab_hands_each_tree_the_break_points_and_the_spec_as_given():
+    # each tree's integrate_finite gets the pass's break points and the spec as they
+    # are, as quantum_states._integrate hands them on
     quad_ab, seen = _tool("quad_ab"), []
 
     def points(f, points, spec):
-        seen.append((points, spec.max_subdivisions))
+        seen.append((points, spec))
 
     one_pass = ("quantum", "quantum", None, ((0.0, 0.25, 0.5, 0.75, 1.0),))
     tree = types.SimpleNamespace(QuadratureSpec=ucr.QuadratureSpec, integrate_finite=points)
-    for n in (5, 20):
-        quad_ab.run(tree, n, one_pass, {})
-    assert seen == [((0.0, 0.25, 0.5, 0.75, 1.0), 60), ((0.0, 0.25, 0.5, 0.75, 1.0), 120)]
+    for fields in ({}, {"max_subdivisions": 3}):
+        quad_ab.run(tree, one_pass, fields)
+    assert seen == [((0.0, 0.25, 0.5, 0.75, 1.0), ucr.QuadratureSpec()),
+                    ((0.0, 0.25, 0.5, 0.75, 1.0), ucr.QuadratureSpec(max_subdivisions=3))]
 
 
 def test_quad_ab_usage():

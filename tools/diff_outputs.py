@@ -4,11 +4,13 @@ stdout line or exit code that differs.
     python3 tools/diff_outputs.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory that holds the `ucr` package (a checkout's
-`src/`); it goes first on PYTHONPATH for that tree's runs.  The 110
+`src/`); it goes first on PYTHONPATH for that tree's runs.  The 111
 commands cover `compare` on every system, and on the bouncer's high levels
 n = 200 and 1000 (CSV and JSON, and at the loose integral tolerances
 `--quad-tol 1e-6` and, for the oscillator's n = 0, `1e-4`, where the
-adaptive passes' <P> = 0 check meets real quadrature error), `compare` and a 101-point `density` grid on
+adaptive passes' <P> = 0 check meets real quadrature error) and n = 3000 and
+4000 (whose passes from the Airy zeros alone split 2,908 and 3,905 panels),
+`compare` and a 101-point `density` grid on
 the oscillator's high levels (n = 200 and 900, where its recurrence is
 renormalized past y ~ 37.7, and `compare` at n = 2000, whose outer nodes lie
 near y ~ 63), `compare` on the well's levels 1778, 3000 and
@@ -45,6 +47,7 @@ def commands() -> list[tuple[str, ...]]:
             cmds.append(("compare", "--system", system, "--n", n, "--format", fmt))
         cmds.append(("compare", "--system", system, "--n", n, "--quad-tol", "1e-6"))
     cmds.append(("compare", "--system", "ho", "--n", "0", "--quad-tol", "1e-4"))
+    cmds.append(("compare", "--system", "bouncer", "--n", "3000,4000"))
     cmds.append(("compare", "--system", "ho", "--n", "200,900"))
     cmds.append(("compare", "--system", "ho", "--n", "2000"))
     cmds.append(("compare", "--system", "well", "--n", "1778,3000,10001"))

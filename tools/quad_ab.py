@@ -10,11 +10,11 @@ as separate modules; the integrands are CHANGE_SRC's, so the two loops see
 the same functions, the same Airy memo and the machine's speed of the moment.
 
 The sweep takes, for every level of SWEEP, the level's one quantum moment
-pass from `moment_pass` (on the budget `quantum_states._integrate` gives it,
-max(budget, 6n), and by `integrate_rule` when it hands over a fixed rule's
+pass from `moment_pass` (by `integrate_rule` when it hands over a fixed rule's
 nodes and weights, as the oscillator's does) and the classical ensemble's
 endpoint-singular pass, at each of seven specs; both trees' `integrate_finite`
-take the pass's break points.  The value, error estimate, `evaluations` and
+take the pass's break points and the spec as given, as `quantum_states._integrate`
+hands them on.  The value, error estimate, `evaluations` and
 `converged` of the two trees' results must agree bit for bit (an integrand
 error must be the same exception).  Every (system, n, pass) that differs is listed with its specs,
 and the first differing case is shown.
@@ -36,8 +36,6 @@ import importlib.util
 import os
 import sys
 import time
-from dataclasses import replace
-
 SPECS = {
     "default": {},
     "loose": {"abs_tol": 1e-6, "rel_tol": 1e-4},
@@ -108,20 +106,20 @@ def level_passes(ucr, model, n: int) -> list[tuple]:
     return passes
 
 
-def run(module, n: int, one_pass: tuple, spec_fields: dict):
+def run(module, one_pass: tuple, spec_fields: dict):
     _, kind, f, rule = one_pass
     spec = module.QuadratureSpec(**spec_fields)
     if kind == "classical":
         return module.integrate_singular_endpoints(*f, *rule, spec)
     if kind == "rule":
         return module.integrate_rule(f, *rule, spec)
-    return module.integrate_finite(f, *rule, replace(spec, max_subdivisions=max(spec.max_subdivisions, 6 * n)))
+    return module.integrate_finite(f, *rule, spec)
 
 
-def fields(module, n: int, one_pass: tuple, spec_fields: dict) -> tuple:
+def fields(module, one_pass: tuple, spec_fields: dict) -> tuple:
     # Every field of the result, floats as hex; an exception as its type and message.
     try:
-        result = run(module, n, one_pass, spec_fields)
+        result = run(module, one_pass, spec_fields)
     except Exception as exc:  # an integrand error must be the same in both trees
         return ("raises", type(exc).__name__, str(exc))
     hexes = [tuple(map(float.hex, v if isinstance(v, tuple) else (v,))) for v in (result.value, result.error_estimate)]
@@ -145,8 +143,8 @@ def loop_calls(module, passes: list[tuple]) -> tuple[int, int]:
 
     sys.setprofile(profile)
     try:
-        for n, one_pass in passes:
-            run(module, n, one_pass, {})
+        for one_pass in passes:
+            run(module, one_pass, {})
     finally:
         sys.setprofile(None)
     return counts[0], counts[1]
@@ -168,7 +166,7 @@ def main(argv: list[str], sweep: dict = SWEEP, counted: dict = COUNTED, rounds: 
         for n in levels:
             for one_pass in level_passes(ucr, models[system], n):
                 for spec_name, spec_fields in SPECS.items():
-                    got = [fields(module, n, one_pass, spec_fields) for module in trees.values()]
+                    got = [fields(module, one_pass, spec_fields) for module in trees.values()]
                     cases += 1
                     if got[0] != got[1]:
                         differ += 1
@@ -181,15 +179,14 @@ def main(argv: list[str], sweep: dict = SWEEP, counted: dict = COUNTED, rounds: 
         print(f"first difference: {first[0]}\n  parent {first[1]}\n  change {first[2]}")
     print(f"{'loop calls per generation':30s}   parent -> change   generations per pass   pass set ms (min of {rounds})")
     for name, (system, levels) in counted.items():
-        passes = [(n, p) for n in levels for p in level_passes(ucr, models[system], n)
-                  if p[1] == "quantum"]
+        passes = [p for n in levels for p in level_passes(ucr, models[system], n) if p[1] == "quantum"]
         calls = {tree: loop_calls(module, passes) for tree, module in trees.items()}
         times = {tree: [] for tree in trees}
         for i in range(rounds):
             for tree in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
                 start = time.perf_counter()
-                for n, one_pass in passes:
-                    run(trees[tree], n, one_pass, {})
+                for one_pass in passes:
+                    run(trees[tree], one_pass, {})
                 times[tree].append(time.perf_counter() - start)
         per_generation = [calls[tree][0] / calls[tree][1] for tree in trees]
         per_pass = [calls[tree][1] / len(passes) for tree in trees]
