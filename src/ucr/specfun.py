@@ -100,6 +100,9 @@ def hermite_prime(n: int, y: float) -> float:
 # --- Airy machinery -------------------------------------------------------
 
 _AIRY_LIMIT = -1e12  # the phase's error grows with |z|: past here it costs over 1e-13 of the envelope
+_BELOW_LIMIT = f"below the limit {_AIRY_LIMIT:g}, past which Ai is not computed accurately"
+# past this index a_n ~ -(3 pi (4n - 1)/8)^(2/3) (DLMF 9.9.6) lies below the limit
+_ZERO_INDEX_LIMIT = math.ceil(2.0 * (-_AIRY_LIMIT) ** 1.5 / (3.0 * math.pi) + 0.25)
 # exp(-zeta) underflows from z ~ 107 on, so Ai and Ai' are zeros in doubles;
 # the positive branch evaluates every larger z at this cap, where nothing overflows.
 _POSITIVE_CAP = 1e4
@@ -365,7 +368,7 @@ def _evaluate(z: np.ndarray) -> np.ndarray:
 def _argument_error(z: float) -> ValueError:
     if not math.isfinite(z):
         return ValueError(f"Airy argument must be finite, got {z}")
-    return ValueError(f"Airy argument {z} is below the limit -1e+12, past which Ai is not computed accurately")
+    return ValueError(f"Airy argument {z} is {_BELOW_LIMIT}")
 
 
 # The memo: the bytes of a 1-D batch -> its read-only (Ai, Ai') rows, least
@@ -436,9 +439,8 @@ def airy_zero(n: int) -> AiryZero:
     its asymptotic estimate `asymptotic_zero(n)`."""
     if not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"Airy-zero index must be an integer >= 1, got {n!r}")
-    if n > 10 ** 18:  # a_n passes the Airy limit near n = 2.1e17: refused before float(n) can overflow
-        raise ValueError(f"Airy-zero index {n} is past 1e18, whose zero lies below the limit -1e+12, "
-                         "past which Ai is not computed accurately")
+    if n > _ZERO_INDEX_LIMIT:  # refused before float(n) can overflow
+        raise ValueError(f"Airy zero {n} lies {_BELOW_LIMIT}")
     a = asymptotic_zero(n)
     for _ in range(_NEWTON_MAX_ITER):
         v = airy_ai(a)

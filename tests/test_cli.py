@@ -236,8 +236,7 @@ class TestCompareCommand:
         n = "1" + "0" * 309
         code, out, err = run(capsys, command, "--system", "bouncer", "--n", n)
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == f"usage error: Airy-zero index {n} is past 1e18, whose zero lies below the limit -1e+12, " \
-                      "past which Ai is not computed accurately\n"
+        assert err == f"usage error: Airy zero {n} lies below the limit -1e+12, past which Ai is not computed accurately\n"
 
     @pytest.mark.parametrize("target", [".", "missing/table.csv"])
     def test_unwritable_out_path_is_usage_error(self, capsys, tmp_path, target):

@@ -614,8 +614,8 @@ class TestPinnedBits:
     and the bouncer's pass started from its panels between the asymptotic
     Airy zeros: the well's values and the oscillatory pass's budget-3 values
     kept their bits.  The bouncer's pins were re-recorded when its break
-    points took the midpoints between those zeros, on which its pass
-    converges without a split.  The oscillator's Gauss-Hermite rule of n + 2 nodes was
+    points took the midpoints between those zeros, on a grid of 2 ulp(E'), on
+    which its pass converges without a split.  The oscillator's Gauss-Hermite rule of n + 2 nodes was
     recorded when it replaced the oscillator's adaptive half-line pass, on
     numpy 2.4.6 with the AVX512_SPR dispatch of its ufuncs (np.exp, np.sin
     and np.cos build the nodes and the recurrence's start) on an AVX-512
@@ -623,23 +623,23 @@ class TestPinnedBits:
 
     MOMENT_PASSES = {
         ("bouncer", 1): (
-            ("0x1.f77f5175bf7f3p-2", "0x1.8869086b58596p-1", "0x1.6effbbb3bb8efp+0", "0x1.4000000000000p-58"),
-            ("0x1.c362de21090b8p-47", "0x1.abaf3026a697ep-44", "0x1.63988f2071de8p-43", "0x1.30aa90b4f4d44p-45"),
+            ("0x1.f77f5175bf7f3p-2", "0x1.8869086b58597p-1", "0x1.6effbbb3bb8efp+0", "-0x1.5800000000000p-55"),
+            ("0x1.c363780379e27p-47", "0x1.abaed365ea7edp-44", "0x1.6398b7920514bp-43", "0x1.30aa1faa918e0p-45"),
             120,
         ),
         ("bouncer", 14): (
-            ("0x1.474f6ac3b339bp+0", "0x1.b80861119d171p+3", "0x1.62f20aaf0c8dap+7", "0x1.cddd35c840000p-52"),
-            ("0x1.822d8fb10790ep-46", "0x1.0cae40271b1efp-42", "0x1.f783442eca800p-39", "0x1.d77c6be3a8883p-45"),
+            ("0x1.474f6ac3b3399p+0", "0x1.b80861119d171p+3", "0x1.62f20aaf0c8dbp+7", "0x1.9bba6b9080000p-53"),
+            ("0x1.822ccf05b6cf7p-46", "0x1.0cae2cb9f8dd6p-42", "0x1.f7831748fe6b0p-39", "0x1.d77ab73be6f85p-45"),
             510,
         ),
         ("bouncer", 11): (
-            ("0x1.2d89b0b1088dcp+0", "0x1.580ab6ad48071p+3", "0x1.d70b65c4674f0p+6", "0x1.3418d72100000p-54"),
-            ("0x1.6e0b1652723a9p-46", "0x1.b5ed68acc601dp-43", "0x1.632b4623d3e40p-39", "0x1.bec14f3083515p-45"),
+            ("0x1.2d89b0b1088dbp+0", "0x1.580ab6ad48071p+3", "0x1.d70b65c4674f2p+6", "-0x1.32f9ca37c0000p-52"),
+            ("0x1.6e0a6f477f0acp-46", "0x1.b5ed5de00aafep-43", "0x1.632b18c843846p-39", "0x1.bec0a20d8e43bp-45"),
             420,
         ),
         ("bouncer", 36): (
-            ("0x1.c20e1a09d880ep+0", "0x1.1e00ce5bfa684p+5", "0x1.b433985bf515cp+9", "-0x1.0d7ce51be0000p-51"),
-            ("0x1.e212889fd4b09p-46", "0x1.48535092f1b9ep-41", "0x1.025df6cad6b25p-36", "0x1.348ab6cf2b1e6p-44"),
+            ("0x1.c20e1a09d8810p+0", "0x1.1e00ce5bfa683p+5", "0x1.b433985bf515bp+9", "-0x1.1af9ca37c0000p-52"),
+            ("0x1.e211c7f483ef3p-46", "0x1.4852ddd20e278p-41", "0x1.025d42c1f1415p-36", "0x1.3489dc7b4a564p-44"),
             1170,
         ),
         ("ho", 0): (

@@ -357,7 +357,8 @@ class TestMoments:
         # line, the well on its positive half from its n panels between u = k/n,
         # the bouncer from its floor at z = -E'_n past the asymptotic zeros a_k,
         # k = n - 1 .. 1, each within 6e-4 of its zero, to 0, with a break point
-        # midway between each pair of neighbours, and on to z = 9
+        # midway between each pair of neighbours, and on to z = 9; past -E'_n on a grid
+        # of 2 ulp(E'), so every panel but the first has an exact centre and half-width
         model = {"ho": HO, "well": WELL, "bouncer": BALL}[system]
         (_, *rule), _ = model.variant.moment_pass(eigen_level(model, n))
         if system == "ho":
@@ -371,7 +372,10 @@ class TestMoments:
             ends = points[:2 * n + 1:2]  # -E'_n, the a_k and 0
             assert len(points) == 2 * n + 7 and ends[0] == -airy_zero(n).scaled_energy
             assert points.tolist()[2 * n:] == past and np.all(np.abs(ends[1:n] - zeros) < 6e-4)
-            assert points[1:2 * n:2].tolist() == (0.5 * (ends[:-1] + ends[1:])).tolist()
+            assert np.all(np.abs(points[1:2 * n:2] - 0.5 * (ends[:-1] + ends[1:])) <= 2.0 * math.ulp(ends[0]))
+            lo, hi = points[1:-1], points[2:]
+            centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            assert (centre - half).tolist() == lo.tolist() and (centre + half).tolist() == hi.tolist()
         else:
             [points] = rule
             assert points.tolist() == [k / n for k in range(n + 1)]
@@ -604,9 +608,8 @@ class TestErrorEstimates:
     @pytest.mark.parametrize("n", [*range(1, 41), 200, 1000, 3000, 4000])
     def test_bouncer_converges_on_its_starting_panels(self, n):
         # the bouncer's pass evaluates its 2n + 6 starting panels, 512 to a call, and converges
-        # on them at the default spec, with no split; every moment lies within 4.11e-15 of its
-        # closed form up to n = 4000 (<X> there is 37 ulps off 2/3), where the pass from one
-        # panel did not converge
+        # on them at the default spec, with no split; every moment lies within 4e-15 of its
+        # closed form up to n = 4000, where the pass from one panel did not converge
         level = eigen_level(BALL, n)
         (f, points), moments = BALL.variant.moment_pass(level)
         seen = []
@@ -617,7 +620,7 @@ class TestErrorEstimates:
         assert (result.evaluations, result.converged) == (15 * panels, True)
         mean_x, mean_x2, mean_p2, mean_p = moments(result.value)
         for got, exact in ((mean_x, 2.0 / 3.0), (mean_x2, 8.0 / 15.0), (mean_p2, 1.0 / 3.0), (mean_p, 0.0)):
-            assert abs(got - exact) <= 4.11e-15
+            assert abs(got - exact) <= 4e-15
 
 
 class TestCommutatorBound:
