@@ -11,8 +11,8 @@ from typing import Union
 
 import numpy as np
 
-from .quadrature import DEFAULT_SPEC, IntegralResult, QuadratureSpec, integrate_singular_endpoints
-from .systems import PotentialModel, _require_positive
+from .quadrature import DEFAULT_SPEC, IntegralResult, QuadratureSpec, integrate_rule
+from .systems import PotentialModel, _points, _require_positive
 
 __all__ = [
     "ClassicalEnsemble",
@@ -68,40 +68,30 @@ class ClassicalEnsemble:
 
 
 def build_ensemble(model: PotentialModel, energy: float = 1.0, spec: QuadratureSpec = DEFAULT_SPEC) -> ClassicalEnsemble:
-    """Construct the ensemble from one pass over the classical region: the
+    """Construct the ensemble from one pass over the classical region, the
+    system's `classical_pass` on a fixed rule that integrates it exactly: the
     weights 1, X, X^2 and (E - V)/E, each over sqrt(E - V), give the
     normalization (never hard-coded, so the closed-form moments remain an
     independent check) and the moments of X = x/A and P = p/sqrt(2mE) by the
-    two-momentum-branch reduction of the phase-space average."""
+    two-momentum-branch reduction of the phase-space average.  The error
+    estimate is the rule's rounding floor."""
     _require_positive(energy=energy)
-    A = model.variant.turning_point(energy)
-    lo, hi = model.variant.scaled_region
-    a, b = lo * A, hi * A
-    # Endpoint-offset forms of E - V resolve the turning-point singularities
-    # to full precision.
-    _, from_left, from_right = model.variant.kinetic(energy, A)
-
     # P at the two branches is +/- sqrt(2m(E-V))/sqrt(2mE); the branch average
     # of P vanishes identically, that of P^2 is (E-V)/E.
-    def weights(x: np.ndarray, kinetic: np.ndarray) -> np.ndarray:
-        root = np.sqrt(kinetic)
-        return np.array([1.0 / root, x / A / root, (x / A) ** 2 / root, kinetic / energy / root])
-
-    result = integrate_singular_endpoints(
-        lambda s: weights(a + s, from_left(s)), lambda s: weights(b - s, from_right(s)), a, b, spec
-    )
+    result = integrate_rule(*model.variant.classical_pass(energy), spec)
     norm, mean_x, mean_x2, mean_p2 = result.value
     moments = ScaledMoments(mean_x / norm, mean_x2 / norm, 0.0, mean_p2 / norm, "classical", "quadrature")
-    return ClassicalEnsemble(model, energy, A, 1.0 / norm, moments, result)
+    return ClassicalEnsemble(model, energy, model.variant.turning_point(energy), 1.0 / norm, moments, result)
 
 
 def classical_density(ens: ClassicalEnsemble, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-    """P_CL(x) at a float or a 1-D array: normalization / sqrt(E - V(x))
-    inside the classical region, zero outside, +inf exactly at a turning
-    point (integrable divergence)."""
+    """P_CL(x) at a float or a 1-D array of finite x: normalization /
+    sqrt(E - V(x)) inside the classical region, zero outside, +inf exactly at
+    a turning point (integrable divergence); a nan or an infinity is refused."""
     a, b = ens.region
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    emv = ens.model.variant.kinetic(ens.energy, ens.turning_point)[0](xs)
+    xs = _points(x)
+    # E - V at x clipped to the region, so no x far outside overflows it
+    emv = ens.model.variant.kinetic(ens.energy, ens.turning_point)[0](np.clip(xs, a, b))
     with np.errstate(divide="ignore", invalid="ignore"):  # E - V <= 0 at a turning point and outside
         inside = np.where(emv <= 0.0, math.inf, ens.normalization / np.sqrt(emv))
     density = np.where((xs < a) | (xs > b), 0.0, inside)

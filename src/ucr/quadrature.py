@@ -3,7 +3,8 @@ need.  One adaptive G7-K15 rule takes smooth finite intervals directly,
 inverse-square-root endpoint singularities after the change of variable
 x = a + (b - a) sin^2(theta), and semi-infinite integrands with
 fast-decaying tails by truncating the tail.  A fixed rule (nodes and
-weights the caller supplies, such as the oscillator's Gauss-Hermite rule)
+weights the caller supplies, such as the oscillator's Gauss-Hermite rule
+and the classical ensembles' Gauss-Chebyshev and Gauss-Legendre rules)
 takes an integrand it integrates exactly, in one call.
 
 An integrand takes a 1-D float array of k abscissas and returns shape (k,),
@@ -200,6 +201,8 @@ def integrate_rule(f: Integrand, nodes: np.ndarray, weights: np.ndarray,
     return IntegralResult(plain(value), plain(err), len(nodes), bool((err <= spec.tolerance(value)).all()), plain(err))
 
 
+# No moment computation takes this rule since the classical ensembles went onto exact fixed
+# rules; it stays while the benchmark's tracer names it, as `integrate_semi_infinite` does.
 def integrate_singular_endpoints(
     from_left: Integrand, from_right: Integrand, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> IntegralResult:

@@ -27,7 +27,7 @@ from .quadrature import (
     integrate_rule,
     integrate_semi_infinite,  # no pass is on a half-line; kept while the benchmark's tracer patches this name
 )
-from .systems import BouncingBall, PotentialModel
+from .systems import BouncingBall, PotentialModel, _points
 
 __all__ = [
     "BouncerState",
@@ -79,8 +79,9 @@ def bouncer_state(level: EigenLevel, spec: QuadratureSpec = DEFAULT_SPEC) -> Bou
 
 
 def wavefunction(level: EigenLevel, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-    """Normalized stationary wavefunction at x: a float or a 1-D array."""
-    psi = level.model.variant.psi(level, np.atleast_1d(np.asarray(x, dtype=float)))
+    """Normalized stationary wavefunction at finite x: a float or a 1-D array;
+    a nan or an infinity is refused."""
+    psi = level.model.variant.psi(level, _points(x))
     return float(psi[0]) if np.ndim(x) == 0 else psi
 
 

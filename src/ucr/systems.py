@@ -1,5 +1,6 @@
 """The three bound systems, each described once: the classical side (turning
-point, region, factored E - V, closed-form moments), the quantum side
+point, region, factored E - V, the ensemble's pass on a rule that integrates
+it exactly, closed-form moments), the quantum side
 (eigenlevels, wavefunction, moment integrands in the natural coordinate,
 Robertson bound) and the exact trajectory.
 
@@ -31,14 +32,53 @@ def _require_positive(**params: float) -> None:
             raise ValueError(f"{name} must be strictly positive and finite, got {value}")
 
 
+def _points(x: Union[float, np.ndarray]) -> np.ndarray:
+    """x, a float or a 1-D array, as a 1-D float array; a nan or an infinity is refused."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.isfinite(xs).all():
+        raise ValueError(f"x must be finite, got {xs[~np.isfinite(xs)][0].item()!r}")
+    return xs
+
+
+# The classical passes' fixed rules, each as (nodes, weights) on the non-negative half of a
+# symmetric rule (for an integrand folded as f(t) + f(-t)) or on [0, 1]; the nodes are
+# decimal literals, so that each is the correctly rounded value of its closed form.
+# Gauss-Chebyshev of 4 nodes cos((2k - 1) pi/8), weights pi/4, for the weight 1/sqrt(1 - t^2):
+_CHEBYSHEV_4 = (np.array([0.382683432365089771728459984030398867, 0.923879532511286756128183189396788287]),
+                np.full(2, 0.25 * math.pi))
+# Gauss-Legendre of 2 nodes +-1/sqrt(3), weights 1, on [-1, 1]:
+_LEGENDRE_2 = (np.array([0.577350269189625764509148780501957456]), np.ones(1))
+# Gauss-Legendre of 3 nodes on [0, 1], 1/2 -+ sqrt(15)/10 and 1/2, weights 5/18, 4/9 and 5/18:
+_LEGENDRE_3_UNIT = (np.array([0.112701665379258311482073460021760039, 0.5, 0.887298334620741688517926539978239961]),
+                    np.array([5.0 / 18.0, 4.0 / 9.0, 5.0 / 18.0]))
+
+
+def _ensemble_weights(scaled_x: np.ndarray, density: np.ndarray, kinetic: np.ndarray, energy: float) -> np.ndarray:
+    # the classical pass's four components: 1, X, X^2 and (E - V)/E, each times `density`,
+    # which is dx/sqrt(E - V) over the rule's weight
+    return density * np.array([np.ones_like(scaled_x), scaled_x, scaled_x * scaled_x, kinetic / energy])
+
+
+def _folded(t: np.ndarray, density: np.ndarray, kinetic: np.ndarray, energy: float) -> np.ndarray:
+    # a symmetric system's components at X = t and X = -t, where E - V and `density` are the same:
+    # the odd <X> terms cancel exactly, so its sum is 0 with a 0 rounding floor
+    return _ensemble_weights(t, density, kinetic, energy) + _ensemble_weights(-t, density, kinetic, energy)
+
+
 class _System:
     """What each system supplies.
 
     Classical side, at energy E with turning point A:
       ``turning_point(E)``; ``scaled_region``, the classical region in X = x/A;
-      ``kinetic(E, A)``, E - V(x) as a function of x and of the exact distance
-      s from the left and from the right end of the region (the endpoint
-      forms that keep the classical pass accurate at the turning points);
+      ``kinetic(E, A)``, E - V as a function of x, which the classical density
+      reads, and of the exact distance s from the turning point x = A (for a
+      symmetric system, from either end), which keeps the classical pass
+      accurate next to a turning point;
+      ``classical_pass(E)``, the ensemble's one integral as (f, nodes, weights):
+      the weights 1, X, X^2 and (E - V)/E over sqrt(E - V), with E - V from
+      ``kinetic``'s endpoint form, written in the variable that makes each a
+      low-degree polynomial against the rule's weight, so that the fixed rule
+      integrates them exactly; a symmetric system folds +t and -t first;
       ``closed_form``, the exact classical (<X>, <X^2>, <P^2>).
     Quantum side, for level n at hbar:
       ``name``, ``n_min`` and ``n_max`` (the highest level computed);
@@ -71,6 +111,7 @@ _RESCALE = 600  # the scaled recurrence is renormalized past 2^600
 _RESCALE_AT = 2.0 ** _RESCALE
 _HEADROOM = 400  # log2 of the growth allowed between two tests: 2^(600 + 400) stays below overflow
 _NEWTON_STEPS = 8  # the Gauss-Hermite nodes settle in three
+_Y_SQUARE_MAX = math.sqrt(sys.float_info.max)  # the largest |y| whose y * y is finite
 
 
 def _ho_functions(n: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -80,17 +121,18 @@ def _ho_functions(n: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     # The recurrence never forms H_n, which overflows doubles from n ~ 200 on.
     half_y2 = 0.5 * y * y
     phi = math.pi ** -0.25 * np.exp(-half_y2)
-    # Past y ~ 37.7 the start e^(-y^2/2) is subnormal or zero: such an element
-    # carries phi * 2^-shift (capped where no level is representable anyway)
-    # and is renormalized as the recurrence grows it.
-    shift = np.where(phi < sys.float_info.min, np.ceil(np.minimum(half_y2, 1e15) / _LN2), 0.0).astype(np.int64)
-    phi = np.where(shift > 0, math.pi ** -0.25 * np.exp(shift * _LN2 - half_y2), phi)
-    # A step grows max(|phi_k|, |phi_(k-1)|) by at most sqrt(2) max|y| + 1, so testing
-    # that pair after each `every` steps keeps it below 2^(600 + 400); an unscaled
-    # element never nears 2^600, so n + 1 tests none.  Each rescale is exact, so the
-    # schedule moves no bit.
-    every = (max(1, int(_HEADROOM / math.log2(math.sqrt(2.0) * np.fmax.reduce(np.abs(y)) + 1.0)))
-             if shift.any() else n + 1)
+    shift, every, underflows = None, n + 1, phi < sys.float_info.min
+    if underflows.any():
+        # Past y ~ 37.7 the start e^(-y^2/2) is subnormal or zero: such an element
+        # carries phi * 2^-shift (capped where no level is representable anyway)
+        # and is renormalized as the recurrence grows it.
+        shift = np.where(underflows, np.ceil(np.minimum(half_y2, 1e15) / _LN2), 0.0).astype(np.int64)
+        phi = np.where(shift > 0, math.pi ** -0.25 * np.exp(shift * _LN2 - half_y2), phi)
+        # A step grows max(|phi_k|, |phi_(k-1)|) by at most sqrt(2) max|y| + 1, so testing
+        # that pair after each `every` steps keeps it below 2^(600 + 400); an unscaled
+        # element never nears 2^600, so without a shift n + 1 tests none.  Each rescale
+        # is exact, so the schedule moves no bit.
+        every = max(1, int(_HEADROOM / math.log2(math.sqrt(2.0) * np.fmax.reduce(np.abs(y)) + 1.0)))
     older = old = np.zeros_like(y)
     rows = max(1, (1 << 16) // max(y.size, 1))  # a_k * y by blocks of <= 512 KiB: 3 array ops a step
     for k in range(n):
@@ -101,6 +143,8 @@ def _ho_functions(n: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
         if (k + 1) % every == 0 and (big := np.maximum(np.abs(old), np.abs(phi)) > _RESCALE_AT).any():
             older, old, phi = (np.ldexp(v, -_RESCALE * big) for v in (older, old, phi))
             shift -= _RESCALE * big
+    if shift is None:  # no start underflowed: nothing to scale back
+        return older, old, phi
     return np.ldexp(older, -shift), np.ldexp(old, -shift), np.ldexp(phi, -shift)
 
 
@@ -165,14 +209,31 @@ class HarmonicOscillator(_System):
         def from_end(s: np.ndarray) -> np.ndarray:
             return half_mw2 * s * (2.0 * turning - s)
 
-        return lambda x: half_mw2 * (turning - x) * (turning + x), from_end, from_end
+        return lambda x: half_mw2 * (turning - x) * (turning + x), from_end
+
+    def classical_pass(self, energy: float):
+        # x = A t on the arcsine weight 1/sqrt(1 - t^2): E - V = (1/2) m w^2 A^2 (1 - t^2), so each
+        # weight over sqrt(E - V), times dx/dt = A and over the rule's weight, is a polynomial of
+        # degree <= 2 in t, which the 4-node Gauss-Chebyshev rule integrates exactly.
+        turning = self.turning_point(energy)
+        from_end = self.kinetic(energy, turning)[1]
+
+        def integrands(t: np.ndarray) -> np.ndarray:
+            kinetic = from_end(turning * (1.0 - t))  # x = +-A t lies A (1 - t) from its nearer end
+            return _folded(t, turning * np.sqrt((1.0 - t) * (1.0 + t) / kinetic), kinetic, energy)
+
+        return (integrands, *_CHEBYSHEV_4)
 
     def level(self, n: int, hbar: float) -> float:
         return (n + 0.5) * hbar * self.omega
 
     def psi(self, level, x: np.ndarray) -> np.ndarray:
         scale = math.sqrt(self.m * self.omega / level.model.hbar)
-        return math.sqrt(scale) * _ho_functions(level.n, scale * x)[2]
+        with np.errstate(over="ignore"):  # an infinite y is far too
+            y = scale * x
+        # where y^2 overflows, psi has underflowed to 0 at every level long before
+        far = np.abs(y) > _Y_SQUARE_MAX
+        return math.sqrt(scale) * np.where(far, 0.0, _ho_functions(level.n, np.where(far, 0.0, y))[2])
 
     def moment_pass(self, level):
         n = level.n
@@ -242,7 +303,19 @@ class InfiniteWell(_System):
         def flat(x: np.ndarray) -> np.ndarray:
             return np.full_like(x, energy)
 
-        return flat, flat, flat
+        return flat, flat
+
+    def classical_pass(self, energy: float):
+        # flat in x = A t: each weight over sqrt(E - V), times dx/dt = A, is a polynomial of
+        # degree <= 2 in t, which the 2-node Gauss-Legendre rule integrates exactly.
+        turning = self.turning_point(energy)
+        from_end = self.kinetic(energy, turning)[1]
+
+        def integrands(t: np.ndarray) -> np.ndarray:
+            kinetic = from_end(turning * (1.0 - t))
+            return _folded(t, turning / np.sqrt(kinetic), kinetic, energy)
+
+        return (integrands, *_LEGENDRE_2)
 
     def level(self, n: int, hbar: float) -> float:
         return n * n * math.pi ** 2 * hbar ** 2 / (2.0 * self.m * self.L ** 2)
@@ -317,7 +390,20 @@ class BouncingBall(_System):
 
     def kinetic(self, energy: float, turning: float):
         mg = self.m * self.g
-        return (lambda x: mg * (turning - x)), (lambda s: mg * (turning - s)), (lambda s: mg * s)
+        return (lambda x: mg * (turning - x)), (lambda s: mg * s)
+
+    def classical_pass(self, energy: float):
+        # in u on [0, 1], where A - x = A u^2: E - V = m g A u^2 and |dx/du| = 2 A u, so each
+        # weight over sqrt(E - V) is a polynomial of degree <= 4 in u (X = 1 - u^2), which the
+        # 3-node Gauss-Legendre rule integrates exactly.
+        turning = self.turning_point(energy)
+        from_end = self.kinetic(energy, turning)[1]
+
+        def integrands(u: np.ndarray) -> np.ndarray:
+            kinetic = from_end(turning * u * u)
+            return _ensemble_weights(1.0 - u * u, 2.0 * turning * u / np.sqrt(kinetic), kinetic, energy)
+
+        return (integrands, *_LEGENDRE_3_UNIT)
 
     def airy_scales(self, n: int, hbar: float) -> tuple[float, float]:
         return specfun.airy_zero(n).scaled_energy, (hbar ** 2 / (2.0 * self.m ** 2 * self.g)) ** (1.0 / 3.0)

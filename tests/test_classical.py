@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from ucr.classical_ensemble import (
     classical_moments_closed_form,
     classical_moments_quadrature,
 )
-from ucr.quadrature import QuadratureSpec, integrate_singular_endpoints
+from ucr.quadrature import QuadratureSpec, integrate_rule
 from ucr.quantum_states import eigen_level
 from ucr.systems import BouncingBall, HarmonicOscillator, InfiniteWell, PotentialModel
 
@@ -110,9 +112,9 @@ class TestOnePass:
 
         def counted(*args):
             calls.append(args)
-            return integrate_singular_endpoints(*args)
+            return integrate_rule(*args)
 
-        monkeypatch.setattr(classical_ensemble, "integrate_singular_endpoints", counted)
+        monkeypatch.setattr(classical_ensemble, "integrate_rule", counted)
         ens = build_ensemble(PotentialModel(variant), 1.7, SPEC)
         assert len(calls) == 1
         assert classical_moments_quadrature(ens) is ens.moments
@@ -121,7 +123,7 @@ class TestOnePass:
         assert ens.normalization * ens.result.value[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_unconverged_pass_raises(self):
-        # here the K15 error estimate stays far above 1e-300
+        # here the rule's rounding floor stays far above 1e-300
         tight = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300)
         ens = build_ensemble(PotentialModel(BouncingBall(1.0, 9.8)), 1.7, tight)
         assert not ens.result.converged
@@ -139,6 +141,71 @@ class TestOnePass:
         # read (0, 0, 0, 0) here and claim convergence no rule can reach
         ens = build_ensemble(PotentialModel(variant), 0.5, QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300))
         assert not ens.result.converged
+
+
+def _rule_of_twice_the_nodes(name):
+    """The classical pass's rule of twice the nodes on the same weight and interval, its nodes
+    and weights rounded from 40 digits: on the non-negative half for the folded symmetric
+    passes, and mapped onto [0, 1] for the bouncer."""
+    count = {"oscillator": 8, "well": 4, "bouncer": 6}[name]
+    with mp.workdps(40):
+        if name == "oscillator":  # Gauss-Chebyshev
+            nodes = [mp.cos((2 * k - 1) * mp.pi / (2 * count)) for k in range(1, count + 1)]
+            weights = [mp.pi / count] * count
+        else:  # Gauss-Legendre: numpy's nodes refined on P_count, Christoffel weights 2/((1 - x^2) P'(x)^2)
+            legendre = lambda x: mp.legendre(count, x)
+            nodes = [mp.findroot(legendre, x) for x in np.polynomial.legendre.leggauss(count)[0].tolist()]
+            weights = [2 / ((1 - x * x) * mp.diff(legendre, x) ** 2) for x in nodes]
+        if name == "bouncer":
+            pairs = [((1 + x) / 2, w / 2) for x, w in zip(nodes, weights)]
+        else:
+            pairs = [(x, w) for x, w in zip(nodes, weights) if x > 0]
+        return np.array([float(x) for x, _ in pairs]), np.array([float(w) for _, w in pairs])
+
+
+class TestExactRules:
+    """Each ensemble's pass is a polynomial against its rule's weight, which its
+    fixed rule integrates exactly: checked against a rule of twice the nodes, not
+    against the closed forms."""
+
+    VARIANTS = [HarmonicOscillator, InfiniteWell, BouncingBall]
+
+    @pytest.mark.parametrize("factory", VARIANTS, ids=["oscillator", "well", "bouncer"])
+    def test_rule_of_twice_the_nodes_agrees(self, factory):
+        rng = random.Random(20261020)
+        for _ in range(50):
+            variant = factory(rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0))
+            energy = math.exp(rng.uniform(-8.0, 8.0))
+            f, nodes, weights = variant.classical_pass(energy)
+            own = integrate_rule(f, nodes, weights).value
+            twice = integrate_rule(f, *_rule_of_twice_the_nodes(variant.name)).value
+            for a, b in zip(own, twice):
+                assert abs(a - b) <= 4.0 * math.ulp(max(abs(a), abs(b))), (variant, energy, own, twice)
+
+    def test_rules_are_their_closed_forms_correctly_rounded(self):
+        with mp.workdps(40):
+            want = {
+                "oscillator": ([mp.cos(3 * mp.pi / 8), mp.cos(mp.pi / 8)], [mp.pi / 4] * 2),
+                "well": ([1 / mp.sqrt(3)], [1]),
+                "bouncer": ([mp.mpf(1) / 2 - mp.sqrt(15) / 10, mp.mpf(1) / 2, mp.mpf(1) / 2 + mp.sqrt(15) / 10],
+                            [mp.mpf(5) / 18, mp.mpf(4) / 9, mp.mpf(5) / 18]),
+            }
+            for factory in self.VARIANTS:
+                variant = factory(1.0, 1.0)
+                _, nodes, weights = variant.classical_pass(1.0)
+                assert nodes.tolist() == [float(v) for v in want[variant.name][0]]
+                assert weights.tolist() == [float(v) for v in want[variant.name][1]]
+
+    @pytest.mark.parametrize("factory", VARIANTS, ids=["oscillator", "well", "bouncer"])
+    @pytest.mark.parametrize("spec", [QuadratureSpec(abs_tol=0.0, rel_tol=1e-10), QuadratureSpec(abs_tol=1e-12, rel_tol=0.0)],
+                             ids=["rel only", "abs only"])
+    def test_pass_converges_at_one_sided_specs(self, factory, spec):
+        # rel only: the folded <X> of a symmetric system is 0 with a 0 floor, so it meets a 0 tolerance
+        model = PotentialModel(factory(1.0, 1.0))
+        for n in (model.variant.n_min, 2, 10, 100, 1000):
+            ens = build_ensemble(model, eigen_level(model, n).energy, spec)
+            assert ens.result.converged, (n, ens.result)
+            assert ens.result.error_estimate == ens.result.floor
 
 
 class TestDensity:
@@ -181,6 +248,28 @@ class TestDensity:
         assert pointwise[:6].count(0.0) == 4  # outside the region on both sides
         # at the ends: turning points diverge, the well's walls and the floor do not
         assert pointwise[2:4].count(math.inf) == {"oscillator": 2, "well": 0, "bouncer": 1}[variant.name]
+
+    @pytest.mark.parametrize(
+        "variant", [HarmonicOscillator(1.3, 0.7), InfiniteWell(0.8, 2.5), BouncingBall(1.1, 0.9)], ids=lambda v: v.name
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_refused(self, variant, bad):
+        # one ValueError on every system, for a float and inside an array; the well gave a
+        # finite density at nan, the oscillator and the bouncer nan
+        ens = build_ensemble(PotentialModel(variant), 1.7)
+        for x in (bad, np.array([0.1, bad, 0.2])):
+            with pytest.raises(ValueError, match="x must be finite"):
+                classical_density(ens, x)
+
+    @pytest.mark.parametrize(
+        "variant", [HarmonicOscillator(1.3, 0.7), InfiniteWell(0.8, 2.5), BouncingBall(1.1, 0.9)], ids=lambda v: v.name
+    )
+    def test_zero_far_outside_without_overflow(self, variant):
+        # E - V is taken on x clipped to the region, so the oscillator's (A - x)(A + x)
+        # no longer overflows with a RuntimeWarning far outside
+        ens = build_ensemble(PotentialModel(variant), 1.7)
+        for x in (1e155, -1e200, sys.float_info.max, -sys.float_info.max):
+            assert classical_density(ens, x) == 0.0
 
     def test_symmetric_in_x_for_symmetric_systems(self):
         ho = build_ensemble(PotentialModel(HarmonicOscillator(1.3, 0.7)), 2.0)

@@ -166,6 +166,30 @@ class TestWavefunction:
             assert all(type(v) is float for v in floats)
             assert got.tolist() == floats
 
+    @pytest.mark.parametrize("model", [HO, WELL, BALL], ids=["oscillator", "well", "bouncer"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_refused(self, model, bad):
+        # one ValueError on every system, for a float and inside an array; the bouncer
+        # returned 0.0 at -inf and the oscillator nan with RuntimeWarnings
+        level = eigen_level(model, 2)
+        for x in (bad, np.array([0.1, bad, 0.2])):
+            with pytest.raises(ValueError, match="x must be finite"):
+                wavefunction(level, x)
+
+    @pytest.mark.parametrize("n", [0, 5, 800])
+    def test_oscillator_vanishes_where_y_squared_overflows(self, n):
+        # past |y| = sqrt(max float) the recurrence's y^2/2 overflowed with a RuntimeWarning;
+        # psi is 0 there, and the points inside keep their bits
+        model = PotentialModel(HarmonicOscillator(m=2.0, omega=3.0), hbar=0.5)
+        level = eigen_level(model, n)
+        far = [1.4e154 / 12.0 ** 0.5, -1e200, 1.7e308, -sys.float_info.max]  # y = x sqrt(12)
+        for x in far:
+            assert wavefunction(level, x) == 0.0
+        inside = [-3.0, 0.25, 1.5]
+        got = wavefunction(level, np.array(far + inside))
+        assert got[:4].tolist() == [0.0] * 4
+        assert got[4:].tolist() == [wavefunction(level, x) for x in inside]
+
 
 class TestHermiteFunctions:
     def test_recurrence_against_mpmath_at_n600(self):
@@ -655,23 +679,24 @@ class TestCommutatorBound:
 class TestDensityGrid:
     # (x, quantum, classical, clipped) rows of level 2 as float.hex, recorded
     # from the padded-neighbour clip that the end-only clip replaced; the
-    # well's classical column moved from 0x1.0p-1 by one ulp when its
-    # classical pass came to converge on its first panel under qk15's estimate
+    # classical columns were re-recorded when the ensembles went onto exact
+    # fixed rules: the well's is 1/2 and the bouncer's 1/(2 sqrt(1 - X)) at
+    # X = 0 and 1/2 to the bit, at X = 1/3 and 2/3 within an ulp
     ROWS = {
         ('bouncer', 2): (
-            ('0x0.0p+0', '0x1.0bc814deb8f23p-102', '0x1.ffffffffffffep-2', False),
-            ('0x1.0000000000000p+0', '0x1.9906428a81d38p-1', '0x1.ffffffffffffep-2', True),
+            ('0x0.0p+0', '0x1.0bc814deb8f23p-102', '0x1.0000000000000p-1', False),
+            ('0x1.0000000000000p+0', '0x1.9906428a81d38p-1', '0x1.0000000000000p-1', True),
         ),
         ('bouncer', 3): (
-            ('0x0.0p+0', '0x1.0bc814deb8f23p-102', '0x1.ffffffffffffep-2', False),
-            ('0x1.0000000000000p-1', '0x1.031289148bd82p-2', '0x1.6a09e667f3bcbp-1', False),
-            ('0x1.0000000000000p+0', '0x1.9906428a81d38p-1', '0x1.6a09e667f3bcbp-1', True),
+            ('0x0.0p+0', '0x1.0bc814deb8f23p-102', '0x1.0000000000000p-1', False),
+            ('0x1.0000000000000p-1', '0x1.031289148bd82p-2', '0x1.6a09e667f3bcdp-1', False),
+            ('0x1.0000000000000p+0', '0x1.9906428a81d38p-1', '0x1.6a09e667f3bcdp-1', True),
         ),
         ('bouncer', 4): (
-            ('0x0.0p+0', '0x1.0bc814deb8f23p-102', '0x1.ffffffffffffep-2', False),
-            ('0x1.5555555555555p-2', '0x1.a4de5fc7a6d99p-2', '0x1.3988e1409212dp-1', False),
-            ('0x1.5555555555555p-1', '0x1.95ec7ae2b388ep+0', '0x1.bb67ae8584ca7p-1', False),
-            ('0x1.0000000000000p+0', '0x1.9906428a81d38p-1', '0x1.bb67ae8584ca7p-1', True),
+            ('0x0.0p+0', '0x1.0bc814deb8f23p-102', '0x1.0000000000000p-1', False),
+            ('0x1.5555555555555p-2', '0x1.a4de5fc7a6d99p-2', '0x1.3988e1409212ep-1', False),
+            ('0x1.5555555555555p-1', '0x1.95ec7ae2b388ep+0', '0x1.bb67ae8584ca9p-1', False),
+            ('0x1.0000000000000p+0', '0x1.9906428a81d38p-1', '0x1.bb67ae8584ca9p-1', True),
         ),
         ('ho', 3): (
             ('-0x1.0000000000000p+0', '0x1.6086f6d304710p-2', '0x1.45f306dc9c883p-2', True),
@@ -685,19 +710,19 @@ class TestDensityGrid:
             ('0x1.0000000000000p+0', '0x1.6086f6d304710p-2', '0x1.59b8b1f4ecc98p-2', True),
         ),
         ('well', 2): (
-            ('-0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000001p-1', False),
-            ('0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000001p-1', False),
+            ('-0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
+            ('0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
         ),
         ('well', 3): (
-            ('-0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000001p-1', False),
-            ('0x0.0p+0', '0x0.0p+0', '0x1.0000000000001p-1', False),
-            ('0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000001p-1', False),
+            ('-0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
+            ('0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p-1', False),
+            ('0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
         ),
         ('well', 4): (
-            ('-0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000001p-1', False),
-            ('-0x1.5555555555556p-2', '0x1.8000000000001p-1', '0x1.0000000000001p-1', False),
-            ('0x1.5555555555554p-2', '0x1.7ffffffffffffp-1', '0x1.0000000000001p-1', False),
-            ('0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000001p-1', False),
+            ('-0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
+            ('-0x1.5555555555556p-2', '0x1.8000000000001p-1', '0x1.0000000000000p-1', False),
+            ('0x1.5555555555554p-2', '0x1.7ffffffffffffp-1', '0x1.0000000000000p-1', False),
+            ('0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
         ),
     }
 

@@ -4,11 +4,14 @@ stdout line or exit code that differs.
     python3 tools/diff_outputs.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory that holds the `ucr` package (a checkout's
-`src/`); it goes first on PYTHONPATH for that tree's runs.  The 111
+`src/`); it goes first on PYTHONPATH for that tree's runs.  The 115
 commands cover `compare` on every system, and on the bouncer's high levels
 n = 200 and 1000 (CSV and JSON, and at the loose integral tolerances
 `--quad-tol 1e-6` and, for the oscillator's n = 0, `1e-4`, where the
-adaptive passes' <P> = 0 check meets real quadrature error) and n = 3000 and
+adaptive passes' <P> = 0 check meets real quadrature error, and at the tight
+end `--quad-tol 1e-17`, where the classical verdicts meet their rounding
+floor: `compare` on the oscillator's n = 0 and 5 and `verify` on every
+system) and n = 3000 and
 4000 (whose passes from the Airy zeros alone split 2,908 and 3,905 panels),
 `compare` and a 101-point `density` grid on
 the oscillator's high levels (n = 200 and 900, where its recurrence is
@@ -47,6 +50,7 @@ def commands() -> list[tuple[str, ...]]:
             cmds.append(("compare", "--system", system, "--n", n, "--format", fmt))
         cmds.append(("compare", "--system", system, "--n", n, "--quad-tol", "1e-6"))
     cmds.append(("compare", "--system", "ho", "--n", "0", "--quad-tol", "1e-4"))
+    cmds.append(("compare", "--system", "ho", "--n", "0,5", "--quad-tol", "1e-17"))
     cmds.append(("compare", "--system", "bouncer", "--n", "3000,4000"))
     cmds.append(("compare", "--system", "ho", "--n", "200,900"))
     cmds.append(("compare", "--system", "ho", "--n", "2000"))
@@ -57,6 +61,8 @@ def commands() -> list[tuple[str, ...]]:
         for samples in ("100000", "1000", "6", "2"):
             cmds.append(("verify", "--system", system, "--samples", samples))
     cmds.append(("verify", "--system", "well", "--samples", "8193"))  # one past the oracle's 8192-sample block
+    for system in ("ho", "well", "bouncer"):
+        cmds.append(("verify", "--system", system, "--quad-tol", "1e-17"))  # the classical pass at its rounding floor
     for system in ("ho", "well", "bouncer"):
         cmds.append(("verify", "--system", system, "--samples", "131081"))  # 17 blocks, 5 levels deep and 4
     cmds.append(("verify", "--system", "well", "--samples", "999983"))  # a prime: uneven blocks all the way down

@@ -12,7 +12,8 @@ the same functions, the same Airy memo and the machine's speed of the moment.
 The sweep takes, for every level of SWEEP, the level's one quantum moment
 pass from `moment_pass` (by `integrate_rule` when it hands over a fixed rule's
 nodes and weights, as the oscillator's does) and the classical ensemble's
-endpoint-singular pass, at each of seven specs; both trees' `integrate_finite`
+pass at E_n from `classical_pass` (by `integrate_rule`), at each of seven
+specs; both trees' `integrate_finite`
 take the pass's break points and the spec as given, as `quantum_states._integrate`
 hands them on.  The value, error estimate, `evaluations` and
 `converged` of the two trees' results must agree bit for bit (an integrand
@@ -86,31 +87,18 @@ def import_ucr(src: str):
 def level_passes(ucr, model, n: int) -> list[tuple]:
     """The level's passes as (label, kind, integrand, rule): the quantum
     moment pass, its rule its (points,) or, kind "rule", a fixed rule's
-    (nodes, weights), then the classical ensemble's pass with its (a, b),
-    caught on its way to `integrate_singular_endpoints`."""
+    (nodes, weights), then the classical ensemble's pass at E_n, a fixed
+    rule's, from `classical_pass`."""
     level = ucr.eigen_level(model, n)
     (f, *rule), _ = model.variant.moment_pass(level)
-    passes = [("quantum", "rule" if len(rule) == 2 else "quantum", f, tuple(rule))]
-    module = sys.modules["ucr.classical_ensemble"]
-    singular = module.integrate_singular_endpoints
-
-    def recording(from_left, from_right, a, b, spec):
-        passes.append(("classical", "classical", (from_left, from_right), (a, b)))
-        return singular(from_left, from_right, a, b, spec)
-
-    module.integrate_singular_endpoints = recording
-    try:
-        ucr.build_ensemble(model, level.energy)
-    finally:
-        module.integrate_singular_endpoints = singular
-    return passes
+    g, *classical = model.variant.classical_pass(level.energy)
+    return [("quantum", "rule" if len(rule) == 2 else "quantum", f, tuple(rule)),
+            ("classical", "rule", g, tuple(classical))]
 
 
 def run(module, one_pass: tuple, spec_fields: dict):
     _, kind, f, rule = one_pass
     spec = module.QuadratureSpec(**spec_fields)
-    if kind == "classical":
-        return module.integrate_singular_endpoints(*f, *rule, spec)
     if kind == "rule":
         return module.integrate_rule(f, *rule, spec)
     return module.integrate_finite(f, *rule, spec)
