@@ -2,8 +2,10 @@
 function Ai with its derivative, and the negative zeros of Ai.
 
 `airy` evaluates Ai and Ai' over an array of abscissas, and no other code
-does: a Taylor step from an integer anchor on (-9, 9), the large-|z|
-expansions (DLMF 9.7.5-6 and 9.7.9-10) beyond.  Each element's value depends
+does.  On (-12, 9) it takes a Taylor step of |h| <= 1/4 in 20 terms from the
+nearest anchor on the grid of halves; from 9 up and from -12 down it sums the
+large-|z| expansions (DLMF 9.7.5-6 and 9.7.9-10), the negative one in at most
+19 terms, the positive one in up to 40 near 9.  Each element's value depends
 on its z alone, never on the rest of its batch, so `airy_ai`, the scalar form
 for Newton steps and the public API, returns the same bits as any array call.
 A one-element call runs on every branch in Python floats, which round as
@@ -43,10 +45,16 @@ __all__ = [
 _TWO_PI_RESIDUAL = 2.4492935982947064e-16
 _PI_OVER_4_RESIDUAL = 3.061616997868383e-17
 
-# Regime switch point.  For |z| >= 9 the asymptotic expansions are used;
-# between -9 and 9 a Taylor expansion of the ODE w'' = z*w about the integer
-# anchor at or above z (`_taylor_table`).
-_ASYMP_CUT = 9.0
+# Regime switch points.  For z >= 9 and z <= -12 the asymptotic expansions
+# are used; between them a Taylor expansion of the ODE w'' = z*w about the
+# nearest anchor on the grid of halves (`_anchor_columns`).
+_POSITIVE_CUT = 9.0
+_NEGATIVE_CUT = -12.0
+# The anchors' positions in half units, lowest first.
+_HALVES = range(int(2.0 * _NEGATIVE_CUT), int(2.0 * _POSITIVE_CUT) + 1)
+# Columns kept per anchor: the fewest whose first dropped term at |h| = 1/4
+# lies below 2^-60 of the envelope at every anchor (with 19 the anchor -12 misses).
+_TAYLOR_TERMS = 20
 
 _NEWTON_MAX_ITER = 50
 
@@ -130,13 +138,14 @@ def _series_tables(as_lists: bool = False) -> tuple:
     nested lists of Python floats and ints for one-element calls:
 
     - ``alternating[k]`` = (-1)^k (u_k, v_k), for z >= 9;
-    - ``paired[k]`` = (-1)^(k//2) (u_k, v_k), for z <= -9: even k make the
+    - ``paired[k]`` = (-1)^(k//2) (u_k, v_k), for z <= -12: even k make the
       sums P (Ai) and R (Ai'), odd k the sums Q and S;
     - ``counts[i]``, the term count for zeta from ``breaks[i-1]`` up to
       ``breaks[i]``: a series stops at its first term k that is larger than
       term k - 1 (where zeta < u_k / u_(k-1)) or below 2^-60 (where zeta >=
-      (2^60 u_k)^(1/k)).  From zeta = 18, the seam, to about 21 the terms
-      turn to growing before they get that small.
+      (2^60 u_k)^(1/k)).  From zeta = 18, the positive seam, to about 19.4
+      the terms turn to growing before they get that small; from zeta =
+      27.7, the negative seam, they get below it in at most 19 terms.
     """
     if as_lists:
         return tuple(table.tolist() for table in _series_tables())
@@ -246,7 +255,7 @@ def _zeta_double_double(x):
 
 
 def _negative(z):
-    # DLMF 9.7.9-10: Ai and Ai' for z <= -9 from the phase zeta + pi/4.  Its
+    # DLMF 9.7.9-10: Ai and Ai' for z <= -12 from the phase zeta + pi/4.  Its
     # multiple n of 2*pi comes off as in math.remainder: n * 2*pi is a
     # double-double and zeta - n * 2*pi is exact in doubles.  Past |z| ~ 1e11
     # zeta / 2*pi no longer rounds to n, and the reduced phase, a few turns
@@ -297,35 +306,37 @@ def _horner(columns, h):
 
 @functools.cache
 def _anchor_columns() -> list[list[tuple[float, float]]]:
-    """Per integer anchor -8..9, the columns (c_k, (k+1) c_(k+1)) of Ai's
-    Taylor polynomial about it, built once.  The anchor 9 starts from the
-    asymptotic value there, every other from one unit step down from the
-    anchor above: toward smaller z Ai is the growing solution on the
-    positive axis and neither solution grows on the negative axis, so the
-    propagation is stable."""
-    ai, aip = _positive(_ASYMP_CUT)
+    """Per anchor -12, -11.5, ..., 9, the first _TAYLOR_TERMS columns
+    (c_k, (k+1) c_(k+1)) of Ai's Taylor polynomial about it, built once.
+    The anchor 9 starts from the asymptotic value there, every other from a
+    half-unit step down, on all 34 terms, from the anchor above: toward
+    smaller z Ai is the growing solution on the positive axis and neither
+    solution grows on the negative axis, so the propagation is stable."""
+    ai, aip = _positive(_POSITIVE_CUT)
     anchors = []
-    for z0 in range(9, -9, -1):
-        c = _taylor_coefficients(float(z0), float(ai), float(aip))
+    for half in reversed(_HALVES):
+        c = _taylor_coefficients(0.5 * half, ai, aip)
         columns = [(c[k], (k + 1) * c[k + 1]) for k in range(33)] + [(c[33], 0.0)]
-        anchors.append(columns)
-        ai, aip = _horner(columns, -1.0)
+        anchors.append(columns[:_TAYLOR_TERMS])
+        ai, aip = _horner(columns, -0.5)
     return anchors[::-1]
 
 
 @functools.cache
 def _taylor_table() -> np.ndarray:
-    # The same columns as one (34, 2, 18) array, anchor last, for batches.
+    # The same columns as one (_TAYLOR_TERMS, 2, anchors) array, anchor last, for batches.
     return np.ascontiguousarray(np.array(_anchor_columns()).transpose(1, 2, 0))
 
 
 def _taylor(z):
-    # One Taylor step from the integer anchor at or above z, for -9 < z < 9.
+    # One Taylor step of |h| <= 1/4 from the nearest anchor, for -12 < z < 9;
+    # a z halfway between two takes the integer one (round and np.rint round
+    # half to even).
     if isinstance(z, float):  # one point: Python floats round every step as numpy does, at a fraction of the cost
-        anchor = math.ceil(z)
-        return _horner(_anchor_columns()[anchor + 8], z - anchor)
-    anchor = np.ceil(z)
-    h, columns = z - anchor, _taylor_table()[:, :, anchor.astype(int) + 8]
+        half = round(2.0 * z)
+        return _horner(_anchor_columns()[half - _HALVES.start], z - 0.5 * half)
+    half = np.rint(2.0 * z)
+    h, columns = z - 0.5 * half, _taylor_table()[:, :, half.astype(int) - _HALVES.start]
     acc = columns[-1].copy()  # (value, derivative) rows: _horner's operations in half its ufunc calls
     for column in columns[-2::-1]:
         acc *= h
@@ -334,9 +345,9 @@ def _taylor(z):
 
 
 def _branch(z: float) -> str:
-    if z >= _ASYMP_CUT:
+    if z >= _POSITIVE_CUT:
         return "positive-z-asymptotic"
-    if z <= -_ASYMP_CUT:
+    if z <= _NEGATIVE_CUT:
         return "negative-z-asymptotic"
     return "power-series"
 
@@ -359,7 +370,7 @@ def _evaluate(z: np.ndarray) -> np.ndarray:
         kernel = _BRANCHES[_branch(lo)]
         return np.concatenate([kernel(z[i:i + _CHUNK]) for i in range(0, len(z), _CHUNK)], axis=1)
     values = np.empty((2, len(z)))
-    for inside in (z <= -_ASYMP_CUT, z >= _ASYMP_CUT, (z > -_ASYMP_CUT) & (z < _ASYMP_CUT)):
+    for inside in (z <= _NEGATIVE_CUT, z >= _POSITIVE_CUT, (z > _NEGATIVE_CUT) & (z < _POSITIVE_CUT)):
         if inside.any():
             values[:, inside] = _evaluate(z[inside])
     return values

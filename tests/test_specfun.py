@@ -15,6 +15,11 @@ from ucr import specfun
 from ucr.specfun import ConvergenceError, airy, airy_ai, airy_zero, hermite, hermite_prime
 
 
+# The Taylor branch's seams: the switches between its anchors at the odd
+# quarters -11.75..8.75 and its edges -12 and 9.
+SEAMS = [q / 4.0 for q in range(-47, 36, 2)] + [-12.0, 9.0]
+
+
 class TestHermite:
     def test_degree_zero_is_one(self):
         assert hermite(0, 3.7) == 1.0
@@ -88,10 +93,12 @@ class TestAiryAi:
         assert v.branch == "positive-z-asymptotic"
 
     def test_branch_tags(self):
-        # the Taylor-stepped mid-range (-9, 9) keeps the tag "power-series"
+        # the Taylor-stepped mid-range (-12, 9) keeps the tag "power-series"
         assert airy_ai(0.5).branch == "power-series"
         assert airy_ai(6.0).branch == "power-series"
+        assert airy_ai(-10.5).branch == "power-series"
         assert airy_ai(20.0).branch == "positive-z-asymptotic"
+        assert airy_ai(-12.5).branch == "negative-z-asymptotic"
         assert airy_ai(-20.0).branch == "negative-z-asymptotic"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -113,11 +120,9 @@ class TestAiryAi:
         # relative at large negative z, which is coarser than the target here
         mp.mp.dps = 30
         rng = random.Random(20260823)
-        zs = [rng.uniform(-60.0, 30.0) for _ in range(500)] + [rng.uniform(-9.5, 9.5) for _ in range(300)]
-        # the mid-range's integer anchors -8..9 and its lower edge -9 (9 is
-        # also the upper edge), each with its float neighbours
-        seams = [float(k) for k in range(-9, 10)]
-        zs += [z for k in seams for z in (math.nextafter(k, -math.inf), k, math.nextafter(k, math.inf))]
+        zs = [rng.uniform(-60.0, 30.0) for _ in range(500)] + [rng.uniform(-12.5, 9.5) for _ in range(300)]
+        # the mid-range's seams, each with its float neighbours
+        zs += [z for k in SEAMS for z in (math.nextafter(k, -math.inf), k, math.nextafter(k, math.inf))]
         # far enough out that the powers of zeta in the negative-z expansion
         # overflow a double, up to the lower limit -1e12
         zs += [-4000.0, -5000.0, -1e4, -1e6, -1e10, -1e12]
@@ -136,10 +141,10 @@ class TestAiryAi:
 
     def test_mid_range_accuracy(self):
         # Ai and Ai' from DLMF 9.4.1-2 in 0F1 form, summed by mpmath at 40
-        # digits: at z = 9 the series cancel about 16 digits, which leaves
-        # the reference over 20 correct digits
+        # digits: at z = 9 the series cancel about 16 digits and at z = -12
+        # about 13, which leaves the reference over 20 correct digits
         rng = random.Random(20261018)
-        zs = [rng.uniform(-9.0, 9.0) for _ in range(20_000)]
+        zs = [rng.uniform(-12.0, 9.0) for _ in range(20_000)]
         with mp.workdps(40):
             ai0 = 1 / (mp.cbrt(9) * mp.gamma(mp.mpf(2) / 3))
             aip0 = -1 / (mp.cbrt(3) * mp.gamma(mp.mpf(1) / 3))
@@ -229,8 +234,8 @@ class TestAiryArray:
         rng = random.Random(20261019)
         zs = [rng.uniform(-40.0, 30.0) for _ in range(450)]
         zs += [-(10.0 ** rng.uniform(1.0, 12.0)) for _ in range(100)]
-        zs += [z for k in range(-9, 10) for z in (math.nextafter(k, -math.inf), float(k), math.nextafter(k, math.inf))]
-        zs += [-1e12, 30.0, 9.0 + 1e-9, -9.0 - 1e-9]
+        zs += [z for k in SEAMS for z in (math.nextafter(k, -math.inf), k, math.nextafter(k, math.inf))]
+        zs += [-1e12, 30.0, 9.0 + 1e-9, -12.0 - 1e-9]
         rng.shuffle(zs)
         return np.array(zs)
 
@@ -247,11 +252,12 @@ class TestAiryArray:
             assert _bits([ai[i], aip[i]]) == _bits([one_ai[0], one_aip[0]]) == _bits([scalar.ai, scalar.ai_prime])
 
     @pytest.mark.parametrize("size", [1, specfun._ROWS_FROM - 1, specfun._ROWS_FROM, 512, 513, 1500])
-    @pytest.mark.parametrize("near, far", [(-9.0 - 1e-9, -1e12), (9.0, 10.0 * specfun._POSITIVE_CAP)])
+    @pytest.mark.parametrize("near, far", [(specfun._NEGATIVE_CUT, -1e12), (9.0, 10.0 * specfun._POSITIVE_CAP)])
     def test_asymptotic_batches_on_both_sides_of_the_row_switch(self, near, far, size):
         # the series sums go by columns below _ROWS_FROM elements and by rows
         # from there, in passes of 512: either way a value is its z's alone.
-        # Log-uniform |z| mixes term counts from 37 (zeta = 18) down to 2.
+        # Log-uniform |z| mixes term counts from 19 (z = -12) or 37 (z = 9)
+        # down to 2.
         rng = np.random.default_rng(size)
         z = math.copysign(1.0, near) * 10.0 ** rng.uniform(math.log10(abs(near)), math.log10(abs(far)), size)
         z[[0, -1]] = far, near
@@ -262,11 +268,18 @@ class TestAiryArray:
     def test_each_series_sum_is_read_at_its_own_count(self, size):
         # zeta = 18 (37 terms) next to zeta ~ 1e6 (3 terms) and to the most
         # terms of all, 40 at zeta ~ 19.3: past its own count a series at
-        # zeta = 18 grows, so a sum read at another element's count shows
-        z = np.resize([-9.0 - 1e-9, -13104.0, -(1.5 * 19.3) ** (2.0 / 3.0)], size)
-        zeta = np.array([specfun._zeta_double_double(-v)[0] for v in z[:3]])
+        # zeta = 18 grows, so a sum read at another element's count shows.
+        # `airy` reaches them on the positive axis only (the negative branch
+        # starts at -12, with 19 terms), so the negative kernel takes them
+        # directly, against its Python-float path.
+        z = np.resize([9.0, 13104.0, (1.5 * 19.3) ** (2.0 / 3.0)], size)
+        zeta = np.array([specfun._zeta_double_double(v)[0] for v in z[:3]])
         assert specfun._term_count(zeta).tolist() == [37, 3, 40]
         self._assert_each_element_is_its_own(z)
+        self._assert_each_element_is_its_own(np.resize([specfun._NEGATIVE_CUT, -13104.0], size))
+        ai, aip = specfun._negative(-z)
+        for i, v in enumerate((-z).tolist()):
+            assert _bits([ai[i], aip[i]]) == _bits(specfun._negative(v))
 
     def test_memo_returns_the_computed_bits(self):
         z = self._mixed_batch()
@@ -400,16 +413,17 @@ class TestAiryArray:
 
 class TestAirySeams:
     # Ai and Ai' against mpmath at 40 digits on both sides of each seam of the
-    # kernel: z = -9 and 9, where the expansions meet the Taylor steps, and
-    # each integer anchor -8..9 of those steps.  Errors are over the envelopes
-    # |z|^(-1/4)/sqrt(pi) of Ai and |z|^(1/4)/sqrt(pi) of Ai', with |z|
-    # floored at 1 so the envelope of Ai stays finite at the origin.
+    # kernel: z = -12 and 9, where the expansions meet the Taylor steps, and
+    # the switches between those steps' anchors at the odd quarters; each
+    # case takes the integer k and k -+ 1/4, so -9 stays a point.  Errors are
+    # over the envelopes |z|^(-1/4)/sqrt(pi) of Ai and |z|^(1/4)/sqrt(pi) of
+    # Ai', with |z| floored at 1 so the envelope of Ai stays finite at the origin.
     BOUND = 2e-15
 
     @staticmethod
     def points(seam: int) -> list[float]:
-        k = float(seam)
-        return [k, math.nextafter(k, -math.inf), math.nextafter(k, math.inf), k - 1e-9, k + 1e-9, k - 0.5, k + 0.5]
+        return [z for k in (seam - 0.25, float(seam), seam + 0.25)
+                for z in (k, math.nextafter(k, -math.inf), math.nextafter(k, math.inf), k - 1e-9, k + 1e-9)]
 
     @staticmethod
     def worst_over_envelope(zs: list[float]) -> tuple[float, float]:
@@ -422,10 +436,37 @@ class TestAirySeams:
                 worst_aip = max(worst_aip, float(abs(ap - mp.airyai(z, derivative=1))) / quarter * math.sqrt(math.pi))
         return worst_ai, worst_aip
 
-    @pytest.mark.parametrize("seam", range(-9, 10))
+    @pytest.mark.parametrize("seam", range(-12, 10))
     def test_error_over_envelope(self, seam):
         worst_ai, worst_aip = self.worst_over_envelope(self.points(seam))
         assert worst_ai <= self.BOUND and worst_aip <= self.BOUND
+
+
+class TestTaylorTable:
+    def test_first_dropped_term_lies_below_the_floor_at_every_anchor(self):
+        # The term count rests on the table, not on sampling.  At |h| = 1/4
+        # each anchor's first dropped terms, c_20 h^20 of Ai and 21 c_21 h^20
+        # of Ai', lie below 2^-60 of the envelope on its step, and with one
+        # term fewer the anchor -12's do not.  The envelope is |z|^(-1/4)/sqrt(pi)
+        # of Ai and |z|^(1/4)/sqrt(pi) of Ai' at z0 <= 0, with |z| floored at 1,
+        # and Ai's and Ai''s own size at z0 + 1/4, the smallest on the step, at z0 > 0.
+        terms = specfun._TAYLOR_TERMS
+        worst = {}
+        for half, columns in zip(specfun._HALVES, specfun._anchor_columns()):
+            z0 = 0.5 * half
+            c = specfun._taylor_coefficients(z0, *columns[0])
+            assert columns == [(c[k], (k + 1) * c[k + 1]) for k in range(terms)]
+            if z0 > 0.0:
+                envelope = (abs(float(mp.airyai(z0 + 0.25, derivative=d))) for d in (0, 1))
+            else:
+                quarter = max(abs(z0), 1.0) ** 0.25
+                envelope = (1.0 / (quarter * math.sqrt(math.pi)), quarter / math.sqrt(math.pi))
+            env_ai, env_aip = envelope
+            for n in (terms - 1, terms):
+                dropped = max(abs(c[n]) / env_ai, (n + 1) * abs(c[n + 1]) / env_aip) * 0.25 ** n
+                worst[n] = max(worst.get(n, 0.0), dropped / 2.0 ** -60)
+            assert worst[terms] < 1.0, z0
+        assert worst[terms - 1] > 1.0
 
 
 class TestAiryZero:

@@ -4,6 +4,8 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 import ucr
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -19,11 +21,11 @@ def _tool(name: str, home: Path = TOOLS):
 
 
 def test_airy_ab_agrees_with_itself(capsys, monkeypatch):
-    # both trees are this one: every bit check holds and every level is timed
+    # both trees are this one: every bit check holds, so no range needs mpmath, and every level is timed
     monkeypatch.setattr(sys, "path", list(sys.path))
     airy_ab = _tool("airy_ab")
     try:
-        assert airy_ab.main([SRC, SRC], rounds=2) == 0
+        assert airy_ab.main(["--accuracy", SRC, SRC], rounds=2) == 0
         change = sys.modules["specfun_change"]
     finally:
         for label in ("parent", "change"):
@@ -31,6 +33,7 @@ def test_airy_ab_agrees_with_itself(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.count(": equal (") == 7 and "differ" not in out
     assert "bits airy_zero(n), n = 1..3000: equal (3000 zeros)" in out
+    assert out.count("accuracy ") == 4 and all(f"accuracy {name}: bits equal (" in out for name in airy_ab.ranges(np.zeros(0)))
     assert "Airy evaluations per cold zero" in out
     lines = out.splitlines()
     for n in (14, 36, 200):  # one-element calls, batches, warm calls, then the three kernels
@@ -46,6 +49,31 @@ def test_airy_ab_agrees_with_itself(capsys, monkeypatch):
 
 def test_airy_ab_usage():
     assert _tool("airy_ab").main([SRC]) == 64
+    assert _tool("airy_ab").main(["--accuracy", SRC]) == 64
+
+
+def test_airy_ab_accuracy_measures_only_the_elements_whose_bits_differ():
+    # the second tree moves Ai' by one ulp on (-12, -9] alone: that range
+    # reports both trees' errors over its two elements, the others equal bits
+    airy_ab = _tool("airy_ab")
+
+    def tree(nudge: bool):
+        def airy(z):
+            ai, aip = ucr.airy(z)
+            moved = nudge & (z > -12.0) & (z <= -9.0)
+            return ai, np.where(moved, np.nextafter(aip, np.inf), aip)
+
+        return types.SimpleNamespace(airy=airy, airy_ai=types.SimpleNamespace(cache_clear=lambda: None))
+
+    lines = airy_ab.accuracy(tree(False), tree(True), np.array([-20.0, -10.5, -9.0, -10.5, 0.5, 12.0]))
+    assert lines[0] == "accuracy (-9, 9), absolute: bits equal (1 elements)"
+    assert lines[3:] == ["accuracy z <= -12, over the envelope: bits equal (1 elements)",
+                         "accuracy z >= 9, relative: bits equal (1 elements)"]
+    for line, label in zip(lines[1:3], ("Ai ", "Ai'")):
+        assert line.startswith(f"accuracy (-12, -9], over the envelope, {label}: worst ")
+        assert line.endswith("(2 of 2 elements differ)")
+        worst = [float(v) for v in line.split("worst ")[1].split(",")[0].split(" -> ")]
+        assert max(worst) < 1e-15 and (worst[0] == worst[1]) == (label == "Ai ")
 
 
 def test_quad_ab_agrees_with_itself(capsys, monkeypatch):

@@ -1,7 +1,7 @@
 """In-process A/B of two trees' Airy layer: the same bits, then cold and warm
 `airy` times, and the time in each branch kernel.
 
-    python3 tools/airy_ab.py PARENT_SRC CHANGE_SRC
+    python3 tools/airy_ab.py [--accuracy] PARENT_SRC CHANGE_SRC
 
 Each argument is a directory that holds the `ucr` package (a checkout's
 `src/`).  Both trees' `ucr/specfun.py` are loaded into this one process as
@@ -15,16 +15,22 @@ pass's multi-element batches.  They are recorded once through CHANGE_SRC's
 The script asserts that the two kernels agree bit for bit on every element of
 those calls and of a fixed 43,000-point set on [-1e12, 40]: evaluated cold
 (memo cleared), warm (the same calls again) and mixed (half the calls
-remembered).  It asserts that both trees' `airy_zero(n)` agree bit for bit
-for n = 1..3000, each zero found cold (both caches cleared), and prints each
-tree's Airy evaluations per zero, the memo's misses.  It then times each
-tree's `airy` per level, the trees interleaved round by round: the
+remembered).  With ``--accuracy`` it then measures, on every element of
+those calls whose bits differ between the trees, each tree's worst and rms
+error against mpmath at 40 digits, per range: absolute on (-9, 9), and over
+the envelope on (-12, -9], on z <= -12 (|z|^(-1/4)/sqrt(pi) for Ai,
+|z|^(1/4)/sqrt(pi) for Ai') and on z >= 9 (the function's own size).  It
+asserts that both trees' `airy_zero(n)` agree bit for bit for n = 1..3000,
+each zero found cold (both caches cleared), and prints each tree's Airy
+evaluations per zero, the memo's misses.  It then times each tree's `airy`
+per level, the trees interleaved round by round: the
 one-element calls from a cleared memo, then the batches (cold too, as none
 of them is remembered), then all the calls again on the filled memo (warm).
-A last cold run per round times each call of the three branch kernels, `_negative` (z <= -9), `_taylor` and
-`_positive` (z >= 9), summed over the level's calls.  Each time printed is
-the 10th percentile of the rounds, in ms.  Exits 0 when the bits agree, 1
-otherwise.  Needs numpy only.
+A last cold run per round times each call of the three branch kernels,
+`_negative` (z <= -12), `_taylor` and `_positive` (z >= 9), summed over the
+level's calls.  Each time printed is the 10th percentile of the rounds, in
+ms.  Exits 0 when the bits agree, 1 otherwise.  Needs numpy, and mpmath for
+``--accuracy``.
 """
 
 from __future__ import annotations
@@ -80,13 +86,15 @@ def record_batches(src: str) -> dict[int, list[np.ndarray]]:
 
 
 def point_set() -> np.ndarray:
-    # 43,000 fixed abscissas: the Taylor range, the seams at the integers
-    # -9..9 from 1e-16 to 0.1 away, both asymptotic branches, the far
-    # negative axis to its limit, and the two ends.
+    # 43,000 fixed abscissas: the Taylor range, its seams from 1e-16 to 0.1
+    # away (the switches between anchors at the odd quarters -11.75..8.75 and
+    # the cuts -12 and 9), both asymptotic branches, the far negative axis to
+    # its limit, and the two ends.
     rng = np.random.default_rng(43_000)
-    seams = rng.integers(-9, 10, 2_998) + rng.choice([-1.0, 1.0], 2_998) * 10.0 ** rng.uniform(-16.0, -1.0, 2_998)
+    seams = np.append(np.arange(-11.75, 9.0, 0.5), [-12.0, 9.0])
+    seams = rng.choice(seams, 2_998) + rng.choice([-1.0, 1.0], 2_998) * 10.0 ** rng.uniform(-16.0, -1.0, 2_998)
     parts = (
-        rng.uniform(-9.0, 9.0, 20_000),
+        rng.uniform(-12.0, 9.0, 20_000),
         rng.uniform(-40.0, 40.0, 10_000),
         -(10.0 ** rng.uniform(1.0, 12.0, 10_000)),
         seams,
@@ -122,6 +130,61 @@ def cold_zeros(module) -> tuple[bytes, int]:
     return np.array(values).tobytes(), misses
 
 
+def ranges(z: np.ndarray) -> dict[str, np.ndarray]:
+    # The ranges the accuracy mode reports on, each with its error measure.
+    return {
+        "(-9, 9), absolute": (z > -9.0) & (z < 9.0),
+        "(-12, -9], over the envelope": (z > -12.0) & (z <= -9.0),
+        "z <= -12, over the envelope": z <= -12.0,
+        "z >= 9, relative": z >= 9.0,
+    }
+
+
+def errors(z: np.ndarray, values: np.ndarray) -> np.ndarray:
+    # Each element's Ai and Ai' error against mpmath at 40 digits, in the
+    # measure of its range: absolute on (-9, 9), over the envelopes
+    # |z|^(-1/4)/sqrt(pi) and |z|^(1/4)/sqrt(pi) below -9, relative from 9 on.
+    import mpmath  # the accuracy mode's alone
+
+    out = np.empty_like(values)
+    with mpmath.workdps(40):
+        for i, x in enumerate(z.tolist()):
+            for row in range(2):
+                ref = mpmath.airyai(x, derivative=row)
+                if -9.0 < x < 9.0:
+                    scale = 1
+                elif x < 0.0:
+                    scale = mpmath.root(-x, 4) ** (2 * row - 1) / mpmath.sqrt(mpmath.pi)
+                else:
+                    scale = abs(ref)
+                out[row, i] = abs(mpmath.mpf(values[row, i]) - ref) / scale
+    return out
+
+
+def accuracy(parent, change, z: np.ndarray) -> list[str]:
+    # Per range, each tree's worst and rms error on the elements of z whose
+    # bits differ between the trees, parent -> change.
+    z = np.unique(z)
+    values = []
+    for module in (parent, change):
+        module.airy_ai.cache_clear()
+        values.append(np.array(module.airy(z)))
+    differ = (values[0].view(np.uint64) != values[1].view(np.uint64)).any(axis=0)
+    lines = []
+    for name, inside in ranges(z).items():
+        picked = inside & differ
+        if not picked.any():
+            lines.append(f"accuracy {name}: bits equal ({inside.sum()} elements)")
+            continue
+        before, after = (errors(z[picked], tree[:, picked]) for tree in values)
+        for row, label in enumerate(("Ai ", "Ai'")):
+            worst = f"{before[row].max():.2e} -> {after[row].max():.2e}"
+            rms = f"{np.sqrt(np.mean(before[row] ** 2)):.2e} -> {np.sqrt(np.mean(after[row] ** 2)):.2e}"
+            lines.append(f"accuracy {name}, {label}: worst {worst}, rms {rms} "
+                         f"({picked.sum()} of {inside.sum()} elements differ)")
+    return lines
+
+
 def times(module, calls: list[np.ndarray], clear: bool) -> float:
     if clear:
         module.airy_ai.cache_clear()
@@ -154,6 +217,8 @@ def kernel_times(module, calls: list[np.ndarray]) -> dict[str, float]:
 
 
 def main(argv: list[str], rounds: int = ROUNDS) -> int:
+    check_accuracy = "--accuracy" in argv
+    argv = [arg for arg in argv if arg != "--accuracy"]
     if len(argv) != 2 or not all(os.path.isfile(os.path.join(src, "ucr", "specfun.py")) for src in argv):
         print(__doc__, file=sys.stderr)
         return 64
@@ -169,6 +234,9 @@ def main(argv: list[str], rounds: int = ROUNDS) -> int:
         bad = differing_ways(trees["parent"], trees["change"], calls)
         differ += bool(bad)
         print(f"bits {what}: {'differ ' + ', '.join(bad) if bad else 'equal'} ({sum(map(len, calls))} elements)")
+    if check_accuracy:
+        print("errors against mpmath at 40 digits where the bits disagree, parent -> change")
+        print("\n".join(accuracy(*trees.values(), np.concatenate([z for calls in checks.values() for z in calls]))))
     (parent_zeros, parent_misses), (change_zeros, change_misses) = map(cold_zeros, trees.values())
     differ += parent_zeros != change_zeros
     print(f"bits airy_zero(n), n = 1..{ZEROS}: {'differ' if parent_zeros != change_zeros else 'equal'} ({ZEROS} zeros)")

@@ -4,7 +4,7 @@ stdout line or exit code that differs.
     python3 tools/diff_outputs.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory that holds the `ucr` package (a checkout's
-`src/`); it goes first on PYTHONPATH for that tree's runs.  The 115
+`src/`); it goes first on PYTHONPATH for that tree's runs.  The 118
 commands cover `compare` on every system, and on the bouncer's high levels
 n = 200 and 1000 (CSV and JSON, and at the loose integral tolerances
 `--quad-tol 1e-6` and, for the oscillator's n = 0, `1e-4`, where the
@@ -24,13 +24,15 @@ triangle wave and square-wave momentum switch there, and 131,081, sixteen
 blocks and 9 samples, whose pairwise split is five levels deep on one side
 and four on the other), the well's `verify` at 8193 samples (one past the
 oracle's block) and at the prime 999,983, bouncer `density` grids over
-levels 1..9 and 51..101 points, the well's and the oscillator's density
-grids (a 5-point one each, and levels 0, 3, 10 resp. 1, 8, 100 at 11 and 101
-points), the smallest
-grids the endpoint clip meets (bouncer n = 1 at 2 and 3 points, oscillator
-n = 0 at 3 points and at 2, whose ends are both singular), and an
-`airy-zeros` table.  Exits 0 when the two trees agree on all of them, 1
-otherwise.  Standard library only.
+levels 1..9 and 51..101 points, `compare` on the bouncer's n = 6..9 and
+its `density` at n = 8 on 101 points (the levels whose zeros a_n lie in
+(-12, -9], where Taylor steps took over from the negative expansion), the
+well's and the oscillator's density grids (a 5-point one each, and levels
+0, 3, 10 resp. 1, 8, 100 at 11 and 101 points), the smallest grids the
+endpoint clip meets (bouncer n = 1 at 2 and 3 points, oscillator n = 0 at 3
+points and at 2, whose ends are both singular), and two `airy-zeros` tables
+(30 zeros, and 12, whose last three lie past -12).  Exits 0 when the two
+trees agree on all of them, 1 otherwise.  Standard library only.
 """
 
 from __future__ import annotations
@@ -76,7 +78,10 @@ def commands() -> list[tuple[str, ...]]:
     for system, levels in (("ho", (0, 3, 10)), ("well", (1, 8, 100))):
         for n, points in itertools.product(levels, ("11", "101")):
             cmds.append(("density", "--system", system, "--n", str(n), "--points", points))
+    cmds.append(("compare", "--system", "bouncer", "--n", "6..9"))
+    cmds.append(("density", "--system", "bouncer", "--n", "8", "--points", "101"))
     cmds.append(("airy-zeros", "--count", "30"))
+    cmds.append(("airy-zeros", "--count", "12"))
     return cmds
 
 
