@@ -6,6 +6,7 @@ closed-form scaled moments each system is known to have.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -36,6 +37,9 @@ class ScaledMoments:
     realm: str  # "classical" | "quantum"
     method: str  # "closed-form" | "quadrature" | "trajectory"
 
+    FIELD_NAMES = ("mean_x", "mean_x2", "mean_p", "mean_p2", "var_x", "var_p")  # as `fields()` gives them
+    _field_values = operator.attrgetter(*FIELD_NAMES)
+
     @property
     def var_x(self) -> float:
         return self.mean_x2 - self.mean_x ** 2
@@ -49,7 +53,7 @@ class ScaledMoments:
         return self.var_x * self.var_p
 
     def fields(self) -> tuple[float, float, float, float, float, float]:
-        return (self.mean_x, self.mean_x2, self.mean_p, self.mean_p2, self.var_x, self.var_p)
+        return self._field_values(self)
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,7 @@ def classical_density(ens: ClassicalEnsemble, x: Union[float, np.ndarray]) -> Un
     a, b = ens.region
     xs = _points(x)
     # E - V at x clipped to the region, so no x far outside overflows it
-    emv = ens.model.variant.kinetic(ens.energy, ens.turning_point)[0](np.clip(xs, a, b))
+    emv = ens.model.variant.kinetic(ens.energy, ens.turning_point)(np.clip(xs, a, b))
     with np.errstate(divide="ignore", invalid="ignore"):  # E - V <= 0 at a turning point and outside
         inside = np.where(emv <= 0.0, math.inf, ens.normalization / np.sqrt(emv))
     density = np.where((xs < a) | (xs > b), 0.0, inside)

@@ -18,7 +18,7 @@ The adaptive finite rule starts from the panels between the caller's break
 points (the well's n panels between u = k/n, the bouncer's between its Airy
 zeros and their midpoints; both converge on them at the default spec), in
 integrand calls of at most 512 panels, then takes each generation's halves in
-one call, within the spec's budget of splits.  Its error estimate is QUADPACK
+one call, within a fixed budget of 60 splits.  Its error estimate is QUADPACK
 qk15's, with its rounding floor; a pass asked for less than its floor stops at
 once.  Nothing outlives a call.
 """
@@ -26,7 +26,6 @@ once.  Nothing outlives a call.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Union
@@ -54,7 +53,6 @@ class QuadratureError(RuntimeError):
 class QuadratureSpec:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_subdivisions: int = 60
 
     def __post_init__(self):
         for name, value in (("abs_tol", self.abs_tol), ("rel_tol", self.rel_tol)):
@@ -63,8 +61,6 @@ class QuadratureSpec:
         if self.abs_tol < 0 or self.rel_tol < 0 or self.abs_tol + self.rel_tol <= 0:
             raise ValueError("need abs_tol + rel_tol > 0 with both non-negative, "
                              f"got abs_tol={self.abs_tol!r}, rel_tol={self.rel_tol!r}")
-        if not isinstance(self.max_subdivisions, numbers.Integral) or self.max_subdivisions < 1:
-            raise ValueError(f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}")
 
     def tolerance(self, value: Union[float, np.ndarray]) -> np.ndarray:
         """max(abs_tol, rel_tol*|value|), component-wise for an array, saturating below the largest float."""
@@ -126,6 +122,7 @@ _K15_G7_WEIGHTS[1, 1::2] -= _WG[:-1] + _WG[::-1]
 # Starting panels per integrand call: 7,680 abscissas, so a two-component integrand's values
 # (120 KiB) stay below glibc's default 128 KiB mmap threshold and are not mapped afresh each call.
 _BLOCK = 512
+_MAX_SPLITS = 60  # panels a pass may split, over all its generations
 
 
 def _panels(f: Integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -150,7 +147,7 @@ def integrate_finite(f: Integrand, points, spec: QuadratureSpec = DEFAULT_SPEC) 
     """QUADPACK's globally adaptive subdivision from the panels between the increasing break
     points (qagp), a generation of panels at a time; an m-component integrand shares the
     subdivision.  It first evaluates every starting panel, ``_BLOCK`` panels a call, then each
-    generation's halves in one call.  A pass stops unconverged when its budget is spent or when
+    generation's halves in one call.  A pass stops unconverged after ``_MAX_SPLITS`` splits or when
     a component's summed rounding floor exceeds its tolerance, which no split can meet."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 1 or len(points) < 2 or not np.logical_and.reduce(points[:-1] < points[1:]):
@@ -158,7 +155,7 @@ def integrate_finite(f: Integrand, points, spec: QuadratureSpec = DEFAULT_SPEC) 
     edges = np.array((points[:-1], points[1:]))
     blocks = [_panels(f, *edges[:, k:k + _BLOCK]) for k in range(0, edges.shape[1], _BLOCK)]
     panels = np.ascontiguousarray(np.concatenate(blocks, axis=-1))  # summed pairwise, from contiguous memory
-    evaluations, budget = 15 * edges.shape[1], spec.max_subdivisions
+    evaluations, budget = 15 * edges.shape[1], _MAX_SPLITS
     while True:  # a generation a turn, by ndarray methods and ufuncs rather than numpy's Python wrappers
         value, err, floor = panels.sum(axis=-1)
         tol = spec.tolerance(value)

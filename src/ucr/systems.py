@@ -70,15 +70,12 @@ class _System:
 
     Classical side, at energy E with turning point A:
       ``turning_point(E)``; ``scaled_region``, the classical region in X = x/A;
-      ``kinetic(E, A)``, E - V as a function of x, which the classical density
-      reads, and of the exact distance s from the turning point x = A (for a
-      symmetric system, from either end), which keeps the classical pass
-      accurate next to a turning point;
+      ``kinetic(E, A)``, E - V as a function of x, which the classical density reads;
       ``classical_pass(E)``, the ensemble's one integral as (f, nodes, weights):
-      the weights 1, X, X^2 and (E - V)/E over sqrt(E - V), with E - V from
-      ``kinetic``'s endpoint form, written in the variable that makes each a
-      low-degree polynomial against the rule's weight, so that the fixed rule
-      integrates them exactly; a symmetric system folds +t and -t first;
+      the weights 1, X, X^2 and (E - V)/E over sqrt(E - V), with E - V factored
+      in the pass's own variable so that it stays exact next to a turning point,
+      each a low-degree polynomial against the rule's weight, so that the fixed
+      rule integrates them exactly; a symmetric system folds +t and -t first;
       ``closed_form``, the exact classical (<X>, <X^2>, <P^2>).
     Quantum side, for level n at hbar:
       ``name``, ``n_min`` and ``n_max`` (the highest level computed);
@@ -89,7 +86,7 @@ class _System:
       (<X>, <X^2>, <P^2>, <P>);
       ``x2_offset(n)``, how far the exact quantum <X^2> sits below the
       classical one; ``robertson_bound(level)``.
-    Trajectory: ``trajectory(E)``, the period, amplitude, and x(t) and p(t) for t in [0, period).
+    Trajectory: ``trajectory(E)``, the period and x(t) and p(t) for t in [0, period), of amplitude ``turning_point(E)``.
     The bouncer's quantum members share ``airy_scales(n, hbar)``, its scaled
     energy E'_n = -a_n and gravitational length l_g = (hbar^2/(2 m^2 g))^(1/3).
     Functions of x (E - V, psi, the integrands) take and return 1-D arrays.
@@ -205,21 +202,18 @@ class HarmonicOscillator(_System):
         # E - V = (1/2) m w^2 (A - x)(A + x); the factored form stays exact
         # near the turning points where E - V would cancel.
         half_mw2 = 0.5 * self.m * self.omega ** 2
-
-        def from_end(s: np.ndarray) -> np.ndarray:
-            return half_mw2 * s * (2.0 * turning - s)
-
-        return lambda x: half_mw2 * (turning - x) * (turning + x), from_end
+        return lambda x: half_mw2 * (turning - x) * (turning + x)
 
     def classical_pass(self, energy: float):
         # x = A t on the arcsine weight 1/sqrt(1 - t^2): E - V = (1/2) m w^2 A^2 (1 - t^2), so each
         # weight over sqrt(E - V), times dx/dt = A and over the rule's weight, is a polynomial of
         # degree <= 2 in t, which the 4-node Gauss-Chebyshev rule integrates exactly.
         turning = self.turning_point(energy)
-        from_end = self.kinetic(energy, turning)[1]
+        half_mw2 = 0.5 * self.m * self.omega ** 2
 
         def integrands(t: np.ndarray) -> np.ndarray:
-            kinetic = from_end(turning * (1.0 - t))  # x = +-A t lies A (1 - t) from its nearer end
+            s = turning * (1.0 - t)  # x = +-A t lies s = A (1 - t) from its nearer end
+            kinetic = half_mw2 * s * (2.0 * turning - s)  # E - V, exact next to that end
             return _folded(t, turning * np.sqrt((1.0 - t) * (1.0 + t) / kinetic), kinetic, energy)
 
         return (integrands, *_CHEBYSHEV_4)
@@ -263,7 +257,7 @@ class HarmonicOscillator(_System):
 
     def trajectory(self, energy: float):
         m, omega = self.m, self.omega
-        amplitude = math.sqrt(2.0 * energy / (m * omega ** 2))
+        amplitude = self.turning_point(energy)
 
         def position(t: np.ndarray) -> np.ndarray:
             return amplitude * np.sin(omega * t)
@@ -271,7 +265,7 @@ class HarmonicOscillator(_System):
         def momentum(t: np.ndarray) -> np.ndarray:
             return m * omega * amplitude * np.cos(omega * t)
 
-        return 2.0 * math.pi / omega, amplitude, position, momentum
+        return 2.0 * math.pi / omega, position, momentum
 
 
 # --- infinite well ------------------------------------------------------------
@@ -300,19 +294,15 @@ class InfiniteWell(_System):
         return self.L / 2.0
 
     def kinetic(self, energy: float, turning: float):
-        def flat(x: np.ndarray) -> np.ndarray:
-            return np.full_like(x, energy)
-
-        return flat, flat
+        return lambda x: np.full_like(x, energy)
 
     def classical_pass(self, energy: float):
         # flat in x = A t: each weight over sqrt(E - V), times dx/dt = A, is a polynomial of
         # degree <= 2 in t, which the 2-node Gauss-Legendre rule integrates exactly.
         turning = self.turning_point(energy)
-        from_end = self.kinetic(energy, turning)[1]
 
         def integrands(t: np.ndarray) -> np.ndarray:
-            kinetic = from_end(turning * (1.0 - t))
+            kinetic = np.full_like(t, energy)
             return _folded(t, turning / np.sqrt(kinetic), kinetic, energy)
 
         return (integrands, *_LEGENDRE_2)
@@ -321,8 +311,8 @@ class InfiniteWell(_System):
         return n * n * math.pi ** 2 * hbar ** 2 / (2.0 * self.m * self.L ** 2)
 
     def psi(self, level, x: np.ndarray) -> np.ndarray:
-        half = self.L / 2.0
-        return np.where(np.abs(x) > half, 0.0, math.sqrt(2.0 / self.L) * _well_state_u(level.n, x / half))
+        half = level.turning_point  # psi is exactly 0 at the walls, not sin's residual at n pi/2
+        return np.where(np.abs(x) >= half, 0.0, math.sqrt(2.0 / self.L) * _well_state_u(level.n, x / half))
 
     def moment_pass(self, level):
         n = level.n
@@ -347,20 +337,20 @@ class InfiniteWell(_System):
         return 1.0 / (level.n ** 2 * math.pi ** 2)
 
     def trajectory(self, energy: float):
-        m, L = self.m, self.L
+        m, half = self.m, self.turning_point(energy)
         speed = math.sqrt(2.0 * energy / m)
-        period = 2.0 * L / speed
+        period = 2.0 * self.L / speed
 
         def position(t: np.ndarray) -> np.ndarray:
             # triangle wave: 0 -> L/2 -> -L/2 -> 0 over one period; u in [0.75, 1.75), u - 1 exact
             u = t / period + 0.75
-            return (L / 2.0) * (4.0 * np.abs(np.where(u >= 1.0, u - 1.0, u) - 0.5) - 1.0)
+            return half * (4.0 * np.abs(np.where(u >= 1.0, u - 1.0, u) - 0.5) - 1.0)
 
         def momentum(t: np.ndarray) -> np.ndarray:
             phase = t / period
             return m * speed * np.where((phase < 0.25) | (phase >= 0.75), 1.0, -1.0)
 
-        return period, L / 2.0, position, momentum
+        return period, position, momentum
 
 
 # --- bouncer ------------------------------------------------------------------
@@ -390,17 +380,16 @@ class BouncingBall(_System):
 
     def kinetic(self, energy: float, turning: float):
         mg = self.m * self.g
-        return (lambda x: mg * (turning - x)), (lambda s: mg * s)
+        return lambda x: mg * (turning - x)
 
     def classical_pass(self, energy: float):
         # in u on [0, 1], where A - x = A u^2: E - V = m g A u^2 and |dx/du| = 2 A u, so each
         # weight over sqrt(E - V) is a polynomial of degree <= 4 in u (X = 1 - u^2), which the
         # 3-node Gauss-Legendre rule integrates exactly.
-        turning = self.turning_point(energy)
-        from_end = self.kinetic(energy, turning)[1]
+        turning, mg = self.turning_point(energy), self.m * self.g
 
         def integrands(u: np.ndarray) -> np.ndarray:
-            kinetic = from_end(turning * u * u)
+            kinetic = mg * (turning * u * u)
             return _ensemble_weights(1.0 - u * u, 2.0 * turning * u / np.sqrt(kinetic), kinetic, energy)
 
         return (integrands, *_LEGENDRE_3_UNIT)
@@ -418,7 +407,8 @@ class BouncingBall(_System):
         e, lg = self.airy_scales(level.n, level.model.hbar)
         normalization = 1.0 / abs(specfun.airy_ai(-e).ai_prime)
         z = np.maximum(x, 0.0) / lg - e  # x < 0 takes the floor's z, then psi = 0
-        return np.where(x < 0.0, 0.0, normalization / math.sqrt(lg) * specfun.airy(z)[0])
+        # psi is exactly 0 on the floor, not Ai's residual at the computed zero a_n
+        return np.where(x <= 0.0, 0.0, normalization / math.sqrt(lg) * specfun.airy(z)[0])
 
     def moment_pass(self, level):
         # All integrals live in the shifted dimensionless coordinate on
@@ -464,7 +454,7 @@ class BouncingBall(_System):
         def momentum(t: np.ndarray) -> np.ndarray:
             return m * (v0 - g * t)
 
-        return period, energy / (m * g), position, momentum
+        return period, position, momentum
 
 
 Variant = Union[HarmonicOscillator, InfiniteWell, BouncingBall]

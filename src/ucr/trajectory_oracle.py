@@ -47,7 +47,8 @@ def build_trajectory(model: PotentialModel, energy: float) -> Trajectory:
     convention x(0) = 0 moving in the positive direction (bouncer: launch
     from the floor)."""
     _require_positive(energy=energy)
-    return Trajectory(model, energy, *model.variant.trajectory(energy))
+    period, position, momentum = model.variant.trajectory(energy)
+    return Trajectory(model, energy, period, model.variant.turning_point(energy), position, momentum)
 
 
 def trajectory_moments(traj: Trajectory, samples: int) -> ScaledMoments:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from ucr import cli_report, systems
+from ucr.quadrature import DEFAULT_SPEC
 from ucr.cli_report import (
     COMPARE_HEADER,
     EXIT_COMPUTATION,
@@ -289,6 +290,19 @@ class TestAiryZerosCommand:
         code, _, _ = run(capsys, "airy-zeros", "--count", "0")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("count", ["100001", "1000000000000000000"])
+    def test_count_past_its_ceiling_is_refused_at_once(self, capsys, count):
+        # refused before any zero is solved: each costs about 24 us and 0.4 KB
+        start = time.perf_counter()
+        code, out, err = run(capsys, "airy-zeros", "--count", count)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"usage error: argument --count: must be >= 1 and <= 100000, got {count}\n"
+
+    def test_count_at_its_ceiling_is_accepted(self):
+        # parsed but not run (about 3 s)
+        assert cli_report._PARSER.parse_args(["airy-zeros", "--count", "100000"]).count == 100_000
+
     def test_json(self, capsys):
         _, out, _ = run(capsys, "airy-zeros", "--count", "2", "--format", "json")
         records = json.loads(out)
@@ -434,6 +448,11 @@ class TestUsageSurface:
 
 
 class TestInputValidation:
+    def test_default_quad_tol_gives_the_library_default_spec(self):
+        # the CLI's spec and the library's cannot drift apart: 100.0 * 1e-12 == 1e-10
+        assert cli_report._quad_spec(DEFAULT_SPEC.abs_tol) == DEFAULT_SPEC
+        assert {cli_report._COMMANDS[name][1]["quad-tol"] for name in ("compare", "verify")} == {DEFAULT_SPEC.abs_tol}
+
     @pytest.mark.parametrize("command", [("compare", "--n", "0"), ("verify", "--samples", "1000")])
     @pytest.mark.parametrize("quad_tol", ["1e306", "1e307"])
     def test_quad_tol_whose_tolerance_overflows_is_usage_error(self, capsys, command, quad_tol):

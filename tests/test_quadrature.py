@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -29,7 +30,7 @@ class TestSpec:
         spec = QuadratureSpec()
         assert spec.abs_tol == 1e-12
         assert spec.rel_tol == 1e-10
-        assert spec.max_subdivisions == 60
+        assert [f.name for f in dataclasses.fields(spec)] == ["abs_tol", "rel_tol"]  # the split budget is fixed
 
     def test_tolerance_combines_abs_and_rel(self):
         spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
@@ -50,13 +51,10 @@ class TestSpec:
             {"abs_tol": -1.0},
             {"rel_tol": -1.0},
             {"abs_tol": 0.0, "rel_tol": 0.0},
-            {"max_subdivisions": 0},
             {"abs_tol": math.nan},
             {"abs_tol": math.inf},
             {"rel_tol": math.nan},
             {"rel_tol": math.inf},
-            {"max_subdivisions": 2.5},
-            {"max_subdivisions": 60.0},
         ],
     )
     def test_invalid_spec_rejected(self, kwargs):
@@ -131,10 +129,12 @@ class TestFinite:
             assert fine <= max(coarse, 1e-14)
 
     def test_budget_exhaustion_reported(self):
-        spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1)
-        r = integrate_finite(lambda x: np.cos(40.0 * x) ** 2, (0.0, 10.0), spec)
+        # cos^2 40x on [0, 10] needs more panels than the pass may split; its rounding
+        # floor lies below the tolerance, so only the fixed budget stops it
+        r = integrate_finite(lambda x: np.cos(40.0 * x) ** 2, (0.0, 10.0))
         assert not r.converged
-        assert r.error_estimate > 0.0
+        assert r.evaluations == 15 + 30 * quadrature._MAX_SPLITS
+        assert r.error_estimate > DEFAULT_SPEC.tolerance(r.value) > r.floor
 
     def test_degenerate_interval_rejected(self):
         # the break points must be one axis of two or more, strictly increasing
@@ -152,9 +152,9 @@ class TestFinite:
             return np.array([np.cos(40.0 * x) ** 2, x * np.sin(25.0 * x)])
 
         recorded, calls = TestArrayContract._recording(f)
-        points = np.linspace(0.0, 10.0, 9)
+        points = np.linspace(0.0, 2.0, 9)
         r = integrate_finite(recorded, points, TestArrayContract.SPEC)
-        whole = integrate_finite(f, (0.0, 10.0), TestArrayContract.SPEC)
+        whole = integrate_finite(f, (0.0, 2.0), TestArrayContract.SPEC)
         assert r.converged and len(calls) > 1 and len(calls[0]) == 15 * 8
         assert np.array_equal(calls[0].reshape(8, 15)[:, 7], 0.5 * (points[:-1] + points[1:]))
         assert all(len(x) % 30 == 0 for x in calls[1:]) and sum(len(x) for x in calls) == r.evaluations
@@ -169,7 +169,7 @@ class TestFinite:
         assert r.floor == r.error_estimate > 1e-14 and abs(r.value) < 1e-15
         # one component below its floor stops the pass for all of them
         f = lambda x: np.array([np.exp(x), np.sin(7.0 * x)])
-        r = integrate_finite(f, (-3.0, 3.0), QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13, max_subdivisions=1000))
+        r = integrate_finite(f, (-3.0, 3.0), QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13))
         assert (r.converged, r.evaluations) == (False, 15) and r.floor[1] > 1e-14
 
     def test_non_finite_integrand_raises(self):
@@ -488,8 +488,9 @@ class TestArrayContract:
     rule evaluates its starting panels in calls of at most _BLOCK panels and
     one call per generation of split panels after them."""
 
-    # x sin 25x on [0, 10] integrates to -0.097 with a rounding floor of 3.5e-13, so abs_tol is above it
-    SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-13, max_subdivisions=1000)
+    # x sin 25x on [0, 2] integrates to -0.078 with a rounding floor of 1.4e-14, so abs_tol is above it,
+    # and cos^2 40x beside it needs 53 of the pass's 60 splits
+    SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-13)
 
     @staticmethod
     def _recording(f):
@@ -507,7 +508,7 @@ class TestArrayContract:
 
     def test_finite_batches_each_generation(self):
         f, calls = self._recording(lambda x: np.array([np.cos(40.0 * x) ** 2, x * np.sin(25.0 * x)]))
-        r = integrate_finite(f, (0.0, 10.0), self.SPEC)
+        r = integrate_finite(f, (0.0, 2.0), self.SPEC)
         assert r.converged
         assert self._all_1d_float_arrays(calls)
         assert len(calls[0]) == 15  # the one starting panel alone
@@ -580,7 +581,7 @@ class TestArrayContract:
         assert sum(len(s) for s in left_calls + right_calls) == r.evaluations
 
     def test_semi_infinite_probes_then_batches(self):
-        f, calls = self._recording(lambda x: np.exp(-x) * np.cos(9.0 * x) ** 2)
+        f, calls = self._recording(lambda x: np.exp(-x) * np.cos(5.0 * x) ** 2)
         r = integrate_semi_infinite(f, 0.0, self.SPEC)
         assert r.converged
         assert self._all_1d_float_arrays(calls)
@@ -664,7 +665,7 @@ class TestPinnedBits:
         ("well", 1000): (("0x1.0000000000000p-1", "0x1.555547bbf6c6cp-3"), ("0x1.9000000000000p-48", "0x1.0aaaa04edbe5dp-49"), 15000),
     }
 
-    ONE_PANEL_START = (  # the bouncer's n = 11 integrands on (-E'_11, -E'_11 + 40], budget 66
+    ONE_PANEL_START = (  # the bouncer's n = 11 integrands on (-E'_11, -E'_11 + 40]: 27 splits
         ("0x1.2d89b0b1088dap+0", "0x1.580ab6ad4806ep+3", "0x1.d70b65c4674f0p+6", "0x1.0000000000000p-54"),
         ("0x1.e21d56f0b0b8bp-43", "0x1.512e06c804610p-41", "0x1.24d3f4bcad3bep-38", "0x1.7fa4fac66754ap-41"),
         825,
@@ -676,8 +677,6 @@ class TestPinnedBits:
                     ("0x1.6ecd829068a3cp-36", "0x1.2b538f9c8172cp-45"), 225, True),
         "tight": (QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12), ("0x1.e77fdba4a41d5p-2", "0x1.ed6356d32ea02p-2"),
                   ("0x1.271780995cac6p-45", "0x1.2b6d54036f956p-45"), 405, True),
-        "budget": (QuadratureSpec(max_subdivisions=3), ("0x1.e77fdba4a41d5p-2", "0x1.ed6356d32e9fcp-2"),
-                   ("0x1.f5a98380f52d5p-16", "0x1.27d664eb09e86p-41"), 105, False),
     }
 
     @staticmethod
@@ -697,7 +696,7 @@ class TestPinnedBits:
         # a pass from one panel that splits over several generations, ending past the moment pass's z = 9
         level = eigen_level(_MODELS["bouncer"], 11)
         (f, points), _ = _MODELS["bouncer"].variant.moment_pass(level)
-        result = integrate_finite(f, (points[0], points[0] + 40.0), QuadratureSpec(max_subdivisions=66))
+        result = integrate_finite(f, (points[0], points[0] + 40.0), DEFAULT_SPEC)
         assert self._hex(result) == self.ONE_PANEL_START
 
     @pytest.mark.parametrize("name", sorted(OSCILLATORY))

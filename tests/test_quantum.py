@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ucr import quantum_states, specfun, systems
+from ucr.cli_report import _quad_spec
 from ucr.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_finite, integrate_rule, integrate_semi_infinite
 from ucr.quantum_states import (
     bouncer_state,
@@ -25,6 +26,7 @@ HO = PotentialModel(HarmonicOscillator(m=1.0, omega=1.0))
 WELL = PotentialModel(InfiniteWell(m=1.0, L=1.0))
 BALL = PotentialModel(BouncingBall(m=1.0, g=1.0))
 SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
+LOOSE = _quad_spec(1e-6)  # the CLI's --quad-tol 1e-6
 
 
 def _checked_mean_p(monkeypatch) -> list:
@@ -104,13 +106,15 @@ class TestWavefunction:
         assert wavefunction(eigen_level(WELL, 1), 0.0) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_well_vanishes_at_and_beyond_walls(self):
+        # exactly at the walls, not sin's rounding residual at n pi/2
         level = eigen_level(WELL, 3)
-        assert abs(wavefunction(level, 0.5)) < 1e-12
+        assert wavefunction(level, 0.5) == wavefunction(level, -0.5) == 0.0
         assert wavefunction(level, 0.7) == 0.0
 
     def test_bouncer_vanishes_at_floor(self):
+        # exactly on the floor, not Ai's rounding residual at its computed zero
         level = eigen_level(BALL, 1)
-        assert abs(wavefunction(level, 0.0)) < 1e-12
+        assert wavefunction(level, 0.0) == 0.0
         assert wavefunction(level, -0.1) == 0.0
 
     def test_parity(self):
@@ -124,28 +128,28 @@ class TestWavefunction:
         for n in range(0, 21):
             level = eigen_level(HO, n)
             r = integrate_semi_infinite(lambda x: wavefunction(level, x) ** 2, 0.0,
-                                        QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=400))
+                                        QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))
             assert 2.0 * r.value == pytest.approx(1.0, abs=1e-9)
 
     def test_normalization_well(self):
         for n in list(range(1, 11)) + [25, 50]:
             level = eigen_level(WELL, n)
             r = integrate_finite(lambda x: wavefunction(level, x) ** 2, (-0.5, 0.5),
-                                 QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=400))
+                                 QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))
             assert r.value == pytest.approx(1.0, abs=1e-9)
 
     def test_normalization_bouncer(self):
         for n in range(1, 11):
             level = eigen_level(BALL, n)
             r = integrate_semi_infinite(lambda x: wavefunction(level, x) ** 2, 0.0,
-                                        QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=400))
+                                        QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))
             assert r.value == pytest.approx(1.0, abs=1e-9)
 
     def test_normalization_off_unit_parameters(self):
         model = PotentialModel(HarmonicOscillator(m=2.5, omega=0.4), hbar=1.7)
         level = eigen_level(model, 3)
         r = integrate_semi_infinite(lambda x: wavefunction(level, x) ** 2, 0.0,
-                                    QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=400))
+                                    QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))
         assert 2.0 * r.value == pytest.approx(1.0, abs=1e-9)
 
 
@@ -332,7 +336,7 @@ class TestFailingPass:
     @pytest.mark.parametrize("system, n", [("well", 1000), ("bouncer", 200)])
     def test_runner_hands_the_pass_the_callers_spec(self, monkeypatch, system, n):
         # no budget grown with n: the K15 rule gets the very spec the caller gave
-        seen, spec = [], QuadratureSpec(max_subdivisions=3)
+        seen, spec = [], QuadratureSpec(abs_tol=1e-6, rel_tol=1e-4)
         monkeypatch.setattr(quantum_states, "integrate_finite",
                             lambda f, points, spec: seen.append(spec) or integrate_finite(f, points, spec))
         level = eigen_level({"well": WELL, "bouncer": BALL}[system], n)
@@ -408,13 +412,14 @@ class TestMoments:
                                           (1000, [7680, 7320])])
     def test_well_pass_converges_on_its_starting_panels(self, n, calls):
         # the pass converges on its n starting panels, 15n abscissas in
-        # integrand calls of at most 512 panels
+        # integrand calls of at most 512 panels, at the default spec and at
+        # the CLI's --quad-tol 1e-6
         level = eigen_level(WELL, n)
         (f, points), _ = WELL.variant.moment_pass(level)
-        seen = []
-        result = quantum_states._integrate("well", lambda u: seen.append(len(u)) or f(u), (points,),
-                                           DEFAULT_SPEC)
-        assert seen == calls and result.evaluations == sum(calls) and result.converged
+        for spec in (DEFAULT_SPEC, LOOSE):
+            seen = []
+            result = quantum_states._integrate("well", lambda u: seen.append(len(u)) or f(u), (points,), spec)
+            assert seen == calls and result.evaluations == sum(calls) == 15 * (len(points) - 1) and result.converged
 
     @pytest.mark.parametrize("spec", [DEFAULT_SPEC, QuadratureSpec(abs_tol=1e-6, rel_tol=1e-4),
                                       QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)], ids=["default", "loose", "tight"])
@@ -632,19 +637,20 @@ class TestErrorEstimates:
     @pytest.mark.parametrize("n", [*range(1, 41), 200, 1000, 3000, 4000])
     def test_bouncer_converges_on_its_starting_panels(self, n):
         # the bouncer's pass evaluates its 2n + 6 starting panels, 512 to a call, and converges
-        # on them at the default spec, with no split; every moment lies within 4e-15 of its
-        # closed form up to n = 4000, where the pass from one panel did not converge
+        # on them at the default spec and at the CLI's --quad-tol 1e-6, with no split; every
+        # moment lies within 4e-15 of its closed form up to n = 4000, where the pass from one
+        # panel did not converge
         level = eigen_level(BALL, n)
         (f, points), moments = BALL.variant.moment_pass(level)
-        seen = []
-        result = quantum_states._integrate("bouncer", lambda z: seen.append(len(z)) or f(z), (points,),
-                                           DEFAULT_SPEC)
         panels = 2 * n + 6
-        assert seen == [15 * 512] * ((panels - 1) // 512) + [15 * ((panels - 1) % 512 + 1)]
-        assert (result.evaluations, result.converged) == (15 * panels, True)
-        mean_x, mean_x2, mean_p2, mean_p = moments(result.value)
-        for got, exact in ((mean_x, 2.0 / 3.0), (mean_x2, 8.0 / 15.0), (mean_p2, 1.0 / 3.0), (mean_p, 0.0)):
-            assert abs(got - exact) <= 4e-15
+        for spec in (DEFAULT_SPEC, LOOSE):
+            seen = []
+            result = quantum_states._integrate("bouncer", lambda z: seen.append(len(z)) or f(z), (points,), spec)
+            assert seen == [15 * 512] * ((panels - 1) // 512) + [15 * ((panels - 1) % 512 + 1)]
+            assert (result.evaluations, result.converged) == (15 * (len(points) - 1), True) == (15 * panels, True)
+            mean_x, mean_x2, mean_p2, mean_p = moments(result.value)
+            for got, exact in ((mean_x, 2.0 / 3.0), (mean_x2, 8.0 / 15.0), (mean_p2, 1.0 / 3.0), (mean_p, 0.0)):
+                assert abs(got - exact) <= 4e-15
 
 
 class TestCommutatorBound:
@@ -683,20 +689,22 @@ class TestDensityGrid:
     # fixed rules: the well's is 1/2 and the bouncer's 1/(2 sqrt(1 - X)) at
     # X = 0 and 1/2 to the bit, at X = 1/3 and 2/3 within an ulp; the
     # bouncer's quantum columns were re-recorded when Ai's Taylor steps moved
-    # onto the nearest of the anchors every 1/2 (a few ulps; at X = 0, the
-    # square of Ai's rounding residual at its computed zero a_2)
+    # onto the nearest of the anchors every 1/2 (a few ulps); the walls, the
+    # bouncer's X = 0 and the well's X = -1 and 1, print an exact 0, where
+    # they printed the square of Ai's residual at its computed zero a_2 and
+    # of sin's at n pi/2
     ROWS = {
         ('bouncer', 2): (
-            ('0x0.0p+0', '0x1.6483906cb08cdp-102', '0x1.0000000000000p-1', False),
+            ('0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p-1', False),
             ('0x1.0000000000000p+0', '0x1.9906428a81d3dp-1', '0x1.0000000000000p-1', True),
         ),
         ('bouncer', 3): (
-            ('0x0.0p+0', '0x1.6483906cb08cdp-102', '0x1.0000000000000p-1', False),
+            ('0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p-1', False),
             ('0x1.0000000000000p-1', '0x1.031289148bd87p-2', '0x1.6a09e667f3bcdp-1', False),
             ('0x1.0000000000000p+0', '0x1.9906428a81d3dp-1', '0x1.6a09e667f3bcdp-1', True),
         ),
         ('bouncer', 4): (
-            ('0x0.0p+0', '0x1.6483906cb08cdp-102', '0x1.0000000000000p-1', False),
+            ('0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p-1', False),
             ('0x1.5555555555555p-2', '0x1.a4de5fc7a6d96p-2', '0x1.3988e1409212ep-1', False),
             ('0x1.5555555555555p-1', '0x1.95ec7ae2b3892p+0', '0x1.bb67ae8584ca9p-1', False),
             ('0x1.0000000000000p+0', '0x1.9906428a81d3dp-1', '0x1.bb67ae8584ca9p-1', True),
@@ -713,19 +721,19 @@ class TestDensityGrid:
             ('0x1.0000000000000p+0', '0x1.6086f6d304710p-2', '0x1.59b8b1f4ecc98p-2', True),
         ),
         ('well', 2): (
-            ('-0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
-            ('0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
+            ('-0x1.0000000000000p+0', '0x0.0p+0', '0x1.0000000000000p-1', False),
+            ('0x1.0000000000000p+0', '0x0.0p+0', '0x1.0000000000000p-1', False),
         ),
         ('well', 3): (
-            ('-0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
+            ('-0x1.0000000000000p+0', '0x0.0p+0', '0x1.0000000000000p-1', False),
             ('0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p-1', False),
-            ('0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
+            ('0x1.0000000000000p+0', '0x0.0p+0', '0x1.0000000000000p-1', False),
         ),
         ('well', 4): (
-            ('-0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
+            ('-0x1.0000000000000p+0', '0x0.0p+0', '0x1.0000000000000p-1', False),
             ('-0x1.5555555555556p-2', '0x1.8000000000001p-1', '0x1.0000000000000p-1', False),
             ('0x1.5555555555554p-2', '0x1.7ffffffffffffp-1', '0x1.0000000000000p-1', False),
-            ('0x1.0000000000000p+0', '0x1.377ce858a5d4ap-106', '0x1.0000000000000p-1', False),
+            ('0x1.0000000000000p+0', '0x0.0p+0', '0x1.0000000000000p-1', False),
         ),
     }
 

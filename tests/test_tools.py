@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 import ucr
+from ucr.cli_report import _quad_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS = ROOT / "tools"
@@ -88,7 +89,7 @@ def test_quad_ab_agrees_with_itself(capsys, monkeypatch):
         for label in ("parent", "change"):
             sys.modules.pop(f"quadrature_{label}", None)
     out = capsys.readouterr().out
-    assert f"fields: 0 of {6 * 7} (level, pass, spec) cases differ" in out  # 2 passes a level at 7 specs
+    assert f"fields: 0 of {6 * 8} (level, pass, spec) cases differ" in out  # 2 passes a level at 8 specs
     assert "bouncer n=11 " in out and "well n=2 " in out
     assert sys.getprofile() is None  # the profiler is gone again
 
@@ -103,10 +104,10 @@ def test_quad_ab_hands_each_tree_the_break_points_and_the_spec_as_given():
 
     one_pass = ("quantum", "quantum", None, ((0.0, 0.25, 0.5, 0.75, 1.0),))
     tree = types.SimpleNamespace(QuadratureSpec=ucr.QuadratureSpec, integrate_finite=points)
-    for fields in ({}, {"max_subdivisions": 3}):
+    for fields in ({}, quad_ab.SPECS["quad-tol 1e-17"]):
         quad_ab.run(tree, one_pass, fields)
     assert seen == [((0.0, 0.25, 0.5, 0.75, 1.0), ucr.QuadratureSpec()),
-                    ((0.0, 0.25, 0.5, 0.75, 1.0), ucr.QuadratureSpec(max_subdivisions=3))]
+                    ((0.0, 0.25, 0.5, 0.75, 1.0), _quad_spec(1e-17))]
 
 
 def test_quad_ab_usage():

@@ -12,10 +12,11 @@ the same functions, the same Airy memo and the machine's speed of the moment.
 The sweep takes, for every level of SWEEP, the level's one quantum moment
 pass from `moment_pass` (by `integrate_rule` when it hands over a fixed rule's
 nodes and weights, as the oscillator's does) and the classical ensemble's
-pass at E_n from `classical_pass` (by `integrate_rule`), at each of seven
-specs; both trees' `integrate_finite`
-take the pass's break points and the spec as given, as `quantum_states._integrate`
-hands them on.  The value, error estimate, `evaluations` and
+pass at E_n from `classical_pass` (by `integrate_rule`), at each of the eight
+SPECS, among them the CLI's `--quad-tol` 1e-13 and 1e-17; both trees'
+`integrate_finite` take the pass's break points and the spec as given, as
+`quantum_states._integrate` hands them on.  A spec is two tolerances: the
+loop's budget of splits is fixed in each tree.  The value, error estimate, `evaluations` and
 `converged` of the two trees' results must agree bit for bit (an integrand
 error must be the same exception).  Every (system, n, pass) that differs is listed with its specs,
 and the first differing case is shown.
@@ -37,11 +38,14 @@ import importlib.util
 import os
 import sys
 import time
+
+# each "quad-tol q" spec is the CLI's --quad-tol q, (q, 100.0 * q) to the bit
 SPECS = {
     "default": {},
     "loose": {"abs_tol": 1e-6, "rel_tol": 1e-4},
     "tight": {"abs_tol": 1e-13, "rel_tol": 1e-12},
-    "budget 3": {"max_subdivisions": 3},
+    "quad-tol 1e-13": {"abs_tol": 1e-13, "rel_tol": 100.0 * 1e-13},
+    "quad-tol 1e-17": {"abs_tol": 1e-17, "rel_tol": 100.0 * 1e-17},
     "1e-300": {"abs_tol": 1e-300, "rel_tol": 1e-300},
     "abs only": {"abs_tol": 1e-12, "rel_tol": 0.0},
     "rel only": {"abs_tol": 0.0, "rel_tol": 1e-10},
