@@ -9,8 +9,7 @@ large-|z| expansions (DLMF 9.7.5-6 and 9.7.9-10), the negative one in at most
 on its z alone, never on the rest of its batch, so `airy_ai`, the scalar form
 for Newton steps and the public API, returns the same bits as any array call.
 A one-element call runs on every branch in Python floats, which round as
-numpy's do; the series sums go term by term, down the columns of a batch
-below 100 elements and along its rows from there (`_partial_sums`).
+numpy's do; the series sums add a batch's terms row by row (`_partial_sums`).
 One LRU memo of whole batches, 20,000 elements in all with each batch charged
 18 more for its overhead, sits in front of the kernel and `airy_zero`
 memoizes its zeros; the Taylor and series tables are built once, on first
@@ -117,7 +116,6 @@ _POSITIVE_CAP = 1e4
 _SERIES_TERMS = 60
 _TERM_FLOOR = 2.0 ** -60  # a series stops at its first term below this
 _CHUNK = 512  # elements per kernel pass: bounds the (terms x elements) series arrays
-_ROWS_FROM = 100  # batch length from which _partial_sums runs row by row
 _MEMO_SIZE = 20_000
 _ENTRY_COST = 18  # the elements a memo entry is charged besides its own: ~430 B of key, arrays and links
 
@@ -184,10 +182,8 @@ def _partial_sums(inv_zeta, count, group: int):
     # so no element depends on the counts of its batch.  Returns the sums with
     # shape (group, 2) + shape(inv_zeta); for a float, as `group` pairs.
     #
-    # Powers and sums run along k, the first axis.  numpy's accumulate along
-    # it runs one inner loop per element, which pays below _ROWS_FROM
-    # elements; from there a loop over k, one ufunc call a row, costs less.
-    # Both add in order of k.  np.add.reduce would not: it sums pairwise,
+    # Powers and sums run along k, the first axis, one ufunc call a row, so
+    # they add in order of k.  np.add.reduce would not: it sums pairwise,
     # and gives only the total, not the sum at each element's own count.
     rows = _series_tables(isinstance(inv_zeta, float))[group - 1]
     if isinstance(inv_zeta, float):  # the same operations in the same order, in Python floats
@@ -199,22 +195,15 @@ def _partial_sums(inv_zeta, count, group: int):
             power *= inv_zeta
         return sums[-group:]
     terms, size = group * int(count.max()), len(inv_zeta)
-    by_rows = size >= _ROWS_FROM
     powers = np.full((terms, size), inv_zeta)
     powers[0] = 1.0
-    if by_rows:
-        for before, row in zip(powers[1:], powers[2:]):
-            np.multiply(before, inv_zeta, out=row)
-    else:
-        np.multiply.accumulate(powers, axis=0, out=powers)
+    for before, row in zip(powers[1:], powers[2:]):
+        np.multiply(before, inv_zeta, out=row)
     blocks = (terms // group, group)
     sums = np.empty(blocks + (2, size))  # C-contiguous, so its rows are views, never copies
     np.multiply(rows[:terms].reshape(blocks + (2, 1)), powers.reshape(blocks + (1, size)), out=sums)
-    if by_rows:
-        for before, row in zip(sums, sums[1:]):
-            np.add(before, row, out=row)
-    else:
-        np.add.accumulate(sums, axis=0, out=sums)
+    for before, row in zip(sums, sums[1:]):
+        np.add(before, row, out=row)
     return np.moveaxis(sums[count - 1, ..., np.arange(size)], 0, -1)
 
 

@@ -33,8 +33,11 @@ def _require_positive(**params: float) -> None:
 
 
 def _points(x: Union[float, np.ndarray]) -> np.ndarray:
-    """x, a float or a 1-D array, as a 1-D float array; a nan or an infinity is refused."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    """x, a float or a 1-D array, as a 1-D float array; more axes, a nan or an infinity are refused."""
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError(f"x must be a float or a 1-D array, got shape {xs.shape}")
+    xs = np.atleast_1d(xs)
     if not np.isfinite(xs).all():
         raise ValueError(f"x must be finite, got {xs[~np.isfinite(xs)][0].item()!r}")
     return xs

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 
 import mpmath as mp
@@ -260,6 +261,18 @@ class TestDensity:
         for x in (bad, np.array([0.1, bad, 0.2])):
             with pytest.raises(ValueError, match="x must be finite"):
                 classical_density(ens, x)
+
+    @pytest.mark.parametrize(
+        "variant", [HarmonicOscillator(1.3, 0.7), InfiniteWell(0.8, 2.5), BouncingBall(1.1, 0.9)], ids=lambda v: v.name
+    )
+    def test_x_with_two_axes_refused(self, variant):
+        # a (2, 3) x came back as a (2, 3) density; a float, a 1-D and an empty array still work
+        ens = build_ensemble(PotentialModel(variant), 1.7)
+        with pytest.raises(ValueError, match=re.escape("x must be a float or a 1-D array, got shape (2, 3)")):
+            classical_density(ens, np.full((2, 3), 0.1))
+        assert type(classical_density(ens, 0.1)) is float
+        assert classical_density(ens, np.array([0.1, 0.2])).tolist() == [classical_density(ens, v) for v in (0.1, 0.2)]
+        assert classical_density(ens, np.array([])).shape == (0,)
 
     @pytest.mark.parametrize(
         "variant", [HarmonicOscillator(1.3, 0.7), InfiniteWell(0.8, 2.5), BouncingBall(1.1, 0.9)], ids=lambda v: v.name

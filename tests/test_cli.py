@@ -173,7 +173,7 @@ class TestCompareCommand:
         def out_of_memory(*args):
             raise MemoryError()
 
-        monkeypatch.setattr(cli_report, "compare_rows", out_of_memory)
+        monkeypatch.setattr(cli_report, "quantum_moments_quadrature", out_of_memory)
         code, out, err = run(capsys, "compare", "--system", "ho", "--n", "0")
         assert (code, out, err) == (EXIT_COMPUTATION, "", "error: MemoryError\n")
 
@@ -204,17 +204,19 @@ class TestCompareCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"usage error: oscillator quantum number must be at most 20000, got {top}\n"
 
-    @pytest.mark.parametrize("command, top", [("compare", 10 ** 17), ("density", 10 ** 20)],
-                             ids=["compare-bouncer", "density-bouncer"])
-    def test_range_too_long_to_build_is_refused_at_once(self, capsys, command, top):
+    @pytest.mark.parametrize("command, top, message", [
+        ("compare", 10 ** 17, f"n selector 1..{10 ** 17} has too many levels to build"),
+        ("density", 10 ** 20, "density needs exactly one quantum number"),
+    ], ids=["compare-bouncer", "density-bouncer"])
+    def test_range_too_long_to_build_is_refused_at_once(self, capsys, command, top, message):
         # compare checks both ends first, so its top is a bouncer level a_n can reach (a_n ~ -6e11);
-        # its list of levels is more than memory holds, and past sys.maxsize neither
-        # list(range) nor len(range) can take density's
+        # its list of levels is more than memory holds.  density's range lies past sys.maxsize,
+        # where len(range) fails, and is refused for its second level without measuring it
         start = time.perf_counter()
         code, out, err = run(capsys, command, "--system", "bouncer", "--n", f"1..{top}")
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == f"usage error: n selector 1..{top} has too many levels to build\n"
+        assert err == f"usage error: {message}\n"
 
     @pytest.mark.parametrize("command", ["compare", "density"])
     def test_well_level_past_its_ceiling_is_refused_at_once(self, capsys, command):
@@ -276,6 +278,23 @@ class TestDensityCommand:
         code, out, _ = run(capsys, "density", "--system", "bouncer", "--n", "3..3", "--points", "3")
         assert code == EXIT_OK
         assert out == run(capsys, "density", "--system", "bouncer", "--n", "3", "--points", "3")[1]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_points_past_its_ceiling_is_refused_at_once(self, capsys, tmp_path, source):
+        # refused before the grid is built: each point costs about 0.75 KB, so 10^7 would need ~7.5 GB
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("points=1000001\n")
+        given = ("--points", "1000001") if source == "flag" else ("--config", str(cfg))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "density", "--system", "ho", "--n", "5", *given)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        where = "argument --points" if source == "flag" else "bad config value for points"
+        assert err == f"usage error: {where}: must be >= 2 and <= 1000000, got 1000001\n"
+
+    def test_points_at_its_ceiling_is_accepted(self):
+        # converted but not run (about 5 s and 780 MB)
+        assert cli_report._OPTIONS["points"]("1000000") == 1_000_000
 
     def test_json_format(self, capsys):
         _, out, _ = run(capsys, "density", "--system", "bouncer", "--n", "1", "--points", "4",

@@ -9,7 +9,7 @@ import pytest
 
 from ucr import quantum_states, specfun, systems
 from ucr.cli_report import _quad_spec
-from ucr.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_finite, integrate_rule, integrate_semi_infinite
+from ucr.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_finite, integrate_rule
 from ucr.quantum_states import (
     bouncer_state,
     commutator_bound,
@@ -124,34 +124,50 @@ class TestWavefunction:
             for x in (0.3, 1.1, 2.4):
                 assert wavefunction(level, -x) == pytest.approx(sign * wavefunction(level, x), rel=1e-12)
 
+    @staticmethod
+    def _norm(level, x) -> float:
+        # the integral of psi^2 from the panels between the break points x, on which it must
+        # converge: no panel is split, so the test runs no split step
+        r = integrate_finite(lambda t: wavefunction(level, t) ** 2, x, SPEC)
+        assert r.converged and r.evaluations == 15 * (len(x) - 1)
+        return r.value
+
+    @staticmethod
+    def _oscillator_half_line(level) -> np.ndarray:
+        # psi ~ cos(sqrt(2n + 1) y - n pi/2) inside the turning points, so its nodes and peaks
+        # lie about pi/(2 sqrt(2n + 1)) apart in y = x sqrt(m w/hbar): a uniform grid at that
+        # spacing, and at most 1/2, out to sqrt(2n + 1) + 8, where psi^2 is below 1e-35 for n <= 20
+        variant, root = level.model.variant, math.sqrt(2 * level.n + 1)
+        end, step = root + 8.0, min(0.5, 0.5 * math.pi / root)
+        y = np.linspace(0.0, end, math.ceil(end / step) + 1)
+        return y / math.sqrt(variant.m * variant.omega / level.model.hbar)
+
     def test_normalization_oscillator(self):
         for n in range(0, 21):
             level = eigen_level(HO, n)
-            r = integrate_semi_infinite(lambda x: wavefunction(level, x) ** 2, 0.0,
-                                        QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))
-            assert 2.0 * r.value == pytest.approx(1.0, abs=1e-9)
+            assert 2.0 * self._norm(level, self._oscillator_half_line(level)) == pytest.approx(1.0, abs=1e-9)
 
     def test_normalization_well(self):
+        # x = k L/(2n): the nodes and peaks of psi
         for n in list(range(1, 11)) + [25, 50]:
             level = eigen_level(WELL, n)
-            r = integrate_finite(lambda x: wavefunction(level, x) ** 2, (-0.5, 0.5),
-                                 QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))
-            assert r.value == pytest.approx(1.0, abs=1e-9)
+            x = np.arange(-n, n + 1) * WELL.variant.L / (2 * n)
+            assert self._norm(level, x) == pytest.approx(1.0, abs=1e-9)
 
     def test_normalization_bouncer(self):
+        # the moment pass's break points, x = l_g (z + E'_n) from the floor to z = 9; the
+        # tail past there is bounded in the comment on systems._Z_END
         for n in range(1, 11):
             level = eigen_level(BALL, n)
-            r = integrate_semi_infinite(lambda x: wavefunction(level, x) ** 2, 0.0,
-                                        QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))
-            assert r.value == pytest.approx(1.0, abs=1e-9)
+            (_, z), _ = BALL.variant.moment_pass(level)
+            scaled_energy, grav_length = BALL.variant.airy_scales(n, BALL.hbar)
+            assert z[-1] == systems._Z_END
+            assert self._norm(level, grav_length * (z + scaled_energy)) == pytest.approx(1.0, abs=1e-9)
 
     def test_normalization_off_unit_parameters(self):
         model = PotentialModel(HarmonicOscillator(m=2.5, omega=0.4), hbar=1.7)
         level = eigen_level(model, 3)
-        r = integrate_semi_infinite(lambda x: wavefunction(level, x) ** 2, 0.0,
-                                    QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))
-        assert 2.0 * r.value == pytest.approx(1.0, abs=1e-9)
-
+        assert 2.0 * self._norm(level, self._oscillator_half_line(level)) == pytest.approx(1.0, abs=1e-9)
 
     def test_array_equals_pointwise_floats(self):
         # one call over an array gives exactly the per-point float calls,
@@ -179,6 +195,16 @@ class TestWavefunction:
         for x in (bad, np.array([0.1, bad, 0.2])):
             with pytest.raises(ValueError, match="x must be finite"):
                 wavefunction(level, x)
+
+    @pytest.mark.parametrize("model", [HO, WELL, BALL], ids=["oscillator", "well", "bouncer"])
+    def test_x_with_two_axes_refused(self, model):
+        # the oscillator and the well returned a (2, 3) array, the bouncer an error that named Airy
+        level = eigen_level(model, 2)
+        with pytest.raises(ValueError, match=re.escape("x must be a float or a 1-D array, got shape (2, 3)")):
+            wavefunction(level, np.full((2, 3), 0.1))
+        assert type(wavefunction(level, 0.1)) is float
+        assert wavefunction(level, np.array([0.1, 0.2])).tolist() == [wavefunction(level, 0.1), wavefunction(level, 0.2)]
+        assert wavefunction(level, np.array([])).shape == (0,)
 
     @pytest.mark.parametrize("n", [0, 5, 800])
     def test_oscillator_vanishes_where_y_squared_overflows(self, n):

@@ -133,6 +133,25 @@ def test_diff_outputs_names_the_command_and_line_that_differ(capsys, monkeypatch
     assert out.endswith("1 of 2 commands differ\n") and "airy-zeros" not in out
 
 
+def test_diff_outputs_compares_stderr(capsys, monkeypatch, tmp_path):
+    # a refusal prints nothing on stdout and exits 64 in both trees: only its message differs
+    diff_outputs = _tool("diff_outputs")
+    refusal = ("density", "--system", "ho", "--n", "0,1")
+    monkeypatch.setattr(diff_outputs, "commands", lambda: [refusal])
+    shutil.copytree(Path(SRC) / "ucr", tmp_path / "ucr", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "ucr" / "cli_report.py"
+    source = cli.read_text()
+    assert source.count("density needs exactly one quantum number") == 1
+    cli.write_text(source.replace("density needs exactly one quantum number", "density needs one quantum number"))
+    assert diff_outputs.main([SRC, str(tmp_path)]) == 1
+    assert capsys.readouterr().out == (
+        "ucr " + " ".join(refusal) + "\n  stderr line 1:\n"
+        "    - usage error: density needs exactly one quantum number\n"
+        "    + usage error: density needs one quantum number\n"
+        "1 of 1 commands differ\n"
+    )
+
+
 def test_diff_outputs_usage(capsys):
     assert _tool("diff_outputs").main([SRC]) == 64
     assert "usage" in capsys.readouterr().err

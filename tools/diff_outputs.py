@@ -1,10 +1,10 @@
 """Run the same `ucr` command list against two source trees and report every
-stdout line or exit code that differs.
+exit code, stdout line or stderr line that differs.
 
     python3 tools/diff_outputs.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory that holds the `ucr` package (a checkout's
-`src/`); it goes first on PYTHONPATH for that tree's runs.  The 118
+`src/`); it goes first on PYTHONPATH for that tree's runs.  The 127
 commands cover `compare` on every system, and on the bouncer's high levels
 n = 200 and 1000 (CSV and JSON, and at the loose integral tolerances
 `--quad-tol 1e-6` and, for the oscillator's n = 0, `1e-4`, where the
@@ -31,8 +31,13 @@ well's and the oscillator's density grids (a 5-point one each, and levels
 0, 3, 10 resp. 1, 8, 100 at 11 and 101 points), the smallest grids the
 endpoint clip meets (bouncer n = 1 at 2 and 3 points, oscillator n = 0 at 3
 points and at 2, whose ends are both singular), and two `airy-zeros` tables
-(30 zeros, and 12, whose last three lie past -12).  Exits 0 when the two
-trees agree on all of them, 1 otherwise.  Standard library only.
+(30 zeros, and 12, whose last three lie past -12), and nine refusals and
+failures, whose stderr pins their messages: `density` over two levels and
+over a range past sys.maxsize, `compare` past the oscillator's ceiling and
+over a bouncer range too long to build, `--points`, `--samples` and
+`--count` past their ceilings, `--quad-tol 1e306`, and the oscillator's
+n = 0 at `--quad-tol 1e-300` (exit 1).  Exits 0 when the two trees agree
+on all of them, 1 otherwise.  Standard library only.
 """
 
 from __future__ import annotations
@@ -82,15 +87,25 @@ def commands() -> list[tuple[str, ...]]:
     cmds.append(("density", "--system", "bouncer", "--n", "8", "--points", "101"))
     cmds.append(("airy-zeros", "--count", "30"))
     cmds.append(("airy-zeros", "--count", "12"))
+    # refusals (exit 64) and a computation error (exit 1): each pins its message on stderr
+    cmds.append(("density", "--system", "bouncer", "--n", "1..100000000000000000000"))  # past sys.maxsize
+    cmds.append(("density", "--system", "ho", "--n", "3,3"))
+    cmds.append(("compare", "--system", "ho", "--n", "20001"))
+    cmds.append(("compare", "--system", "bouncer", "--n", "1..100000000000000000"))
+    cmds.append(("density", "--system", "ho", "--n", "5", "--points", "1000000000000"))
+    cmds.append(("verify", "--system", "ho", "--samples", "1000000001"))
+    cmds.append(("airy-zeros", "--count", "100001"))
+    cmds.append(("compare", "--system", "ho", "--n", "0", "--quad-tol", "1e306"))
+    cmds.append(("compare", "--system", "ho", "--n", "0", "--quad-tol", "1e-300"))
     return cmds
 
 
-def run(src: str, argv: tuple[str, ...]) -> tuple[int, list[str]]:
+def run(src: str, argv: tuple[str, ...]) -> tuple[int, list[str], list[str]]:
     path = os.pathsep.join(filter(None, (os.path.abspath(src), os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
     env.pop("UCR_CONFIG", None)  # the commands run on their defaults, not on a config file
     done = subprocess.run([sys.executable, "-m", "ucr.cli_report", *argv], env=env, capture_output=True, text=True)
-    return done.returncode, done.stdout.splitlines()
+    return done.returncode, done.stdout.splitlines(), done.stderr.splitlines()
 
 
 def main(argv: list[str]) -> int:
@@ -101,11 +116,12 @@ def main(argv: list[str]) -> int:
     cmds = commands()
     differing = 0
     for command in cmds:
-        (code_a, out_a), (code_b, out_b) = run(parent, command), run(change, command)
+        (code_a, *streams_a), (code_b, *streams_b) = run(parent, command), run(change, command)
         diffs = [] if code_a == code_b else [f"  exit code: {code_a} != {code_b}"]
-        for i, (line_a, line_b) in enumerate(itertools.zip_longest(out_a, out_b, fillvalue="(no line)"), start=1):
-            if line_a != line_b:
-                diffs.append(f"  line {i}:\n    - {line_a}\n    + {line_b}")
+        for label, lines_a, lines_b in zip(("line", "stderr line"), streams_a, streams_b):
+            for i, (line_a, line_b) in enumerate(itertools.zip_longest(lines_a, lines_b, fillvalue="(no line)"), 1):
+                if line_a != line_b:
+                    diffs.append(f"  {label} {i}:\n    - {line_a}\n    + {line_b}")
         if diffs:
             differing += 1
             print("ucr " + " ".join(command))
