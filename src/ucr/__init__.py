@@ -22,7 +22,7 @@ from .quantum_states import (
     quantum_moments_quadrature,
     wavefunction,
 )
-from .specfun import AiryValue, AiryZero, airy, airy_ai, airy_zero, hermite, hermite_prime
+from .specfun import AiryValue, airy, airy_ai, airy_zero, hermite, hermite_prime
 from .systems import BouncingBall, HarmonicOscillator, InfiniteWell, PotentialModel
 from .trajectory_oracle import Trajectory, build_trajectory, trajectory_moments
 
@@ -30,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AiryValue",
-    "AiryZero",
     "BouncerState",
     "BouncingBall",
     "ClassicalEnsemble",

@@ -74,10 +74,6 @@ def parse_n_list(text: str) -> Sequence[int]:
     return values
 
 
-def _quad_spec(quad_tol: float) -> QuadratureSpec:
-    return QuadratureSpec(abs_tol=quad_tol, rel_tol=100.0 * quad_tol)
-
-
 def _render(header: Sequence[str], rows: Sequence[Sequence], fmt: str) -> str:
     """CSV with a header line, or a JSON list of records.  Floats arrive
     formatted; ints and bools print as they are (bools as true/false)."""
@@ -95,7 +91,7 @@ def _render(header: Sequence[str], rows: Sequence[Sequence], fmt: str) -> str:
 def run_compare(options: dict) -> tuple[str, bool]:
     """classical vs quantum parity table"""
     system, n_list = options["system"], options["n"]
-    model, spec = _MODELS[system], _quad_spec(options["quad-tol"])
+    model, spec = _MODELS[system], QuadratureSpec(options["quad-tol"])
     try:  # every level is checked before any is computed, a range by its two ends
         for n in (n_list[0], n_list[-1]) if isinstance(n_list, range) else n_list:
             eigen_level(model, n)
@@ -140,18 +136,15 @@ def run_density(options: dict) -> tuple[str, bool]:
 
 def run_airy_zeros(options: dict) -> tuple[str, bool]:
     """table of scaled bouncer eigenvalues"""
-    zeros = [airy_zero(n) for n in range(1, options["count"] + 1)]
-    # 10 significant digits
-    cells = [(z.index, f"{z.scaled_energy:.9e}") for z in zeros]
+    cells = [(n, f"{-airy_zero(n):.9e}") for n in range(1, options["count"] + 1)]  # 10 significant digits
     return _render(("n", "scaled_energy"), cells, options["format"]), True
 
 
 def run_verify(options: dict) -> tuple[str, bool]:
     """trajectory-oracle check of the classical moments"""
     model = _MODELS[options["system"]]
-    spec = _quad_spec(options["quad-tol"])
     try:
-        reference = classical_moments_quadrature(build_ensemble(model, 1.0, spec))
+        reference = classical_moments_quadrature(build_ensemble(model, 1.0, QuadratureSpec(options["quad-tol"])))
     except RuntimeError as exc:
         raise RuntimeError(f"{options['system']}: {exc}") from exc
     oracle = trajectory_moments(build_trajectory(model, 1.0), options["samples"])
@@ -198,7 +191,7 @@ _OPTIONS: dict[str, Callable[[str], object]] = {
     # only its time: 13-50 ns per sample, under a minute at this ceiling
     "samples": _checked(int, lambda v: 2 <= v <= 1_000_000_000, ">= 2 and <= 1000000000"),
     "tol": _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
-    # rel_tol = 100 quad-tol must be finite (the tolerance saturates for any |value|); 1e300 keeps it so
+    # the spec's relative tolerance, 100 quad-tol (`quadrature`), must be finite; 1e300 keeps it so
     "quad-tol": _checked(float, lambda v: 0.0 < v <= 1e300, "> 0 and <= 1e+300"),
     "format": _checked(str, ("csv", "json").__contains__, "csv or json"),
     "out": _checked(str, _writable, "a file path in an existing directory"),
@@ -207,10 +200,10 @@ _OPTIONS: dict[str, Callable[[str], object]] = {
 # command -> (runner, the options it reads with their defaults); every
 # command also reads the _COMMON options and --config.
 _COMMANDS = {
-    "compare": (run_compare, {"system": "ho", "n": (1,), "tol": 1e-6, "quad-tol": DEFAULT_SPEC.abs_tol}),
+    "compare": (run_compare, {"system": "ho", "n": (1,), "tol": 1e-6, "quad-tol": DEFAULT_SPEC.quad_tol}),
     "density": (run_density, {"system": "ho", "n": (1,), "points": 101}),
     "airy-zeros": (run_airy_zeros, {}),
-    "verify": (run_verify, {"system": "ho", "samples": 1_000_000, "tol": 1e-4, "quad-tol": DEFAULT_SPEC.abs_tol}),
+    "verify": (run_verify, {"system": "ho", "samples": 1_000_000, "tol": 1e-4, "quad-tol": DEFAULT_SPEC.quad_tol}),
 }
 _COMMON = {"format": "csv", "out": None}
 

@@ -49,24 +49,25 @@ class QuadratureError(RuntimeError):
     pass
 
 
+_REL_PER_ABS = 100.0  # a spec's relative tolerance per unit of its quad_tol
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
+    """One tolerance, the CLI's --quad-tol: a component converges within max(quad_tol, 100 quad_tol |value|)."""
+
+    quad_tol: float = 1e-12
 
     def __post_init__(self):
-        for name, value in (("abs_tol", self.abs_tol), ("rel_tol", self.rel_tol)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.abs_tol < 0 or self.rel_tol < 0 or self.abs_tol + self.rel_tol <= 0:
-            raise ValueError("need abs_tol + rel_tol > 0 with both non-negative, "
-                             f"got abs_tol={self.abs_tol!r}, rel_tol={self.rel_tol!r}")
+        if not (self.quad_tol > 0 and math.isfinite(_REL_PER_ABS * self.quad_tol)):
+            raise ValueError(f"quad_tol must be > 0 with {_REL_PER_ABS:g} quad_tol finite, got {self.quad_tol!r}")
 
     def tolerance(self, value: Union[float, np.ndarray]) -> np.ndarray:
-        """max(abs_tol, rel_tol*|value|), component-wise for an array, saturating below the largest float."""
+        """The tolerance of each component of `value`, saturating below the largest float."""
+        rel_tol = _REL_PER_ABS * self.quad_tol
         # |value| is capped at max/rel_tol rounded down, so the product stays finite; a smaller |value| keeps its bits
-        cap = math.nextafter(sys.float_info.max / self.rel_tol, 0.0) if self.rel_tol else math.inf
-        return np.maximum(self.abs_tol, self.rel_tol * np.minimum(np.abs(value), cap))
+        cap = math.nextafter(sys.float_info.max / rel_tol, 0.0)
+        return np.maximum(self.quad_tol, rel_tol * np.minimum(np.abs(value), cap))
 
 
 @dataclass(frozen=True)
@@ -162,11 +163,11 @@ def integrate_finite(f: Integrand, points, spec: QuadratureSpec = DEFAULT_SPEC) 
         converged = bool((err <= tol).all())
         if converged or budget == 0 or (floor > tol).any():
             break
-        # Worst first by the largest error relative to the tolerance (tol is 0 where abs_tol = 0
-        # meets a zero value); split the fewest worst panels whose removal leaves every component's
-        # error sum within tolerance: the errors are >= 0, so `fits` is False up to there, then True.
+        # Worst first by the largest error relative to the tolerance; split the fewest worst panels
+        # whose removal leaves every component's error sum within tolerance: the errors are >= 0,
+        # so `fits` is False up to there, then True.
         errors, tol_column = panels[1].reshape(-1, edges.shape[1]), tol.reshape(-1, 1)
-        order = (-np.maximum.reduce(errors / np.maximum(tol_column, 1e-300))).argsort(kind="stable")
+        order = (-np.maximum.reduce(errors / tol_column)).argsort(kind="stable")
         left = errors.take(order[:0:-1], axis=1).cumsum(axis=1)[:, ::-1]  # column j: after splitting order[:j + 1]
         fits = np.logical_and.reduce(left <= tol_column)
         count = min(int(fits.searchsorted(True)) + 1, budget)

@@ -86,7 +86,7 @@ def wavefunction(level: EigenLevel, x: Union[float, np.ndarray]) -> Union[float,
 def _check_mean_p(mean_p: float, spec: QuadratureSpec) -> None:
     # <P> is the boundary term psi^2/2 over the momentum scale and must vanish
     # to the accuracy asked of the quadrature; more signals a broken integrand.
-    if abs(mean_p) > max(DEFAULT_SPEC.abs_tol, spec.abs_tol):
+    if abs(mean_p) > max(DEFAULT_SPEC.quad_tol, spec.quad_tol):
         raise RuntimeError(f"scaled momentum <P> should vanish, got {mean_p}")
 
 

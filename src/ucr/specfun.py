@@ -30,7 +30,6 @@ import numpy as np
 
 __all__ = [
     "AiryValue",
-    "AiryZero",
     "ConvergenceError",
     "airy",
     "airy_ai",
@@ -67,16 +66,6 @@ class AiryValue:
     ai: float
     ai_prime: float
     branch: str  # "power-series" | "negative-z-asymptotic" | "positive-z-asymptotic"
-
-
-@dataclass(frozen=True)
-class AiryZero:
-    index: int
-    value: float  # a_n < 0
-
-    @property
-    def scaled_energy(self) -> float:
-        return -self.value
 
 
 def hermite(n: int, y: float) -> float:
@@ -434,7 +423,7 @@ def asymptotic_zero(k):
 
 
 @functools.lru_cache(maxsize=4096, typed=True)  # typed: 3.0 must not hit the entry of 3
-def airy_zero(n: int) -> AiryZero:
+def airy_zero(n: int) -> float:
     """The n-th negative zero a_n of Ai, found by Newton iteration seeded at
     its asymptotic estimate `asymptotic_zero(n)`."""
     if not isinstance(n, numbers.Integral) or n < 1:
@@ -449,6 +438,6 @@ def airy_zero(n: int) -> AiryZero:
         # From |a| = 512 on one ulp of a exceeds 1e-13, so even the float
         # nearest the zero can take a larger step; two ulps also end it.
         if (abs(v.ai) < 1e-13 and abs(step) < 1e-13) or abs(step) <= 2.0 * math.ulp(a):
-            return AiryZero(index=n, value=a)
+            return a
     raise ConvergenceError(f"Newton iteration for Airy zero {n} did not converge in {_NEWTON_MAX_ITER} iterations; "
                            f"last iterate {a!r}")

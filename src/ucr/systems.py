@@ -315,7 +315,8 @@ class InfiniteWell(_System):
 
     def psi(self, level, x: np.ndarray) -> np.ndarray:
         half = level.turning_point  # psi is exactly 0 at the walls, not sin's residual at n pi/2
-        return np.where(np.abs(x) >= half, 0.0, math.sqrt(2.0 / self.L) * _well_state_u(level.n, x / half))
+        u = np.clip(x, -half, half) / half  # an x past a wall takes the wall's u, so no x overflows it
+        return np.where(np.abs(x) >= half, 0.0, math.sqrt(2.0 / self.L) * _well_state_u(level.n, u))
 
     def moment_pass(self, level):
         n = level.n
@@ -398,7 +399,7 @@ class BouncingBall(_System):
         return (integrands, *_LEGENDRE_3_UNIT)
 
     def airy_scales(self, n: int, hbar: float) -> tuple[float, float]:
-        return specfun.airy_zero(n).scaled_energy, (hbar ** 2 / (2.0 * self.m ** 2 * self.g)) ** (1.0 / 3.0)
+        return -specfun.airy_zero(n), (hbar ** 2 / (2.0 * self.m ** 2 * self.g)) ** (1.0 / 3.0)
 
     def level(self, n: int, hbar: float) -> float:
         scaled_energy, grav_length = self.airy_scales(n, hbar)
@@ -409,7 +410,9 @@ class BouncingBall(_System):
         # checks that identity by quadrature over (a_n, 9].
         e, lg = self.airy_scales(level.n, level.model.hbar)
         normalization = 1.0 / abs(specfun.airy_ai(-e).ai_prime)
-        z = np.maximum(x, 0.0) / lg - e  # x < 0 takes the floor's z, then psi = 0
+        # x < 0 takes the floor's z, then psi = 0; Ai(z) is 0.0 in floats from z ~ 108 on, so an x
+        # past z = 200 takes that z, and no x overflows it
+        z = np.minimum(np.maximum(x, 0.0), lg * (e + 200.0)) / lg - e
         # psi is exactly 0 on the floor, not Ai's residual at the computed zero a_n
         return np.where(x <= 0.0, 0.0, normalization / math.sqrt(lg) * specfun.airy(z)[0])
 

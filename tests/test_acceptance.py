@@ -31,7 +31,7 @@ from ucr.trajectory_oracle import build_trajectory, trajectory_moments
 HO = PotentialModel(HarmonicOscillator(m=1.0, omega=1.0))
 WELL = PotentialModel(InfiniteWell(m=1.0, L=1.0))
 BALL = PotentialModel(BouncingBall(m=1.0, g=1.0))
-SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
+SPEC = QuadratureSpec(1e-13)
 
 CLASSICAL_TARGETS = {
     "ho": (0.0, 0.5, 0.0, 0.5),
@@ -114,11 +114,11 @@ def test_criterion_06_airy_zero_table():
     failures = []
     table = {1: 2.3381, 2: 4.0879, 3: 5.5206, 4: 6.7867, 5: 7.9441}
     for n, expected in table.items():
-        got = airy_zero(n).scaled_energy
+        got = -airy_zero(n)
         if abs(got - expected) > 5e-5:
             failures.append(f"n={n}: got {got:.9f}, table {expected}, dev {abs(got - expected):.3e}")
     for n in range(1, 51):
-        residual = abs(airy_ai(airy_zero(n).value).ai)
+        residual = abs(airy_ai(airy_zero(n)).ai)
         if residual > 1e-12:
             failures.append(f"n={n}: |Ai(a_n)| = {residual:.3e}")
     _report("criterion 06: Airy zero table", failures)
@@ -159,7 +159,7 @@ def test_criterion_09_bouncer_normalization_identity():
     failures = []
     for n in range(1, 11):
         level = eigen_level(BALL, n)
-        identity = bouncer_state(level, SPEC).normalization * abs(airy_ai(airy_zero(n).value).ai_prime)
+        identity = bouncer_state(level, SPEC).normalization * abs(airy_ai(airy_zero(n)).ai_prime)
         if abs(identity - 1.0) > 1e-8:
             failures.append(f"n={n}: dev {abs(identity - 1.0):.3e}")
     _report("criterion 09: bouncer normalization identity", failures)
@@ -178,7 +178,7 @@ def test_criterion_10_robertson_bounds():
         bound = commutator_bound(level)
         if not product >= bound - 1e-12:
             failures.append(f"{type(model.variant).__name__} n={n}: product {product!r} < bound {bound!r}")
-    e1 = airy_zero(1).scaled_energy
+    e1 = -airy_zero(1)
     b1 = commutator_bound(eigen_level(BALL, 1))
     if abs(b1 - 1.0 / (4.0 * e1 ** 3)) > 1e-15 or not b1 < 4.0 / 135.0:
         failures.append(f"bouncer n=1 bound {b1!r}")

@@ -18,7 +18,7 @@ from ucr.quadrature import QuadratureSpec, integrate_rule
 from ucr.quantum_states import eigen_level
 from ucr.systems import BouncingBall, HarmonicOscillator, InfiniteWell, PotentialModel
 
-SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
+SPEC = QuadratureSpec(1e-13)
 
 
 def _random_models(seed, count):
@@ -125,7 +125,7 @@ class TestOnePass:
 
     def test_unconverged_pass_raises(self):
         # here the rule's rounding floor stays far above 1e-300
-        tight = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300)
+        tight = QuadratureSpec(1e-300)
         ens = build_ensemble(PotentialModel(BouncingBall(1.0, 9.8)), 1.7, tight)
         assert not ens.result.converged
         with pytest.raises(RuntimeError, match="classical moment quadrature failed to converge"):
@@ -140,7 +140,7 @@ class TestOnePass:
     def test_unreachable_tolerance_never_claims_convergence(self, variant):
         # an estimate taken from two refinements that agree to the bit would
         # read (0, 0, 0, 0) here and claim convergence no rule can reach
-        ens = build_ensemble(PotentialModel(variant), 0.5, QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300))
+        ens = build_ensemble(PotentialModel(variant), 0.5, QuadratureSpec(1e-300))
         assert not ens.result.converged
 
 
@@ -196,17 +196,6 @@ class TestExactRules:
                 _, nodes, weights = variant.classical_pass(1.0)
                 assert nodes.tolist() == [float(v) for v in want[variant.name][0]]
                 assert weights.tolist() == [float(v) for v in want[variant.name][1]]
-
-    @pytest.mark.parametrize("factory", VARIANTS, ids=["oscillator", "well", "bouncer"])
-    @pytest.mark.parametrize("spec", [QuadratureSpec(abs_tol=0.0, rel_tol=1e-10), QuadratureSpec(abs_tol=1e-12, rel_tol=0.0)],
-                             ids=["rel only", "abs only"])
-    def test_pass_converges_at_one_sided_specs(self, factory, spec):
-        # rel only: the folded <X> of a symmetric system is 0 with a 0 floor, so it meets a 0 tolerance
-        model = PotentialModel(factory(1.0, 1.0))
-        for n in (model.variant.n_min, 2, 10, 100, 1000):
-            ens = build_ensemble(model, eigen_level(model, n).energy, spec)
-            assert ens.result.converged, (n, ens.result)
-            assert ens.result.error_estimate == ens.result.floor
 
 
 class TestDensity:
@@ -327,7 +316,7 @@ class TestMoments:
         # the turning points cancel in the change of variable, so even a loose
         # tolerance gives the closed form to rounding at every level energy
         model = PotentialModel(variant)
-        loose = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-4)
+        loose = QuadratureSpec(1e-6)
         want = classical_moments_closed_form(model).fields()
         for n in [*range(variant.n_min, 41), 178, 316, 1000]:
             got = classical_moments_quadrature(build_ensemble(model, eigen_level(model, n).energy, loose))

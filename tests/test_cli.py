@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from ucr import cli_report, systems
-from ucr.quadrature import DEFAULT_SPEC
+from ucr.quadrature import DEFAULT_SPEC, QuadratureSpec
 from ucr.cli_report import (
     COMPARE_HEADER,
     EXIT_COMPUTATION,
@@ -468,14 +468,14 @@ class TestUsageSurface:
 
 class TestInputValidation:
     def test_default_quad_tol_gives_the_library_default_spec(self):
-        # the CLI's spec and the library's cannot drift apart: 100.0 * 1e-12 == 1e-10
-        assert cli_report._quad_spec(DEFAULT_SPEC.abs_tol) == DEFAULT_SPEC
-        assert {cli_report._COMMANDS[name][1]["quad-tol"] for name in ("compare", "verify")} == {DEFAULT_SPEC.abs_tol}
+        # the CLI's spec and the library's cannot drift apart
+        for name in ("compare", "verify"):
+            assert QuadratureSpec(cli_report._COMMANDS[name][1]["quad-tol"]) == DEFAULT_SPEC
 
     @pytest.mark.parametrize("command", [("compare", "--n", "0"), ("verify", "--samples", "1000")])
     @pytest.mark.parametrize("quad_tol", ["1e306", "1e307"])
     def test_quad_tol_whose_tolerance_overflows_is_usage_error(self, capsys, command, quad_tol):
-        # rel_tol = 100 quad-tol: at 1e307 it is inf, at 1e306 its product
+        # the relative tolerance 100 quad-tol: at 1e307 it is inf, at 1e306 its product
         # with a moment of order one is
         code, out, err = run(capsys, *command, "--system", "ho", "--quad-tol", quad_tol)
         assert (code, out) == (EXIT_USAGE, "")
@@ -498,7 +498,7 @@ class TestInputValidation:
 
     def test_largest_quad_tol_on_a_large_moment_is_a_parity_failure(self, capsys):
         # the bouncer's raw <z^2> integral at n = 5000 is past 1.79e6, where
-        # rel_tol * |value| = 1e302 * |value| saturates instead of overflowing;
+        # 100 quad-tol * |value| = 1e302 * |value| saturates instead of overflowing;
         # the rows then reach the verdict, which --tol 0 fails
         code, _, err = run(capsys, "compare", "--system", "bouncer", "--n", "5000", "--quad-tol", "1e300", "--tol", "0")
         assert code == EXIT_PARITY, err

@@ -22,46 +22,34 @@ from ucr.quantum_states import _integrate, eigen_level
 from ucr.specfun import airy_ai, airy_zero
 from ucr.systems import BouncingBall, HarmonicOscillator, InfiniteWell, PotentialModel
 
-TIGHT = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
+TIGHT = QuadratureSpec(1e-14)
 
 
 class TestSpec:
     def test_defaults(self):
-        spec = QuadratureSpec()
-        assert spec.abs_tol == 1e-12
-        assert spec.rel_tol == 1e-10
-        assert [f.name for f in dataclasses.fields(spec)] == ["abs_tol", "rel_tol"]  # the split budget is fixed
+        assert QuadratureSpec().quad_tol == 1e-12
+        assert [f.name for f in dataclasses.fields(QuadratureSpec())] == ["quad_tol"]
 
-    def test_tolerance_combines_abs_and_rel(self):
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
-        assert spec.tolerance(0.0) == 1e-12
-        assert spec.tolerance(100.0) == 1e-8
+    @pytest.mark.parametrize("quad_tol", [1e-6, 1e-12, 1e-13, 1e-17, 1e-300])
+    def test_tolerance_is_quad_tol_or_100_quad_tol_of_the_value(self, quad_tol):
+        values = np.array([0.0, -1e-300, 1e-3, -0.5, 1.0, 100.0, -3.7e5, 1e200])
+        want = np.maximum(quad_tol, (100.0 * quad_tol) * np.abs(values))
+        assert QuadratureSpec(quad_tol).tolerance(values).tobytes() == want.tobytes()
+        assert QuadratureSpec(quad_tol).tolerance(-0.5) == want[3]
 
     def test_tolerance_saturates_instead_of_overflowing(self):
-        # rel_tol * 2e6 = 2e308 is past the largest float; warnings are errors here
-        spec = QuadratureSpec(abs_tol=1e300, rel_tol=1e302)
+        # 100 quad_tol * 2e6 = 2e308 is past the largest float; warnings are errors here
+        spec = QuadratureSpec(1e300)
         saturated = spec.tolerance(2e6)
         assert math.isfinite(saturated) and saturated == pytest.approx(sys.float_info.max, rel=1e-15)
-        assert spec.tolerance(np.array([-2e6, 1.0])).tolist() == [saturated, 1e302]
-        assert QuadratureSpec(abs_tol=1e-3, rel_tol=0.0).tolerance(sys.float_info.max) == 1e-3
+        assert spec.tolerance(np.array([-2e6, sys.float_info.max, 1.0])).tolist() == [saturated, saturated, 1e302]
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"abs_tol": -1.0},
-            {"rel_tol": -1.0},
-            {"abs_tol": 0.0, "rel_tol": 0.0},
-            {"abs_tol": math.nan},
-            {"abs_tol": math.inf},
-            {"rel_tol": math.nan},
-            {"rel_tol": math.inf},
-        ],
-    )
-    def test_invalid_spec_rejected(self, kwargs):
+    @pytest.mark.parametrize("quad_tol", [0.0, -1.0, math.nan, math.inf, -math.inf, 1e307])
+    def test_invalid_spec_rejected(self, quad_tol):
         with pytest.raises(ValueError) as excinfo:
-            QuadratureSpec(**kwargs)
-        for field, value in kwargs.items():  # the message names each bad field and its value
-            assert field in str(excinfo.value) and repr(value) in str(excinfo.value)
+            QuadratureSpec(quad_tol)
+        # the message names the field and its value; from 1e307 on, 100 quad_tol is infinite
+        assert "quad_tol" in str(excinfo.value) and repr(quad_tol) in str(excinfo.value)
 
 
 class TestFinite:
@@ -108,7 +96,7 @@ class TestFinite:
             (lambda x: x ** 5 - 3.0 * x, -1.0, 2.5, (2.5 ** 6 - 1.0) / 6.0 - 1.5 * (2.5 ** 2 - 1.0)),
         ]
         for f, a, b, exact in cases:
-            r = integrate_finite(f, (a, b), QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10))
+            r = integrate_finite(f, (a, b), QuadratureSpec(1e-11))
             assert r.converged
             floor = eps * (abs(r.value) + 1.0)
             assert abs(r.value - exact) <= 10.0 * max(r.error_estimate, floor)
@@ -121,7 +109,7 @@ class TestFinite:
         errors = []
         tol = 1e-2
         for _ in range(12):
-            r = integrate_finite(f, (0.0, 2.0), QuadratureSpec(abs_tol=tol, rel_tol=tol))
+            r = integrate_finite(f, (0.0, 2.0), QuadratureSpec(tol))
             errors.append(abs(r.value - exact))
             tol *= 0.5
         for coarse, fine in zip(errors, errors[1:]):
@@ -163,13 +151,13 @@ class TestFinite:
 
     def test_tolerance_below_the_floor_stops_at_once(self):
         # sin 7x on [-3, 3] integrates to 0, and 50 eps int |sin 7x| is about 4e-14: no split
-        # can meet abs_tol 1e-14, so the pass stops on its first panel, not at its budget's end
-        r = integrate_finite(lambda x: np.sin(7.0 * x), (-3.0, 3.0), QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13))
+        # can meet quad_tol 1e-14, so the pass stops on its first panel, not at its budget's end
+        r = integrate_finite(lambda x: np.sin(7.0 * x), (-3.0, 3.0), QuadratureSpec(1e-14))
         assert (r.converged, r.evaluations) == (False, 15)
         assert r.floor == r.error_estimate > 1e-14 and abs(r.value) < 1e-15
         # one component below its floor stops the pass for all of them
         f = lambda x: np.array([np.exp(x), np.sin(7.0 * x)])
-        r = integrate_finite(f, (-3.0, 3.0), QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13))
+        r = integrate_finite(f, (-3.0, 3.0), QuadratureSpec(1e-14))
         assert (r.converged, r.evaluations) == (False, 15) and r.floor[1] > 1e-14
 
     def test_non_finite_integrand_raises(self):
@@ -264,7 +252,7 @@ class TestSemiInfinite:
 
     def test_airy_squared_norm_identity(self):
         # integral of Ai^2 from the first zero a_1 equals Ai'(a_1)^2
-        a1 = airy_zero(1).value
+        a1 = airy_zero(1)
         expected = airy_ai(a1).ai_prime ** 2
         r = integrate_semi_infinite(lambda z: np.array([airy_ai(v).ai for v in z]) ** 2, a1, TIGHT)
         assert r.converged
@@ -314,7 +302,7 @@ class TestFixedRule:
         assert r.value == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     def test_tolerance_below_the_floor_does_not_converge(self):
-        r = integrate_rule(lambda x: x * x, self.NODES, self.WEIGHTS, QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300))
+        r = integrate_rule(lambda x: x * x, self.NODES, self.WEIGHTS, QuadratureSpec(1e-300))
         assert r.converged is False
         assert r.value == pytest.approx(2.0 / 3.0, rel=1e-15)
 
@@ -426,9 +414,9 @@ def _agrees(vector, scalars):
 
 class TestVectorIntegrands:
     def test_finite_smooth(self):
-        # sin 7x and x exp(-x^2) integrate to 0, so their tolerance is abs_tol, and
+        # sin 7x and x exp(-x^2) integrate to 0, so their tolerance is quad_tol, and
         # sin 7x's rounding floor 50 eps int |sin 7x| is 4e-14: TIGHT's 1e-14 lies below it
-        spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
+        spec = QuadratureSpec(1e-13)
         components = (
             lambda x: np.exp(-x * x),
             lambda x: np.sin(7.0 * x),
@@ -440,7 +428,7 @@ class TestVectorIntegrands:
         assert isinstance(vector.evaluations, int) and type(vector.converged) is bool
 
     def test_semi_infinite_decaying(self):
-        a1 = airy_zero(1).value
+        a1 = airy_zero(1)
         components = (
             lambda z: np.array([airy_ai(v).ai for v in z]) ** 2,
             lambda z: (z - a1) * np.array([airy_ai(v).ai for v in z]) ** 2,
@@ -488,9 +476,9 @@ class TestArrayContract:
     rule evaluates its starting panels in calls of at most _BLOCK panels and
     one call per generation of split panels after them."""
 
-    # x sin 25x on [0, 2] integrates to -0.078 with a rounding floor of 1.4e-14, so abs_tol is above it,
+    # x sin 25x on [0, 2] integrates to -0.078 with a rounding floor of 1.4e-14, so quad_tol is above it,
     # and cos^2 40x beside it needs 53 of the pass's 60 splits
-    SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-13)
+    SPEC = QuadratureSpec(1e-12)
 
     @staticmethod
     def _recording(f):
@@ -675,7 +663,7 @@ class TestPinnedBits:
     OSCILLATORY = {  # _oscillatory on [0, 3]
         "default": (DEFAULT_SPEC, ("0x1.e77fdba4a41d2p-2", "0x1.ed6356d32ea01p-2"),
                     ("0x1.6ecd829068a3cp-36", "0x1.2b538f9c8172cp-45"), 225, True),
-        "tight": (QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12), ("0x1.e77fdba4a41d5p-2", "0x1.ed6356d32ea02p-2"),
+        "tight": (QuadratureSpec(1e-14), ("0x1.e77fdba4a41d5p-2", "0x1.ed6356d32ea02p-2"),
                   ("0x1.271780995cac6p-45", "0x1.2b6d54036f956p-45"), 405, True),
     }
 

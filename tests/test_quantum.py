@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from ucr import quantum_states, specfun, systems
-from ucr.cli_report import _quad_spec
 from ucr.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_finite, integrate_rule
 from ucr.quantum_states import (
     bouncer_state,
@@ -25,8 +24,8 @@ from ucr.systems import BouncingBall, HarmonicOscillator, InfiniteWell, Potentia
 HO = PotentialModel(HarmonicOscillator(m=1.0, omega=1.0))
 WELL = PotentialModel(InfiniteWell(m=1.0, L=1.0))
 BALL = PotentialModel(BouncingBall(m=1.0, g=1.0))
-SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
-LOOSE = _quad_spec(1e-6)  # the CLI's --quad-tol 1e-6
+SPEC = QuadratureSpec(1e-13)
+LOOSE = QuadratureSpec(1e-6)  # the CLI's --quad-tol 1e-6
 
 
 def _checked_mean_p(monkeypatch) -> list:
@@ -220,6 +219,20 @@ class TestWavefunction:
         assert got[:4].tolist() == [0.0] * 4
         assert got[4:].tolist() == [wavefunction(level, x) for x in inside]
 
+    @pytest.mark.parametrize("n", [3, 100])
+    @pytest.mark.parametrize("model", [HO, WELL, BALL], ids=["oscillator", "well", "bouncer"])
+    def test_vanishes_at_the_largest_floats(self, model, n):
+        # x over the bouncer's length scale or the well's half-width overflowed: the bouncer
+        # raised on an infinite Airy argument, the well warned on its way to 0
+        level = eigen_level(model, n)
+        far = [1.7e308, -1.7e308, sys.float_info.max, -sys.float_info.max]
+        for x in far:
+            assert wavefunction(level, x) == 0.0
+        inside = [0.1 * level.turning_point, 0.5 * level.turning_point]
+        got = wavefunction(level, np.array(far + inside))
+        assert got[:4].tolist() == [0.0] * 4
+        assert got[4:].tolist() == [wavefunction(level, x) for x in inside]
+
 
 class TestHermiteFunctions:
     def test_recurrence_against_mpmath_at_n600(self):
@@ -297,7 +310,7 @@ class TestBouncerState:
         for n in range(1, 11):
             level = eigen_level(BALL, n)
             state = bouncer_state(level, SPEC)
-            identity = state.normalization * abs(airy_ai(airy_zero(n).value).ai_prime)
+            identity = state.normalization * abs(airy_ai(airy_zero(n)).ai_prime)
             assert identity == pytest.approx(1.0, abs=1e-8)
 
     def test_rejects_non_bouncer_level(self):
@@ -335,7 +348,7 @@ class TestBouncerEnd:
 
 class TestFailingPass:
     # no pass meets these tolerances within its budget
-    HOPELESS = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300)
+    HOPELESS = QuadratureSpec(1e-300)
 
     def test_bouncer_normalization_names_itself(self):
         with pytest.raises(RuntimeError, match="^bouncer normalization integral failed to converge: IntegralResult"):
@@ -344,7 +357,7 @@ class TestFailingPass:
     def test_oscillator_rule_names_itself(self):
         # the exact rule's rounding floor lies far above these tolerances
         with pytest.raises(RuntimeError, match="^oscillator moment quadrature failed to converge: IntegralResult"):
-            quantum_moments_quadrature(eigen_level(HO, 3), QuadratureSpec(abs_tol=1e-300, rel_tol=1e-298))
+            quantum_moments_quadrature(eigen_level(HO, 3), QuadratureSpec(1e-300))
 
     def test_pass_below_its_floor_names_the_component(self, monkeypatch):
         # at n = 200 the <P> integrand Ai Ai' has a rounding floor 50 eps int |Ai Ai'| of
@@ -362,7 +375,7 @@ class TestFailingPass:
     @pytest.mark.parametrize("system, n", [("well", 1000), ("bouncer", 200)])
     def test_runner_hands_the_pass_the_callers_spec(self, monkeypatch, system, n):
         # no budget grown with n: the K15 rule gets the very spec the caller gave
-        seen, spec = [], QuadratureSpec(abs_tol=1e-6, rel_tol=1e-4)
+        seen, spec = [], LOOSE
         monkeypatch.setattr(quantum_states, "integrate_finite",
                             lambda f, points, spec: seen.append(spec) or integrate_finite(f, points, spec))
         level = eigen_level({"well": WELL, "bouncer": BALL}[system], n)
@@ -421,10 +434,10 @@ class TestMoments:
             assert nodes.tolist() == _gauss_hermite(n + 2)[0].tolist()
         elif system == "bouncer":
             [points] = rule
-            zeros = [airy_zero(k).value for k in range(n - 1, 0, -1)]
+            zeros = [airy_zero(k) for k in range(n - 1, 0, -1)]
             past = [0.0, 1.0, 2.0, 3.0, 4.5, 6.0, 9.0]
             ends = points[:2 * n + 1:2]  # -E'_n, the a_k and 0
-            assert len(points) == 2 * n + 7 and ends[0] == -airy_zero(n).scaled_energy
+            assert len(points) == 2 * n + 7 and ends[0] == airy_zero(n)
             assert points.tolist()[2 * n:] == past and np.all(np.abs(ends[1:n] - zeros) < 6e-4)
             assert np.all(np.abs(points[1:2 * n:2] - 0.5 * (ends[:-1] + ends[1:])) <= 2.0 * math.ulp(ends[0]))
             lo, hi = points[1:-1], points[2:]
@@ -447,8 +460,7 @@ class TestMoments:
             result = quantum_states._integrate("well", lambda u: seen.append(len(u)) or f(u), (points,), spec)
             assert seen == calls and result.evaluations == sum(calls) == 15 * (len(points) - 1) and result.converged
 
-    @pytest.mark.parametrize("spec", [DEFAULT_SPEC, QuadratureSpec(abs_tol=1e-6, rel_tol=1e-4),
-                                      QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)], ids=["default", "loose", "tight"])
+    @pytest.mark.parametrize("spec", [DEFAULT_SPEC, LOOSE, SPEC], ids=["default", "loose", "tight"])
     def test_well_closed_form_errors_stay_at_rounding(self, spec):
         # <P^2> = 2 norm and <X^2> = 1/3 - 2/(n pi)^2 at every spec; from its n
         # panels the pass meets both within a few ulps, below the worst the
@@ -476,11 +488,11 @@ class TestMoments:
             (DEFAULT_SPEC, 2e-12, True),
             (SPEC, 2e-12, True),
             (DEFAULT_SPEC, 5e-13, False),
-            (QuadratureSpec(abs_tol=1e-8, rel_tol=1e-6), 2e-12, False),
+            (QuadratureSpec(1e-8), 2e-12, False),
         ],
     )
     def test_mean_p_bound_follows_abs_tol(self, monkeypatch, spec, shift, fires):
-        # |<P>| is held to max(1e-12, abs_tol): 1e-12 at the default and the
+        # |<P>| is held to max(1e-12, quad_tol): 1e-12 at the default and the
         # tighter specs, looser only where the caller asked for a looser integral
         moment_pass = HarmonicOscillator.moment_pass
 
@@ -512,9 +524,8 @@ class TestMoments:
     def test_well_loose_spec_meets_closed_forms(self):
         # even at a loose spec the well's pass over [0, 1] meets 1/3 - 2/(n pi)^2
         # and 1 within 6.1e-13 over the benchmark's levels
-        spec = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-4)
         for n in (1, 2, 3, 6, 10, 18, 32, 56, 100, 178, 316, 422, 562, 750, 1000):
-            got = quantum_moments_quadrature(eigen_level(WELL, n), spec)
+            got = quantum_moments_quadrature(eigen_level(WELL, n), LOOSE)
             assert abs(got.mean_x2 - (1.0 / 3.0 - 2.0 / (n * n * math.pi ** 2))) < 5e-12, n
             assert abs(got.mean_p2 - 1.0) < 5e-12, n
 
@@ -562,7 +573,7 @@ class TestMoments:
     def test_bouncer_high_levels(self, monkeypatch, n):
         # Ai over (a_n, 9] carries about n oscillations; at n = 1000 the
         # moment pass evaluates Ai 44,400 times, far past what the memo
-        # holds.  DEFAULT_SPEC, as `ucr compare` runs: SPEC's abs_tol 1e-13
+        # holds.  DEFAULT_SPEC, as `ucr compare` runs: SPEC's quad_tol 1e-13
         # lies below the Ai Ai' component's rounding floor from n = 200 on.
         mean_p = _checked_mean_p(monkeypatch)
         got = quantum_moments_quadrature(eigen_level(BALL, n), DEFAULT_SPEC)
@@ -610,7 +621,7 @@ class TestMoments:
         assert got.method == "quadrature"
 
 
-_ESTIMATE_SPECS = {"default": DEFAULT_SPEC, "loose": QuadratureSpec(abs_tol=1e-6, rel_tol=1e-4), "tight": SPEC}
+_ESTIMATE_SPECS = {"default": DEFAULT_SPEC, "loose": LOOSE, "tight": SPEC}
 
 
 def _exact_integrals(system: str, n: int) -> list:
@@ -624,7 +635,7 @@ def _exact_integrals(system: str, n: int) -> list:
         a = mp.airyaizero(n)
         slope2 = mp.airyai(a, derivative=1) ** 2
         e = -a
-        delta = mp.mpf(airy_zero(n).scaled_energy) - e
+        delta = mp.mpf(-airy_zero(n)) - e
         first = mp.mpf(2) / 3 * e * slope2
         second = mp.mpf(8) / 15 * e * e * slope2 + 2 * delta * first + delta ** 2 * slope2
         return [slope2, first + delta * slope2, second, mp.mpf(0)]
@@ -684,7 +695,7 @@ class TestCommutatorBound:
         assert commutator_bound(eigen_level(HO, 0)) == 0.25
         assert commutator_bound(eigen_level(HO, 2)) == pytest.approx(1.0 / 100.0)
         assert commutator_bound(eigen_level(WELL, 1)) == pytest.approx(1.0 / math.pi ** 2)
-        e1 = airy_zero(1).scaled_energy
+        e1 = -airy_zero(1)
         assert commutator_bound(eigen_level(BALL, 1)) == pytest.approx(1.0 / (4.0 * e1 ** 3))
 
     def test_product_respects_bound(self):

@@ -477,14 +477,11 @@ class TestAiryZero:
         # extended-precision references (scipy's ai_zeros drifts to ~1e-11)
         mp.mp.dps = 30
         for n in range(1, 11):
-            z = airy_zero(n)
-            assert z.index == n
-            assert z.value == pytest.approx(float(mp.airyaizero(n)), abs=5e-15)
-            assert z.scaled_energy == -z.value
+            assert airy_zero(n) == pytest.approx(float(mp.airyaizero(n)), abs=5e-15)
 
     def test_rounded_reference_values(self):
         for n, rounded in self.ROUNDED_SCALED_ENERGIES.items():
-            assert airy_zero(n).scaled_energy == pytest.approx(rounded, abs=5e-5)
+            assert -airy_zero(n) == pytest.approx(rounded, abs=5e-5)
 
     def test_rounded_table_matches_mpmath(self):
         # checks the hand-typed table itself: mpmath only, never ucr.specfun
@@ -500,27 +497,27 @@ class TestAiryZero:
         # powers of zeta in the negative-z expansion overflow a double
         with mp.workdps(30):
             reference = float(mp.airyaizero(n))
-        assert abs(airy_zero(n).value - reference) <= 2.0 * math.ulp(reference)
+        assert abs(airy_zero(n) - reference) <= 2.0 * math.ulp(reference)
 
     def test_residual_small(self):
         for n in range(1, 51):
-            assert abs(airy_ai(airy_zero(n).value).ai) < 1e-12
+            assert abs(airy_ai(airy_zero(n)).ai) < 1e-12
 
     def test_strictly_decreasing_values(self):
-        values = [airy_zero(n).value for n in range(1, 30)]
+        values = [airy_zero(n) for n in range(1, 30)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_sign_change_across_each_zero(self):
         for n in range(1, 20):
-            a = airy_zero(n).value
+            a = airy_zero(n)
             lo = airy_ai(a - 1e-10).ai
             hi = airy_ai(a + 1e-10).ai
             assert lo * hi < 0.0
 
     def test_no_spurious_zeros_between_consecutive(self):
         for n in range(1, 15):
-            a_n = airy_zero(n).value
-            a_next = airy_zero(n + 1).value
+            a_n = airy_zero(n)
+            a_next = airy_zero(n + 1)
             eps = 1e-6
             samples = [a_next + eps + (a_n - eps - (a_next + eps)) * i / 200 for i in range(201)]
             signs = {math.copysign(1.0, airy_ai(z).ai) for z in samples}
@@ -538,7 +535,7 @@ class TestAiryZero:
             airy_zero(n)
 
     def test_numpy_integer_index_accepted(self):
-        assert airy_zero(np.int64(3)).value == airy_zero(3).value
+        assert airy_zero(np.int64(3)) == airy_zero(3)
 
     def test_seed_leaves_at_most_two_newton_steps(self):
         # from three terms of the asymptotic form, the second Airy evaluation of a cold zero ends

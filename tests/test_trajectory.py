@@ -11,7 +11,7 @@ from ucr.quadrature import QuadratureSpec
 from ucr.systems import BouncingBall, HarmonicOscillator, InfiniteWell, PotentialModel
 from ucr.trajectory_oracle import BLOCK, build_trajectory, trajectory_moments
 
-SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
+SPEC = QuadratureSpec(1e-13)
 
 
 def _potential(model, x):

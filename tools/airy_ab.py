@@ -125,7 +125,8 @@ def cold_zeros(module) -> tuple[bytes, int]:
     for n in range(1, ZEROS + 1):
         module.airy_ai.cache_clear()
         module.airy_zero.cache_clear()
-        values.append(module.airy_zero(n).value)
+        zero = module.airy_zero(n)
+        values.append(getattr(zero, "value", zero))  # a_n, or an older tree's `AiryZero` record of it
         misses += module.airy_ai.cache_info().misses
     return np.array(values).tobytes(), misses
 

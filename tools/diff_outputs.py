@@ -4,7 +4,7 @@ exit code, stdout line or stderr line that differs.
     python3 tools/diff_outputs.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory that holds the `ucr` package (a checkout's
-`src/`); it goes first on PYTHONPATH for that tree's runs.  The 127
+`src/`); it goes first on PYTHONPATH for that tree's runs.  The 130
 commands cover `compare` on every system, and on the bouncer's high levels
 n = 200 and 1000 (CSV and JSON, and at the loose integral tolerances
 `--quad-tol 1e-6` and, for the oscillator's n = 0, `1e-4`, where the
@@ -13,6 +13,9 @@ end `--quad-tol 1e-17`, where the classical verdicts meet their rounding
 floor: `compare` on the oscillator's n = 0 and 5 and `verify` on every
 system) and n = 3000 and
 4000 (whose passes from the Airy zeros alone split 2,908 and 3,905 panels),
+the three `compare` runs that reach the adaptive pass's split step (the
+well's n = 1 at `--quad-tol 1e-15`, and the bouncer's n = 100 and 200 at
+`1e-13`, the last stopped by its <P> component's rounding floor, exit 1),
 `compare` and a 101-point `density` grid on
 the oscillator's high levels (n = 200 and 900, where its recurrence is
 renormalized past y ~ 37.7, and `compare` at n = 2000, whose outer nodes lie
@@ -58,6 +61,9 @@ def commands() -> list[tuple[str, ...]]:
         cmds.append(("compare", "--system", system, "--n", n, "--quad-tol", "1e-6"))
     cmds.append(("compare", "--system", "ho", "--n", "0", "--quad-tol", "1e-4"))
     cmds.append(("compare", "--system", "ho", "--n", "0,5", "--quad-tol", "1e-17"))
+    cmds.append(("compare", "--system", "well", "--n", "1", "--quad-tol", "1e-15"))  # 45 evaluations, 15 at the start
+    for n in ("100", "200"):  # one split (3,120 evaluations), then exit 1 on component 3's floor
+        cmds.append(("compare", "--system", "bouncer", "--n", n, "--quad-tol", "1e-13"))
     cmds.append(("compare", "--system", "bouncer", "--n", "3000,4000"))
     cmds.append(("compare", "--system", "ho", "--n", "200,900"))
     cmds.append(("compare", "--system", "ho", "--n", "2000"))

@@ -12,11 +12,13 @@ the same functions, the same Airy memo and the machine's speed of the moment.
 The sweep takes, for every level of SWEEP, the level's one quantum moment
 pass from `moment_pass` (by `integrate_rule` when it hands over a fixed rule's
 nodes and weights, as the oscillator's does) and the classical ensemble's
-pass at E_n from `classical_pass` (by `integrate_rule`), at each of the eight
+pass at E_n from `classical_pass` (by `integrate_rule`), at each of the six
 SPECS, among them the CLI's `--quad-tol` 1e-13 and 1e-17; both trees'
 `integrate_finite` take the pass's break points and the spec as given, as
-`quantum_states._integrate` hands them on.  A spec is two tolerances: the
-loop's budget of splits is fixed in each tree.  The value, error estimate, `evaluations` and
+`quantum_states._integrate` hands them on.  A spec is one tolerance, the CLI's
+`--quad-tol` q; a tree whose `QuadratureSpec` still holds two gets
+(q, 100.0 * q), as its CLI built them.  The loop's budget of splits is fixed
+in each tree.  The value, error estimate, `evaluations` and
 `converged` of the two trees' results must agree bit for bit (an integrand
 error must be the same exception).  Every (system, n, pass) that differs is listed with its specs,
 and the first differing case is shown.
@@ -39,16 +41,13 @@ import os
 import sys
 import time
 
-# each "quad-tol q" spec is the CLI's --quad-tol q, (q, 100.0 * q) to the bit
-SPECS = {
-    "default": {},
-    "loose": {"abs_tol": 1e-6, "rel_tol": 1e-4},
-    "tight": {"abs_tol": 1e-13, "rel_tol": 1e-12},
-    "quad-tol 1e-13": {"abs_tol": 1e-13, "rel_tol": 100.0 * 1e-13},
-    "quad-tol 1e-17": {"abs_tol": 1e-17, "rel_tol": 100.0 * 1e-17},
-    "1e-300": {"abs_tol": 1e-300, "rel_tol": 1e-300},
-    "abs only": {"abs_tol": 1e-12, "rel_tol": 0.0},
-    "rel only": {"abs_tol": 0.0, "rel_tol": 1e-10},
+SPECS = {  # each the CLI's --quad-tol
+    "default": 1e-12,
+    "loose": 1e-6,
+    "tight": 1e-14,
+    "quad-tol 1e-13": 1e-13,
+    "quad-tol 1e-17": 1e-17,
+    "1e-300": 1e-300,
 }
 SWEEP = {
     "bouncer": (*range(1, 40), 100, 200),
@@ -100,18 +99,19 @@ def level_passes(ucr, model, n: int) -> list[tuple]:
             ("classical", "rule", g, tuple(classical))]
 
 
-def run(module, one_pass: tuple, spec_fields: dict):
+def run(module, one_pass: tuple, quad_tol: float):
     _, kind, f, rule = one_pass
-    spec = module.QuadratureSpec(**spec_fields)
+    two = "abs_tol" in module.QuadratureSpec.__dataclass_fields__  # a tree from before the spec held one number
+    spec = module.QuadratureSpec(quad_tol, 100.0 * quad_tol) if two else module.QuadratureSpec(quad_tol)
     if kind == "rule":
         return module.integrate_rule(f, *rule, spec)
     return module.integrate_finite(f, *rule, spec)
 
 
-def fields(module, one_pass: tuple, spec_fields: dict) -> tuple:
+def fields(module, one_pass: tuple, quad_tol: float) -> tuple:
     # Every field of the result, floats as hex; an exception as its type and message.
     try:
-        result = run(module, one_pass, spec_fields)
+        result = run(module, one_pass, quad_tol)
     except Exception as exc:  # an integrand error must be the same in both trees
         return ("raises", type(exc).__name__, str(exc))
     hexes = [tuple(map(float.hex, v if isinstance(v, tuple) else (v,))) for v in (result.value, result.error_estimate)]
@@ -136,7 +136,7 @@ def loop_calls(module, passes: list[tuple]) -> tuple[int, int]:
     sys.setprofile(profile)
     try:
         for one_pass in passes:
-            run(module, one_pass, {})
+            run(module, one_pass, SPECS["default"])
     finally:
         sys.setprofile(None)
     return counts[0], counts[1]
@@ -157,8 +157,8 @@ def main(argv: list[str], sweep: dict = SWEEP, counted: dict = COUNTED, rounds: 
     for system, levels in sweep.items():
         for n in levels:
             for one_pass in level_passes(ucr, models[system], n):
-                for spec_name, spec_fields in SPECS.items():
-                    got = [fields(module, one_pass, spec_fields) for module in trees.values()]
+                for spec_name, quad_tol in SPECS.items():
+                    got = [fields(module, one_pass, quad_tol) for module in trees.values()]
                     cases += 1
                     if got[0] != got[1]:
                         differ += 1
@@ -178,7 +178,7 @@ def main(argv: list[str], sweep: dict = SWEEP, counted: dict = COUNTED, rounds: 
             for tree in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
                 start = time.perf_counter()
                 for one_pass in passes:
-                    run(trees[tree], one_pass, {})
+                    run(trees[tree], one_pass, SPECS["default"])
                 times[tree].append(time.perf_counter() - start)
         per_generation = [calls[tree][0] / calls[tree][1] for tree in trees]
         per_pass = [calls[tree][1] / len(passes) for tree in trees]
