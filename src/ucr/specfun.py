@@ -2,10 +2,10 @@
 function Ai with its derivative, and the negative zeros of Ai.
 
 `airy` evaluates Ai and Ai' over an array of abscissas, and no other code
-does.  On (-12, 9) it takes a Taylor step of |h| <= 1/4 in 20 terms from the
-nearest anchor on the grid of halves; from 9 up and from -12 down it sums the
+does.  On (-20, 9) it takes a Taylor step of |h| <= 1/4 in 21 terms from the
+nearest anchor on the grid of halves; from 9 up and from -20 down it sums the
 large-|z| expansions (DLMF 9.7.5-6 and 9.7.9-10), the negative one in at most
-19 terms, the positive one in up to 40 near 9.  Each element's value depends
+12 terms, the positive one in up to 40 near 9.  Each element's value depends
 on its z alone, never on the rest of its batch, so `airy_ai`, the scalar form
 for Newton steps and the public API, returns the same bits as any array call.
 A one-element call runs on every branch in Python floats, which round as
@@ -43,16 +43,21 @@ __all__ = [
 _TWO_PI_RESIDUAL = 2.4492935982947064e-16
 _PI_OVER_4_RESIDUAL = 3.061616997868383e-17
 
-# Regime switch points.  For z >= 9 and z <= -12 the asymptotic expansions
+# Regime switch points.  For z >= 9 and z <= -20 the asymptotic expansions
 # are used; between them a Taylor expansion of the ODE w'' = z*w about the
 # nearest anchor on the grid of halves (`_anchor_columns`).
 _POSITIVE_CUT = 9.0
-_NEGATIVE_CUT = -12.0
+# The table could reach further down (to -32 in 23 terms); ROADMAP item 1's
+# memory entry says why it stops at -20.
+_NEGATIVE_CUT = -20.0
+# Anchors below this take Ai and Ai' from the negative expansion, which is
+# accurate from here down; those above, from a step down from their neighbour.
+_SEEDED_BELOW = -12.0
 # The anchors' positions in half units, lowest first.
 _HALVES = range(int(2.0 * _NEGATIVE_CUT), int(2.0 * _POSITIVE_CUT) + 1)
 # Columns kept per anchor: the fewest whose first dropped term at |h| = 1/4
-# lies below 2^-60 of the envelope at every anchor (with 19 the anchor -12 misses).
-_TAYLOR_TERMS = 20
+# lies below 2^-60 of the envelope at every anchor (with 20 the anchor -20 misses).
+_TAYLOR_TERMS = 21
 
 _NEWTON_MAX_ITER = 50
 
@@ -104,7 +109,9 @@ _ZERO_INDEX_LIMIT = math.ceil(2.0 * (-_AIRY_LIMIT) ** 1.5 / (3.0 * math.pi) + 0.
 _POSITIVE_CAP = 1e4
 _SERIES_TERMS = 60
 _TERM_FLOOR = 2.0 ** -60  # a series stops at its first term below this
-_CHUNK = 512  # elements per kernel pass: bounds the (terms x elements) series arrays
+# Elements per kernel pass: bounds its (terms x elements) Taylor and series
+# arrays.  Of 512 to 8192, 4096 ran the bouncer's passes at n = 200..4000 fastest.
+_CHUNK = 4096
 _MEMO_SIZE = 20_000
 _ENTRY_COST = 18  # the elements a memo entry is charged besides its own: ~430 B of key, arrays and links
 
@@ -125,14 +132,16 @@ def _series_tables(as_lists: bool = False) -> tuple:
     nested lists of Python floats and ints for one-element calls:
 
     - ``alternating[k]`` = (-1)^k (u_k, v_k), for z >= 9;
-    - ``paired[k]`` = (-1)^(k//2) (u_k, v_k), for z <= -12: even k make the
-      sums P (Ai) and R (Ai'), odd k the sums Q and S;
+    - ``paired[k]`` = (-1)^(k//2) (u_k, v_k), for z <= -20 and the Taylor
+      anchors below -12: even k make the sums P (Ai) and R (Ai'), odd k the
+      sums Q and S;
     - ``counts[i]``, the term count for zeta from ``breaks[i-1]`` up to
       ``breaks[i]``: a series stops at its first term k that is larger than
       term k - 1 (where zeta < u_k / u_(k-1)) or below 2^-60 (where zeta >=
       (2^60 u_k)^(1/k)).  From zeta = 18, the positive seam, to about 19.4
       the terms turn to growing before they get that small; from zeta =
-      27.7, the negative seam, they get below it in at most 19 terms.
+      27.7, at -12, they get below it in at most 19 terms, and from 59.6,
+      the negative seam, in at most 12.
     """
     if as_lists:
         return tuple(table.tolist() for table in _series_tables())
@@ -233,12 +242,13 @@ def _zeta_double_double(x):
 
 
 def _negative(z):
-    # DLMF 9.7.9-10: Ai and Ai' for z <= -12 from the phase zeta + pi/4.  Its
-    # multiple n of 2*pi comes off as in math.remainder: n * 2*pi is a
-    # double-double and zeta - n * 2*pi is exact in doubles.  Past |z| ~ 1e11
-    # zeta / 2*pi no longer rounds to n, and the reduced phase, a few turns
-    # long, keeps a rounding error of up to ~1e-14.  The series go in pairs of
-    # terms, an even one for P and R and an odd one for Q and S.
+    # DLMF 9.7.9-10: Ai and Ai' for z <= -12 (the branch z <= -20 and the
+    # anchors below -12) from the phase zeta + pi/4.  Its multiple n of 2*pi
+    # comes off as in math.remainder: n * 2*pi is a double-double and
+    # zeta - n * 2*pi is exact in doubles.  Past |z| ~ 1e11 zeta / 2*pi no
+    # longer rounds to n, and the reduced phase, a few turns long, keeps a
+    # rounding error of up to ~1e-14.  The series go in pairs of terms, an
+    # even one for P and R and an odd one for Q and S.
     x = -z
     zeta, zeta_lo, root = _zeta_double_double(x)
     turns = _on(np.rint, zeta / (2.0 * math.pi))
@@ -284,16 +294,21 @@ def _horner(columns, h):
 
 @functools.cache
 def _anchor_columns() -> list[list[tuple[float, float]]]:
-    """Per anchor -12, -11.5, ..., 9, the first _TAYLOR_TERMS columns
+    """Per anchor -20, -19.5, ..., 9, the first _TAYLOR_TERMS columns
     (c_k, (k+1) c_(k+1)) of Ai's Taylor polynomial about it, built once.
-    The anchor 9 starts from the asymptotic value there, every other from a
-    half-unit step down, on all 34 terms, from the anchor above: toward
-    smaller z Ai is the growing solution on the positive axis and neither
-    solution grows on the negative axis, so the propagation is stable."""
+    The anchor 9 starts from the asymptotic value there, and each anchor
+    down to -12 from a half-unit step down, on all 34 terms, from the anchor
+    above: toward smaller z Ai is the growing solution on the positive axis
+    and neither solution grows on the negative axis, so the propagation is
+    stable.  Each anchor below -12 starts from the negative expansion at it,
+    which is closer there than the steps down from 9 (58 of them to -20)."""
     ai, aip = _positive(_POSITIVE_CUT)
     anchors = []
     for half in reversed(_HALVES):
-        c = _taylor_coefficients(0.5 * half, ai, aip)
+        z0 = 0.5 * half
+        if z0 < _SEEDED_BELOW:
+            ai, aip = _negative(z0)
+        c = _taylor_coefficients(z0, ai, aip)
         columns = [(c[k], (k + 1) * c[k + 1]) for k in range(33)] + [(c[33], 0.0)]
         anchors.append(columns[:_TAYLOR_TERMS])
         ai, aip = _horner(columns, -0.5)
@@ -307,7 +322,7 @@ def _taylor_table() -> np.ndarray:
 
 
 def _taylor(z):
-    # One Taylor step of |h| <= 1/4 from the nearest anchor, for -12 < z < 9;
+    # One Taylor step of |h| <= 1/4 from the nearest anchor, for -20 < z < 9;
     # a z halfway between two takes the integer one (round and np.rint round
     # half to even).
     if isinstance(z, float):  # one point: Python floats round every step as numpy does, at a fraction of the cost
@@ -430,7 +445,7 @@ def airy_zero(n: int) -> float:
         raise ValueError(f"Airy-zero index must be an integer >= 1, got {n!r}")
     if n > _ZERO_INDEX_LIMIT:  # refused before float(n) can overflow
         raise ValueError(f"Airy zero {n} lies {_BELOW_LIMIT}")
-    a = asymptotic_zero(n)
+    a = asymptotic_zero(int(n))  # a numpy integer would make a a numpy float
     for _ in range(_NEWTON_MAX_ITER):
         v = airy_ai(a)
         step = v.ai / v.ai_prime

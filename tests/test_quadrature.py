@@ -606,11 +606,15 @@ class TestPinnedBits:
     points took the midpoints between those zeros, on a grid of 2 ulp(E'), on
     which its pass converges without a split, and again, with the same
     evaluation counts, when Ai's Taylor steps moved onto the nearest of the
-    anchors every 1/2 over (-12, 9).  The oscillator's Gauss-Hermite rule of n + 2 nodes was
-    recorded when it replaced the oscillator's adaptive half-line pass, on
-    numpy 2.4.6 with the AVX512_SPR dispatch of its ufuncs (np.exp, np.sin
-    and np.cos build the nodes and the recurrence's start) on an AVX-512
-    Xeon; its sums are numpy's pairwise sums, not a BLAS product."""
+    anchors every 1/2 over (-12, 9).  Those at n = 11, 14 and 36 and the
+    one-panel start were re-recorded, with the same counts again, when that
+    table reached down to -20, so that Ai on (-20, -12] came from a Taylor
+    step in place of the negative expansion.  The oscillator's Gauss-Hermite
+    rule of n + 2 nodes was recorded when it replaced the oscillator's
+    adaptive half-line pass, on numpy 2.4.6 with the AVX512_SPR dispatch of
+    its ufuncs (np.exp, np.sin and np.cos build the nodes and the
+    recurrence's start) on an AVX-512 Xeon; its sums are numpy's pairwise
+    sums, not a BLAS product."""
 
     MOMENT_PASSES = {
         ("bouncer", 1): (
@@ -619,17 +623,17 @@ class TestPinnedBits:
             120,
         ),
         ("bouncer", 14): (
-            ("0x1.474f6ac3b3399p+0", "0x1.b80861119d170p+3", "0x1.62f20aaf0c8dap+7", "0x1.4ddd35c880000p-52"),
-            ("0x1.822d3628080dep-46", "0x1.0cae4fedbb8f4p-42", "0x1.f7832ee8d6c3ap-39", "0x1.d77b07a795c31p-45"),
+            ("0x1.474f6ac3b3399p+0", "0x1.b80861119d170p+3", "0x1.62f20aaf0c8dap+7", "0x1.0ddd35c880000p-52"),
+            ("0x1.822d3628080dep-46", "0x1.0cae4f6f839fbp-42", "0x1.f7832edd8c6e0p-39", "0x1.d77b07a795c31p-45"),
             510,
         ),
         ("bouncer", 11): (
-            ("0x1.2d89b0b1088dap+0", "0x1.580ab6ad48070p+3", "0x1.d70b65c4674f0p+6", "-0x1.3319ca3780000p-52"),
-            ("0x1.6e0aa3290fc15p-46", "0x1.b5ed65c857100p-43", "0x1.632b3c46b4e52p-39", "0x1.bec0dce239086p-45"),
+            ("0x1.2d89b0b1088dap+0", "0x1.580ab6ad48070p+3", "0x1.d70b65c4674f0p+6", "-0x1.9319ca3780000p-52"),
+            ("0x1.6e0aa3290fc15p-46", "0x1.b5ed658ac44bep-43", "0x1.632b3c3df0a5ap-39", "0x1.bec0dce239086p-45"),
             420,
         ),
         ("bouncer", 36): (
-            ("0x1.c20e1a09d8810p+0", "0x1.1e00ce5bfa683p+5", "0x1.b433985bf515bp+9", "-0x1.b633946f00000p-53"),
+            ("0x1.c20e1a09d8810p+0", "0x1.1e00ce5bfa683p+5", "0x1.b433985bf515ap+9", "-0x1.3633946f00000p-53"),
             ("0x1.e2122f16d52dcp-46", "0x1.485302b6c20a4p-41", "0x1.025d9bd6224a8p-36", "0x1.348a04b121bbap-44"),
             1170,
         ),
@@ -654,8 +658,8 @@ class TestPinnedBits:
     }
 
     ONE_PANEL_START = (  # the bouncer's n = 11 integrands on (-E'_11, -E'_11 + 40]: 27 splits
-        ("0x1.2d89b0b1088dap+0", "0x1.580ab6ad4806ep+3", "0x1.d70b65c4674f0p+6", "0x1.0000000000000p-54"),
-        ("0x1.e21d56f0b0b8bp-43", "0x1.512e06c804610p-41", "0x1.24d3f4bcad3bep-38", "0x1.7fa4fac66754ap-41"),
+        ("0x1.2d89b0b1088dap+0", "0x1.580ab6ad4806ep+3", "0x1.d70b65c4674f0p+6", "0x1.0000000000000p-55"),
+        ("0x1.e21d6b11e2723p-43", "0x1.512e003e6d660p-41", "0x1.24d3f1c93580fp-38", "0x1.7fa4f4960e135p-41"),
         825,
         True,
     )

@@ -95,6 +95,9 @@ class TestEigenLevel:
     def test_numpy_integer_quantum_numbers_accepted(self, model):
         assert eigen_level(model, np.int64(3)).energy == eigen_level(model, 3).energy
 
+    def test_bouncer_energy_is_a_float_at_a_numpy_integer(self):
+        assert type(eigen_level(BALL, np.int64(3)).energy) is float
+
 
 class TestWavefunction:
     def test_oscillator_ground_state_peak(self):

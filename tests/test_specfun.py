@@ -16,8 +16,8 @@ from ucr.specfun import ConvergenceError, airy, airy_ai, airy_zero, hermite, her
 
 
 # The Taylor branch's seams: the switches between its anchors at the odd
-# quarters -11.75..8.75 and its edges -12 and 9.
-SEAMS = [q / 4.0 for q in range(-47, 36, 2)] + [-12.0, 9.0]
+# quarters -19.75..8.75 and its edges -20 and 9.
+SEAMS = [(half + 0.5) / 2.0 for half in specfun._HALVES[:-1]] + [specfun._NEGATIVE_CUT, specfun._POSITIVE_CUT]
 
 
 class TestHermite:
@@ -93,12 +93,13 @@ class TestAiryAi:
         assert v.branch == "positive-z-asymptotic"
 
     def test_branch_tags(self):
-        # the Taylor-stepped mid-range (-12, 9) keeps the tag "power-series"
+        # the Taylor-stepped mid-range (-20, 9) keeps the tag "power-series"
         assert airy_ai(0.5).branch == "power-series"
         assert airy_ai(6.0).branch == "power-series"
         assert airy_ai(-10.5).branch == "power-series"
+        assert airy_ai(-15.0).branch == "power-series"
         assert airy_ai(20.0).branch == "positive-z-asymptotic"
-        assert airy_ai(-12.5).branch == "negative-z-asymptotic"
+        assert airy_ai(-20.5).branch == "negative-z-asymptotic"
         assert airy_ai(-20.0).branch == "negative-z-asymptotic"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -163,6 +164,21 @@ class TestAiryAi:
         assert worst_abs_ai <= 1e-15
         assert worst_abs_aip <= 3e-15
         assert worst_rel <= 2e-15
+
+    def test_seeded_taylor_range_accuracy(self):
+        # (-20, -12]: Taylor steps from the anchors that the negative
+        # expansion seeds, against mpmath at 40 digits, over the envelopes
+        # |z|^(-1/4)/sqrt(pi) of Ai and |z|^(1/4)/sqrt(pi) of Ai'
+        rng = random.Random(20261022)
+        zs = [rng.uniform(specfun._NEGATIVE_CUT, specfun._SEEDED_BELOW) for _ in range(300)] + [specfun._SEEDED_BELOW]
+        ai, aip = _cold(airy, np.array(zs))
+        worst_ai = worst_aip = 0.0
+        with mp.workdps(40):
+            for z, a, ap in zip(zs, ai.tolist(), aip.tolist()):
+                quarter = abs(z) ** 0.25 / math.sqrt(math.pi)
+                worst_ai = max(worst_ai, float(abs(a - mp.airyai(z))) / quarter)
+                worst_aip = max(worst_aip, float(abs(ap - mp.airyai(z, derivative=1))) * quarter)
+        assert worst_ai <= 1e-15 and worst_aip <= 1e-15
 
     @pytest.mark.parametrize("z", [math.nextafter(-1e12, -math.inf), -1e13, -1e16])
     def test_below_negative_limit_rejected(self, z):
@@ -229,13 +245,13 @@ def _cold(fn, z):
 class TestAiryArray:
     @staticmethod
     def _mixed_batch() -> np.ndarray:
-        # every branch, both sides of each seam, the far negative axis up to
-        # its limit, and more elements than one kernel pass takes
+        # every branch, both sides of each seam and the far negative axis up to
+        # its limit
         rng = random.Random(20261019)
         zs = [rng.uniform(-40.0, 30.0) for _ in range(450)]
         zs += [-(10.0 ** rng.uniform(1.0, 12.0)) for _ in range(100)]
         zs += [z for k in SEAMS for z in (math.nextafter(k, -math.inf), k, math.nextafter(k, math.inf))]
-        zs += [-1e12, 30.0, 9.0 + 1e-9, -12.0 - 1e-9]
+        zs += [-1e12, 30.0, 9.0 + 1e-9, specfun._NEGATIVE_CUT - 1e-9]
         rng.shuffle(zs)
         return np.array(zs)
 
@@ -251,12 +267,12 @@ class TestAiryArray:
             scalar = _cold(airy_ai, z[i])
             assert _bits([ai[i], aip[i]]) == _bits([one_ai[0], one_aip[0]]) == _bits([scalar.ai, scalar.ai_prime])
 
-    @pytest.mark.parametrize("size", [1, 99, 100, 512, 513, 1500])
+    @pytest.mark.parametrize("size", [1, 99, 100, 512, 513, 1500, specfun._CHUNK + 1])
     @pytest.mark.parametrize("near, far", [(specfun._NEGATIVE_CUT, -1e12), (9.0, 10.0 * specfun._POSITIVE_CAP)])
     def test_asymptotic_batches_on_both_sides_of_the_row_switch(self, near, far, size):
-        # the series sums go along the rows of each pass of at most 512
+        # the series sums go along the rows of each pass of at most _CHUNK
         # elements, and a value is its z's alone.
-        # Log-uniform |z| mixes term counts from 19 (z = -12) or 37 (z = 9)
+        # Log-uniform |z| mixes term counts from 12 (z = -20) or 37 (z = 9)
         # down to 2.
         rng = np.random.default_rng(size)
         z = math.copysign(1.0, near) * 10.0 ** rng.uniform(math.log10(abs(near)), math.log10(abs(far)), size)
@@ -270,7 +286,7 @@ class TestAiryArray:
         # terms of all, 40 at zeta ~ 19.3: past its own count a series at
         # zeta = 18 grows, so a sum read at another element's count shows.
         # `airy` reaches them on the positive axis only (the negative branch
-        # starts at -12, with 19 terms), so the negative kernel takes them
+        # starts at -20, with 12 terms), so the negative kernel takes them
         # directly, against its Python-float path.
         z = np.resize([9.0, 13104.0, (1.5 * 19.3) ** (2.0 / 3.0)], size)
         zeta = np.array([specfun._zeta_double_double(v)[0] for v in z[:3]])
@@ -413,11 +429,11 @@ class TestAiryArray:
 
 class TestAirySeams:
     # Ai and Ai' against mpmath at 40 digits on both sides of each seam of the
-    # kernel: z = -12 and 9, where the expansions meet the Taylor steps, and
+    # kernel: z = -20 and 9, where the expansions meet the Taylor steps, and
     # the switches between those steps' anchors at the odd quarters; each
-    # case takes the integer k and k -+ 1/4, so -9 stays a point.  Errors are
-    # over the envelopes |z|^(-1/4)/sqrt(pi) of Ai and |z|^(1/4)/sqrt(pi) of
-    # Ai', with |z| floored at 1 so the envelope of Ai stays finite at the origin.
+    # case takes the integer k and k -+ 1/4.  Errors are over the envelopes
+    # |z|^(-1/4)/sqrt(pi) of Ai and |z|^(1/4)/sqrt(pi) of Ai', with |z|
+    # floored at 1 so the envelope of Ai stays finite at the origin.
     BOUND = 2e-15
 
     @staticmethod
@@ -436,18 +452,31 @@ class TestAirySeams:
                 worst_aip = max(worst_aip, float(abs(ap - mp.airyai(z, derivative=1))) / quarter * math.sqrt(math.pi))
         return worst_ai, worst_aip
 
-    @pytest.mark.parametrize("seam", range(-12, 10))
+    @pytest.mark.parametrize("seam", sorted({half // 2 for half in specfun._HALVES}))
     def test_error_over_envelope(self, seam):
         worst_ai, worst_aip = self.worst_over_envelope(self.points(seam))
         assert worst_ai <= self.BOUND and worst_aip <= self.BOUND
 
 
 class TestTaylorTable:
+    def test_anchor_values_match_mpmath(self):
+        # Each anchor's (c_0, c_1) is (Ai, Ai') at it: from -12 up stepped
+        # down from the positive expansion at 9, below -12 the negative
+        # expansion's.  Within 6e-16 of mpmath at 40 digits, over the
+        # envelope at z0 <= 0 (|z| floored at 1) and relative at z0 > 0.
+        with mp.workdps(40):
+            for half, columns in zip(specfun._HALVES, specfun._anchor_columns()):
+                z0 = 0.5 * half
+                quarter = max(abs(z0), 1.0) ** 0.25 / math.sqrt(math.pi)
+                for d, (got, scale) in enumerate(zip(columns[0], (1.0 / quarter, quarter))):
+                    ref = mp.airyai(z0, derivative=d)
+                    assert float(abs(got - ref) / (abs(ref) if z0 > 0.0 else scale)) <= 6e-16, (z0, d)
+
     def test_first_dropped_term_lies_below_the_floor_at_every_anchor(self):
         # The term count rests on the table, not on sampling.  At |h| = 1/4
-        # each anchor's first dropped terms, c_20 h^20 of Ai and 21 c_21 h^20
+        # each anchor's first dropped terms, c_21 h^21 of Ai and 22 c_22 h^21
         # of Ai', lie below 2^-60 of the envelope on its step, and with one
-        # term fewer the anchor -12's do not.  The envelope is |z|^(-1/4)/sqrt(pi)
+        # term fewer the anchor -20's do not.  The envelope is |z|^(-1/4)/sqrt(pi)
         # of Ai and |z|^(1/4)/sqrt(pi) of Ai' at z0 <= 0, with |z| floored at 1,
         # and Ai's and Ai''s own size at z0 + 1/4, the smallest on the step, at z0 > 0.
         terms = specfun._TAYLOR_TERMS
@@ -535,7 +564,8 @@ class TestAiryZero:
             airy_zero(n)
 
     def test_numpy_integer_index_accepted(self):
-        assert airy_zero(np.int64(3)) == airy_zero(3)
+        zero = airy_zero(np.int64(3))
+        assert zero == airy_zero(3) and type(zero) is float and type(airy_zero(3)) is float
 
     def test_seed_leaves_at_most_two_newton_steps(self):
         # from three terms of the asymptotic form, the second Airy evaluation of a cold zero ends

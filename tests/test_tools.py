@@ -33,7 +33,7 @@ def test_airy_ab_agrees_with_itself(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.count(": equal (") == 7 and "differ" not in out
     assert "bits airy_zero(n), n = 1..3000: equal (3000 zeros)" in out
-    assert out.count("accuracy ") == 4 and all(f"accuracy {name}: bits equal (" in out for name in airy_ab.ranges(np.zeros(0)))
+    assert out.count("accuracy ") == 5 and all(f"accuracy {name}: bits equal (" in out for name in airy_ab.ranges(np.zeros(0)))
     assert "Airy evaluations per cold zero" in out
     lines = out.splitlines()
     for n in (14, 36, 200):  # one-element calls, batches, warm calls, then the three kernels
@@ -65,9 +65,10 @@ def test_airy_ab_accuracy_measures_only_the_elements_whose_bits_differ():
 
         return types.SimpleNamespace(airy=airy, airy_ai=types.SimpleNamespace(cache_clear=lambda: None))
 
-    lines = airy_ab.accuracy(tree(False), tree(True), np.array([-20.0, -10.5, -9.0, -10.5, 0.5, 12.0]))
+    lines = airy_ab.accuracy(tree(False), tree(True), np.array([-40.0, -15.0, -10.5, -9.0, -10.5, 0.5, 12.0]))
     assert lines[0] == "accuracy (-9, 9), absolute: bits equal (1 elements)"
-    assert lines[3:] == ["accuracy z <= -12, over the envelope: bits equal (1 elements)",
+    assert lines[3:] == ["accuracy (-20, -12], over the envelope: bits equal (1 elements)",
+                         "accuracy z <= -20, over the envelope: bits equal (1 elements)",
                          "accuracy z >= 9, relative: bits equal (1 elements)"]
     for line, label in zip(lines[1:3], ("Ai ", "Ai'")):
         assert line.startswith(f"accuracy (-12, -9], over the envelope, {label}: worst ")

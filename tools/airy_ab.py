@@ -13,24 +13,24 @@ pass's multi-element batches.  They are recorded once through CHANGE_SRC's
 `ucr` package.
 
 The script asserts that the two kernels agree bit for bit on every element of
-those calls and of a fixed 43,000-point set on [-1e12, 40]: evaluated cold
-(memo cleared), warm (the same calls again) and mixed (half the calls
-remembered).  With ``--accuracy`` it then measures, on every element of
-those calls whose bits differ between the trees, each tree's worst and rms
-error against mpmath at 40 digits, per range: absolute on (-9, 9), and over
-the envelope on (-12, -9], on z <= -12 (|z|^(-1/4)/sqrt(pi) for Ai,
-|z|^(1/4)/sqrt(pi) for Ai') and on z >= 9 (the function's own size).  It
-asserts that both trees' `airy_zero(n)` agree bit for bit for n = 1..3000,
-each zero found cold (both caches cleared), and prints each tree's Airy
-evaluations per zero, the memo's misses.  It then times each tree's `airy`
-per level, the trees interleaved round by round: the
-one-element calls from a cleared memo, then the batches (cold too, as none
-of them is remembered), then all the calls again on the filled memo (warm).
-A last cold run per round times each call of the three branch kernels,
-`_negative` (z <= -12), `_taylor` and `_positive` (z >= 9), summed over the
-level's calls.  Each time printed is the 10th percentile of the rounds, in
-ms.  Exits 0 when the bits agree, 1 otherwise.  Needs numpy, and mpmath for
-``--accuracy``.
+those calls and of a 43,000-point set on [-1e12, 40], laid out on
+CHANGE_SRC's Taylor range and seams: evaluated cold (memo cleared), warm (the
+same calls again) and mixed (half the calls remembered).  With
+``--accuracy`` it then measures, on every element of those calls whose bits
+differ between the trees, each tree's worst and rms error against mpmath at
+40 digits, per range: absolute on (-9, 9), over the envelope on (-12, -9],
+(-20, -12] and z <= -20 (|z|^(-1/4)/sqrt(pi) for Ai, |z|^(1/4)/sqrt(pi) for
+Ai'), and relative on z >= 9.  It asserts that both trees' `airy_zero(n)`
+agree bit for bit for n = 1..3000, each zero found cold (both caches
+cleared), and prints each tree's Airy evaluations per zero, the memo's
+misses.  It then times each tree's `airy` per level, the trees interleaved
+round by round: the one-element calls from a cleared memo, then the batches
+(cold too, as none of them is remembered), then all the calls again on the
+filled memo (warm).  A last cold run per round times each call of the three
+branch kernels, `_negative` (from the negative cut down), `_taylor` and
+`_positive` (z >= 9), summed over the level's calls.  Each time printed is
+the 10th percentile of the rounds, in ms.  Exits 0 when the bits agree, 1
+otherwise.  Needs numpy, and mpmath for ``--accuracy``.
 """
 
 from __future__ import annotations
@@ -85,16 +85,17 @@ def record_batches(src: str) -> dict[int, list[np.ndarray]]:
     return batches
 
 
-def point_set() -> np.ndarray:
-    # 43,000 fixed abscissas: the Taylor range, its seams from 1e-16 to 0.1
-    # away (the switches between anchors at the odd quarters -11.75..8.75 and
-    # the cuts -12 and 9), both asymptotic branches, the far negative axis to
-    # its limit, and the two ends.
+def point_set(module) -> np.ndarray:
+    # 43,000 fixed abscissas: the module's Taylor range, its seams from 1e-16
+    # to 0.1 away (the switches between anchors at the odd quarters and the
+    # two cuts), both asymptotic branches, the far negative axis to its
+    # limit, and the two ends.
     rng = np.random.default_rng(43_000)
-    seams = np.append(np.arange(-11.75, 9.0, 0.5), [-12.0, 9.0])
+    cuts = [module._NEGATIVE_CUT, module._POSITIVE_CUT]
+    seams = np.append((np.array(module._HALVES[:-1]) + 0.5) / 2.0, cuts)
     seams = rng.choice(seams, 2_998) + rng.choice([-1.0, 1.0], 2_998) * 10.0 ** rng.uniform(-16.0, -1.0, 2_998)
     parts = (
-        rng.uniform(-12.0, 9.0, 20_000),
+        rng.uniform(*cuts, 20_000),
         rng.uniform(-40.0, 40.0, 10_000),
         -(10.0 ** rng.uniform(1.0, 12.0, 10_000)),
         seams,
@@ -136,7 +137,8 @@ def ranges(z: np.ndarray) -> dict[str, np.ndarray]:
     return {
         "(-9, 9), absolute": (z > -9.0) & (z < 9.0),
         "(-12, -9], over the envelope": (z > -12.0) & (z <= -9.0),
-        "z <= -12, over the envelope": z <= -12.0,
+        "(-20, -12], over the envelope": (z > -20.0) & (z <= -12.0),
+        "z <= -20, over the envelope": z <= -20.0,
         "z >= 9, relative": z >= 9.0,
     }
 
@@ -225,7 +227,7 @@ def main(argv: list[str], rounds: int = ROUNDS) -> int:
         return 64
     trees = {"parent": load_specfun(argv[0], "parent"), "change": load_specfun(argv[1], "change")}
     batches = record_batches(argv[1])
-    points = point_set()
+    points = point_set(trees["change"])
     checks = {f"n={n}": batches[n] for n in LEVELS}
     checks["43,000 points, 1,000 a call"] = np.split(points, 43)
     checks["43,000 points, one call"] = [points]
